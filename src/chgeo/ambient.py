@@ -86,6 +86,18 @@ class CurvatureModel:
         return float(self.as_tangent(x) @ self.as_tangent(y))
 
 
+def _curvature_rows(J: np.ndarray, x, y, z) -> np.ndarray:
+    """R(X,Y)Z for X a vector or a stack of row vectors (the tensor is linear in X)."""
+    jx, jy, jz = (J @ x.T).T, J @ y, J @ z
+    return -0.25 * (
+        (y @ z) * x
+        - (x @ z)[..., None] * y
+        + (jy @ z) * jx
+        - (jx @ z)[..., None] * jy
+        - 2.0 * (jx @ y)[..., None] * jz
+    )
+
+
 def curvature(model: CurvatureModel, x, y, z) -> np.ndarray:
     """Ambient curvature R(X,Y)Z in closed form.
 
@@ -95,15 +107,7 @@ def curvature(model: CurvatureModel, x, y, z) -> np.ndarray:
     x = model.as_tangent(x)
     y = model.as_tangent(y)
     z = model.as_tangent(z)
-    J = model.J
-    jx, jy, jz = J @ x, J @ y, J @ z
-    return -0.25 * (
-        (y @ z) * x
-        - (x @ z) * y
-        + (jy @ z) * jx
-        - (jx @ z) * jy
-        - 2.0 * (jx @ y) * jz
-    )
+    return _curvature_rows(model.J, x, y, z)
 
 
 def curvature_component(model: CurvatureModel, x, y, z, w) -> float:
@@ -132,12 +136,7 @@ def jacobi_operator(model: CurvatureModel, direction) -> np.ndarray:
     itself).
     """
     c = model.as_tangent(direction)
-    d = model.dim
-    K = np.empty((d, d))
-    eye = np.eye(d)
-    for idx in range(d):
-        K[:, idx] = -curvature(model, eye[idx], c, c)
-    return K
+    return -_curvature_rows(model.J, np.eye(model.dim), c, c).T
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "multiplicity_quadratics",
     "newton_roots",
     "residual_hopf_weights",
-    "residual_mean_relation",
     "residual_weight_sum",
     "solve_case_one",
     "solve_case_two",
@@ -161,10 +160,6 @@ def circle_residual(x, y, lam3) -> float:
     centre = (1.0 - 12.0 * lam3**2) / (4.0 * lam3)
     radius_sq = (1.0 + 16.0 * lam3**4) / (16.0 * lam3**2)
     return abs(x**2 + (y - centre) ** 2 - radius_sq)
-
-
-def residual_mean_relation(l1, l2, l3) -> float:
-    return abs(mean_relation(l1, l2, l3))
 
 
 def closed_form_weights(l1, l2, l3) -> tuple[float, float]:

@@ -28,6 +28,7 @@ from .errors import OpenCaseError
 __all__ = ["RunConfig", "main", "run", "symbol_for"]
 
 SCHEMA = "chgeo/1"
+_MAX_SWEEP_POINTS = 10_000
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -125,7 +126,10 @@ def _branch_doc(branch: classifier.SolutionBranch | None, lambda3=None, reason=N
 def cmd_catalog(config: RunConfig):
     if config.n is None or config.n < 2:
         raise SystemExit(_usage_error("catalog requires --n >= 2"))
-    entries, notes = families.catalog(config.n, r=config.r or 1.0)
+    r = 1.0 if config.r is None else config.r
+    if r <= 0:
+        raise SystemExit(_usage_error(f"catalog requires --r > 0, got {r}"))
+    entries, notes = families.catalog(config.n, r=r)
     doc = {
         "schema": SCHEMA,
         "command": "catalog",
@@ -153,9 +157,18 @@ def cmd_classify(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig):
-    if config.lo is None or config.hi is None or not config.step:
+    if config.lo is None or config.hi is None or config.step is None:
         raise SystemExit(_usage_error("sweep requires --lo, --hi and --step"))
+    if config.step <= 0 or config.hi < config.lo:
+        raise SystemExit(_usage_error("sweep requires --lo <= --hi and --step > 0"))
     count = int(round((config.hi - config.lo) / config.step))
+    if count >= _MAX_SWEEP_POINTS:
+        raise SystemExit(
+            _usage_error(
+                f"sweep grid would have {count + 1} points; at most "
+                f"{_MAX_SWEEP_POINTS} are allowed"
+            )
+        )
     grid = [config.lo + i * config.step for i in range(count + 1)]
     report = classifier.sweep(grid)
     doc = {
@@ -371,6 +384,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Global flags are accepted both before and after the subcommand.  The
     # shared parent is attached to the top-level parser and to every
@@ -403,32 +426,34 @@ def build_parser() -> argparse.ArgumentParser:
         "catalog", parents=[common], help="list the homogeneous families"
     )
     p_catalog.add_argument("--n", type=int, required=True)
-    p_catalog.add_argument("--r", type=float, default=1.0, help="representative radius")
+    p_catalog.add_argument(
+        "--r", type=_finite_float, default=1.0, help="representative radius (> 0)"
+    )
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run every verification suite"
     )
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_finite_float, default=None)
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="solve the constraint system"
     )
-    p_classify.add_argument("--lambda3", type=float, default=None)
+    p_classify.add_argument("--lambda3", type=_finite_float, default=None)
     p_classify.add_argument("--case", choices=("i", "ii"), default="ii")
 
     p_focal = sub.add_parser("focal", parents=[common], help="transversal-map report")
     p_focal.add_argument("--case", choices=("i", "ii"), required=True)
     p_focal.add_argument("--n", type=int, default=3)
     p_focal.add_argument("--k", type=int, default=None)
-    p_focal.add_argument("--lambda3", type=float, default=None)
-    p_focal.add_argument("--r", type=float, default=None)
+    p_focal.add_argument("--lambda3", type=_finite_float, default=None)
+    p_focal.add_argument("--r", type=_finite_float, default=None)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="scan the parametric branch"
     )
-    p_sweep.add_argument("--lo", type=float, required=True)
-    p_sweep.add_argument("--hi", type=float, required=True)
-    p_sweep.add_argument("--step", type=float, required=True)
+    p_sweep.add_argument("--lo", type=_finite_float, required=True)
+    p_sweep.add_argument("--hi", type=_finite_float, required=True)
+    p_sweep.add_argument("--step", type=_finite_float, required=True)
     return parser
 
 
@@ -486,4 +511,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``chgeo ... | head``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again; exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

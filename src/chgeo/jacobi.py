@@ -46,7 +46,6 @@ __all__ = [
     "ImageShapeData",
     "JacobiSolution",
     "axis_coefficient",
-    "axis_coefficient_dt",
     "curvature_propagator",
     "hopf_coefficient",
     "hopf_coefficient_dt",
@@ -97,10 +96,6 @@ def hopf_coefficient_dt(lam: float, t):
 def axis_coefficient(lam: float, t):
     """Evolution of a component squarely on the Jc-line (equals f + g)."""
     return np.cosh(t) - lam * np.sinh(t)
-
-
-def axis_coefficient_dt(lam: float, t):
-    return np.sinh(t) - lam * np.cosh(t)
 
 
 @dataclass(frozen=True)
@@ -357,7 +352,6 @@ class FocalMapData:
     kernel_dim: int
     d_block: np.ndarray
     d_block_dt: np.ndarray
-    eta: np.ndarray
     _c_block: np.ndarray | None
     c_reason: str | None
 
@@ -459,7 +453,6 @@ def transversal_map(
         kernel_dim=kernel_dim,
         d_block=d_block,
         d_block_dt=d_block_dt,
-        eta=frame.xi.copy(),
         _c_block=c_block,
         c_reason=reason,
     )

@@ -19,6 +19,11 @@ a totally real k-dimensional slice wperp of v, the subalgebra
 a + z + (v - wperp) exponentiates to a (2n-k)-dimensional minimal
 submanifold whose second fundamental form is concentrated on the
 single pairing of Z against i(wperp).
+
+Each orbit is one whole-array contraction per quantity: the closure
+check, the shape operator and the induced connection each contract the
+bracket or Koszul tensor against the whole frame at once, normal side
+first where a normal direction enters.
 """
 
 from __future__ import annotations
@@ -184,7 +189,10 @@ class OrbitModel:
     coordinates.  The second fundamental form is the normal part of the
     ambient Koszul connection restricted to the tangent rows; for a
     hypersurface orbit the shape operator and connection samples feed
-    the ambient residual evaluators.
+    the ambient residual evaluators.  The closure check, the shape
+    operator and ``intrinsic_gamma`` each contract over all frame pairs
+    at once; with d = 2n the closure check costs O(codim d^3) and a
+    shape operator O(d^3).
     """
 
     algebra: SolvableAlgebra
@@ -197,12 +205,10 @@ class OrbitModel:
         full = np.vstack([t, nr])
         if full.shape != (d, d) or np.max(np.abs(full @ full.T - np.eye(d))) > 1e-10:
             raise ValidationError("tangent/normal rows do not form an orthonormal basis")
-        # subalgebra closure
-        for i in range(t.shape[0]):
-            for j in range(t.shape[0]):
-                br = self.algebra.bracket_of(t[i], t[j])
-                if np.linalg.norm(nr @ br) > 1e-12:
-                    raise ValidationError("tangent space is not closed under the bracket")
+        # subalgebra closure: normal part of [t_i, t_j] for every pair at once
+        leak = t @ (self.algebra.bracket @ nr.T).transpose(2, 0, 1) @ t.T
+        if np.max(np.linalg.norm(leak, axis=0)) > 1e-12:
+            raise ValidationError("tangent space is not closed under the bracket")
 
     @property
     def dim(self) -> int:
@@ -219,24 +225,16 @@ class OrbitModel:
 
     def shape_operator(self, xi) -> np.ndarray:
         """Symmetric matrix of the shape operator w.r.t. normal xi, tangent frame."""
-        xi = np.asarray(xi, dtype=float)
-        m = self.dim
-        S = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                S[i, j] = self.second_fundamental(self.tangent[i], self.tangent[j]) @ xi
+        nu = self.normal.T @ (self.normal @ np.asarray(xi, dtype=float))
+        t = self.tangent
+        S = t @ (self.algebra.gamma @ nu) @ t.T
         return 0.5 * (S + S.T)
 
     @cached_property
     def intrinsic_gamma(self) -> np.ndarray:
         """Induced connection coefficients over the tangent frame."""
-        m = self.dim
-        g = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(m):
-                amb = levi_civita(self.algebra, self.tangent[i], self.tangent[j])
-                g[i, j] = self.tangent @ amb
-        return g
+        t = self.tangent
+        return t @ np.tensordot(t, self.algebra.gamma, axes=1) @ t.T
 
     def hypersurface_data(self, orientation: float = 1.0):
         """Package codimension-one orbits for the ambient residual evaluators."""
@@ -268,12 +266,6 @@ class RuledModel:
     @property
     def w_perp(self) -> np.ndarray:
         return self.spec.w_perp
-
-    @cached_property
-    def z_vector(self) -> np.ndarray:
-        z = np.zeros(self.algebra.dim)
-        z[self.algebra.z_index] = 1.0
-        return z
 
     def shape_spectrum(self, xi):
         """Eigenvalues and eigenvectors of the shape operator w.r.t. unit xi."""

@@ -119,6 +119,16 @@ def test_degenerate_plane_rejected(model):
         ambient.sectional_curvature(model, x, 2.0 * x)
 
 
+def test_jacobi_operator_columns_are_curvature_values():
+    model = ambient.CurvatureModel(4)
+    c = ambient.random_tangent(model, np.random.default_rng(5))
+    K = ambient.jacobi_operator(model, c)
+    ref = np.column_stack([-ambient.curvature(model, e, c, c) for e in np.eye(8)])
+    assert np.max(np.abs(K - ref)) <= 1e-15
+    # eigenvalues 0 on c, 1 on Jc and 1/4 on the rest
+    assert np.allclose(np.linalg.eigvalsh(0.5 * (K + K.T)), [0.0] + [0.25] * 6 + [1.0])
+
+
 def test_dimension_mismatch_rejected(model):
     with pytest.raises(ValueError):
         ambient.curvature(model, np.ones(4), np.ones(6), np.ones(6))

@@ -71,6 +71,23 @@ def test_catalog_csv_layout():
     assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
+@pytest.mark.parametrize("radius", ["0", "-1", "-0.0"])
+def test_catalog_rejects_non_positive_radius(radius):
+    # r = 0 used to be replaced by the default r = 1 without a word
+    proc = run_cli("--format", "json", "catalog", "--n", "3", "--r", radius)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--r > 0" in proc.stderr
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_catalog_rejects_non_finite_radius(radius):
+    proc = run_cli("--format", "json", "catalog", "--n", "3", "--r", radius)
+    assert proc.returncode == 2
+    assert "argument --r: must be a finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # classify / sweep / focal
 # ---------------------------------------------------------------------------
@@ -101,6 +118,14 @@ def test_classify_isolated_case():
     assert doc["b1sq"]["symbol"] == "8/9"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_classify_rejects_non_finite_lambda3(value):
+    proc = run_cli("--format", "json", "classify", f"--lambda3={value}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --lambda3: must be a finite number" in proc.stderr
+
+
 def test_sweep_csv():
     proc = run_cli(
         "--format", "csv", "sweep", "--lo", "-0.4", "--hi", "0.4", "--step", "0.1"
@@ -109,6 +134,21 @@ def test_sweep_csv():
     # header + nine parametric rows + the isolated row
     assert len(lines) == 11
     assert lines[-1].startswith("i,")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--lo", "0.4", "--hi", "-0.4", "--step", "0.1"),  # used to give an empty grid
+        ("--lo", "-0.4", "--hi", "0.4", "--step=-0.1"),
+        ("--lo", "-0.45", "--hi", "0.45", "--step", "1e-6"),  # 900 001 points
+    ],
+)
+def test_sweep_rejects_empty_or_oversized_grid(bounds):
+    proc = run_cli("--format", "json", "sweep", *bounds)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: sweep" in proc.stderr
 
 
 def test_focal_isolated_report():
@@ -212,3 +252,21 @@ def test_default_format_is_table():
     first = proc.stdout.splitlines()[0]
     assert first.startswith("horosphere ")
     assert "  g=2  hopf  [" in first
+
+
+def test_closed_pipe_ends_quietly():
+    # a document far larger than a pipe buffer, read one line and dropped
+    args = ["sweep", "--lo", "-0.45", "--hi", "0.45", "--step", "0.001"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chgeo", "--format", "json", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={k: v for k, v in os.environ.items() if k != "CHGEO_SEED"},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

@@ -227,6 +227,46 @@ def test_horosphere_shape_operator(alg):
     assert np.allclose(np.sort(vals), [0.5, 0.5, 0.5, 0.5, 1.0], atol=1e-14)
 
 
+def test_frame_without_centre_is_not_closed(alg):
+    """A, V1, V2, ... with Z left normal: [V1, V2] = Z leaks out of the frame."""
+    e = np.eye(alg.dim)
+    tangent = np.vstack([e[:1], e[2:]])
+    with pytest.raises(ValidationError, match="not closed under the bracket"):
+        solvable.OrbitModel(algebra=alg, tangent=tangent, normal=e[1:2])
+
+
+def _rotated_ruled(n, k, rng):
+    """Ruled orbit over the canonical slice moved by a random unitary of v."""
+    alg = solvable.build_algebra(n)
+    m = n - 1
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    # real form of q on v: V_{2j+1} is the real, V_{2j+2} the imaginary axis
+    real = np.zeros((2 * m, 2 * m))
+    real[0::2, 0::2], real[0::2, 1::2] = q.real, -q.imag
+    real[1::2, 0::2], real[1::2, 1::2] = q.imag, q.real
+    w = solvable.default_ruled_spec(alg, k).w_perp.copy()
+    w[:, 2:] = w[:, 2:] @ real.T
+    return solvable.build_ruled(alg, solvable.RuledSpec(k=k, w_perp=w))
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
+def test_orbit_arrays_match_per_pair_levi_civita(n, k):
+    rng = np.random.default_rng(n)
+    model = _rotated_ruled(n, k, rng)
+    orbit, alg = model.orbit, model.algebra
+    t, nr = orbit.tangent, orbit.normal
+    assert np.mean(np.abs(t[2:, 2:]) > 1e-3) > 0.5  # a dense frame
+    coeffs = rng.standard_normal(k)
+    xi = (coeffs / np.linalg.norm(coeffs)) @ model.w_perp
+    amb = np.array([[solvable.levi_civita(alg, ti, tj) for tj in t] for ti in t])
+    S_ref = (amb @ nr.T) @ (nr @ xi)
+    S_ref = 0.5 * (S_ref + S_ref.T)
+    assert np.max(np.abs(orbit.shape_operator(xi) - S_ref)) <= 1e-13
+    # only the normal part of the argument enters
+    assert np.max(np.abs(orbit.shape_operator(xi + t[3]) - S_ref)) <= 1e-13
+    assert np.max(np.abs(orbit.intrinsic_gamma - amb @ t.T)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
