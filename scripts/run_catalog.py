@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from chgeo.cli import SCHEMA, _entry_doc
@@ -21,6 +22,12 @@ def main() -> int:
     parser.add_argument("--r", type=float, default=1.0, help="representative radius")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     args = parser.parse_args()
+    if args.min_n < 2:
+        parser.error(f"--min-n must be >= 2, got {args.min_n}")
+    if args.max_n < args.min_n:
+        parser.error(f"--max-n must be >= --min-n, got {args.max_n} < {args.min_n}")
+    if not (math.isfinite(args.r) and args.r > 0):
+        parser.error(f"--r must be a finite number > 0, got {args.r}")
 
     documents = []
     for n in range(args.min_n, args.max_n + 1):

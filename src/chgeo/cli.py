@@ -185,12 +185,12 @@ def cmd_sweep(config: RunConfig):
 
 
 def cmd_focal(config: RunConfig):
-    n = config.n or 3
+    n = 3 if config.n is None else config.n
     if n < 3:
         raise SystemExit(_usage_error("focal reports require --n >= 3"))
     if config.case == "i":
         branch = classifier.solve_case_one()
-        m1 = config.k or 2
+        m1 = 2 if config.k is None else config.k
         profile = classifier.branch_profile(branch, n, m1=m1)
         r = config.r if config.r is not None else jacobi.EXCEPTIONAL_RADIUS
     else:
@@ -230,7 +230,7 @@ def cmd_focal(config: RunConfig):
         "image_codim": focal.image_codim,
         "singular_values": focal.singular_values.tolist(),
     }
-    if focal._c_block is None:
+    if focal.c_reason is not None:
         # kernel-reporting path: the carrier block cannot be inverted
         doc.update(
             {
@@ -244,7 +244,7 @@ def cmd_focal(config: RunConfig):
     image = jacobi.image_shape_operator(focal)
     doc.update(
         {
-            "c_block": focal._c_block.tolist(),
+            "c_block": focal.c_block.tolist(),
             "image_spectrum": [
                 {"lambda": _tagged(lam), "mult": mult} for lam, mult in image.entries
             ],
@@ -255,6 +255,10 @@ def cmd_focal(config: RunConfig):
 
 
 def cmd_verify(config: RunConfig):
+    if config.tolerance is not None and config.tolerance < 0:
+        raise SystemExit(
+            _usage_error(f"verify requires --tolerance >= 0, got {config.tolerance}")
+        )
     results = verification.run_all(seed=config.seed, tolerance=config.tolerance)
     doc = {
         "schema": SCHEMA,

@@ -174,18 +174,6 @@ class GeodesicNormalFrame:
     def jxi(self) -> np.ndarray:
         return self.J @ self.xi
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.basis[0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.basis[1]
-
-    @property
-    def axis(self) -> np.ndarray:
-        return self.basis[2]
-
     def decompose(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         coeffs = self.basis @ v
@@ -243,24 +231,30 @@ def normal_frame(profile: PrincipalProfile, hopf: HopfAttitude | None = None):
     )
 
 
+# (transverse, hopf) coefficient pairs giving the field value and derivative
+_VALUE_AND_DERIVATIVE = (
+    (transverse_coefficient, hopf_coefficient),
+    (transverse_coefficient_dt, hopf_coefficient_dt),
+)
+
+
+def _field_columns(frame: GeodesicNormalFrame, t: float):
+    """Values and derivatives at t of the basis-row fields; row i is column i of phi."""
+    lams, w = frame.lambdas[:, None], (frame.basis @ frame.jxi)[:, None]
+    return tuple(
+        f(lams, t) * frame.basis + w * g(lams, t) * frame.jxi
+        for f, g in _VALUE_AND_DERIVATIVE
+    )
+
+
 def jacobi_field(frame: GeodesicNormalFrame, v, t: float):
     """Closed-form field and derivative for an arbitrary tangent vector.
 
     Returns parallel-frame coefficient vectors (value, derivative).
     """
-    coeffs = frame.decompose(v)
-    value = np.zeros(frame.dim)
-    deriv = np.zeros(frame.dim)
-    for c, lam, row in zip(coeffs, frame.lambdas, frame.basis):
-        if c == 0.0:
-            continue
-        w = float(row @ frame.jxi)
-        value += c * (transverse_coefficient(lam, t) * row + w * hopf_coefficient(lam, t) * frame.jxi)
-        deriv += c * (
-            transverse_coefficient_dt(lam, t) * row
-            + w * hopf_coefficient_dt(lam, t) * frame.jxi
-        )
-    return value, deriv
+    coeffs = frame.decompose(v)[:, None]
+    value, deriv = _field_columns(frame, t)
+    return np.sum(coeffs * value, axis=0), np.sum(coeffs * deriv, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +377,8 @@ def transversal_map(
 ) -> FocalMapData:
     """Differential of the map travelling distance r along the normals."""
     frame = normal_frame(profile, hopf)
-    jxi = frame.jxi
-    cols_v = []
-    cols_d = []
-    for lam, row in zip(frame.lambdas, frame.basis):
-        w = float(row @ jxi)
-        cols_v.append(
-            transverse_coefficient(lam, r) * row + w * hopf_coefficient(lam, r) * jxi
-        )
-        cols_d.append(
-            transverse_coefficient_dt(lam, r)
-            * row
-            + w * hopf_coefficient_dt(lam, r) * jxi
-        )
-    phi = np.array(cols_v).T
-    phi_dt = np.array(cols_d).T
+    values, derivs = _field_columns(frame, r)
+    phi, phi_dt = values.T, derivs.T
     svals = np.linalg.svd(phi, compute_uv=False)
     kernel_dim = int(np.sum(svals <= KERNEL_TOL))
     if kernel_dim:
@@ -408,34 +389,12 @@ def transversal_map(
                 f"gap guard at distance {r}: {svals}"
             )
 
+    # the 2x2 action on the projection carriers (rows of phi restricted to them)
     h = frame.hopf
-    lam1, lam2 = h.lam1, h.lam2
-    b1, b2 = h.b1, h.b2
-    d_block = np.array(
-        [
-            [
-                transverse_coefficient(lam1, r) + b1 * b1 * hopf_coefficient(lam1, r),
-                b1 * b2 * hopf_coefficient(lam1, r),
-            ],
-            [
-                b1 * b2 * hopf_coefficient(lam2, r),
-                transverse_coefficient(lam2, r) + b2 * b2 * hopf_coefficient(lam2, r),
-            ],
-        ]
-    )
-    d_block_dt = np.array(
-        [
-            [
-                transverse_coefficient_dt(lam1, r)
-                + b1 * b1 * hopf_coefficient_dt(lam1, r),
-                b1 * b2 * hopf_coefficient_dt(lam1, r),
-            ],
-            [
-                b1 * b2 * hopf_coefficient_dt(lam2, r),
-                transverse_coefficient_dt(lam2, r)
-                + b2 * b2 * hopf_coefficient_dt(lam2, r),
-            ],
-        ]
+    lams, b = np.array([h.lam1, h.lam2]), np.array([h.b1, h.b2])
+    d_block, d_block_dt = (
+        np.diag(f(lams, r)) + np.outer(b, b) * g(lams, r)[:, None]
+        for f, g in _VALUE_AND_DERIVATIVE
     )
     det = float(np.linalg.det(d_block))
     if abs(det) > BLOCK_DET_TOL:
@@ -475,12 +434,7 @@ class ImageShapeData:
 
 def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     """Spectrum of the image shape operator w.r.t. the translated normal."""
-    if focal._c_block is None:
-        raise FocalPointError(
-            f"carrier block singular at distance {focal.r}: {focal.c_reason}",
-            kernel_dim=focal.kernel_dim,
-            singular_values=focal.singular_values,
-        )
+    focal.c_block  # raises FocalPointError when the carrier block is singular
     U, s, _ = np.linalg.svd(focal.phi, full_matrices=False)
     p = int(np.sum(s > KERNEL_TOL))
     Q = U[:, :p]

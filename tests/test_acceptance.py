@@ -1,263 +1,56 @@
-"""Acceptance criteria, one test per criterion at its stated tolerance.
+"""Acceptance criteria, one test per criterion, each a view of ``chgeo verify``.
 
-Run with ``pytest -v -s tests/test_acceptance.py`` to see one pass line
-per criterion; the same checks back the ``chgeo verify`` command.
+Every criterion asserts the ``verification`` suites that implement it,
+at the default seed, so the checks and their tolerances live in one
+place.  Run with ``pytest -v -s tests/test_acceptance.py`` to see one
+pass line per criterion.
 """
 
-import math
-import time
-
-import numpy as np
-
-from chgeo import ambient, classifier, families, jacobi, solvable
-from chgeo.verification import case_two_grid
-
-SQ2, SQ3, SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
-R_STAR = jacobi.EXCEPTIONAL_RADIUS
-SEED = 20260810
+from chgeo import verification
 
 
-def _report(num, text):
-    print(f"ACCEPTANCE {num}: PASS - {text}")
+def _accept(num, *names, budget=None):
+    results = [verification.run_suite(name) for name in names]
+    for result in results:
+        assert result.passed, result
+        assert budget is None or result.seconds < budget, result
+    print(f"ACCEPTANCE {num}: PASS - " + "; ".join(
+        f"{r.name} max {r.max_residual:.2e} (tol {r.tolerance:.0e}) in {r.seconds:.2f}s"
+        for r in results
+    ))
 
 
 def test_criterion_1_cross_model_curvature():
-    """Group-model curvature equals the closed form on random triples."""
-    rng = np.random.default_rng(SEED)
-    started = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3, 4):
-        alg = solvable.build_algebra(n)
-        model = ambient.CurvatureModel(n)
-        for _ in range(500):
-            x, y, z = rng.standard_normal((3, 2 * n))
-            defect = np.linalg.norm(
-                solvable.algebra_curvature(alg, x, y, z)
-                - ambient.curvature(model, x, y, z)
-            )
-            worst = max(worst, float(defect))
-    elapsed = time.perf_counter() - started
-    assert worst <= 1e-10
-    assert elapsed < 1.0
-    _report(1, f"cross-model curvature, max {worst:.2e} in {elapsed:.2f}s")
+    _accept(1, "cross-model-curvature", budget=1.0)
 
 
 def test_criterion_2_ruled_second_fundamental_form():
-    """Second fundamental form and spectra of the ruled orbits."""
-    started = time.perf_counter()
-    worst = 0.0
-    for n in (3, 4, 5):
-        alg = solvable.build_algebra(n)
-        z = np.eye(2 * n)[1]
-        for k in range(1, n):
-            model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
-            orbit = model.orbit
-            for xi in model.w_perp:
-                ixi = alg.J @ xi
-                worst = max(
-                    worst,
-                    float(
-                        np.linalg.norm(2.0 * orbit.second_fundamental(z, ixi) - xi)
-                    ),
-                )
-                for ti in orbit.tangent:
-                    for tj in orbit.tangent:
-                        weight = (ti @ z) * (tj @ ixi) + (tj @ z) * (ti @ ixi)
-                        val = orbit.second_fundamental(ti, tj) @ xi
-                        worst = max(worst, abs(val - 0.5 * weight))
-                vals = np.sort(np.linalg.eigvalsh(orbit.shape_operator(xi)))
-                expected = np.concatenate([[-0.5], np.zeros(orbit.dim - 2), [0.5]])
-                worst = max(worst, float(np.max(np.abs(vals - expected))))
-                S = orbit.shape_operator(xi)
-                for sign in (1.0, -1.0):
-                    vec = orbit.tangent @ ((z + sign * ixi) / SQ2)
-                    worst = max(
-                        worst, float(np.linalg.norm(S @ vec - 0.5 * sign * vec))
-                    )
-    elapsed = time.perf_counter() - started
-    assert worst <= 1e-12
-    assert elapsed < 1.0
-    _report(2, f"ruled second fundamental form, max {worst:.2e} in {elapsed:.2f}s")
+    _accept(2, "ruled-second-fundamental", budget=1.0)
 
 
 def test_criterion_3_jacobi_oracle():
-    """Closed forms vs the integrator, plus the field-equation residual."""
-    rng = np.random.default_rng(SEED)
-    branch = classifier.solve_case_two(0.2).branch
-    frame = jacobi.normal_frame(classifier.branch_profile(branch, 3))
-    jc = frame.jxi
-    worst_pair = 0.0
-    for _ in range(200):
-        v = rng.standard_normal(6)
-        v[0] = 0.0
-        t = float(rng.uniform(0.0, 3.0))
-        v0, v0p = jacobi.jacobi_field(frame, v, 0.0)
-        z, zp = jacobi.jacobi_numeric(v0, v0p, jc, t, 1e-3)
-        value, deriv = jacobi.jacobi_field(frame, v, t)
-        worst_pair = max(
-            worst_pair,
-            float(np.linalg.norm(z - value)),
-            float(np.linalg.norm(zp - deriv)),
-        )
-    assert worst_pair <= 1e-8
-
-    h = np.longdouble(1e-4)
-    worst_ode = 0.0
-    for _ in range(200):
-        lam = np.longdouble(rng.uniform(-1.0, 1.0))
-        w = np.longdouble(rng.uniform(-1.0, 1.0))
-        t = np.longdouble(rng.uniform(0.1, 3.0))
-        vals = {}
-        for s in (-1, 0, 1):
-            tt = t + s * h
-            vals[s] = np.array(
-                [
-                    jacobi.transverse_coefficient(lam, tt),
-                    w * jacobi.hopf_coefficient(lam, tt),
-                ],
-                dtype=np.longdouble,
-            )
-        second = (vals[1] - 2.0 * vals[0] + vals[-1]) / h**2
-        axis = vals[0][0] * w + vals[0][1]
-        rhs = np.array([vals[0][0], vals[0][1] + 3.0 * axis], dtype=np.longdouble)
-        worst_ode = max(
-            worst_ode, float(np.linalg.norm((4.0 * second - rhs).astype(float)))
-        )
-    assert worst_ode <= 1e-6
-    _report(3, f"jacobi oracle {worst_pair:.2e}, field equation {worst_ode:.2e}")
+    _accept(3, "jacobi-oracle", "jacobi-field-equation")
 
 
 def test_criterion_4_repeated_carrier_collapse():
-    """Collapse numbers at the exceptional radius for the isolated branch."""
-    branch = classifier.solve_case_one()
-    worst = 0.0
-    for n, m1 in ((3, 2), (4, 2), (4, 3)):
-        profile = classifier.branch_profile(branch, n, m1=m1)
-        focal = jacobi.transversal_map(profile, R_STAR)
-        nine = 9.0 * focal.d_block
-        expected = np.array(
-            [[4.0, SQ2], [4.0 * SQ2 - 2.0 * SQ3, 2.0 + 4.0 * SQ6]]
-        )
-        worst = max(worst, float(np.max(np.abs(nine - expected))))
-        worst = max(
-            worst,
-            abs(9.0 * jacobi.transverse_coefficient(branch.lambda3, R_STAR) - 3.0 * SQ6),
-        )
-        # collapse: exactly m1 - 1 vanishing directions plus the travelled
-        # normal, so the image has ambient codimension m1
-        svals = focal.singular_values
-        assert int(np.sum(svals <= 1e-12)) == m1 - 1
-        assert svals[svals > 1e-12].min() >= 0.1
-        assert focal.kernel_dim == m1 - 1
-        assert focal.rank == 2 * n - m1
-        assert focal.image_codim == m1
-        image = jacobi.image_shape_operator(focal)
-        block = np.array([[4.0 * SQ2, -7.0], [-7.0, -4.0 * SQ2]]) / 18.0
-        worst = max(worst, float(np.max(np.abs(image.carrier_block - block))))
-        eig = np.sort(np.linalg.eigvalsh(image.carrier_block))
-        worst = max(worst, float(np.max(np.abs(eig - np.array([-0.5, 0.5])))))
-    assert worst <= 1e-12
-    _report(4, f"repeated-carrier collapse numbers, max {worst:.2e}")
+    _accept(4, "focal-collapse")
 
 
 def test_criterion_5_carrier_block_identities():
-    """Determinant/trace identities on the 97-point axis grid."""
-    started = time.perf_counter()
-    worst_det = worst_tr = worst_detc = worst_eig = 0.0
-    for lam3 in case_two_grid():
-        branch = classifier.solve_case_two(float(lam3)).branch
-        r = 2.0 * math.atanh(2.0 * float(lam3))
-        focal = jacobi.transversal_map(classifier.branch_profile(branch, 3), r)
-        sech = 1.0 / math.cosh(r / 2.0)
-        worst_det = max(worst_det, abs(focal.det_d - sech**3))
-        C = focal.c_block
-        worst_tr = max(worst_tr, abs(float(np.trace(C))))
-        worst_detc = max(worst_detc, abs(float(np.linalg.det(C)) + 0.25))
-        eig = np.sort(np.linalg.eigvals(C).real)
-        worst_eig = max(worst_eig, float(np.max(np.abs(eig - [-0.5, 0.5]))))
-    elapsed = time.perf_counter() - started
-    assert worst_det <= 1e-10
-    assert worst_tr <= 1e-10
-    assert worst_detc <= 1e-10
-    assert worst_eig <= 1e-9
-    assert elapsed < 1.0
-    _report(
-        5,
-        f"det {worst_det:.2e}, trace {worst_tr:.2e}, "
-        f"eigenvalues {worst_eig:.2e} in {elapsed:.2f}s",
-    )
+    _accept(5, "equidistant-identities", budget=1.0)
 
 
 def test_criterion_6_classifier():
-    """Branch values, residual systems and the exclusion windows."""
-    iso = classifier.solve_case_one()
-    expected = (SQ3 / 2.0, 0.0, SQ3 / 6.0, 8.0 / 9.0, 1.0 / 9.0)
-    got = (iso.lambda1, iso.lambda2, iso.lambda3, iso.b1_sq, iso.b2_sq)
-    worst_iso = max(abs(a - b) for a, b in zip(expected, got))
-    assert worst_iso <= 1e-12
-
-    worst_grid = 0.0
-    for lam3 in case_two_grid():
-        branch = classifier.solve_case_two(float(lam3)).branch
-        assert branch is not None
-        worst_grid = max(worst_grid, max(branch.residuals().values()))
-    assert worst_grid <= 1e-10
-
-    for lam3 in (0.55, 0.56, 0.57):
-        outcome = classifier.solve_case_two(lam3)
-        assert outcome.empty and "ellipse" in outcome.reason
-    for lam3 in (0.5, 1.0 / SQ3):
-        outcome = classifier.solve_case_two(lam3)
-        assert outcome.empty and "coincident" in outcome.reason
-    _report(6, f"isolated point {worst_iso:.2e}, grid residuals {worst_grid:.2e}")
+    _accept(6, "classifier-branches")
 
 
 def test_criterion_7_structural_residuals():
-    """Connection identities on the minimal orbit for n = 3, 4."""
-    worst = 0.0
-    for n in (3, 4):
-        res = families.structural_residuals(n)
-        assert res["axis_geodesic"] <= 1e-12
-        worst = max(worst, max(res.values()))
-    assert worst <= 1e-10
-    scalar = classifier.residual_hopf_weights(0.5, -0.5, 0.0, 0.5, 0.5)
-    assert scalar <= 1e-12
-    _report(7, f"structural residuals, max {worst:.2e}, scalar {scalar:.2e}")
+    _accept(7, "structural-residuals")
 
 
 def test_criterion_8_catalog_counts():
-    """Distinct-curvature counts recomputed through the tube engine."""
-    assert families.tube_spectrum("Wk", 3, k=2, r=1.0).g == 4
-    assert families.tube_spectrum("Wk", 3, k=2, r=R_STAR).g == 3
-    assert families.tube_spectrum("RHn", 3, r=R_STAR).g == 2
-    for r in (0.5, 1.0, 2.0, R_STAR - 0.05, R_STAR + 0.05):
-        assert families.tube_spectrum("RHn", 3, r=r).g == 3
-    assert families.tube_spectrum("horosphere", 3, r=1.0).g == 2
-    for r in (0.5, 1.0, 2.0):
-        assert families.tube_spectrum("point", 3, r=r).g == 2
-    _report(8, "eigenvalue counts across the catalog families")
+    _accept(8, "catalog-counts")
 
 
 def test_criterion_9_cross_consistency():
-    """Classifier branches against engine equidistants; radius relation."""
-    worst = 0.0
-    for r in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-        lam3 = math.tanh(r / 2.0) / 2.0
-        branch = classifier.solve_case_two(lam3).branch
-        profile = families.equidistant_profile(3, r)
-        closed = sorted(
-            [(branch.lambda1, 1), (branch.lambda2, 1), (branch.lambda3, 3)]
-        )
-        for (lam, mult), (elam, emult) in zip(sorted(profile.entries), closed):
-            worst = max(worst, abs(lam - elam))
-            assert mult == emult
-        hopf = profile.hopf
-        for got_b, exp_b in zip(
-            sorted([hopf.b1**2, hopf.b2**2]),
-            sorted([branch.b1_sq, branch.b2_sq]),
-        ):
-            worst = max(worst, abs(got_b - exp_b))
-    assert worst <= 1e-10
-    radius_defect = abs(math.tanh(R_STAR / 2.0) - 1.0 / SQ3)
-    assert radius_defect <= 1e-14
-    _report(9, f"equidistants vs branches {worst:.2e}, radius relation {radius_defect:.2e}")
+    _accept(9, "cross-consistency")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +179,22 @@ def test_focal_excluded_window_reports_reason():
     assert "ellipse" in doc["reason"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--n", "0"), "--n >= 3"),
+        (("--k", "0"), "multiplicity must lie in"),
+    ],
+    ids=["n=0", "k=0"],
+)
+def test_focal_rejects_zero_instead_of_defaulting(args, message):
+    # 0 used to be replaced by the default (n = 3, m1 = 2) without a word
+    proc = run_cli("--format", "json", "focal", "--case", "i", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = run_cli("focal", "--case", "x")
     assert proc.returncode == 2
@@ -207,6 +224,14 @@ def test_verify_overtight_tolerance_fails():
     failing = [s for s in doc["suites"] if not s["passed"]]
     assert failing
     assert all(s["max_residual"] > 1e-15 for s in failing)
+
+
+def test_verify_rejects_negative_tolerance():
+    # a negative tolerance used to fail every suite and exit 1
+    proc = run_cli("--format", "json", "verify", "--tolerance", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--tolerance >= 0" in proc.stderr
 
 
 def test_seed_environment_variable():
@@ -270,3 +295,24 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr
     assert "BrokenPipeError" not in stderr
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--r", "0"), ("--r", "nan"), ("--min-n", "1"), ("--min-n", "5", "--max-n", "3")],
+    ids=["r=0", "r=nan", "min-n=1", "empty-range"],
+)
+def test_run_catalog_script_rejects_bad_arguments(args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

@@ -205,6 +205,29 @@ def test_repeated_carrier_collapse(iso_profile):
     assert svals[svals > 1e-12].min() >= 0.1
 
 
+@pytest.mark.parametrize(
+    "n, lam3", [(n, lam3) for lam3 in (0.2, -0.3) for n in (3, 5)] + [(4, None)]
+)
+def test_transversal_map_shares_the_field_columns(n, lam3):
+    """phi holds the jacobi_field columns; the carrier block restricts them."""
+    if lam3 is None:  # case i at the exceptional radius, m1 = 3
+        profile = classifier.branch_profile(classifier.solve_case_one(), n, m1=3)
+        r = R_STAR
+    else:
+        profile = classifier.branch_profile(classifier.solve_case_two(lam3).branch, n)
+        r = 2.0 * math.atanh(2.0 * lam3)
+    focal = jacobi.transversal_map(profile, r)
+    frame = focal.frame
+    for i, row in enumerate(frame.basis):
+        value, deriv = jacobi.jacobi_field(frame, row, focal.r)
+        assert np.array_equal(value, focal.phi[:, i])
+        assert np.array_equal(deriv, focal.phi_dt[:, i])
+    carriers = frame.basis[:2]
+    pairs = ((focal.d_block, focal.phi), (focal.d_block_dt, focal.phi_dt))
+    for block, columns in pairs:
+        assert np.max(np.abs(block - (carriers @ columns[:, :2]).T)) <= 1e-14
+
+
 def _mult_near(entries, lam, tol=1e-9):
     return next(m for value, m in entries if abs(value - lam) <= tol)
 
