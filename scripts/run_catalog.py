@@ -11,7 +11,8 @@ import json
 import math
 import sys
 
-from chgeo.cli import SCHEMA, _entry_doc
+from chgeo.cli import _MAX_DIMENSION, SCHEMA, _entry_doc
+from chgeo.errors import FocalPointError
 from chgeo.families import catalog
 
 
@@ -26,12 +27,17 @@ def main() -> int:
         parser.error(f"--min-n must be >= 2, got {args.min_n}")
     if args.max_n < args.min_n:
         parser.error(f"--max-n must be >= --min-n, got {args.max_n} < {args.min_n}")
+    if args.max_n > _MAX_DIMENSION:
+        parser.error(f"--max-n must be <= {_MAX_DIMENSION}, got {args.max_n}")
     if not (math.isfinite(args.r) and args.r > 0):
         parser.error(f"--r must be a finite number > 0, got {args.r}")
 
     documents = []
     for n in range(args.min_n, args.max_n + 1):
-        entries, notes = catalog(n, r=args.r)
+        try:
+            entries, notes = catalog(n, r=args.r)
+        except FocalPointError as exc:
+            parser.error(str(exc))
         documents.append(
             {
                 "n": n,

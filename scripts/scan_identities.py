@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from chgeo import classifier, jacobi
+from chgeo.cli import _MAX_DIMENSION, _MAX_SWEEP_POINTS
 from chgeo.verification import case_two_grid
 
 
@@ -26,6 +27,10 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=97)
     parser.add_argument("--n", type=int, default=3)
     args = parser.parse_args()
+    if not 1 <= args.count <= _MAX_SWEEP_POINTS:
+        parser.error(f"--count must lie in 1..{_MAX_SWEEP_POINTS}, got {args.count}")
+    if not 3 <= args.n <= _MAX_DIMENSION:
+        parser.error(f"--n must lie in 3..{_MAX_DIMENSION}, got {args.n}")
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(

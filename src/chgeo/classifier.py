@@ -116,17 +116,21 @@ def _require_distinct(l1: float, l2: float, l3: float) -> None:
         )
 
 
-def residual_hopf_weights(l1, l2, l3, b1_sq, b2_sq) -> float:
-    """Absolute defect of the weight-balance identity.
+def _weight_balance(l1, l2, l3, b1_sq, b2_sq):
+    """Signed weight-balance identity, zero on a solution:
 
-    0 = 3((l3-l2)^2 b1^2 + (l3-l1)^2 b2^2)
+    3((l3-l2)^2 b1^2 + (l3-l1)^2 b2^2)
         + (l3-l1)(l3-l2)(1 + 4 l2 (l3-l1) + 4 l1 (l3-l2)).
     """
-    _require_distinct(l1, l2, l3)
-    value = 3.0 * ((l3 - l2) ** 2 * b1_sq + (l3 - l1) ** 2 * b2_sq) + (l3 - l1) * (
+    return 3.0 * ((l3 - l2) ** 2 * b1_sq + (l3 - l1) ** 2 * b2_sq) + (l3 - l1) * (
         l3 - l2
     ) * (1.0 + 4.0 * l2 * (l3 - l1) + 4.0 * l1 * (l3 - l2))
-    return abs(value)
+
+
+def residual_hopf_weights(l1, l2, l3, b1_sq, b2_sq) -> float:
+    """Absolute defect of the weight-balance identity."""
+    _require_distinct(l1, l2, l3)
+    return abs(_weight_balance(l1, l2, l3, b1_sq, b2_sq))
 
 
 def residual_weight_sum(b1_sq, b2_sq) -> float:
@@ -237,7 +241,9 @@ def solve_case_two(lam3: float) -> ClassifyOutcome:
     beyond it the conics have no real common point off the coincidence
     locus.
     """
-    disc = 1.0 - 3.0 * lam3**2
+    # every |lam3| >= 1 has no real intersection; lam3**2 overflows for
+    # the largest of them
+    disc = -math.inf if abs(lam3) >= 1.0 else 1.0 - 3.0 * lam3**2
     if disc < -1e-12:
         return ClassifyOutcome(
             lam3, None, "no real intersection (3 lam3^2 exceeds 1)"
@@ -359,17 +365,9 @@ def sweep(grid) -> SweepReport:
 def _system(lam3: float):
     def F(x):
         l1, l2, b1_sq, b2_sq = x
-        try:
-            balance = 3.0 * (
-                (lam3 - l2) ** 2 * b1_sq + (lam3 - l1) ** 2 * b2_sq
-            ) + (lam3 - l1) * (lam3 - l2) * (
-                1.0 + 4.0 * l2 * (lam3 - l1) + 4.0 * l1 * (lam3 - l2)
-            )
-        except FloatingPointError:
-            balance = np.inf
         return np.array(
             [
-                balance,
+                _weight_balance(l1, l2, lam3, b1_sq, b2_sq),
                 b1_sq + b2_sq - 1.0,
                 hyperbola_relation(l1, l2, lam3),
                 mean_relation(l1, l2, lam3),

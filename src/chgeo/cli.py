@@ -17,18 +17,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
 from . import classifier, jacobi, verification
-from .errors import OpenCaseError
+from .errors import FocalPointError
 
-__all__ = ["RunConfig", "main", "run", "symbol_for"]
+__all__ = ["main", "run", "symbol_for"]
 
 SCHEMA = "chgeo/1"
 _MAX_SWEEP_POINTS = 10_000
+# catalog(100) takes about 20 s and 200 MB; the dense (2n)^3 tensors grow
+# from there
+_MAX_DIMENSION = 100
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -74,22 +76,6 @@ def _tagged(value: float | None):
     return {"value": value, "symbol": symbol_for(value)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None = None
-    k: int | None = None
-    r: float | None = None
-    lambda3: float | None = None
-    case: str | None = None
-    lo: float | None = None
-    hi: float | None = None
-    step: float | None = None
-    seed: int = verification.DEFAULT_SEED
-    fmt: str = "table"
-    tolerance: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # document builders
 # ---------------------------------------------------------------------------
@@ -123,53 +109,55 @@ def _branch_doc(branch: classifier.SolutionBranch | None, lambda3=None, reason=N
     }
 
 
-def cmd_catalog(config: RunConfig):
-    if config.n is None or config.n < 2:
-        raise SystemExit(_usage_error("catalog requires --n >= 2"))
-    r = 1.0 if config.r is None else config.r
-    if r <= 0:
-        raise SystemExit(_usage_error(f"catalog requires --r > 0, got {r}"))
-    entries, notes = families.catalog(config.n, r=r)
+def _require_dimension_cap(n: int) -> None:
+    if n > _MAX_DIMENSION:
+        raise ValueError(f"--n must be at most {_MAX_DIMENSION}, got {n}")
+
+
+def cmd_catalog(args):
+    if args.n < 2:
+        raise ValueError("catalog requires --n >= 2")
+    _require_dimension_cap(args.n)
+    if args.r <= 0:
+        raise ValueError(f"catalog requires --r > 0, got {args.r}")
+    entries, notes = families.catalog(args.n, r=args.r)
     doc = {
         "schema": SCHEMA,
         "command": "catalog",
-        "n": config.n,
+        "n": args.n,
         "entries": [_entry_doc(e) for e in entries],
         "notes": notes,
     }
     return doc, 0
 
 
-def cmd_classify(config: RunConfig):
-    if config.case == "i":
+def cmd_classify(args):
+    if args.case == "i":
         branch = classifier.solve_case_one()
         doc = {"schema": SCHEMA, "command": "classify", **_branch_doc(branch)}
         return doc, 0
-    if config.lambda3 is None:
-        raise SystemExit(_usage_error("classify requires --lambda3 or --case i"))
-    outcome = classifier.solve_case_two(config.lambda3)
+    if args.lambda3 is None:
+        raise ValueError("classify requires --lambda3 or --case i")
+    outcome = classifier.solve_case_two(args.lambda3)
     doc = {
         "schema": SCHEMA,
         "command": "classify",
-        **_branch_doc(outcome.branch, lambda3=config.lambda3, reason=outcome.reason),
+        **_branch_doc(outcome.branch, lambda3=args.lambda3, reason=outcome.reason),
     }
     return doc, 0
 
 
-def cmd_sweep(config: RunConfig):
-    if config.lo is None or config.hi is None or config.step is None:
-        raise SystemExit(_usage_error("sweep requires --lo, --hi and --step"))
-    if config.step <= 0 or config.hi < config.lo:
-        raise SystemExit(_usage_error("sweep requires --lo <= --hi and --step > 0"))
-    count = int(round((config.hi - config.lo) / config.step))
+def cmd_sweep(args):
+    if args.step <= 0 or args.hi < args.lo:
+        raise ValueError("sweep requires --lo <= --hi and --step > 0")
+    span = (args.hi - args.lo) / args.step  # inf when hi - lo overflows
+    count = round(span) if math.isfinite(span) else math.inf
     if count >= _MAX_SWEEP_POINTS:
-        raise SystemExit(
-            _usage_error(
-                f"sweep grid would have {count + 1} points; at most "
-                f"{_MAX_SWEEP_POINTS} are allowed"
-            )
+        raise ValueError(
+            f"sweep grid would have {count + 1} points; at most "
+            f"{_MAX_SWEEP_POINTS} are allowed"
         )
-    grid = [config.lo + i * config.step for i in range(count + 1)]
+    grid = [args.lo + i * args.step for i in range(count + 1)]
     report = classifier.sweep(grid)
     doc = {
         "schema": SCHEMA,
@@ -184,44 +172,39 @@ def cmd_sweep(config: RunConfig):
     return doc, 0
 
 
-def cmd_focal(config: RunConfig):
-    n = 3 if config.n is None else config.n
-    if n < 3:
-        raise SystemExit(_usage_error("focal reports require --n >= 3"))
-    if config.case == "i":
+def cmd_focal(args):
+    if args.n < 3:
+        raise ValueError("focal reports require --n >= 3")
+    _require_dimension_cap(args.n)
+    if args.case == "i":
         branch = classifier.solve_case_one()
-        m1 = 2 if config.k is None else config.k
-        profile = classifier.branch_profile(branch, n, m1=m1)
-        r = config.r if config.r is not None else jacobi.EXCEPTIONAL_RADIUS
+        profile = classifier.branch_profile(branch, args.n, m1=args.k)
+        r = args.r if args.r is not None else jacobi.EXCEPTIONAL_RADIUS
     else:
-        if config.lambda3 is None:
-            raise SystemExit(_usage_error("focal --case ii requires --lambda3"))
-        outcome = classifier.solve_case_two(config.lambda3)
+        if args.lambda3 is None:
+            raise ValueError("focal --case ii requires --lambda3")
+        outcome = classifier.solve_case_two(args.lambda3)
         if outcome.branch is None:
             return (
                 {
                     "schema": SCHEMA,
                     "command": "focal",
                     "case": "ii",
-                    "lambda3": _tagged(config.lambda3),
+                    "lambda3": _tagged(args.lambda3),
                     "result": None,
                     "reason": outcome.reason,
                 },
                 0,
             )
         branch = outcome.branch
-        profile = classifier.branch_profile(branch, n)
-        r = (
-            config.r
-            if config.r is not None
-            else 2.0 * math.atanh(2.0 * branch.lambda3)
-        )
+        profile = classifier.branch_profile(branch, args.n)
+        r = args.r if args.r is not None else 2.0 * math.atanh(2.0 * branch.lambda3)
     focal = jacobi.transversal_map(profile, r)
     doc = {
         "schema": SCHEMA,
         "command": "focal",
-        "case": config.case,
-        "n": n,
+        "case": args.case,
+        "n": args.n,
         "r": _tagged(r),
         "d_block": focal.d_block.tolist(),
         "det_d": focal.det_d,
@@ -254,16 +237,14 @@ def cmd_focal(config: RunConfig):
     return doc, 0
 
 
-def cmd_verify(config: RunConfig):
-    if config.tolerance is not None and config.tolerance < 0:
-        raise SystemExit(
-            _usage_error(f"verify requires --tolerance >= 0, got {config.tolerance}")
-        )
-    results = verification.run_all(seed=config.seed, tolerance=config.tolerance)
+def cmd_verify(args):
+    if args.tolerance is not None and args.tolerance < 0:
+        raise ValueError(f"verify requires --tolerance >= 0, got {args.tolerance}")
+    results = verification.run_all(seed=args.seed, tolerance=args.tolerance)
     doc = {
         "schema": SCHEMA,
         "command": "verify",
-        "seed": config.seed,
+        "seed": args.seed,
         "suites": [
             {
                 "name": r.name,
@@ -327,7 +308,7 @@ def _csv_rows(doc):
             for s in doc["suites"]
         ]
         return header, rows
-    raise SystemExit(_usage_error(f"no CSV layout for command {doc['command']!r}"))
+    raise ValueError(f"no CSV layout for command {doc['command']!r}")
 
 
 def _render_csv(doc) -> str:
@@ -383,11 +364,6 @@ def render(doc, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -398,29 +374,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted both before and after the subcommand.  The
-    # shared parent is attached to the top-level parser and to every
-    # subparser; SUPPRESS keeps a subparser from writing a default over a
-    # flag given before the subcommand.  An absent flag therefore leaves no
-    # attribute, and run() owns the defaults.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _global_flags(**defaults) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument(
         "--seed",
         type=int,
-        default=argparse.SUPPRESS,
         help="seed for randomised checks (env CHGEO_SEED overrides the default)",
     )
-    common.add_argument(
+    flags.add_argument(
         "--format",
         dest="fmt",
         choices=("json", "csv", "table"),
-        default=argparse.SUPPRESS,
         help="output format (default: table)",
     )
+    flags.set_defaults(**defaults)
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # Global flags are accepted both before and after the subcommand.  The
+    # top-level parser holds their defaults (seed None means "not given");
+    # each subparser repeats the flags with SUPPRESS, so an absent flag after
+    # the subcommand leaves the value parsed before it.
+    common = _global_flags()
     parser = argparse.ArgumentParser(
         prog="chgeo",
-        parents=[common],
+        parents=[_global_flags(seed=None, fmt="table")],
         description="catalog and verification engine for homogeneous "
         "hypersurface geometry in complex hyperbolic space",
     )
@@ -433,17 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument(
         "--r", type=_finite_float, default=1.0, help="representative radius (> 0)"
     )
+    p_catalog.set_defaults(handler=cmd_catalog)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run every verification suite"
     )
     p_verify.add_argument("--tolerance", type=_finite_float, default=None)
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="solve the constraint system"
     )
     p_classify.add_argument("--lambda3", type=_finite_float, default=None)
     p_classify.add_argument("--case", choices=("i", "ii"), default="ii")
+    p_classify.set_defaults(handler=cmd_classify)
 
     p_focal = sub.add_parser("focal", parents=[common], help="transversal-map report")
     p_focal.add_argument("--case", choices=("i", "ii"), required=True)
@@ -451,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_focal.add_argument("--k", type=int, default=None)
     p_focal.add_argument("--lambda3", type=_finite_float, default=None)
     p_focal.add_argument("--r", type=_finite_float, default=None)
+    p_focal.set_defaults(handler=cmd_focal)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="scan the parametric branch"
@@ -458,21 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", type=_finite_float, required=True)
     p_sweep.add_argument("--hi", type=_finite_float, required=True)
     p_sweep.add_argument("--step", type=_finite_float, required=True)
+    p_sweep.set_defaults(handler=cmd_sweep)
     return parser
-
-
-_COMMANDS = {
-    "catalog": cmd_catalog,
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-    "focal": cmd_focal,
-    "sweep": cmd_sweep,
-}
 
 
 def _resolve_seed(args) -> int:
     """The seed from --seed, else from CHGEO_SEED, else the default."""
-    if hasattr(args, "seed"):
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get("CHGEO_SEED")
     if raw is None:
@@ -480,37 +455,20 @@ def _resolve_seed(args) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(
-            _usage_error(f"CHGEO_SEED must be an integer, got {raw!r}")
-        ) from None
+        raise ValueError(f"CHGEO_SEED must be an integer, got {raw!r}") from None
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        r=getattr(args, "r", None),
-        lambda3=getattr(args, "lambda3", None),
-        case=getattr(args, "case", None),
-        lo=getattr(args, "lo", None),
-        hi=getattr(args, "hi", None),
-        step=getattr(args, "step", None),
-        seed=_resolve_seed(args),
-        fmt=getattr(args, "fmt", "table"),
-        tolerance=getattr(args, "tolerance", None),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        doc, code = _COMMANDS[config.command](config)
-    except OpenCaseError as exc:
+        args.seed = _resolve_seed(args)
+        doc, code = args.handler(args)
+        text = render(doc, args.fmt)
+    except (ValueError, FocalPointError, np.linalg.LinAlgError) as exc:
+        # OpenCaseError is a ValueError; FocalRadiusError a FocalPointError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render(doc, config.fmt))
+    print(text)
     return code
 
 

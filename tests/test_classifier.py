@@ -98,6 +98,15 @@ def test_far_exclusion():
     assert "no real intersection" in outcome.reason
 
 
+@pytest.mark.parametrize("lam3", [1.0, -1.0, 1e155, 1e300, -1e300, 1.7976931348623157e308])
+def test_far_exclusion_does_not_overflow(lam3):
+    # lam3**2 overflows from about 1.4e154 on
+    outcome = classifier.solve_case_two(lam3)
+    assert outcome.lambda3 == lam3
+    assert outcome.branch is None
+    assert outcome.reason == "no real intersection (3 lam3^2 exceeds 1)"
+
+
 @given(lam3=st.floats(min_value=-0.49, max_value=0.49))
 @settings(max_examples=100, deadline=None)
 def test_branch_properties_inside_window(lam3):

@@ -1,25 +1,45 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from chgeo import cli
+
 SQ2 = math.sqrt(2.0)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _clean_env():
+    # a CHGEO_SEED exported by the caller's shell must not reach the tests;
+    # a test that wants one passes its own env
+    return {k: v for k, v in os.environ.items() if k != "CHGEO_SEED"}
 
 
 def run_cli(*args, env=None):
-    # a CHGEO_SEED exported by the caller's shell must not reach the tests;
-    # a test that wants one passes its own env
-    if env is None:
-        env = {k: v for k, v in os.environ.items() if k != "CHGEO_SEED"}
+    """``chgeo *args`` in this process, with the result of a subprocess run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, _clean_env() if env is None else env, clear=True):
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.run(list(args))
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_cli_subprocess(*args):
     return subprocess.run(
         [sys.executable, "-m", "chgeo", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_clean_env(),
     )
 
 
@@ -89,6 +109,37 @@ def test_catalog_rejects_non_finite_radius(radius):
     assert "Traceback" not in proc.stderr
 
 
+def test_catalog_focal_radius_is_usage_error():
+    # a FocalRadiusError used to end in a traceback with exit 1
+    proc = run_cli("--format", "json", "catalog", "--n", "3", "--r", "1e-12")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: tube differential degenerates at distance 1e-12\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("catalog", "--n", "101"),
+        ("catalog", "--n", "100000"),
+        ("focal", "--case", "ii", "--n", "100000", "--lambda3", "0.2"),
+        ("focal", "--case", "i", "--n", "101"),
+    ],
+    ids=["catalog-101", "catalog-100000", "focal-ii-100000", "focal-i-101"],
+)
+def test_dimension_above_cap_is_usage_error(args):
+    # n = 100000 used to try to allocate 298 GiB; nothing is built now
+    with mock.patch.object(cli.families, "catalog") as catalog, mock.patch.object(
+        cli.jacobi, "transversal_map"
+    ) as transversal_map:
+        proc = run_cli("--format", "json", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --n must be at most 100, got ")
+    catalog.assert_not_called()
+    transversal_map.assert_not_called()
+
+
 # ---------------------------------------------------------------------------
 # classify / sweep / focal
 # ---------------------------------------------------------------------------
@@ -111,6 +162,23 @@ def test_classify_exclusion_is_success_with_reason():
     assert "ellipse" in doc["reason"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", "--lambda3", "1e300"),
+        ("classify", "--lambda3=-1e300"),
+        ("focal", "--case", "ii", "--lambda3", "1e300"),
+    ],
+    ids=["classify", "classify-negative", "focal"],
+)
+def test_huge_lambda3_has_no_real_intersection(args):
+    # lam3**2 used to overflow with a traceback
+    proc = run_cli("--format", "json", *args)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["reason"] == "no real intersection (3 lam3^2 exceeds 1)"
+
+
 def test_classify_isolated_case():
     proc = run_cli("--format", "json", "classify", "--case", "i")
     doc = json.loads(proc.stdout)
@@ -125,6 +193,17 @@ def test_classify_rejects_non_finite_lambda3(value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "argument --lambda3: must be a finite number" in proc.stderr
+
+
+def test_sweep_far_outside_the_window():
+    proc = run_cli(
+        "--format", "json", "sweep", "--lo", "1e300", "--hi", "1e300", "--step", "1"
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert [o["reason"] for o in doc["outcomes"]] == [
+        "no real intersection (3 lam3^2 exceeds 1)"
+    ]
 
 
 def test_sweep_csv():
@@ -143,6 +222,7 @@ def test_sweep_csv():
         ("--lo", "0.4", "--hi", "-0.4", "--step", "0.1"),  # used to give an empty grid
         ("--lo", "-0.4", "--hi", "0.4", "--step=-0.1"),
         ("--lo", "-0.45", "--hi", "0.45", "--step", "1e-6"),  # 900 001 points
+        ("--lo=-1e308", "--hi", "1e308", "--step", "1e308"),  # hi - lo overflows
     ],
 )
 def test_sweep_rejects_empty_or_oversized_grid(bounds):
@@ -207,7 +287,8 @@ def test_usage_error_exit_code():
 
 @pytest.mark.slow
 def test_verify_passes_and_is_deterministic():
-    first = run_cli("--seed", "7", "--format", "json", "verify")
+    # one run in a fresh interpreter, so determinism holds across processes
+    first = run_cli_subprocess("--seed", "7", "--format", "json", "verify")
     second = run_cli("--seed", "7", "--format", "json", "verify")
     assert first.returncode == 0
     assert first.stdout == second.stdout
@@ -235,8 +316,6 @@ def test_verify_rejects_negative_tolerance():
 
 
 def test_seed_environment_variable():
-    import os
-
     env = dict(os.environ)
     env["CHGEO_SEED"] = "1234"
     with_env = run_cli("--format", "json", "verify", env=env)
@@ -286,7 +365,7 @@ def test_closed_pipe_ends_quietly():
         [sys.executable, "-m", "chgeo", "--format", "json", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={k: v for k, v in os.environ.items() if k != "CHGEO_SEED"},
+        env=_clean_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -302,17 +381,37 @@ def test_closed_pipe_ends_quietly():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("--r", "0"), ("--r", "nan"), ("--min-n", "1"), ("--min-n", "5", "--max-n", "3")],
-    ids=["r=0", "r=nan", "min-n=1", "empty-range"],
-)
-def test_run_catalog_script_rejects_bad_arguments(args):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
+def _assert_script_usage_error(script, args):
     proc = subprocess.run(
-        [sys.executable, str(script), *args], capture_output=True, text=True
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--r", "0"),
+        ("--r", "nan"),
+        ("--min-n", "1"),
+        ("--min-n", "5", "--max-n", "3"),
+        ("--min-n", "100000", "--max-n", "100000"),
+        ("--max-n", "3", "--r", "1e-12"),
+    ],
+    ids=["r=0", "r=nan", "min-n=1", "empty-range", "max-n=100000", "focal-radius"],
+)
+def test_run_catalog_script_rejects_bad_arguments(args):
+    _assert_script_usage_error("run_catalog.py", args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--count", "-3"), ("--count", "0"), ("--n", "0"), ("--n", "100000")],
+    ids=["count=-3", "count=0", "n=0", "n=100000"],
+)
+def test_scan_identities_script_rejects_bad_arguments(args):
+    # each used to end in a traceback, or (count = 0) in a header-only CSV
+    _assert_script_usage_error("scan_identities.py", args)
