@@ -72,9 +72,10 @@ class CurvatureModel:
     def J(self) -> np.ndarray:
         return complex_structure(self.n)
 
-    def as_tangent(self, v) -> np.ndarray:
+    def as_tangents(self, v) -> np.ndarray:
+        """v as a float array of tangent vectors along its last axis."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
+        if v.shape[-1:] != (self.dim,):
             raise ValueError(
                 f"expected vector of dimension {self.dim}, got shape {v.shape}"
             )
@@ -82,19 +83,33 @@ class CurvatureModel:
             raise ValueError("tangent vector has non-finite entries")
         return v
 
+    def as_tangent(self, v) -> np.ndarray:
+        """v as a single float tangent vector."""
+        v = self.as_tangents(v)
+        if v.ndim != 1:
+            raise ValueError(
+                f"expected vector of dimension {self.dim}, got shape {v.shape}"
+            )
+        return v
+
     def inner(self, x, y) -> float:
         return float(self.as_tangent(x) @ self.as_tangent(y))
 
 
+def _dot(a, b):
+    """Inner products along the last axis, kept as a trailing length-one axis."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
 def _curvature_rows(J: np.ndarray, x, y, z) -> np.ndarray:
-    """R(X,Y)Z for X a vector or a stack of row vectors (the tensor is linear in X)."""
-    jx, jy, jz = (J @ x.T).T, J @ y, J @ z
+    """R(X,Y)Z over broadcastable stacks of row vectors (..., d)."""
+    jx, jy, jz = x @ J.T, y @ J.T, z @ J.T
     return -0.25 * (
-        (y @ z) * x
-        - (x @ z)[..., None] * y
-        + (jy @ z) * jx
-        - (jx @ z)[..., None] * jy
-        - 2.0 * (jx @ y)[..., None] * jz
+        _dot(y, z) * x
+        - _dot(x, z) * y
+        + _dot(jy, z) * jx
+        - _dot(jx, z) * jy
+        - 2.0 * _dot(jx, y) * jz
     )
 
 
@@ -102,27 +117,37 @@ def curvature(model: CurvatureModel, x, y, z) -> np.ndarray:
     """Ambient curvature R(X,Y)Z in closed form.
 
     Convention: R_{XY} = [D_X, D_Y] - D_[X,Y], holomorphic sectional
-    curvature -1.
+    curvature -1.  X, Y and Z may be broadcastable stacks of vectors
+    along the last axis; a single vector is the one-row case.
     """
-    x = model.as_tangent(x)
-    y = model.as_tangent(y)
-    z = model.as_tangent(z)
+    x = model.as_tangents(x)
+    y = model.as_tangents(y)
+    z = model.as_tangents(z)
     return _curvature_rows(model.J, x, y, z)
 
 
-def curvature_component(model: CurvatureModel, x, y, z, w) -> float:
-    """Scalar component <R(X,Y)Z, W>."""
-    return float(curvature(model, x, y, z) @ model.as_tangent(w))
+def curvature_component(model: CurvatureModel, x, y, z, w):
+    """Scalar component <R(X,Y)Z, W>, one per row for stacked inputs."""
+    return _dot(curvature(model, x, y, z), model.as_tangents(w))[..., 0]
 
 
-def sectional_curvature(model: CurvatureModel, x, y) -> float:
-    """Sectional curvature of span{X, Y}; lies in [-1, -1/4]."""
-    x = model.as_tangent(x)
-    y = model.as_tangent(y)
-    gram = (x @ x) * (y @ y) - (x @ y) ** 2
-    if gram < DEGENERATE_PLANE_TOL:
+def _gram(x, y):
+    """Gram determinant of span{X, Y}, one per row for stacked inputs."""
+    return (_dot(x, x) * _dot(y, y) - _dot(x, y) ** 2)[..., 0]
+
+
+def sectional_curvature(model: CurvatureModel, x, y):
+    """Sectional curvature of span{X, Y}; lies in [-1, -1/4].
+
+    Raises ``DegeneratePlaneError`` when any plane's Gram determinant is
+    below ``DEGENERATE_PLANE_TOL``.
+    """
+    x = model.as_tangents(x)
+    y = model.as_tangents(y)
+    gram = _gram(x, y)
+    if np.any(gram < DEGENERATE_PLANE_TOL):
         raise DegeneratePlaneError(
-            f"plane is numerically degenerate (Gram determinant {gram:.3e})"
+            f"plane is numerically degenerate (Gram determinant {np.min(gram):.3e})"
         )
     return curvature_component(model, x, y, y, x) / gram
 

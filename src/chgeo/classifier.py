@@ -212,17 +212,17 @@ def intersect_hyperbola_circle(lam3: float):
     if lam3 == 0.0:
         raise ValueError("conic intersection is not defined at lam3 = 0")
     points = []
-    disc = 1.0 - 3.0 * lam3**2
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        points.extend([(root, -lam3), (-root, -lam3)])
+    # no real root pair beyond |lam3| = 1/sqrt(3); tested before lam3**2
+    # can overflow
+    if abs(lam3) <= 1.0 / math.sqrt(3.0):
+        disc = 1.0 - 3.0 * lam3**2
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            points.extend([(root, -lam3), (-root, -lam3)])
     quarter = 1.0 / (4.0 * lam3)
-    points.extend(
-        [
-            (quarter, (1.0 - 8.0 * lam3**2) * quarter),
-            (-quarter, (1.0 - 8.0 * lam3**2) * quarter),
-        ]
-    )
+    # (1 - 8 lam3^2) / (4 lam3), written without lam3^2
+    y = quarter - 2.0 * lam3
+    points.extend([(quarter, y), (-quarter, y)])
     kept = []
     for x, y in points:
         l1 = 0.5 * (x + y) + 2.0 * lam3

@@ -84,7 +84,9 @@ class SolvableAlgebra:
         return 0.5 * (b - np.transpose(b, (2, 0, 1)) + np.transpose(b, (1, 2, 0)))
 
     def bracket_of(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.bracket)
+        """[x, y] over broadcastable stacks of algebra vectors (..., d)."""
+        x, y = _as_vectors(self, x, y)
+        return np.einsum("...i,...j,ijk->...k", x, y, self.bracket)
 
     @property
     def a_index(self) -> int:
@@ -120,17 +122,26 @@ def build_algebra(n: int) -> SolvableAlgebra:
     return SolvableAlgebra(n=n, bracket=bracket, names=names)
 
 
+def _as_vectors(alg: SolvableAlgebra, *vs):
+    """Stacks of algebra vectors along the last axis, checked as tangent vectors."""
+    model = CurvatureModel(alg.n)
+    return tuple(model.as_tangents(v) for v in vs)
+
+
 def levi_civita(alg: SolvableAlgebra, x, y) -> np.ndarray:
-    """Covariant derivative D_x y of left-invariant fields at the identity."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (alg.dim,) or y.shape != (alg.dim,):
-        raise ValueError(f"expected vectors of dimension {alg.dim}")
-    return np.einsum("i,j,ijk->k", x, y, alg.gamma)
+    """Covariant derivative D_x y of left-invariant fields at the identity.
+
+    x and y may be broadcastable stacks of vectors along the last axis.
+    """
+    x, y = _as_vectors(alg, x, y)
+    return np.einsum("...i,...j,ijk->...k", x, y, alg.gamma)
 
 
 def algebra_curvature(alg: SolvableAlgebra, x, y, z) -> np.ndarray:
-    """Curvature R(x,y)z = [D_x, D_y]z - D_[x,y] z of the group metric."""
+    """Curvature R(x,y)z = [D_x, D_y]z - D_[x,y] z of the group metric.
+
+    x, y and z may be broadcastable stacks of vectors along the last axis.
+    """
     nxz = levi_civita(alg, y, z)
     nyz = levi_civita(alg, x, z)
     term1 = levi_civita(alg, x, nxz)

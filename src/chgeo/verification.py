@@ -56,6 +56,10 @@ def _result(name, residuals, tolerance, detail, started) -> SuiteResult:
     )
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -68,33 +72,36 @@ def suite_ambient_identities(seed: int = DEFAULT_SEED) -> SuiteResult:
     residuals = []
     for n in (2, 3, 4):
         model = ambient.CurvatureModel(n)
-        for _ in range(100):
-            x, y, z, w = (ambient.random_tangent(model, rng) for _ in range(4))
-            pair = abs(
-                ambient.curvature_component(model, x, y, z, w)
-                - ambient.curvature_component(model, z, w, x, y)
-            )
-            bianchi = np.linalg.norm(
-                ambient.curvature(model, x, y, z)
-                + ambient.curvature(model, y, z, x)
-                + ambient.curvature(model, z, x, y)
-            )
-            jinv = np.linalg.norm(
-                ambient.curvature(model, model.J @ x, model.J @ y, z)
-                - ambient.curvature(model, x, y, z)
-            )
-            residuals.extend([pair, bianchi, jinv])
+        x, y, z, w = _unit_rows(rng.standard_normal((100, 4, 2 * n))).transpose(1, 0, 2)
+        pair = np.abs(
+            ambient.curvature_component(model, x, y, z, w)
+            - ambient.curvature_component(model, z, w, x, y)
+        )
+        bianchi = np.linalg.norm(
+            ambient.curvature(model, x, y, z)
+            + ambient.curvature(model, y, z, x)
+            + ambient.curvature(model, z, x, y),
+            axis=-1,
+        )
+        jx, jy = x @ model.J.T, y @ model.J.T
+        jinv = np.linalg.norm(
+            ambient.curvature(model, jx, jy, z) - ambient.curvature(model, x, y, z),
+            axis=-1,
+        )
+        residuals.extend([pair, bianchi, jinv])
     model = ambient.CurvatureModel(3)
-    for _ in range(1000):
-        x, y = (ambient.random_tangent(model, rng) for _ in range(2))
-        try:
-            kappa = ambient.sectional_curvature(model, x, y)
-        except Exception:
-            continue
-        residuals.append(max(0.0, kappa - (-0.25)))
-        residuals.append(max(0.0, -1.0 - kappa))
+    x, y = _unit_rows(rng.standard_normal((1000, 2, model.dim))).transpose(1, 0, 2)
+    # skip only the planes sectional_curvature rejects as degenerate
+    plane = ambient._gram(x, y) >= ambient.DEGENERATE_PLANE_TOL
+    kappa = ambient.sectional_curvature(model, x[plane], y[plane])
+    residuals.append(np.maximum(0.0, kappa - (-0.25)))
+    residuals.append(np.maximum(0.0, -1.0 - kappa))
     return _result(
-        "ambient-identities", residuals, 1e-12, "tensor symmetries and pinching", started
+        "ambient-identities",
+        np.concatenate(residuals),
+        1e-12,
+        "tensor symmetries and pinching",
+        started,
     )
 
 
@@ -106,14 +113,13 @@ def suite_cross_model_curvature(seed: int = DEFAULT_SEED) -> SuiteResult:
     for n in (2, 3, 4):
         alg = solvable.build_algebra(n)
         model = ambient.CurvatureModel(n)
-        for _ in range(500):
-            x, y, z = (rng.standard_normal(2 * n) for _ in range(3))
-            lhs = solvable.algebra_curvature(alg, x, y, z)
-            rhs = ambient.curvature(model, x, y, z)
-            residuals.append(float(np.linalg.norm(lhs - rhs)))
+        x, y, z = rng.standard_normal((500, 3, 2 * n)).transpose(1, 0, 2)
+        lhs = solvable.algebra_curvature(alg, x, y, z)
+        rhs = ambient.curvature(model, x, y, z)
+        residuals.append(np.linalg.norm(lhs - rhs, axis=-1))
     return _result(
         "cross-model-curvature",
-        residuals,
+        np.concatenate(residuals),
         1e-10,
         "Koszul curvature vs closed form, n in {2,3,4}",
         started,

@@ -140,6 +140,43 @@ def test_non_finite_vector_rejected(model):
         ambient.curvature(model, bad, np.ones(6), np.ones(6))
 
 
+def test_single_vector_entry_points_reject_stacks(model):
+    stack = np.eye(6)
+    with pytest.raises(ValueError, match=r"got shape \(6, 6\)"):
+        ambient.jacobi_operator(model, stack)
+    with pytest.raises(ValueError, match=r"got shape \(6, 6\)"):
+        model.inner(stack, stack)
+
+
+def test_stacked_curvature_matches_row_by_row(model, rng):
+    # the broadcast of one vector against a stack is
+    # test_jacobi_operator_columns_are_curvature_values
+    x, y, z = rng.standard_normal((3, 40, 6))
+    nx, ny, nz = np.linalg.norm([x, y, z], axis=-1)
+    rows = np.array([ambient.curvature(model, *v) for v in zip(x, y, z)])
+    gap = np.abs(ambient.curvature(model, x, y, z) - rows)
+    assert np.all(gap <= 1e-15 * (nx * ny * nz)[:, None])
+    rows = np.array([ambient.curvature_component(model, *v) for v in zip(x, y, z, x)])
+    gap = np.abs(ambient.curvature_component(model, x, y, z, x) - rows)
+    assert np.all(gap <= 1e-15 * nx * ny * nz * nx)
+    rows = np.array([ambient.sectional_curvature(model, a, b) for a, b in zip(x, y)])
+    assert np.max(np.abs(ambient.sectional_curvature(model, x, y) - rows)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones((5, 4)), "expected vector of dimension 6"),
+        (np.ones((5, 6, 1)), "expected vector of dimension 6"),
+        (np.where(np.eye(5, 6) == 1.0, np.inf, 1.0), "non-finite"),
+    ],
+    ids=["dimension-4", "trailing-axis-1", "inf-entry"],
+)
+def test_stacked_curvature_rejects_bad_rows(model, bad, message):
+    with pytest.raises(ValueError, match=message):
+        ambient.curvature(model, bad, np.ones(6), np.ones(6))
+
+
 # ---------------------------------------------------------------------------
 # compatibility-equation residuals on homogeneous models
 # ---------------------------------------------------------------------------

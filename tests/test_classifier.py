@@ -210,6 +210,13 @@ def test_conic_intersection_rejects_zero_axis():
         classifier.intersect_hyperbola_circle(0.0)
 
 
+@pytest.mark.parametrize("lam3", [1e300, -1e300, 1e200, -1e200])
+def test_conic_intersection_far_out_does_not_overflow(lam3):
+    # lam3**2 overflows from about 1.4e154 on; the reciprocal family that is
+    # left lands a carrier on the axis curvature and is filtered out
+    assert classifier.intersect_hyperbola_circle(lam3) == []
+
+
 # ---------------------------------------------------------------------------
 # sweep and independent validation
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from chgeo import cli
 
 SQ2 = math.sqrt(2.0)
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _clean_env():
@@ -375,43 +373,3 @@ def test_closed_pipe_ends_quietly():
     assert "Traceback" not in stderr
     assert "BrokenPipeError" not in stderr
 
-
-# ---------------------------------------------------------------------------
-# scripts
-# ---------------------------------------------------------------------------
-
-
-def _assert_script_usage_error(script, args):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("--r", "0"),
-        ("--r", "nan"),
-        ("--min-n", "1"),
-        ("--min-n", "5", "--max-n", "3"),
-        ("--min-n", "100000", "--max-n", "100000"),
-        ("--max-n", "3", "--r", "1e-12"),
-    ],
-    ids=["r=0", "r=nan", "min-n=1", "empty-range", "max-n=100000", "focal-radius"],
-)
-def test_run_catalog_script_rejects_bad_arguments(args):
-    _assert_script_usage_error("run_catalog.py", args)
-
-
-@pytest.mark.parametrize(
-    "args",
-    [("--count", "-3"), ("--count", "0"), ("--n", "0"), ("--n", "100000")],
-    ids=["count=-3", "count=0", "n=0", "n=100000"],
-)
-def test_scan_identities_script_rejects_bad_arguments(args):
-    # each used to end in a traceback, or (count = 0) in a header-only CSV
-    _assert_script_usage_error("scan_identities.py", args)

@@ -144,6 +144,54 @@ def test_numeric_rejects_bad_step():
         jacobi.jacobi_numeric(np.zeros(6), np.zeros(6), np.eye(6)[1], 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t, step, message",
+    [
+        (math.nan, 1e-3, "t must be finite"),
+        (math.inf, 1e-3, "t must be finite"),
+        (-math.inf, 1e-3, "t must be finite"),
+        (1.0, math.nan, "step must be finite"),
+        (1.0, math.inf, "step must be finite"),
+        (1e300, 1e-300, "t / step overflows"),
+    ],
+)
+def test_numeric_rejects_non_finite_time_or_step(t, step, message):
+    with pytest.raises(ValueError, match=message):
+        jacobi.jacobi_numeric(np.zeros(6), np.zeros(6), np.eye(6)[1], t, step)
+
+
+def _rk4_stage_loop(z, zp, jc, h, nsteps):
+    """Reference: the classic four-stage scheme, one stage at a time."""
+
+    def acc(w):
+        return 0.25 * (w + 3.0 * np.multiply.outer(jc, jc @ w))
+
+    for _ in range(nsteps):
+        k1v, k1a = zp, acc(z)
+        k2v, k2a = zp + 0.5 * h * k1a, acc(z + 0.5 * h * k1v)
+        k3v, k3a = zp + 0.5 * h * k2a, acc(z + 0.5 * h * k2v)
+        k4v, k4a = zp + h * k3a, acc(z + h * k3v)
+        z = z + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        zp = zp + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    return z, zp
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 5)], ids=["vector", "batch"])
+@pytest.mark.parametrize(
+    "h, nsteps, tol", [(0.1, 1, 1e-14), (1e-3, 3000, 1e-11)], ids=["1-step", "3000-steps"]
+)
+def test_rk4_step_matrix_power_matches_stage_loop(shape, h, nsteps, tol):
+    rng = np.random.default_rng(17)
+    jc = rng.standard_normal(6)
+    jc /= np.linalg.norm(jc)
+    z0, zp0 = rng.standard_normal((2, *shape))
+    got = jacobi._rk4_segment(z0, zp0, jc, h, nsteps)
+    want = _rk4_stage_loop(z0, zp0, jc, h, nsteps)
+    for g, w in zip(got, want):
+        assert g.shape == shape
+        assert np.max(np.abs(g - w)) <= tol
+
+
 def test_closed_form_matches_numeric_on_random_cases(frame):
     rng = np.random.default_rng(321)
     jc = frame.jxi

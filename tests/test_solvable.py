@@ -136,6 +136,30 @@ def test_curvature_matches_closed_form(n, rng):
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_stacked_algebra_curvature_matches_row_by_row(n, rng):
+    alg = solvable.build_algebra(n)
+    x, y, z = rng.standard_normal((3, 40, 2 * n))
+    nx, ny, nz = np.linalg.norm([x, y, z], axis=-1)
+    rows = np.array([solvable.algebra_curvature(alg, *v) for v in zip(x, y, z)])
+    gap = np.abs(solvable.algebra_curvature(alg, x, y, z) - rows)
+    assert np.all(gap <= 1e-15 * (nx * ny * nz)[:, None])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones((5, 4)), "expected vector of dimension 6"),
+        (np.ones((5, 6, 1)), "expected vector of dimension 6"),
+        (np.where(np.eye(5, 6) == 1.0, np.nan, 1.0), "non-finite"),
+    ],
+    ids=["dimension-4", "trailing-axis-1", "nan-entry"],
+)
+def test_stacked_algebra_curvature_rejects_bad_rows(alg, bad, message):
+    with pytest.raises(ValueError, match=message):
+        solvable.algebra_curvature(alg, bad, np.ones(6), np.ones(6))
+
+
 # ---------------------------------------------------------------------------
 # ruled orbits
 # ---------------------------------------------------------------------------
