@@ -24,7 +24,6 @@ from .families import (
 from .classifier import (
     SolutionBranch,
     branch_profile,
-    intersect_hyperbola_circle,
     residual_hopf_weights,
     solve_case_one,
     solve_case_two,
@@ -43,7 +42,6 @@ from .jacobi import (
     FocalMapData,
     image_shape_operator,
     jacobi_field,
-    jacobi_mode,
     jacobi_numeric,
     normal_frame,
     transversal_map,
@@ -91,9 +89,7 @@ __all__ = [
     "gauss_residual",
     "horosphere_model",
     "image_shape_operator",
-    "intersect_hyperbola_circle",
     "jacobi_field",
-    "jacobi_mode",
     "jacobi_numeric",
     "levi_civita",
     "make_profile",

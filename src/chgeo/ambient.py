@@ -321,11 +321,9 @@ def eigenpair_bracket_residual(
 # ---------------------------------------------------------------------------
 
 
-def random_tangent(model: CurvatureModel, rng: np.random.Generator, unit=True):
+def random_tangent(model: CurvatureModel, rng: np.random.Generator):
     v = rng.standard_normal(model.dim)
-    if unit:
-        v /= np.linalg.norm(v)
-    return v
+    return v / np.linalg.norm(v)
 
 
 def random_totally_real_pair(model: CurvatureModel, rng: np.random.Generator):

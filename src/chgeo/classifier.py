@@ -35,10 +35,7 @@ __all__ = [
     "SolutionBranch",
     "SweepReport",
     "branch_profile",
-    "circle_residual",
     "closed_form_weights",
-    "hyperbola_residual",
-    "intersect_hyperbola_circle",
     "multiplicity_quadratics",
     "newton_roots",
     "residual_hopf_weights",
@@ -51,6 +48,9 @@ __all__ = [
 
 COINCIDENCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
+# damped Newton stops below this residual norm or after this many steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -152,20 +152,6 @@ def mean_relation(l1, l2, l3) -> float:
     return l3 * (1.0 + 4.0 * l1**2 + 4.0 * l2**2) - (l1 + l2) * (1.0 + 4.0 * l3**2)
 
 
-def hyperbola_residual(x, y, lam3) -> float:
-    """Defect of the hyperbola x^2 - y^2 = 1 - 4 lam3^2."""
-    return abs(x**2 - y**2 - (1.0 - 4.0 * lam3**2))
-
-
-def circle_residual(x, y, lam3) -> float:
-    """Defect of the circle centred on the y-axis in the (x, y) chart."""
-    if lam3 == 0.0:
-        raise ValueError("circle relation degenerates at lam3 = 0")
-    centre = (1.0 - 12.0 * lam3**2) / (4.0 * lam3)
-    radius_sq = (1.0 + 16.0 * lam3**4) / (16.0 * lam3**2)
-    return abs(x**2 + (y - centre) ** 2 - radius_sq)
-
-
 def closed_form_weights(l1, l2, l3) -> tuple[float, float]:
     """Squared projection weights from the curvature triple.
 
@@ -201,36 +187,6 @@ def multiplicity_quadratics(lam2, b2_sq) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # branch solvers
 # ---------------------------------------------------------------------------
-
-
-def intersect_hyperbola_circle(lam3: float):
-    """Common points of the two conics, filtered for curvature coincidences.
-
-    Returns (x, y) pairs; points whose back-substitution forces one of
-    the carrier curvatures onto the axis curvature are dropped.
-    """
-    if lam3 == 0.0:
-        raise ValueError("conic intersection is not defined at lam3 = 0")
-    points = []
-    # no real root pair beyond |lam3| = 1/sqrt(3); tested before lam3**2
-    # can overflow
-    if abs(lam3) <= 1.0 / math.sqrt(3.0):
-        disc = 1.0 - 3.0 * lam3**2
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            points.extend([(root, -lam3), (-root, -lam3)])
-    quarter = 1.0 / (4.0 * lam3)
-    # (1 - 8 lam3^2) / (4 lam3), written without lam3^2
-    y = quarter - 2.0 * lam3
-    points.extend([(quarter, y), (-quarter, y)])
-    kept = []
-    for x, y in points:
-        l1 = 0.5 * (x + y) + 2.0 * lam3
-        l2 = l1 - x
-        if min(abs(l1 - lam3), abs(l2 - lam3)) < COINCIDENCE_TOL:
-            continue
-        kept.append((x, y))
-    return kept
 
 
 def solve_case_two(lam3: float) -> ClassifyOutcome:
@@ -387,12 +343,12 @@ def _numeric_jacobian(F, x, h=1e-7):
     return J
 
 
-def _damped_newton(F, x0, tol=1e-12, max_iter=80):
+def _damped_newton(F, x0):
     x = np.array(x0, dtype=float)
     fx = F(x)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norm = np.linalg.norm(fx)
-        if norm < tol:
+        if norm < NEWTON_TOL:
             return x
         J = _numeric_jacobian(F, x)
         try:
@@ -442,7 +398,7 @@ def newton_roots(lam3: float, rng: np.random.Generator, attempts: int = 20):
     return roots
 
 
-def validate_against_closed_form(lam3: float, rng: np.random.Generator, attempts: int = 20):
+def validate_against_closed_form(lam3: float, rng: np.random.Generator):
     """Compare Newton roots with the closed forms; return anomalies.
 
     A root counts as explained if it matches the parametric branch, is
@@ -451,7 +407,7 @@ def validate_against_closed_form(lam3: float, rng: np.random.Generator, attempts
     """
     anomalies = []
     outcome = solve_case_two(lam3)
-    for root in newton_roots(lam3, rng, attempts):
+    for root in newton_roots(lam3, rng):
         l1, l2, b1_sq, b2_sq = root
         if min(abs(l1 - l2), abs(l1 - lam3), abs(l2 - lam3)) < 1e-7:
             continue

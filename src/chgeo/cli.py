@@ -62,10 +62,10 @@ _SYMBOLS = [
 ]
 
 
-def symbol_for(value: float, tol: float = 1e-12) -> str | None:
-    """Symbolic tag for a recognised constant, or None."""
+def symbol_for(value: float) -> str | None:
+    """Symbolic tag for a recognised constant within 1e-12, or None."""
     for ref, name in _SYMBOLS:
-        if abs(value - ref) <= tol:
+        if abs(value - ref) <= 1e-12:
             return name
     return None
 

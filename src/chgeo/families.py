@@ -26,7 +26,7 @@ import numpy as np
 from .ambient import CurvatureModel
 from .classifier import residual_hopf_weights
 from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
-from .jacobi import EXCEPTIONAL_RADIUS, curvature_propagator
+from .jacobi import EXCEPTIONAL_RADIUS, MAX_RADIUS, curvature_propagator
 from .profiles import HopfAttitude, PrincipalProfile, make_profile, merge_spectrum
 from .solvable import (
     OrbitModel,
@@ -270,11 +270,9 @@ def tube_eigenvector_defect(base, n: int | None = None, k: int | None = None, r:
     return hopf_residual_matrix(S, jnu)
 
 
-def ruled_profile(n: int, k: int = 1) -> PrincipalProfile:
-    """Profile of the ruled minimal orbit itself (distance zero)."""
-    if k != 1:
-        raise UnsupportedModelError("only the hypersurface orbit has a profile")
-    base = tube_base("Wk", n, k)
+def ruled_profile(n: int) -> PrincipalProfile:
+    """Profile of the ruled minimal hypersurface orbit itself (distance zero)."""
+    base = tube_base("Wk", n, 1)
     profile, _, _ = _spectrum_from_maps(base, 0.0)
     return profile
 
@@ -425,6 +423,17 @@ class CatalogEntry:
         return self.profile.g
 
 
+def _require_g(entries: list[CatalogEntry], g: int) -> list[CatalogEntry]:
+    """The entries, once each is checked to have g distinct curvatures."""
+    for entry in entries:
+        if entry.g != g:
+            raise ValueError(
+                f"{entry.family} at r = {entry.r} has g = {entry.g}, not {g}: its "
+                f"principal curvatures merge to {list(entry.profile.entries)}"
+            )
+    return entries
+
+
 def _entry(family, n, k, r, profile, classification_family=None, constraint=None):
     is_hopf = profile.hopf is None
     return CatalogEntry(
@@ -463,10 +472,7 @@ def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
             constraint="r = ln(2+sqrt(3))",
         ),
     ]
-    for entry in entries:
-        if entry.g != 2:
-            raise AssertionError(f"{entry.family} should have g = 2, got {entry.g}")
-    return entries
+    return _require_g(entries, 2)
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -481,8 +487,6 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
         raise OpenCaseError(
             "the three-curvature classification is open in complex dimension 2"
         )
-    if abs(r - EXCEPTIONAL_RADIUS) < 1e-9:
-        raise ValueError("representative radius collides with the exceptional radius")
     entries: list[CatalogEntry] = []
     for k in range(1, n - 1):
         entries.append(
@@ -533,10 +537,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
                 constraint="r = ln(2+sqrt(3)), 2 <= k <= n-1",
             )
         )
-    for entry in entries:
-        if entry.g != 3:
-            raise AssertionError(f"{entry.family} should have g = 3, got {entry.g}")
-    return entries
+    return _require_g(entries, 3)
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -544,10 +545,14 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
 
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
-    classification is open.
+    classification is open.  r is at most MAX_RADIUS; further out the
+    tube curvatures coth(r/2)/2 and tanh(r/2)/2 come closer than the
+    merge gap.
     """
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
+    if not r <= MAX_RADIUS:
+        raise ValueError(f"catalog radius must be at most {MAX_RADIUS:.4f}, got {r}")
     entries = two_curvature_families(n, r=r)
     notes: list[str] = []
     try:

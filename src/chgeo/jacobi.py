@@ -37,21 +37,18 @@ import numpy as np
 
 from .ambient import CurvatureModel, complex_structure, jacobi_operator
 from .errors import FocalPointError, ValidationError
-from .profiles import HopfAttitude, PrincipalProfile, merge_spectrum
+from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, merge_spectrum
 
 __all__ = [
     "EXCEPTIONAL_RADIUS",
     "FocalMapData",
     "GeodesicNormalFrame",
     "ImageShapeData",
-    "JacobiSolution",
-    "axis_coefficient",
     "curvature_propagator",
     "hopf_coefficient",
     "hopf_coefficient_dt",
     "image_shape_operator",
     "jacobi_field",
-    "jacobi_mode",
     "jacobi_numeric",
     "normal_frame",
     "transverse_coefficient",
@@ -61,6 +58,9 @@ __all__ = [
 
 # distance at which tube spectra degenerate: 2 artanh(1/sqrt(3))
 EXCEPTIONAL_RADIUS = math.log(2.0 + math.sqrt(3.0))
+# largest distance at which 1/sinh(r), the gap between the principal
+# curvatures coth(r/2)/2 and tanh(r/2)/2, still exceeds the merge gap
+MAX_RADIUS = math.asinh(1.0 / MERGE_TOL)
 
 KERNEL_TOL = 1e-10
 BLOCK_DET_TOL = 1e-12
@@ -91,46 +91,6 @@ def hopf_coefficient_dt(lam: float, t):
     c = np.cosh(t / 2.0)
     s = np.sinh(t / 2.0)
     return 0.5 * s * (1.0 + 2.0 * c - 2.0 * lam * s) + (c - 1.0) * (s - lam * c)
-
-
-def axis_coefficient(lam: float, t):
-    """Evolution of a component squarely on the Jc-line (equals f + g)."""
-    return np.cosh(t) - lam * np.sinh(t)
-
-
-@dataclass(frozen=True)
-class JacobiSolution:
-    """One principal mode in the parallel frame {B_v(t), Jc(t)}.
-
-    ``value`` and ``derivative`` are coefficient pairs against that
-    frame; ``jc_weight`` is the initial projection <v, Jc(0)>.
-    """
-
-    lam: float
-    t: float
-    f: float
-    g: float
-    jc_weight: float
-    value: tuple[float, float]
-    derivative: tuple[float, float]
-
-
-def jacobi_mode(lam: float, jc_weight: float, t: float) -> JacobiSolution:
-    """Closed-form mode for a unit initial vector with curvature lam."""
-    f = float(transverse_coefficient(lam, t))
-    g = float(hopf_coefficient(lam, t))
-    return JacobiSolution(
-        lam=lam,
-        t=t,
-        f=f,
-        g=g,
-        jc_weight=jc_weight,
-        value=(f, jc_weight * g),
-        derivative=(
-            float(transverse_coefficient_dt(lam, t)),
-            jc_weight * float(hopf_coefficient_dt(lam, t)),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +142,9 @@ class GeodesicNormalFrame:
         return coeffs
 
 
-def normal_frame(profile: PrincipalProfile, hopf: HopfAttitude | None = None):
+def normal_frame(profile: PrincipalProfile):
     """Build the concrete frame for a three-curvature two-projection profile."""
-    hopf = hopf or profile.hopf
+    hopf = profile.hopf
     if hopf is None:
         raise ValidationError("profile carries no Hopf attitude")
     if profile.g != 3:
@@ -382,11 +342,18 @@ class FocalMapData:
         return float(np.linalg.det(self.d_block))
 
 
-def transversal_map(
-    profile: PrincipalProfile, r: float, hopf: HopfAttitude | None = None
-) -> FocalMapData:
-    """Differential of the map travelling distance r along the normals."""
-    frame = normal_frame(profile, hopf)
+def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
+    """Differential of the map travelling distance r along the normals.
+
+    |r| is at most MAX_RADIUS; further out the image curvatures come
+    closer than the merge gap, and the carrier blocks, built from field
+    values of size e^|r|, lose their digits.
+    """
+    if not abs(r) <= MAX_RADIUS:
+        raise ValueError(
+            f"distance {r} is out of range: |r| must be at most {MAX_RADIUS:.4f}"
+        )
+    frame = normal_frame(profile)
     values, derivs = _field_columns(frame, r)
     phi, phi_dt = values.T, derivs.T
     svals = np.linalg.svd(phi, compute_uv=False)

@@ -65,12 +65,9 @@ class PrincipalProfile:
         """Number of distinct principal curvatures."""
         return len(self.entries)
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.entries)
-
-    def multiplicity(self, lam: float, tol: float = 1e-8) -> int:
+    def multiplicity(self, lam: float) -> int:
         for value, mult in self.entries:
-            if abs(value - lam) <= tol:
+            if abs(value - lam) <= 1e-8:
                 return mult
         raise KeyError(f"{lam} is not a principal curvature of this profile")
 
@@ -88,18 +85,18 @@ class PrincipalProfile:
         return rest[0]
 
 
-def merge_spectrum(eigenvalues, tol: float = MERGE_TOL):
+def merge_spectrum(eigenvalues):
     """Cluster a sorted/unsorted eigenvalue array into (value, mult) pairs."""
     vals = np.sort(np.asarray(eigenvalues, dtype=float))
     groups: list[list[float]] = []
     for v in vals:
-        if groups and v - groups[-1][-1] < tol:
+        if groups and v - groups[-1][-1] < MERGE_TOL:
             groups[-1].append(v)
         else:
             groups.append([v])
     return [(float(np.mean(g)), len(g)) for g in groups]
 
 
-def make_profile(eigenvalues, hopf: HopfAttitude | None = None, tol: float = MERGE_TOL):
-    entries = tuple((lam, m) for lam, m in merge_spectrum(eigenvalues, tol))
+def make_profile(eigenvalues, hopf: HopfAttitude | None = None):
+    entries = tuple((lam, m) for lam, m in merge_spectrum(eigenvalues))
     return PrincipalProfile(entries=entries, total_dim=int(len(np.asarray(eigenvalues))), hopf=hopf)

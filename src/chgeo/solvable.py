@@ -41,13 +41,11 @@ __all__ = [
     "RuledSpec",
     "SolvableAlgebra",
     "algebra_curvature",
-    "algebra_to_dict",
     "build_algebra",
     "build_ruled",
     "default_ruled_spec",
     "horosphere_model",
     "levi_civita",
-    "ruled_to_dict",
 ]
 
 
@@ -87,17 +85,6 @@ class SolvableAlgebra:
         """[x, y] over broadcastable stacks of algebra vectors (..., d)."""
         x, y = _as_vectors(self, x, y)
         return np.einsum("...i,...j,ijk->...k", x, y, self.bracket)
-
-    @property
-    def a_index(self) -> int:
-        return 0
-
-    @property
-    def z_index(self) -> int:
-        return 1
-
-    def v_indices(self) -> range:
-        return range(2, self.dim)
 
 
 def build_algebra(n: int) -> SolvableAlgebra:
@@ -247,13 +234,13 @@ class OrbitModel:
         t = self.tangent
         return t @ np.tensordot(t, self.algebra.gamma, axes=1) @ t.T
 
-    def hypersurface_data(self, orientation: float = 1.0):
+    def hypersurface_data(self):
         """Package codimension-one orbits for the ambient residual evaluators."""
         from .ambient import HypersurfacePointData
 
         if self.codim != 1:
             raise ValidationError("hypersurface data requires a codimension-one orbit")
-        xi = orientation * self.normal[0]
+        xi = self.normal[0]
         return HypersurfacePointData(
             model=CurvatureModel(self.algebra.n),
             unit_normal=xi,
@@ -277,12 +264,6 @@ class RuledModel:
     @property
     def w_perp(self) -> np.ndarray:
         return self.spec.w_perp
-
-    def shape_spectrum(self, xi):
-        """Eigenvalues and eigenvectors of the shape operator w.r.t. unit xi."""
-        S = self.orbit.shape_operator(np.asarray(xi, dtype=float))
-        vals, vecs = np.linalg.eigh(S)
-        return vals, vecs
 
 
 def build_ruled(alg: SolvableAlgebra, spec: RuledSpec) -> RuledModel:
@@ -312,37 +293,3 @@ def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:
     normal = np.eye(d)[:1]
     return OrbitModel(algebra=alg, tangent=tangent, normal=normal)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def algebra_to_dict(alg: SolvableAlgebra) -> dict:
-    """JSON-ready description: basis labels and non-zero structure constants."""
-    entries = []
-    d = alg.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            coeffs = alg.bracket[i, j]
-            for k in np.nonzero(np.abs(coeffs) > 0)[0]:
-                entries.append(
-                    {
-                        "left": alg.names[i],
-                        "right": alg.names[j],
-                        "out": alg.names[int(k)],
-                        "coeff": float(coeffs[k]),
-                    }
-                )
-    return {"n": alg.n, "basis": list(alg.names), "brackets": entries}
-
-
-def ruled_to_dict(model: RuledModel) -> dict:
-    alg = model.algebra
-    return {
-        "n": alg.n,
-        "k": model.spec.k,
-        "dim": model.orbit.dim,
-        "normal_slice": [list(map(float, row)) for row in model.w_perp],
-        "tangent": [list(map(float, row)) for row in model.orbit.tangent],
-    }

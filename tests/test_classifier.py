@@ -167,57 +167,6 @@ def test_isolated_branch_residual_system():
 
 
 # ---------------------------------------------------------------------------
-# conic intersections
-# ---------------------------------------------------------------------------
-
-
-def test_conic_points_satisfy_both_equations():
-    lam3 = 0.3
-    points = classifier.intersect_hyperbola_circle(lam3)
-    assert points, "expected surviving intersection points"
-    for x, y in points:
-        assert classifier.hyperbola_residual(x, y, lam3) <= 1e-10
-        assert classifier.circle_residual(x, y, lam3) <= 1e-10
-
-
-def test_first_family_point_values():
-    lam3 = 0.3
-    points = classifier.intersect_hyperbola_circle(lam3)
-    xs = sorted(x for x, _ in points)
-    root = math.sqrt(1.0 - 3.0 * lam3**2)
-    assert xs == pytest.approx([-root, root], abs=1e-14)
-    assert all(y == pytest.approx(-lam3, abs=1e-14) for _, y in points)
-
-
-def test_reciprocal_family_is_filtered():
-    """The 1/(4 lam3) family forces a carrier onto the axis curvature."""
-    for lam3 in (0.1, 0.3, -0.25):
-        quarter = 1.0 / (4.0 * lam3)
-        for x, _ in classifier.intersect_hyperbola_circle(lam3):
-            assert abs(abs(x) - abs(quarter)) > 1e-9
-
-
-def test_reciprocal_family_satisfies_circle_before_filtering():
-    lam3 = 0.3
-    quarter = 1.0 / (4.0 * lam3)
-    y = (1.0 - 8.0 * lam3**2) * quarter
-    assert classifier.circle_residual(quarter, y, lam3) <= 1e-10
-    assert classifier.hyperbola_residual(quarter, y, lam3) <= 1e-10
-
-
-def test_conic_intersection_rejects_zero_axis():
-    with pytest.raises(ValueError):
-        classifier.intersect_hyperbola_circle(0.0)
-
-
-@pytest.mark.parametrize("lam3", [1e300, -1e300, 1e200, -1e200])
-def test_conic_intersection_far_out_does_not_overflow(lam3):
-    # lam3**2 overflows from about 1.4e154 on; the reciprocal family that is
-    # left lands a carrier on the axis curvature and is filtered out
-    assert classifier.intersect_hyperbola_circle(lam3) == []
-
-
-# ---------------------------------------------------------------------------
 # sweep and independent validation
 # ---------------------------------------------------------------------------
 

@@ -4,10 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chgeo import cli
 
@@ -276,6 +280,94 @@ def test_focal_rejects_zero_instead_of_defaulting(args, message):
 def test_usage_error_exit_code():
     proc = run_cli("focal", "--case", "x")
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# radius limits
+# ---------------------------------------------------------------------------
+
+CATALOG = ("catalog", "--n", "3")
+FOCAL = ("focal", "--case", "ii", "--n", "3", "--lambda3", "0.2")
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        # two curvatures of one family merge
+        ((*CATALOG, "--r=1e-9"), 2, "geodesic-sphere at r = 1e-09 has g = 1, not 2"),
+        ((*CATALOG, "--r=1.3169578981248167"), 2, "tube-RHn at r = 1.3169578981248167"),
+        ((*CATALOG, "--r=22"), 2, "catalog radius must be at most 21.4164, got 22.0"),
+        # past the cap the engine reports a degenerate tube differential
+        ((*CATALOG, "--r=100"), 2, "catalog radius must be at most 21.4164"),
+        # or overflows in cosh
+        ((*CATALOG, "--r=800"), 2, "catalog radius must be at most 21.4164"),
+        # or builds carrier blocks whose spectra disagree in the third digit
+        ((*FOCAL, "--r=700"), 2, "distance 700.0 is out of range"),
+        ((*FOCAL, "--r=-700"), 2, "distance -700.0 is out of range"),
+        ((*CATALOG, "--r=21"), 0, ""),
+        ((*FOCAL, "--r=20"), 0, ""),
+        ((*FOCAL, "--r=-20"), 0, ""),
+    ],
+    ids=[
+        "catalog-1e-9",
+        "catalog-R*+1.2e-9",
+        "catalog-22",
+        "catalog-100",
+        "catalog-800",
+        "focal-700",
+        "focal-minus-700",
+        "catalog-21",
+        "focal-20",
+        "focal-minus-20",
+    ],
+)
+def test_radius_limits(args, code, message):
+    proc = run_cli("--format", "json", *args)
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert (proc.stdout == "") == (code == 2)
+
+
+def _assert_result_or_usage_error(*args):
+    """Exit 0 with a JSON document, or exit 2 with an error line; no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = run_cli("--format", "json", *args)
+    assert not [str(w.message) for w in caught]
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        return json.loads(proc.stdout)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    return None
+
+
+RADII = st.floats() | st.floats(min_value=-25.0, max_value=25.0)
+
+
+@given(r=RADII)
+@example(r=1e-9)
+@example(r=1.3169578981248167)
+@example(r=22.0)
+@example(r=100.0)
+@example(r=800.0)
+@settings(max_examples=100, deadline=None)
+def test_catalog_radius_property(r):
+    _assert_result_or_usage_error(*CATALOG, f"--r={r!r}")
+
+
+@given(r=RADII)
+@example(r=700.0)
+@example(r=-700.0)
+@settings(max_examples=100, deadline=None)
+def test_focal_radius_property(r):
+    doc = _assert_result_or_usage_error(*FOCAL, f"--r={r!r}")
+    if doc is not None and doc["c_block"] is not None:
+        # -D' D^-1 and -D^-1 D' are similar: their spectra agree
+        c_block = np.linalg.eigvals(doc["c_block"])
+        carrier = np.linalg.eigvals(doc["carrier_block"])
+        assert np.sort_complex(c_block) == pytest.approx(np.sort_complex(carrier), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

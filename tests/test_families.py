@@ -153,11 +153,6 @@ def test_ruled_profile_values():
     assert hopf.b2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
-def test_ruled_profile_only_for_hypersurface():
-    with pytest.raises(UnsupportedModelError):
-        families.ruled_profile(3, k=2)
-
-
 def test_equidistant_at_zero_is_the_orbit():
     profile = families.equidistant_profile(3, 0.0)
     assert profile.entries == ((-0.5, 1), (0.0, 3), (0.5, 1))
@@ -317,7 +312,7 @@ def test_catalog_rejects_tiny_dimension():
 
 
 def test_exceptional_representative_radius_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tube-RHn at r = .* has g = 2, not 3"):
         families.three_curvature_families(3, r=R_STAR)
 
 

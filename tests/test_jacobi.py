@@ -35,9 +35,10 @@ def test_exceptional_radius_hyperbolic_values():
 
 
 def test_initial_conditions_of_modes():
-    mode = jacobi.jacobi_mode(0.7, 0.3, 0.0)
-    assert mode.value == (1.0, 0.0)
-    assert mode.derivative == (-0.7, 0.0)
+    assert jacobi.transverse_coefficient(0.7, 0.0) == 1.0
+    assert jacobi.hopf_coefficient(0.7, 0.0) == 0.0
+    assert jacobi.transverse_coefficient_dt(0.7, 0.0) == -0.7
+    assert jacobi.hopf_coefficient_dt(0.7, 0.0) == 0.0
 
 
 def test_transverse_collapse_at_exceptional_radius():
@@ -64,7 +65,7 @@ def test_axis_class_coefficient_at_exceptional_radius():
 def test_axis_coefficient_is_mode_sum(lam, t):
     """f + g collapses to the pure axis evolution cosh(t) - lam sinh(t)."""
     total = jacobi.transverse_coefficient(lam, t) + jacobi.hopf_coefficient(lam, t)
-    assert total == pytest.approx(jacobi.axis_coefficient(lam, t), abs=1e-10)
+    assert total == pytest.approx(np.cosh(t) - lam * np.sinh(t), abs=1e-10)
 
 
 @given(
@@ -221,7 +222,8 @@ def test_propagator_blocks_reproduce_mode_functions():
     ) <= 1e-12
     jn = np.eye(6)[1]
     out_axis = cos_ @ jn + sin_ @ (-lam * jn)
-    assert np.linalg.norm(out_axis - jacobi.axis_coefficient(lam, t) * jn) <= 1e-12
+    axis = np.cosh(t) - lam * np.sinh(t)
+    assert np.linalg.norm(out_axis - axis * jn) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +253,12 @@ def test_repeated_carrier_collapse(iso_profile):
     svals = focal.singular_values
     assert np.sum(svals <= 1e-12) == focal.kernel_dim
     assert svals[svals > 1e-12].min() >= 0.1
+
+
+@pytest.mark.parametrize("r", [700.0, -700.0, math.nan])
+def test_transversal_map_rejects_distance_out_of_range(iso_profile, r):
+    with pytest.raises(ValueError, match="out of range"):
+        jacobi.transversal_map(iso_profile, r)
 
 
 @pytest.mark.parametrize(
