@@ -35,7 +35,6 @@ from .solvable import (
     build_ruled,
     default_ruled_spec,
     horosphere_model,
-    levi_civita,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "TubeBase",
     "catalog",
     "equidistant_profile",
-    "hopf_residual",
     "ruled_profile",
     "profile_identity_residuals",
     "structural_residuals",
@@ -58,6 +56,9 @@ __all__ = [
 
 HOPF_RESIDUAL_TOL = 1e-10
 FOCAL_TOL = 1e-10
+# eigenvalues closer than this share an eigenspace, and a projection of
+# J(normal) longer than this makes that eigenspace a carrier
+EIGENSPACE_TOL = 1e-8
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
@@ -80,21 +81,6 @@ class TubeBase:
     sphere: np.ndarray
 
 
-def _ruled_base(n: int, k: int) -> TubeBase:
-    alg = build_algebra(n)
-    model = build_ruled(alg, default_ruled_spec(alg, k))
-    nu = model.w_perp[0]
-    shape = model.orbit.shape_operator(nu)
-    return TubeBase(
-        kind="Wk",
-        n=n,
-        nu=nu,
-        tangent=model.orbit.tangent,
-        shape=shape,
-        sphere=model.w_perp[1:],
-    )
-
-
 def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     """Base data for one of the named base submanifolds."""
     if n < 2:
@@ -102,29 +88,18 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     d = 2 * n
     e = np.eye(d)
     if kind == "point":
-        return TubeBase(
-            kind=kind,
-            n=n,
-            nu=e[0],
-            tangent=np.zeros((0, d)),
-            shape=np.zeros((0, 0)),
-            sphere=e[1:],
-        )
+        kind, k = "CHk", 0
     if kind == "CHk":
         if k is None or not 0 <= k <= n - 1:
             raise ValueError(f"complex base dimension must lie in 0..{n - 1}, got {k}")
-        if k == 0:
-            return tube_base("point", n)
-        # base tangent: the last 2k coordinates (a complex subspace)
-        tangent = e[d - 2 * k:]
-        sphere = e[1 : d - 2 * k]
+        # base tangent: the last 2k coordinates (a complex subspace); k = 0 is a point
         return TubeBase(
-            kind=kind,
+            kind="CHk" if k else "point",
             n=n,
             nu=e[0],
-            tangent=tangent,
+            tangent=e[d - 2 * k:],
             shape=np.zeros((2 * k, 2 * k)),
-            sphere=sphere,
+            sphere=e[1 : d - 2 * k],
         )
     if kind == "RHn":
         # totally real base spanned by the odd coordinates; normal = J image
@@ -141,20 +116,22 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     if kind == "Wk":
         if k is None or not 1 <= k <= n - 1:
             raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-        return _ruled_base(n, k)
-    if kind == "horosphere":
         alg = build_algebra(n)
-        orbit = horosphere_model(alg)
-        nu = orbit.normal[0]
-        return TubeBase(
-            kind=kind,
-            n=n,
-            nu=nu,
-            tangent=orbit.tangent,
-            shape=orbit.shape_operator(nu),
-            sphere=np.zeros((0, 2 * n)),
-        )
-    raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
+        model = build_ruled(alg, default_ruled_spec(alg, k))
+        orbit, nu, sphere = model.orbit, model.w_perp[0], model.w_perp[1:]
+    elif kind == "horosphere":
+        orbit = horosphere_model(build_algebra(n))
+        nu, sphere = orbit.normal[0], np.zeros((0, d))
+    else:
+        raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
+    return TubeBase(
+        kind=kind,
+        n=n,
+        nu=nu,
+        tangent=orbit.tangent,
+        shape=orbit.shape_operator(nu),
+        sphere=sphere,
+    )
 
 
 def _propagate(base: TubeBase, t: float):
@@ -176,44 +153,42 @@ def _orthocomplement(nu: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _attitude_from_matrix(S: np.ndarray, jnu_coeffs: np.ndarray):
-    """Hopf attitude of a shape matrix, or None when Jnu is an eigenvector."""
-    residual = hopf_residual_matrix(S, jnu_coeffs)
-    if residual <= HOPF_RESIDUAL_TOL:
-        return None, residual
+def _carriers(S: np.ndarray, jnu_coeffs: np.ndarray):
+    """Merged spectrum of S and the carriers of J(normal) among its eigenspaces.
+
+    Each carrier is (value, weight, multiplicity, unit direction), the
+    direction in the frame of S; the repeated carrier, if any, is listed
+    first, otherwise they ascend.
+    """
     vals, vecs = np.linalg.eigh(S)
     weights = vecs.T @ jnu_coeffs
     merged = merge_spectrum(vals)
     carriers = []
     for value, _ in merged:
-        mask = np.abs(vals - value) < 1e-8
+        mask = np.abs(vals - value) < EIGENSPACE_TOL
         w = float(np.linalg.norm(weights[mask]))
-        if w > 1e-8:
-            mult = int(np.sum(mask))
-            carriers.append((value, w, mult))
-    if len(carriers) != 2:
-        return None, residual
-    # the repeated carrier, if any, is listed first; otherwise ascending
+        if w > EIGENSPACE_TOL:
+            carriers.append((value, w, int(np.sum(mask)), vecs[:, mask] @ weights[mask] / w))
     carriers.sort(key=lambda c: (-c[2], c[0]))
-    (l1, b1, _), (l2, b2, _) = carriers
+    return merged, carriers
+
+
+def _attitude_from_matrix(S: np.ndarray, jnu_coeffs: np.ndarray):
+    """Hopf attitude of a shape matrix, or None when Jnu is an eigenvector."""
+    if hopf_residual_matrix(S, jnu_coeffs) <= HOPF_RESIDUAL_TOL:
+        return None
+    _, carriers = _carriers(S, jnu_coeffs)
+    if len(carriers) != 2:
+        return None
+    (l1, b1, _, _), (l2, b2, _, _) = carriers
     norm = math.hypot(b1, b2)
-    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=l1, lam2=l2), residual
+    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=l1, lam2=l2)
 
 
 def hopf_residual_matrix(S: np.ndarray, jnu_coeffs: np.ndarray) -> float:
     """Norm of S Jnu minus its projection onto Jnu (eigenvector defect)."""
     sj = S @ jnu_coeffs
     return float(np.linalg.norm(sj - (jnu_coeffs @ sj) * jnu_coeffs))
-
-
-def hopf_residual(profile: PrincipalProfile) -> float:
-    """Eigenvector defect of the normal J-image computed from profile data."""
-    if profile.hopf is None:
-        return 0.0
-    h = profile.hopf
-    mean = h.b1**2 * h.lam1 + h.b2**2 * h.lam2
-    sq = h.b1**2 * h.lam1**2 + h.b2**2 * h.lam2**2
-    return math.sqrt(max(sq - mean**2, 0.0))
 
 
 def _spectrum_from_maps(base: TubeBase, t: float):
@@ -234,8 +209,16 @@ def _spectrum_from_maps(base: TubeBase, t: float):
     S = 0.5 * (S + S.T)
     model = CurvatureModel(base.n)
     jnu = rows @ (model.J @ base.nu)
-    attitude, _ = _attitude_from_matrix(S, jnu)
-    return make_profile(np.linalg.eigvalsh(S), hopf=attitude), S, jnu
+    return make_profile(np.linalg.eigvalsh(S), hopf=_attitude_from_matrix(S, jnu)), S, jnu
+
+
+def _named_base(base, n: int | None, k: int | None) -> TubeBase:
+    """``base`` itself, or the base of that kind name in dimension n."""
+    if not isinstance(base, str):
+        return base
+    if n is None:
+        raise ValueError("complex dimension n is required with a named base")
+    return tube_base(base, n, k)
 
 
 def tube_spectrum(base, n: int | None = None, k: int | None = None, r: float = 1.0):
@@ -245,10 +228,7 @@ def tube_spectrum(base, n: int | None = None, k: int | None = None, r: float = 1
     (bases of codimension >= 2) require r > 0; hypersurface bases accept
     signed r and describe the equidistant family.
     """
-    if isinstance(base, str):
-        if n is None:
-            raise ValueError("complex dimension n is required with a named base")
-        base = tube_base(base, n, k)
+    base = _named_base(base, n, k)
     codim = 2 * base.n - base.tangent.shape[0]
     if codim >= 2 and r <= 0:
         raise ValueError(f"tube radius must be positive, got {r}")
@@ -262,19 +242,13 @@ def tube_eigenvector_defect(base, n: int | None = None, k: int | None = None, r:
     Zero exactly when the translated J-image of the normal is a
     principal direction of the tube.
     """
-    if isinstance(base, str):
-        if n is None:
-            raise ValueError("complex dimension n is required with a named base")
-        base = tube_base(base, n, k)
-    _, S, jnu = _spectrum_from_maps(base, r)
+    _, S, jnu = _spectrum_from_maps(_named_base(base, n, k), r)
     return hopf_residual_matrix(S, jnu)
 
 
 def ruled_profile(n: int) -> PrincipalProfile:
     """Profile of the ruled minimal hypersurface orbit itself (distance zero)."""
-    base = tube_base("Wk", n, 1)
-    profile, _, _ = _spectrum_from_maps(base, 0.0)
-    return profile
+    return equidistant_profile(n, 0.0)
 
 
 def equidistant_profile(n: int, r: float) -> PrincipalProfile:
@@ -284,8 +258,7 @@ def equidistant_profile(n: int, r: float) -> PrincipalProfile:
     distance r from the hypersurface lands on the minimal orbit; the
     axis curvature is then tanh(r/2)/2.
     """
-    base = tube_base("Wk", n, 1)
-    profile, _, _ = _spectrum_from_maps(base, -r)
+    profile, _, _ = _spectrum_from_maps(tube_base("Wk", n, 1), -r)
     return profile
 
 
@@ -302,31 +275,21 @@ def _carrier_frame(orbit: OrbitModel):
     J A = b2 U1 - b1 U2.  Raises when the J-image sits inside a single
     eigenspace (a Hopf model has no such frame).
     """
-    alg = orbit.algebra
+    J, t = orbit.algebra.J, orbit.tangent
     xi = orbit.normal[0]
-    S = orbit.shape_operator(xi)
-    vals, vecs = np.linalg.eigh(S)
-    jxi = alg.J @ xi
-    jxi_f = orbit.tangent @ jxi
-    carriers = []
-    for value, _ in merge_spectrum(vals):
-        mask = np.abs(vals - value) < 1e-8
-        proj = vecs[:, mask] @ (vecs[:, mask].T @ jxi_f)
-        w = np.linalg.norm(proj)
-        if w > 1e-8:
-            carriers.append((value, proj / w, w))
+    merged, carriers = _carriers(orbit.shape_operator(xi), t @ (J @ xi))
     if len(carriers) != 2:
         raise UnsupportedModelError(
             "model does not have a two-carrier normal J-image"
         )
-    carriers.sort(key=lambda c: c[0])
-    (l1, u1_f, b1), (l2, u2_f, b2) = carriers
-    u1 = u1_f @ orbit.tangent
-    u2 = u2_f @ orbit.tangent
+    (l1, b1, _, u1), (l2, b2, _, u2) = carriers
+    u1, u2 = u1 @ t, u2 @ t
     # A = -J(b2 U1 - b1 U2) since J^2 = -1
-    a = -(alg.J @ (b2 * u1 - b1 * u2))
-    lam3 = [v for v, _ in merge_spectrum(vals) if abs(v - l1) > 1e-8 and abs(v - l2) > 1e-8]
-    return (l1, l2, float(lam3[0])), (b1, b2), (u1, u2, a)
+    a = -(J @ (b2 * u1 - b1 * u2))
+    lam3 = [
+        v for v, _ in merged if abs(v - l1) > EIGENSPACE_TOL and abs(v - l2) > EIGENSPACE_TOL
+    ]
+    return (l1, l2, lam3[0]), (b1, b2), (u1, u2, a)
 
 
 def structural_residuals(
@@ -347,37 +310,32 @@ def structural_residuals(
     orbit = model.orbit if isinstance(model, RuledModel) else model
     if orbit.codim != 1:
         raise UnsupportedModelError("structural residuals need a hypersurface orbit")
-    (l1, l2, l3), (b1, b2), (u1, u2, a) = _carrier_frame(orbit)
-
-    tangent = orbit.tangent
-
-    def nabla(x, y):
-        return (tangent @ levi_civita(orbit.algebra, x, y)) @ tangent
+    (l1, l2, l3), b, fields = _carrier_frame(orbit)
+    # frame coordinates of U1, U2, A; nabla[p, q] is the derivative of field q along p
+    f = np.array(fields) @ orbit.tangent.T
+    nabla = np.einsum("pi,qj,ijk->pqk", f, f, orbit.intrinsic_gamma)
+    u, a, lam = f[:2], f[2], (l1, l2)
 
     res: dict[str, float] = {}
-    fields = {1: (u1, l1, b1), 2: (u2, l2, b2)}
-    for i, j in ((1, 2), (2, 1)):
-        ui, li, bi = fields[i]
-        uj, lj, bj = fields[j]
-        sign_i = -1.0 if i == 1 else 1.0
-        sign_j = -1.0 if j == 1 else 1.0
-        mix = 3.0 * b1 * b2 / (4.0 * (l3 - li))
-        diag = li + 3.0 * bi**2 / (4.0 * (l3 - li))
-        res[f"carrier_self_{i}"] = float(
-            np.linalg.norm(nabla(ui, ui) - sign_i * mix * a)
+    for i, j in ((0, 1), (1, 0)):
+        sign_i, sign_j = (-1.0, 1.0) if i == 0 else (1.0, -1.0)
+        mix = 3.0 * b[0] * b[1] / (4.0 * (l3 - lam[i]))
+        diag = lam[i] + 3.0 * b[i] ** 2 / (4.0 * (l3 - lam[i]))
+        res[f"carrier_self_{i + 1}"] = float(
+            np.linalg.norm(nabla[i, i] - sign_i * mix * a)
         )
-        res[f"carrier_cross_{i}{j}"] = float(
-            np.linalg.norm(nabla(ui, uj) - sign_j * diag * a)
+        res[f"carrier_cross_{i + 1}{j + 1}"] = float(
+            np.linalg.norm(nabla[i, j] - sign_j * diag * a)
         )
-        res[f"carrier_axis_{i}"] = float(
-            np.linalg.norm(nabla(ui, a) - (sign_j * mix * ui + sign_i * diag * uj))
+        res[f"carrier_axis_{i + 1}"] = float(
+            np.linalg.norm(nabla[i, 2] - (sign_j * mix * u[i] + sign_i * diag * u[j]))
         )
-        coeff = (sign_j / (li - lj)) * (
-            (bi**2 - 2.0 * bj**2) / 4.0 + (lj - l3) * diag
+        coeff = (sign_j / (lam[i] - lam[j])) * (
+            (b[i] ** 2 - 2.0 * b[j] ** 2) / 4.0 + (lam[j] - l3) * diag
         )
-        res[f"axis_carrier_{i}"] = float(np.linalg.norm(nabla(a, ui) - coeff * uj))
-    res["axis_geodesic"] = float(np.linalg.norm(nabla(a, a)))
-    res["weight_balance"] = residual_hopf_weights(l1, l2, l3, b1**2, b2**2)
+        res[f"axis_carrier_{i + 1}"] = float(np.linalg.norm(nabla[2, i] - coeff * u[j]))
+    res["axis_geodesic"] = float(np.linalg.norm(nabla[2, 2]))
+    res["weight_balance"] = residual_hopf_weights(l1, l2, l3, b[0] ** 2, b[1] ** 2)
     return res
 
 
@@ -414,13 +372,16 @@ class CatalogEntry:
     k: int | None
     r: float | None
     profile: PrincipalProfile
-    is_hopf: bool
     classification_family: str | None = None
     constraint: str | None = None
 
     @property
     def g(self) -> int:
         return self.profile.g
+
+    @property
+    def is_hopf(self) -> bool:
+        return self.profile.hopf is None
 
 
 def _require_g(entries: list[CatalogEntry], g: int) -> list[CatalogEntry]:
@@ -434,28 +395,12 @@ def _require_g(entries: list[CatalogEntry], g: int) -> list[CatalogEntry]:
     return entries
 
 
-def _entry(family, n, k, r, profile, classification_family=None, constraint=None):
-    is_hopf = profile.hopf is None
-    return CatalogEntry(
-        family=family,
-        n=n,
-        k=k,
-        r=r,
-        profile=profile,
-        is_hopf=is_hopf,
-        classification_family=classification_family,
-        constraint=constraint,
-    )
-
-
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
-    if n < 2:
-        raise ValueError(f"complex dimension must be >= 2, got {n}")
     entries = [
-        _entry("horosphere", n, None, None, tube_spectrum("horosphere", n, r=1.0)),
-        _entry("geodesic-sphere", n, None, r, tube_spectrum("point", n, r=r)),
-        _entry(
+        CatalogEntry("horosphere", n, None, None, tube_spectrum("horosphere", n, r=1.0)),
+        CatalogEntry("geodesic-sphere", n, None, r, tube_spectrum("point", n, r=r)),
+        CatalogEntry(
             "tube-CHk",
             n,
             n - 1,
@@ -463,7 +408,7 @@ def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
             tube_spectrum("CHk", n, k=n - 1, r=r),
             constraint="k = n-1",
         ),
-        _entry(
+        CatalogEntry(
             "tube-RHn",
             n,
             None,
@@ -481,8 +426,6 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     Defined for n >= 3; for n = 2 the classification is open and this
     raises OpenCaseError.
     """
-    if n < 2:
-        raise ValueError(f"complex dimension must be >= 2, got {n}")
     if n == 2:
         raise OpenCaseError(
             "the three-curvature classification is open in complex dimension 2"
@@ -490,7 +433,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     for k in range(1, n - 1):
         entries.append(
-            _entry(
+            CatalogEntry(
                 "tube-CHk",
                 n,
                 k,
@@ -501,7 +444,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
             )
         )
     entries.append(
-        _entry(
+        CatalogEntry(
             "tube-RHn",
             n,
             None,
@@ -512,10 +455,10 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
         )
     )
     entries.append(
-        _entry("ruled-W", n, 1, 0.0, ruled_profile(n), classification_family="c")
+        CatalogEntry("ruled-W", n, 1, 0.0, ruled_profile(n), classification_family="c")
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             "equidistant-W",
             n,
             1,
@@ -527,7 +470,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     )
     for k in range(2, n):
         entries.append(
-            _entry(
+            CatalogEntry(
                 "tube-Wk",
                 n,
                 k,
@@ -549,8 +492,6 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
     tube curvatures coth(r/2)/2 and tanh(r/2)/2 come closer than the
     merge gap.
     """
-    if n < 2:
-        raise ValueError(f"complex dimension must be >= 2, got {n}")
     if not r <= MAX_RADIUS:
         raise ValueError(f"catalog radius must be at most {MAX_RADIUS:.4f}, got {r}")
     entries = two_curvature_families(n, r=r)

@@ -345,15 +345,28 @@ class FocalMapData:
 def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
     """Differential of the map travelling distance r along the normals.
 
-    |r| is at most MAX_RADIUS; further out the image curvatures come
-    closer than the merge gap, and the carrier blocks, built from field
-    values of size e^|r|, lose their digits.
+    |r| is at most MAX_RADIUS; further out the carrier blocks, built from
+    field values of size e^|r|, lose their digits.  So is the distance
+    |2 artanh(2 lam3) - r| of the image from the minimal orbit, where
+    lam3 is the axis curvature: further out the image curvatures come
+    closer than the merge gap.
     """
     if not abs(r) <= MAX_RADIUS:
         raise ValueError(
             f"distance {r} is out of range: |r| must be at most {MAX_RADIUS:.4f}"
         )
     frame = normal_frame(profile)
+    if not abs(2.0 * frame.lam3) < 1.0:
+        raise ValueError(
+            f"axis curvature {frame.lam3} lies outside (-1/2, 1/2): "
+            "the hypersurface is no equidistant of the minimal orbit"
+        )
+    image_distance = abs(2.0 * math.atanh(2.0 * frame.lam3) - r)
+    if image_distance > MAX_RADIUS:
+        raise ValueError(
+            f"distance {r} puts the image {image_distance:.4f} from the minimal "
+            f"orbit: at most {MAX_RADIUS:.4f} keeps its curvatures apart"
+        )
     values, derivs = _field_columns(frame, r)
     phi, phi_dt = values.T, derivs.T
     svals = np.linalg.svd(phi, compute_uv=False)

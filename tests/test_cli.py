@@ -328,6 +328,27 @@ def test_radius_limits(args, code, message):
     assert (proc.stdout == "") == (code == 2)
 
 
+@pytest.mark.parametrize(
+    "args, g",
+    [
+        (("focal", "--case", "ii", "--lambda3", "0.2", "--r=-21"), None),
+        (("focal", "--case", "i", "--n", "3", "--r=-20.5"), None),
+        ((*FOCAL, "--r=-20"), 3),
+    ],
+    ids=["focal-ii-minus-21", "focal-i-minus-20.5", "focal-ii-minus-20"],
+)
+def test_focal_image_distance_bound(args, g):
+    # past MAX_RADIUS from the minimal orbit the image curvatures merge
+    proc = run_cli("--format", "json", *args)
+    if g is None:
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "from the minimal orbit: at most 21.4164" in proc.stderr
+    else:
+        assert proc.returncode == 0
+        assert len(json.loads(proc.stdout)["image_spectrum"]) == g
+
+
 def _assert_result_or_usage_error(*args):
     """Exit 0 with a JSON document, or exit 2 with an error line; no warning."""
     with warnings.catch_warnings(record=True) as caught:

@@ -214,6 +214,16 @@ def test_structural_residuals_on_minimal_orbit(n):
     assert max(res.values()) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orbit_and_tube_routes_agree_on_carriers(n):
+    alg = solvable.build_algebra(n)
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
+    (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit)
+    h = families.ruled_profile(n).hopf
+    got = np.array([l1, l2, b1, b2])
+    assert np.max(np.abs(got - [h.lam1, h.lam2, h.b1, h.b2])) <= 1e-14
+
+
 def test_structural_residuals_reject_hopf_orbit():
     alg = solvable.build_algebra(3)
     with pytest.raises(UnsupportedModelError):
@@ -274,7 +284,9 @@ def test_hopf_flags_split_by_family():
             assert e.is_hopf
         else:
             assert not e.is_hopf
-            assert families.hopf_residual(e.profile) >= 0.01
+            # the eigenvector defect of J(normal); b1^2 + b2^2 = 1
+            h = e.profile.hopf
+            assert h.b1 * h.b2 * abs(h.lam1 - h.lam2) >= 0.01
 
 
 def test_eigenvector_defect_by_family():

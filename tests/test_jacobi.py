@@ -261,6 +261,16 @@ def test_transversal_map_rejects_distance_out_of_range(iso_profile, r):
         jacobi.transversal_map(iso_profile, r)
 
 
+def test_transversal_map_rejects_axis_curvature_off_the_equidistants():
+    # |lam3| >= 1/2 has no distance to the minimal orbit to bound
+    hopf = HopfAttitude(b1=0.6, b2=0.8, lam1=0.0, lam2=1.0)
+    profile = PrincipalProfile(
+        entries=((0.0, 1), (0.75, 3), (1.0, 1)), total_dim=5, hopf=hopf
+    )
+    with pytest.raises(ValueError, match="outside"):
+        jacobi.transversal_map(profile, 1.0)
+
+
 @pytest.mark.parametrize(
     "n, lam3", [(n, lam3) for lam3 in (0.2, -0.3) for n in (3, 5)] + [(4, None)]
 )
