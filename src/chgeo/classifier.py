@@ -319,18 +319,41 @@ def sweep(grid) -> SweepReport:
 
 
 def _system(lam3: float):
+    """Residuals F and their exact Jacobian, both on stacked points x[..., 4].
+
+    Only the weight-balance row is non-trivial; the weight-sum row is
+    constant and the hyperbola and mean rows are linear in (l1, l2).
+    """
+
     def F(x):
-        l1, l2, b1_sq, b2_sq = x
-        return np.array(
+        l1, l2, b1_sq, b2_sq = np.moveaxis(x, -1, 0)
+        return np.stack(
             [
                 _weight_balance(l1, l2, lam3, b1_sq, b2_sq),
                 b1_sq + b2_sq - 1.0,
                 hyperbola_relation(l1, l2, lam3),
                 mean_relation(l1, l2, lam3),
-            ]
+            ],
+            axis=-1,
         )
 
-    return F
+    def jacobian(x):
+        l1, l2, b1_sq, b2_sq = np.moveaxis(x, -1, 0)
+        g1, g2 = lam3 - l1, lam3 - l2
+        p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
+        J = np.zeros(x.shape + (4,))
+        J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
+        J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
+        J[..., 0, 2] = 3.0 * g2**2
+        J[..., 0, 3] = 3.0 * g1**2
+        J[..., 1, 2:] = 1.0
+        J[..., 2, 0] = 8.0 * lam3 - 4.0 * l2
+        J[..., 2, 1] = 8.0 * lam3 - 4.0 * l1
+        J[..., 3, 0] = 8.0 * lam3 * l1 - (1.0 + 4.0 * lam3**2)
+        J[..., 3, 1] = 8.0 * lam3 * l2 - (1.0 + 4.0 * lam3**2)
+        return J
+
+    return F, jacobian
 
 
 def _numeric_jacobian(F, x, h=1e-7):
@@ -343,29 +366,46 @@ def _numeric_jacobian(F, x, h=1e-7):
     return J
 
 
-def _damped_newton(F, x0):
+# backtracking tries the step fractions 1, 1/2, ..., 2^-19 (every halving
+# above 1e-6) and takes the first that cuts the residual norm enough
+_STEP_FRACTIONS = 0.5 ** np.arange(20)
+
+
+def _damped_newton(system, x0):
+    """Damped Newton from every row of x0 at once; failed rows come back NaN.
+
+    A row fails when its Jacobian is singular, when no step fraction
+    passes ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.
+    """
+    F, jacobian = system
     x = np.array(x0, dtype=float)
     fx = F(x)
+    norm = np.linalg.norm(fx, axis=-1)
+    live = np.flatnonzero(~(norm < NEWTON_TOL))
     for _ in range(NEWTON_MAX_ITER):
-        norm = np.linalg.norm(fx)
-        if norm < NEWTON_TOL:
-            return x
-        J = _numeric_jacobian(F, x)
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        while alpha > 1e-6:
-            xn = x + alpha * step
-            fn = F(xn)
-            if np.linalg.norm(fn) < (1.0 - 0.25 * alpha) * norm:
-                x, fx = xn, fn
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return x if np.linalg.norm(F(x)) < 1e-10 else None
+        if live.size == 0:
+            break
+        J = jacobian(x[live])
+        regular = np.linalg.det(J) != 0.0
+        x[live[~regular]] = np.nan
+        live = live[regular]
+        step = np.linalg.solve(J[regular], -fx[live][..., None])[..., 0]
+        trial = x[live, None] + _STEP_FRACTIONS[:, None] * step[:, None]
+        f_trial = F(trial)
+        accept = np.linalg.norm(f_trial, axis=-1) < (
+            (1.0 - 0.25 * _STEP_FRACTIONS) * norm[live, None]
+        )
+        found = accept.any(axis=1)
+        x[live[~found]] = np.nan
+        rows = np.flatnonzero(found)
+        first = accept[rows].argmax(axis=1)
+        live = live[rows]
+        x[live] = trial[rows, first]
+        fx[live] = f_trial[rows, first]
+        norm[live] = np.linalg.norm(fx[live], axis=-1)
+        live = live[~(norm[live] < NEWTON_TOL)]
+    x[live[~(norm[live] < 1e-10)]] = np.nan
+    return x
 
 
 def newton_roots(lam3: float, rng: np.random.Generator, attempts: int = 20):
@@ -374,25 +414,13 @@ def newton_roots(lam3: float, rng: np.random.Generator, attempts: int = 20):
     Roots are normalised to l1 <= l2 and de-duplicated; weights are not
     constrained to (0, 1) here so the exclusion mechanism stays visible.
     """
-    F = _system(lam3)
+    starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(attempts, 4))
+    x = _damped_newton(_system(lam3), starts)
+    x = x[~np.isnan(x).any(axis=1)]
+    swap = x[:, 0] > x[:, 1]
+    x[swap] = x[swap][:, [1, 0, 3, 2]]
     roots = []
-    for _ in range(attempts):
-        x0 = np.array(
-            [
-                rng.uniform(-1.5, 1.5),
-                rng.uniform(-1.5, 1.5),
-                rng.uniform(-0.5, 1.5),
-                rng.uniform(-0.5, 1.5),
-            ]
-        )
-        x = _damped_newton(F, x0)
-        if x is None:
-            continue
-        l1, l2, b1_sq, b2_sq = x
-        if l1 > l2:
-            l1, l2 = l2, l1
-            b1_sq, b2_sq = b2_sq, b1_sq
-        root = np.array([l1, l2, b1_sq, b2_sq])
+    for root in x:
         if not any(np.linalg.norm(root - r) < 1e-7 for r in roots):
             roots.append(root)
     return roots

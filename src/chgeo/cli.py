@@ -158,6 +158,9 @@ def cmd_sweep(args):
             f"{_MAX_SWEEP_POINTS} are allowed"
         )
     grid = [args.lo + i * args.step for i in range(count + 1)]
+    if not math.isfinite(grid[-1]):
+        # count is rounded, so the last point may pass --hi by half a step
+        raise ValueError(f"sweep grid overflows: its last point is {grid[-1]}")
     report = classifier.sweep(grid)
     doc = {
         "schema": SCHEMA,

@@ -361,7 +361,11 @@ def suite_classifier(seed: int = DEFAULT_SEED) -> SuiteResult:
         anomalies = classifier.validate_against_closed_form(lam3, rng)
         if anomalies:
             residuals.append(1.0)
-            details.append(f"newton anomaly at lam3={lam3}")
+            first = ", ".join(f"{v:.12g}" for v in anomalies[0])
+            details.append(
+                f"newton anomaly at lam3={lam3}: {len(anomalies)} unexplained "
+                f"root(s), first (l1, l2, b1^2, b2^2) = ({first})"
+            )
     detail = "; ".join(details) if details else "branches, exclusions and root validation"
     return _result("classifier-branches", residuals, 1e-12, detail, started)
 

@@ -7,14 +7,20 @@ this test makes the same installation, so the rename fails here too.
 import importlib
 from pathlib import Path
 
-from chgeo import families, solvable
+import numpy as np
+
+from chgeo import classifier, families, solvable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+def _spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    spans = _spans(monkeypatch)
     tube_spectrum = families.tube_spectrum
     shape_operator = solvable.OrbitModel.shape_operator
     recorder = spans.Recorder()
@@ -32,3 +38,20 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     calls = recorder.ops[0].calls
     assert calls["families.tube_spectrum"] == 1
     assert calls["solvable.shape_operator"] == 1
+
+
+def test_newton_validation_is_one_span_per_lambda3(monkeypatch):
+    # every start runs in one _damped_newton call, so one span per lambda3
+    spans = _spans(monkeypatch)
+    recorder = spans.Recorder()
+    tracer = spans.Tracer(recorder)
+    tracer.install()
+    try:
+        recorder.begin_op(0)
+        classifier.validate_against_closed_form(0.2, np.random.default_rng(1))
+        recorder.end_op()
+    finally:
+        tracer.uninstall()
+    calls = recorder.ops[0].calls
+    assert calls["classifier.validate_against_closed_form"] == 1
+    assert calls["classifier.newton"] == 1

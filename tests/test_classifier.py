@@ -204,6 +204,75 @@ def test_newton_finds_the_branch():
     assert any(np.linalg.norm(r - target) < 1e-7 for r in roots)
 
 
+@pytest.mark.parametrize("lam3", [0.2, -0.3, 0.55])
+def test_exact_jacobian_matches_finite_differences(lam3):
+    F, jacobian = classifier._system(lam3)
+    points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 4))
+    exact = jacobian(points)  # all points stacked in one call
+    for x, J in zip(points, exact):
+        numeric = classifier._numeric_jacobian(F, x)
+        assert np.max(np.abs(J - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+def _newton_batch():
+    """Random starts with three l1 == l2 starts, where the Jacobian is singular."""
+    starts = np.random.default_rng(5).uniform(
+        [-1.5, -1.5, -0.5, -0.5], 1.5, size=(12, 4)
+    )
+    starts[[2, 7, 11], 1] = starts[[2, 7, 11], 0]
+    return starts, np.array([2, 7, 11])
+
+
+def test_damped_newton_batch_equals_rows_run_alone():
+    system = classifier._system(0.2)
+    starts, singular = _newton_batch()
+    assert np.all(np.linalg.det(system[1](starts[singular])) == 0.0)
+    batch = classifier._damped_newton(system, starts)
+    for i, x0 in enumerate(starts):
+        alone = classifier._damped_newton(system, x0[None])[0]
+        np.testing.assert_array_equal(batch[i], alone)
+    regular = np.setdiff1d(np.arange(len(starts)), singular)
+    assert np.isnan(batch[singular]).all()
+    assert np.isfinite(batch[regular]).all()
+    assert np.all(np.linalg.norm(system[0](batch[regular]), axis=-1) < 1e-10)
+
+
+def test_damped_newton_takes_the_first_acceptable_step_fraction():
+    # on a linear system every fraction is acceptable; the full step
+    # lands on the root at once, where repeated 2^-19 steps would stall
+    target = np.array([0.3, -0.7, 0.25, 0.75])
+    system = (lambda x: x - target, lambda x: np.broadcast_to(np.eye(4), x.shape + (4,)))
+    np.testing.assert_array_equal(
+        classifier._damped_newton(system, np.zeros((2, 4))), [target, target]
+    )
+
+
+def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
+    expected = np.random.default_rng(9)
+    per_attempt = np.array(
+        [
+            [
+                expected.uniform(-1.5, 1.5),
+                expected.uniform(-1.5, 1.5),
+                expected.uniform(-0.5, 1.5),
+                expected.uniform(-0.5, 1.5),
+            ]
+            for _ in range(20)
+        ]
+    )
+    seen = []
+
+    def record(system, x0):
+        seen.append(np.array(x0))
+        return np.full_like(x0, np.nan)
+
+    monkeypatch.setattr(classifier, "_damped_newton", record)
+    rng = np.random.default_rng(9)
+    assert classifier.newton_roots(0.2, rng) == []
+    np.testing.assert_array_equal(seen[0], per_attempt)
+    assert rng.random() == expected.random()
+
+
 # ---------------------------------------------------------------------------
 # branch profiles
 # ---------------------------------------------------------------------------

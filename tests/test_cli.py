@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chgeo import cli
@@ -225,6 +225,8 @@ def test_sweep_csv():
         ("--lo", "-0.4", "--hi", "0.4", "--step=-0.1"),
         ("--lo", "-0.45", "--hi", "0.45", "--step", "1e-6"),  # 900 001 points
         ("--lo=-1e308", "--hi", "1e308", "--step", "1e308"),  # hi - lo overflows
+        # the rounded count puts the last point at lo + 2 step = inf
+        ("--lo", "2.976931348623157e307", "--hi", "1.7976931348623157e308", "--step", "1e308"),
     ],
 )
 def test_sweep_rejects_empty_or_oversized_grid(bounds):
@@ -349,6 +351,10 @@ def test_focal_image_distance_bound(args, g):
         assert len(json.loads(proc.stdout)["image_spectrum"]) == g
 
 
+def _reject_constant(token):
+    raise AssertionError(f"JSON output contains {token}")
+
+
 def _assert_result_or_usage_error(*args):
     """Exit 0 with a JSON document, or exit 2 with an error line; no warning."""
     with warnings.catch_warnings(record=True) as caught:
@@ -357,7 +363,7 @@ def _assert_result_or_usage_error(*args):
     assert not [str(w.message) for w in caught]
     assert "Traceback" not in proc.stderr
     if proc.returncode == 0:
-        return json.loads(proc.stdout)
+        return json.loads(proc.stdout, parse_constant=_reject_constant)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr
@@ -389,6 +395,57 @@ def test_focal_radius_property(r):
         c_block = np.linalg.eigvals(doc["c_block"])
         carrier = np.linalg.eigvals(doc["carrier_block"])
         assert np.sort_complex(c_block) == pytest.approx(np.sort_complex(carrier), abs=1e-9)
+
+
+@given(lam3=st.floats())
+@example(lam3=5e-324)
+@example(lam3=-0.0)
+@example(lam3=0.49999999999)
+@example(lam3=1.0 / math.sqrt(3.0))
+@example(lam3=1e300)
+@example(lam3=math.nan)
+@settings(max_examples=100, deadline=None)
+def test_classify_lambda3_property(lam3):
+    doc = _assert_result_or_usage_error("classify", f"--lambda3={lam3!r}")
+    if doc is not None:
+        assert ("lambda1" in doc) == (doc["reason"] is None)
+
+
+@st.composite
+def sweep_bounds(draw):
+    """Any three floats, or a grid of at most 40 steps from any lo and step."""
+    lo, step = draw(st.floats()), draw(st.floats())
+    hi = draw(st.floats() | st.integers(0, 40).map(lambda k: lo + k * step))
+    return lo, hi, step
+
+
+def _small_or_rejected(lo, hi, step):
+    """False for a grid of 65 to 10,000 points, which the test does not run."""
+    if not (step > 0 and hi >= lo):
+        return True
+    return not 64 < (hi - lo) / step < 10_000
+
+
+@given(bounds=sweep_bounds())
+@example(bounds=(5e-324, 5e-324, 5e-324))
+@example(bounds=(0.0, 2e-323, 5e-324))
+@example(bounds=(-0.0, -0.0, 0.1))
+@example(bounds=(-0.3, 0.3, -0.0))
+@example(bounds=(0.49999999999, 0.5, 1e-11))
+@example(bounds=(1.0 / math.sqrt(3.0), 0.6, 0.01))
+@example(bounds=(-1e300, 1e300, 1e300))
+@example(bounds=(1e300, 1e300, 1.0))
+@example(bounds=(2.976931348623157e307, 1.7976931348623157e308, 1e308))
+@example(bounds=(math.nan, 0.5, 0.1))
+@example(bounds=(-0.5, math.nan, 0.1))
+@example(bounds=(-0.5, 0.5, math.nan))
+@settings(max_examples=100, deadline=None)
+def test_sweep_grid_property(bounds):
+    lo, hi, step = bounds
+    assume(_small_or_rejected(lo, hi, step))
+    doc = _assert_result_or_usage_error("sweep", f"--lo={lo!r}", f"--hi={hi!r}", f"--step={step!r}")
+    if doc is not None:
+        assert len(doc["outcomes"]) == len(doc["grid"]) <= 65
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chgeo import verification
@@ -39,3 +40,18 @@ def test_seed_reaches_only_suites_that_take_one(monkeypatch):
     verification.run_suite("seeded", seed=11)
     verification.run_suite("fixed", seed=11)
     assert seen == [11, None]
+
+
+def test_newton_anomaly_detail_names_the_root(monkeypatch):
+    root = np.array([0.1, 0.9, 0.25, 0.75])
+
+    def one_root(lam3, rng):
+        return [root] if lam3 == -0.3 else []
+
+    monkeypatch.setattr(verification.classifier, "validate_against_closed_form", one_root)
+    result = verification.suite_classifier()
+    assert not result.passed
+    assert result.detail == (
+        "newton anomaly at lam3=-0.3: 1 unexplained root(s), "
+        "first (l1, l2, b1^2, b2^2) = (0.1, 0.9, 0.25, 0.75)"
+    )
