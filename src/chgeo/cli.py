@@ -28,6 +28,9 @@ __all__ = ["main", "run", "symbol_for"]
 
 SCHEMA = "chgeo/1"
 _MAX_SWEEP_POINTS = 10_000
+# fraction of a step by which the sweep's last point may pass --hi, so that
+# a (hi - lo)/step that rounds to just below an integer keeps its endpoint
+_SWEEP_SLACK = 1e-9
 # catalog(100) takes about 20 s and 200 MB; the dense (2n)^3 tensors grow
 # from there
 _MAX_DIMENSION = 100
@@ -151,7 +154,8 @@ def cmd_sweep(args):
     if args.step <= 0 or args.hi < args.lo:
         raise ValueError("sweep requires --lo <= --hi and --step > 0")
     span = (args.hi - args.lo) / args.step  # inf when hi - lo overflows
-    count = round(span) if math.isfinite(span) else math.inf
+    # the last point is the last one <= --hi, up to the rounding slack
+    count = math.floor(span + _SWEEP_SLACK) if math.isfinite(span) else math.inf
     if count >= _MAX_SWEEP_POINTS:
         raise ValueError(
             f"sweep grid would have {count + 1} points; at most "
@@ -159,7 +163,7 @@ def cmd_sweep(args):
         )
     grid = [args.lo + i * args.step for i in range(count + 1)]
     if not math.isfinite(grid[-1]):
-        # count is rounded, so the last point may pass --hi by half a step
+        # the slack lets the last point pass --hi, and so the largest float
         raise ValueError(f"sweep grid overflows: its last point is {grid[-1]}")
     report = classifier.sweep(grid)
     doc = {
@@ -186,6 +190,8 @@ def cmd_focal(args):
     else:
         if args.lambda3 is None:
             raise ValueError("focal --case ii requires --lambda3")
+        if args.k is not None:
+            raise ValueError("focal --k sets the carrier multiplicity of --case i only")
         outcome = classifier.solve_case_two(args.lambda3)
         if outcome.branch is None:
             return (

@@ -135,11 +135,15 @@ class GeodesicNormalFrame:
         return self.J @ self.xi
 
     def decompose(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        coeffs = self.basis @ v
-        if np.linalg.norm(v - coeffs @ self.basis) > 1e-10:
+        """Basis-row coefficients, shape (..., m), of tangent vectors v of shape (..., d).
+
+        Raises if any row of v leaves the span of the basis by more than 1e-10.
+        """
+        v = np.asarray(v, dtype=float)[..., None, :]
+        coeffs = v @ self.basis.T
+        if not np.all(np.linalg.norm(v - coeffs @ self.basis, axis=-1) <= 1e-10):
             raise ValueError("vector is not tangent to the hypersurface frame")
-        return coeffs
+        return coeffs[..., 0, :]
 
 
 def normal_frame(profile: PrincipalProfile):
@@ -198,8 +202,15 @@ _VALUE_AND_DERIVATIVE = (
 )
 
 
-def _field_columns(frame: GeodesicNormalFrame, t: float):
-    """Values and derivatives at t of the basis-row fields; row i is column i of phi."""
+def _field_columns(frame: GeodesicNormalFrame, t):
+    """Values and derivatives at t of the basis-row fields; row i is column i of phi.
+
+    For t of shape (...) each has shape (..., m, d).  A scalar t stays a
+    scalar: the transversal map calls this once per distance, and scalar
+    arithmetic is the cheaper path there.
+    """
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
     lams, w = frame.lambdas[:, None], (frame.basis @ frame.jxi)[:, None]
     return tuple(
         f(lams, t) * frame.basis + w * g(lams, t) * frame.jxi
@@ -207,14 +218,16 @@ def _field_columns(frame: GeodesicNormalFrame, t: float):
     )
 
 
-def jacobi_field(frame: GeodesicNormalFrame, v, t: float):
-    """Closed-form field and derivative for an arbitrary tangent vector.
+def jacobi_field(frame: GeodesicNormalFrame, v, t):
+    """Closed-form field and derivative for tangent vectors v at times t.
 
-    Returns parallel-frame coefficient vectors (value, derivative).
+    v has shape (..., d) and t broadcasts against its leading axes (a
+    scalar t serves every row).  Returns parallel-frame coefficient
+    vectors (value, derivative), each of the broadcast shape (..., d).
     """
-    coeffs = frame.decompose(v)[:, None]
+    coeffs = frame.decompose(v)[..., None, :]
     value, deriv = _field_columns(frame, t)
-    return np.sum(coeffs * value, axis=0), np.sum(coeffs * deriv, axis=0)
+    return (coeffs @ value)[..., 0, :], (coeffs @ deriv)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,7 @@ class SolvableAlgebra:
 
     def bracket_of(self, x, y) -> np.ndarray:
         """[x, y] over broadcastable stacks of algebra vectors (..., d)."""
-        x, y = _as_vectors(self, x, y)
-        return np.einsum("...i,...j,ijk->...k", x, y, self.bracket)
+        return _bilinear(self, self.bracket, x, y)
 
 
 def build_algebra(n: int) -> SolvableAlgebra:
@@ -109,19 +108,25 @@ def build_algebra(n: int) -> SolvableAlgebra:
     return SolvableAlgebra(n=n, bracket=bracket, names=names)
 
 
-def _as_vectors(alg: SolvableAlgebra, *vs):
-    """Stacks of algebra vectors along the last axis, checked as tangent vectors."""
+def _bilinear(alg: SolvableAlgebra, T: np.ndarray, x, y) -> np.ndarray:
+    """sum_ij x_i y_j T[i, j, :] over broadcastable stacks (..., d) of tangent vectors.
+
+    Two matrix products: x against T, then y against each resulting d x d
+    matrix.
+    """
     model = CurvatureModel(alg.n)
-    return tuple(model.as_tangents(v) for v in vs)
+    x, y = model.as_tangents(x), model.as_tangents(y)
+    return (y[..., None, :] @ np.tensordot(x, T, 1))[..., 0, :]
 
 
 def levi_civita(alg: SolvableAlgebra, x, y) -> np.ndarray:
     """Covariant derivative D_x y of left-invariant fields at the identity.
 
-    x and y may be broadcastable stacks of vectors along the last axis.
+    x of shape (..., d) and y of shape (..., d) broadcast against each
+    other on their leading axes; the result has the broadcast shape
+    (..., d).
     """
-    x, y = _as_vectors(alg, x, y)
-    return np.einsum("...i,...j,ijk->...k", x, y, alg.gamma)
+    return _bilinear(alg, alg.gamma, x, y)
 
 
 def algebra_curvature(alg: SolvableAlgebra, x, y, z) -> np.ndarray:

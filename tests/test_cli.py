@@ -225,8 +225,9 @@ def test_sweep_csv():
         ("--lo", "-0.4", "--hi", "0.4", "--step=-0.1"),
         ("--lo", "-0.45", "--hi", "0.45", "--step", "1e-6"),  # 900 001 points
         ("--lo=-1e308", "--hi", "1e308", "--step", "1e308"),  # hi - lo overflows
-        # the rounded count puts the last point at lo + 2 step = inf
-        ("--lo", "2.976931348623157e307", "--hi", "1.7976931348623157e308", "--step", "1e308"),
+        # (hi - lo)/step falls within the slack below 1, so the last point,
+        # lo + step, passes --hi = the largest float and overflows
+        ("--lo", "7.9769313534e307", "--hi", "1.7976931348623157e308", "--step", "1e308"),
     ],
 )
 def test_sweep_rejects_empty_or_oversized_grid(bounds):
@@ -234,6 +235,17 @@ def test_sweep_rejects_empty_or_oversized_grid(bounds):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error: sweep" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "hi, grid",
+    [("0.16", [0.0, 0.1]), ("0.3", [0.0, 0.1, 0.2, 0.30000000000000004])],
+)
+def test_sweep_grid_stops_at_hi(hi, grid):
+    # 0.16 used to round up to a third point, 0.2; 0.3 / 0.1 rounds to just below 3
+    proc = run_cli("--format", "json", "sweep", "--lo", "0", "--hi", hi, "--step", "0.1")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["grid"] == grid
 
 
 def test_focal_isolated_report():
@@ -436,6 +448,9 @@ def _small_or_rejected(lo, hi, step):
 @example(bounds=(-1e300, 1e300, 1e300))
 @example(bounds=(1e300, 1e300, 1.0))
 @example(bounds=(2.976931348623157e307, 1.7976931348623157e308, 1e308))
+@example(bounds=(7.9769313534e307, 1.7976931348623157e308, 1e308))
+@example(bounds=(0.0, 0.16, 0.1))
+@example(bounds=(0.0, 0.3, 0.1))
 @example(bounds=(math.nan, 0.5, 0.1))
 @example(bounds=(-0.5, math.nan, 0.1))
 @example(bounds=(-0.5, 0.5, math.nan))
@@ -445,7 +460,62 @@ def test_sweep_grid_property(bounds):
     assume(_small_or_rejected(lo, hi, step))
     doc = _assert_result_or_usage_error("sweep", f"--lo={lo!r}", f"--hi={hi!r}", f"--step={step!r}")
     if doc is not None:
-        assert len(doc["outcomes"]) == len(doc["grid"]) <= 65
+        grid = doc["grid"]
+        assert len(doc["outcomes"]) == len(grid) <= 65
+        # the grid stops at the last point <= hi, up to the rounding slack
+        slack, rounding = cli._SWEEP_SLACK * step, 4.0 * math.ulp(max(abs(lo), abs(hi)))
+        assert grid[-1] - hi <= slack + rounding
+        assert lo + len(grid) * step - hi >= slack - rounding
+
+
+@given(lam3=st.floats())
+@example(lam3=0.0)
+@example(lam3=5e-324)
+@example(lam3=0.49999999999)
+@example(lam3=-0.485)
+@example(lam3=0.55)
+@example(lam3=1e300)
+@example(lam3=math.inf)
+@settings(max_examples=100, deadline=None)
+def test_focal_lambda3_property(lam3):
+    doc = _assert_result_or_usage_error("focal", "--case", "ii", f"--lambda3={lam3!r}")
+    if doc is not None and "result" not in doc:
+        # at the default distance the image is the minimal orbit: three values
+        assert [e["mult"] for e in doc["image_spectrum"]] == [1, 3, 1]
+
+
+# running sizes stay at most 12; larger ones are rejected before anything is built
+DIMENSIONS = st.integers(-5, 12) | st.integers(101, 10**30) | st.integers(-(10**30), -6)
+
+
+@given(case=st.sampled_from(["i", "ii"]), n=DIMENSIONS)
+@example(case="i", n=2)
+@example(case="ii", n=3)
+@example(case="i", n=101)
+@example(case="ii", n=10**30)
+@settings(max_examples=60, deadline=None)
+def test_focal_dimension_property(case, n):
+    lam3 = ("--lambda3", "0.2") if case == "ii" else ()
+    doc = _assert_result_or_usage_error("focal", "--case", case, f"--n={n}", *lam3)
+    assert (doc is not None) == (3 <= n <= 100)
+    if doc is not None:
+        assert doc["n"] == n and len(doc["singular_values"]) == 2 * n - 1
+
+
+@given(case=st.sampled_from(["i", "ii"]), n=st.integers(3, 8), k=DIMENSIONS)
+@example(case="i", n=4, k=3)
+@example(case="i", n=4, k=4)
+@example(case="i", n=3, k=1)
+@example(case="ii", n=3, k=2)
+@example(case="i", n=8, k=10**30)
+@settings(max_examples=60, deadline=None)
+def test_focal_multiplicity_property(case, n, k):
+    lam3 = ("--lambda3", "0.2") if case == "ii" else ()
+    doc = _assert_result_or_usage_error("focal", "--case", case, f"--n={n}", f"--k={k}", *lam3)
+    assert (doc is not None) == (case == "i" and 2 <= k <= n - 1)
+    if doc is not None:
+        # the repeated carrier collapses: m1 - 1 directions in the kernel
+        assert doc["kernel_dim"] == k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +543,44 @@ def test_verify_overtight_tolerance_fails():
     failing = [s for s in doc["suites"] if not s["passed"]]
     assert failing
     assert all(s["max_residual"] > 1e-15 for s in failing)
+
+
+# tolerances that run every suite; any other draw runs one stub suite
+REAL_VERIFY_TOLERANCES = (1e-15, 1e300)
+
+
+def _stub_suite():
+    return cli.verification.SuiteResult(
+        name="stub", passed=True, max_residual=1e-12, tolerance=1e-10, detail="", seconds=0.0
+    )
+
+
+@given(tolerance=st.floats())
+@example(tolerance=1e-15)
+@example(tolerance=1e300)
+@example(tolerance=-0.0)
+@example(tolerance=-5e-324)
+@example(tolerance=math.inf)
+@example(tolerance=math.nan)
+@settings(max_examples=100, deadline=None)
+def test_verify_tolerance_property(tolerance):
+    args = ("--format", "json", "verify", f"--tolerance={tolerance!r}")
+    if tolerance in REAL_VERIFY_TOLERANCES:
+        proc = run_cli(*args)
+    else:
+        with mock.patch.dict(cli.verification._SUITES, {"stub": _stub_suite}, clear=True):
+            proc = run_cli(*args)
+    assert "Traceback" not in proc.stderr
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+        return
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert proc.returncode == (0 if doc["passed"] else 1)
+    for suite in doc["suites"]:
+        assert suite["tolerance"] == tolerance
+        assert suite["passed"] == (suite["max_residual"] <= tolerance)
 
 
 def test_verify_rejects_negative_tolerance():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import classifier, jacobi
+from chgeo import classifier, jacobi, verification
 from chgeo.errors import FocalPointError, ValidationError
 from chgeo.profiles import HopfAttitude, PrincipalProfile
 
@@ -205,6 +205,46 @@ def test_closed_form_matches_numeric_on_random_cases(frame):
         value, deriv = jacobi.jacobi_field(frame, v, t)
         assert np.linalg.norm(z - value) <= 1e-8
         assert np.linalg.norm(zp - deriv) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "t_shape", [(), (4,), (3, 4)], ids=["scalar-t", "broadcast-t", "stacked-t"]
+)
+def test_stacked_jacobi_field_equals_row_calls(frame, t_shape):
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((3, 4, 6))
+    v[..., 0] = 0.0
+    t = rng.uniform(-3.0, 3.0, size=t_shape)
+    value, deriv = jacobi.jacobi_field(frame, v, t)
+    assert value.shape == deriv.shape == (3, 4, 6)
+    t_rows = np.broadcast_to(t, (3, 4))
+    for idx in np.ndindex(3, 4):
+        row_value, row_deriv = jacobi.jacobi_field(frame, v[idx], float(t_rows[idx]))
+        assert np.array_equal(value[idx], row_value)
+        assert np.array_equal(deriv[idx], row_deriv)
+
+
+@pytest.mark.parametrize("bad", [1.0, math.nan], ids=["normal-component", "nan-entry"])
+def test_stacked_jacobi_field_rejects_one_non_tangent_row(frame, bad):
+    v = np.random.default_rng(9).standard_normal((5, 6))
+    v[:, 0] = 0.0
+    jacobi.jacobi_field(frame, v, 1.0)
+    v[3, 0] = bad
+    with pytest.raises(ValueError, match="not tangent"):
+        jacobi.jacobi_field(frame, v, 1.0)
+
+
+def test_per_bit_rk4_sampling_matches_jacobi_numeric(frame):
+    """Each column marched by binary powers equals its own integration."""
+    rng = np.random.default_rng(10)
+    h = 1e-3
+    steps = np.concatenate([[0, 1, 2, 3000, 2047, 2048], rng.integers(0, 3001, size=14)])
+    v0, v0p = rng.standard_normal((2, 6, steps.size))
+    z, zp = verification._rk4_at_steps(v0, v0p, frame.jxi, h, steps)
+    for i, k in enumerate(steps):
+        want_z, want_zp = jacobi.jacobi_numeric(v0[:, i], v0p[:, i], frame.jxi, k * h, h)
+        assert np.max(np.abs(z[:, i] - want_z)) <= 1e-11
+        assert np.max(np.abs(zp[:, i] - want_zp)) <= 1e-11
 
 
 def test_propagator_blocks_reproduce_mode_functions():

@@ -147,6 +147,29 @@ def test_stacked_algebra_curvature_matches_row_by_row(n, rng):
     assert np.all(gap <= 1e-15 * (nx * ny * nz)[:, None])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "x_shape, y_shape",
+    [((), ()), ((5,), (5,)), ((3, 1), (4,))],
+    ids=["vector", "stack", "broadcast"],
+)
+def test_bilinear_maps_match_einsum_reference(n, x_shape, y_shape):
+    alg = solvable.build_algebra(n)
+    rng = np.random.default_rng(12)
+    # unit rows, so an absolute bound is a relative one
+    x, y = (
+        v / np.linalg.norm(v, axis=-1, keepdims=True)
+        for v in (rng.standard_normal((*shape, alg.dim)) for shape in (x_shape, y_shape))
+    )
+    for got, tensor in (
+        (solvable.levi_civita(alg, x, y), alg.gamma),
+        (alg.bracket_of(x, y), alg.bracket),
+    ):
+        want = np.einsum("...i,...j,ijk->...k", x, y, tensor)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

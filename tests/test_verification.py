@@ -55,3 +55,46 @@ def test_newton_anomaly_detail_names_the_root(monkeypatch):
         "newton anomaly at lam3=-0.3: 1 unexplained root(s), "
         "first (l1, l2, b1^2, b2^2) = (0.1, 0.9, 0.25, 0.75)"
     )
+
+
+def _spy(monkeypatch, module, name):
+    """Record the positional arguments of every call to module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_stacked_suite_draws_equal_the_per_case_draws(monkeypatch):
+    """Each seeded suite draws in one call what the per-case loop drew."""
+    seed = 7
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, 3001, size=200)
+    vectors = np.array([rng.standard_normal(6) for _ in range(200)])
+    vectors[:, 0] = 0.0
+    rng = np.random.default_rng(seed)
+    # (lam, w, t) per case; w is drawn between lam and t
+    cases = np.array(
+        [
+            [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)]
+            for _ in range(200)
+        ]
+    )
+
+    fields = _spy(monkeypatch, verification.jacobi, "jacobi_field")
+    coefficients = _spy(monkeypatch, verification.jacobi, "transverse_coefficient")
+    assert verification.suite_jacobi_oracle(seed).passed
+    assert verification.suite_jacobi_field_equation(seed).passed
+
+    (_, v_start, t_start), (_, v_end, t_end) = fields
+    assert np.array_equal(v_start, vectors) and np.array_equal(v_end, vectors)
+    assert t_start == 0.0
+    assert np.array_equal(t_end, steps * 1e-3)
+    ((lam, stencil),) = coefficients
+    assert np.array_equal(lam, cases[:, 0])
+    assert np.array_equal(stencil[1], cases[:, 2])
