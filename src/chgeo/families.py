@@ -31,6 +31,7 @@ from .profiles import HopfAttitude, PrincipalProfile, make_profile, merge_spectr
 from .solvable import (
     OrbitModel,
     RuledModel,
+    SolvableAlgebra,
     build_algebra,
     build_ruled,
     default_ruled_spec,
@@ -49,6 +50,7 @@ __all__ = [
     "three_curvature_families",
     "tube_base",
     "tube_eigenvector_defect",
+    "tube_spectra",
     "tube_spectrum",
     "two_curvature_families",
     "entry_to_dict",
@@ -116,33 +118,27 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     if kind == "Wk":
         if k is None or not 1 <= k <= n - 1:
             raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-        alg = build_algebra(n)
+    elif kind != "horosphere":
+        raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
+    return _orbit_base(build_algebra(n), kind, k)
+
+
+def _orbit_base(alg: SolvableAlgebra, kind: str, k: int | None = None) -> TubeBase:
+    """Base data of the ruled orbit of corank k ("Wk") or the horosphere, in alg."""
+    if kind == "Wk":
         model = build_ruled(alg, default_ruled_spec(alg, k))
         orbit, nu, sphere = model.orbit, model.w_perp[0], model.w_perp[1:]
-    elif kind == "horosphere":
-        orbit = horosphere_model(build_algebra(n))
-        nu, sphere = orbit.normal[0], np.zeros((0, d))
     else:
-        raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
+        orbit = horosphere_model(alg)
+        nu, sphere = orbit.normal[0], np.zeros((0, alg.dim))
     return TubeBase(
         kind=kind,
-        n=n,
+        n=alg.n,
         nu=nu,
         tangent=orbit.tangent,
         shape=orbit.shape_operator(nu),
         sphere=sphere,
     )
-
-
-def _propagate(base: TubeBase, t: float):
-    """Value and derivative matrices of the tube differential at distance t."""
-    model = CurvatureModel(base.n)
-    cos_, sin_, cos_dt, sin_dt = curvature_propagator(model, base.nu, t)
-    val0 = np.vstack([base.tangent, np.zeros_like(base.sphere)]).T
-    der0 = np.vstack([-(base.shape @ base.tangent), base.sphere]).T
-    value = cos_ @ val0 + sin_ @ der0
-    deriv = cos_dt @ val0 + sin_dt @ der0
-    return value, deriv
 
 
 def _orthocomplement(nu: np.ndarray) -> np.ndarray:
@@ -191,25 +187,93 @@ def hopf_residual_matrix(S: np.ndarray, jnu_coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(sj - (jnu_coeffs @ sj) * jnu_coeffs))
 
 
-def _spectrum_from_maps(base: TubeBase, t: float):
-    value, deriv = _propagate(base, t)
-    rows = _orthocomplement(base.nu)
-    v_red = rows @ value
-    svals = np.linalg.svd(v_red, compute_uv=False)
-    if svals.min() < FOCAL_TOL:
-        raise FocalRadiusError(
-            f"tube differential degenerates at distance {t}",
-            kernel_dim=int(np.sum(svals < FOCAL_TOL)),
-            singular_values=np.sort(svals)[::-1],
+def _check_radius(base: TubeBase, r: float) -> None:
+    """Reject a radius the engine cannot resolve, or r <= 0 around a proper tube."""
+    if not (math.isfinite(r) and abs(r) <= MAX_RADIUS):
+        raise ValueError(
+            f"tube radius {r} is out of range: |r| must be finite and at most "
+            f"{MAX_RADIUS:.4f}"
         )
-    S = -(rows @ deriv) @ np.linalg.inv(v_red)
-    asym = float(np.max(np.abs(S - S.T)))
-    if asym > 1e-8:
-        raise AssertionError(f"tube shape operator asymmetric by {asym:.3e}")
-    S = 0.5 * (S + S.T)
-    model = CurvatureModel(base.n)
-    jnu = rows @ (model.J @ base.nu)
-    return make_profile(np.linalg.eigvalsh(S), hopf=_attitude_from_matrix(S, jnu)), S, jnu
+    if 2 * base.n - base.tangent.shape[0] >= 2 and r <= 0:
+        raise ValueError(f"tube radius must be positive, got {r}")
+
+
+def _groups(jobs) -> list[list[list[int]]]:
+    """Job indices by (n, normal direction), each group split in runs of one radius.
+
+    -0.0 and 0.0 share a run: their propagators agree bit for bit.
+    """
+    if len(jobs) == 1:
+        return [[[0]]]
+    groups: dict = {}
+    for i, (base, r) in enumerate(jobs):
+        groups.setdefault((base.n, base.nu.tobytes()), {}).setdefault(r, []).append(i)
+    return [list(runs.values()) for runs in groups.values()]
+
+
+def _reduced_maps(bases, rows, cos_, sin_, cos_dt, sin_dt):
+    """Value and derivative maps, in the rows' frame, of tubes at one radius."""
+    val0 = np.stack([np.vstack([b.tangent, np.zeros_like(b.sphere)]).T for b in bases])
+    der0 = np.stack([np.vstack([-(b.shape @ b.tangent), b.sphere]).T for b in bases])
+    return rows @ (cos_ @ val0 + sin_ @ der0), rows @ (cos_dt @ val0 + sin_dt @ der0)
+
+
+def _tube_shapes(jobs) -> list:
+    """(profile, S, J(normal) coefficients) of each (TubeBase, r) job, in order.
+
+    S is the symmetric shape matrix in the frame of the rows spanning
+    the complement of the normal.
+    """
+    for base, r in jobs:
+        _check_radius(base, r)
+    out = [None] * len(jobs)
+    for runs in _groups(jobs):
+        members = [i for run in runs for i in run]
+        dist = [jobs[i][1] for i in members]
+        base = jobs[members[0]][0]
+        model = CurvatureModel(base.n)
+        rows = _orthocomplement(base.nu)
+        props = curvature_propagator(model, base.nu, np.array([jobs[run[0]][1] for run in runs]))
+        maps = [
+            _reduced_maps([jobs[i][0] for i in run], rows, *(p[j] for p in props))
+            for j, run in enumerate(runs)
+        ]
+        v_red, d_red = (np.concatenate(stack) for stack in zip(*maps))
+        del maps  # copied into the stacks
+        for t, svals in zip(dist, np.linalg.svd(v_red, compute_uv=False)):
+            if svals.min() < FOCAL_TOL:
+                raise FocalRadiusError(
+                    f"tube differential degenerates at distance {t}",
+                    kernel_dim=int(np.sum(svals < FOCAL_TOL)),
+                    singular_values=np.sort(svals)[::-1],
+                )
+        S = -d_red @ np.linalg.inv(v_red)
+        S_T = np.swapaxes(S, -1, -2)
+        for t, asym in zip(dist, np.max(np.abs(S - S_T), axis=(-2, -1))):
+            if asym > 1e-8:
+                raise ValueError(
+                    f"tube shape operator at distance {t} asymmetric by {asym:.3e}"
+                )
+        S = 0.5 * (S + S_T)
+        jnu = rows @ (model.J @ base.nu)
+        for i, S_i, vals in zip(members, S, np.linalg.eigvalsh(S)):
+            out[i] = make_profile(vals, hopf=_attitude_from_matrix(S_i, jnu)), S_i, jnu
+    return out
+
+
+def tube_spectra(jobs) -> list[PrincipalProfile]:
+    """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
+
+    The jobs sharing (n, normal direction) run as one stack: a single
+    ``curvature_propagator`` call over their T distinct radii gives
+    (T, 2n, 2n) solution operators, and their B tubes' value and
+    derivative maps (B, 2n, 2n - 1), shape matrices (B, 2n - 1, 2n - 1)
+    and eigenvalues (B, 2n - 1) are batched.  Every r must be finite
+    with |r| <= MAX_RADIUS.  Proper tubes (bases of codimension >= 2)
+    require r > 0; hypersurface bases accept signed r and describe the
+    equidistant family.  A focal r raises FocalRadiusError.
+    """
+    return [profile for profile, _, _ in _tube_shapes(jobs)]
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:
@@ -224,16 +288,10 @@ def _named_base(base, n: int | None, k: int | None) -> TubeBase:
 def tube_spectrum(base, n: int | None = None, k: int | None = None, r: float = 1.0):
     """Principal-curvature profile of the tube of radius r around a base.
 
-    ``base`` is a TubeBase or one of the kind names.  Proper tubes
-    (bases of codimension >= 2) require r > 0; hypersurface bases accept
-    signed r and describe the equidistant family.
+    ``base`` is a TubeBase or one of the kind names; this is the one-job
+    case of ``tube_spectra``, with its radius rules.
     """
-    base = _named_base(base, n, k)
-    codim = 2 * base.n - base.tangent.shape[0]
-    if codim >= 2 and r <= 0:
-        raise ValueError(f"tube radius must be positive, got {r}")
-    profile, _, _ = _spectrum_from_maps(base, r)
-    return profile
+    return tube_spectra([(_named_base(base, n, k), r)])[0]
 
 
 def tube_eigenvector_defect(base, n: int | None = None, k: int | None = None, r: float = 1.0):
@@ -242,7 +300,7 @@ def tube_eigenvector_defect(base, n: int | None = None, k: int | None = None, r:
     Zero exactly when the translated J-image of the normal is a
     principal direction of the tube.
     """
-    _, S, jnu = _spectrum_from_maps(_named_base(base, n, k), r)
+    [(_, S, jnu)] = _tube_shapes([(_named_base(base, n, k), r)])
     return hopf_residual_matrix(S, jnu)
 
 
@@ -258,8 +316,7 @@ def equidistant_profile(n: int, r: float) -> PrincipalProfile:
     distance r from the hypersurface lands on the minimal orbit; the
     axis curvature is then tanh(r/2)/2.
     """
-    profile, _, _ = _spectrum_from_maps(tube_base("Wk", n, 1), -r)
-    return profile
+    return tube_spectra([(tube_base("Wk", n, 1), -r)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,40 +441,41 @@ class CatalogEntry:
         return self.profile.hopf is None
 
 
-def _require_g(entries: list[CatalogEntry], g: int) -> list[CatalogEntry]:
-    """The entries, once each is checked to have g distinct curvatures."""
-    for entry in entries:
-        if entry.g != g:
+def _engine_entries(n: int, rows, g: int) -> list[CatalogEntry]:
+    """Catalog entries from one ``tube_spectra`` pass, each checked to have g curvatures.
+
+    Each row is (family, k, r, (base, distance), classification family,
+    constraint); the distance is the engine's signed radius.
+    """
+    profiles = tube_spectra([job for _, _, _, job, _, _ in rows])
+    entries = []
+    for (family, k, r, _, letter, constraint), profile in zip(rows, profiles):
+        if profile.g != g:
             raise ValueError(
-                f"{entry.family} at r = {entry.r} has g = {entry.g}, not {g}: its "
-                f"principal curvatures merge to {list(entry.profile.entries)}"
+                f"{family} at r = {r} has g = {profile.g}, not {g}: its "
+                f"principal curvatures merge to {list(profile.entries)}"
             )
+        entries.append(CatalogEntry(family, n, k, r, profile, letter, constraint))
     return entries
 
 
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
-    entries = [
-        CatalogEntry("horosphere", n, None, None, tube_spectrum("horosphere", n, r=1.0)),
-        CatalogEntry("geodesic-sphere", n, None, r, tube_spectrum("point", n, r=r)),
-        CatalogEntry(
-            "tube-CHk",
-            n,
-            n - 1,
-            r,
-            tube_spectrum("CHk", n, k=n - 1, r=r),
-            constraint="k = n-1",
-        ),
-        CatalogEntry(
+    horosphere = _orbit_base(build_algebra(n), "horosphere")
+    rows = [
+        ("horosphere", None, None, (horosphere, 1.0), None, None),
+        ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
+        ("tube-CHk", n - 1, r, (tube_base("CHk", n, n - 1), r), None, "k = n-1"),
+        (
             "tube-RHn",
-            n,
             None,
             EXCEPTIONAL_RADIUS,
-            tube_spectrum("RHn", n, r=EXCEPTIONAL_RADIUS),
-            constraint="r = ln(2+sqrt(3))",
+            (tube_base("RHn", n), EXCEPTIONAL_RADIUS),
+            None,
+            "r = ln(2+sqrt(3))",
         ),
     ]
-    return _require_g(entries, 2)
+    return _engine_entries(n, rows, 2)
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -430,57 +488,31 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
         raise OpenCaseError(
             "the three-curvature classification is open in complex dimension 2"
         )
-    entries: list[CatalogEntry] = []
-    for k in range(1, n - 1):
-        entries.append(
-            CatalogEntry(
-                "tube-CHk",
-                n,
-                k,
-                r,
-                tube_spectrum("CHk", n, k=k, r=r),
-                classification_family="a",
-                constraint="k <= n-2, any r > 0",
-            )
+    alg = build_algebra(n)
+    ruled, *ruled_k = [_orbit_base(alg, "Wk", k) for k in range(1, n)]
+    del alg  # no base refers to it: free its d^3 tensors before the engine pass
+    rows = [
+        ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
+        for k in range(1, n - 1)
+    ]
+    rows += [
+        ("tube-RHn", None, r, (tube_base("RHn", n), r), "b", "r != ln(2+sqrt(3))"),
+        # the ruled orbit is its own equidistant at distance zero
+        ("ruled-W", 1, 0.0, (ruled, -0.0), "c", None),
+        ("equidistant-W", 1, r, (ruled, -r), "c", "any r != 0"),
+    ]
+    rows += [
+        (
+            "tube-Wk",
+            k,
+            EXCEPTIONAL_RADIUS,
+            (base, EXCEPTIONAL_RADIUS),
+            "d",
+            "r = ln(2+sqrt(3)), 2 <= k <= n-1",
         )
-    entries.append(
-        CatalogEntry(
-            "tube-RHn",
-            n,
-            None,
-            r,
-            tube_spectrum("RHn", n, r=r),
-            classification_family="b",
-            constraint="r != ln(2+sqrt(3))",
-        )
-    )
-    entries.append(
-        CatalogEntry("ruled-W", n, 1, 0.0, ruled_profile(n), classification_family="c")
-    )
-    entries.append(
-        CatalogEntry(
-            "equidistant-W",
-            n,
-            1,
-            r,
-            equidistant_profile(n, r),
-            classification_family="c",
-            constraint="any r != 0",
-        )
-    )
-    for k in range(2, n):
-        entries.append(
-            CatalogEntry(
-                "tube-Wk",
-                n,
-                k,
-                EXCEPTIONAL_RADIUS,
-                tube_spectrum("Wk", n, k=k, r=EXCEPTIONAL_RADIUS),
-                classification_family="d",
-                constraint="r = ln(2+sqrt(3)), 2 <= k <= n-1",
-            )
-        )
-    return _require_g(entries, 3)
+        for k, base in enumerate(ruled_k, start=2)
+    ]
+    return _engine_entries(n, rows, 3)
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:

@@ -279,27 +279,30 @@ def jacobi_numeric(v0, v0_prime, jc, t: float, step: float):
     return _rk4_segment(z, zp, jc, t / nsteps, nsteps)
 
 
-def curvature_propagator(model: CurvatureModel, direction, t: float):
+def curvature_propagator(model: CurvatureModel, direction, t):
     """Solution operators of the Jacobi equation from the curvature operator.
 
     Directions are classified spectrally: the operator -R(., c)c is
-    diagonalised and cosh/sinh act on its eigenvalues, so no per-family
-    case analysis enters.  Returns (cos, sin, cos_dt, sin_dt) matrices
-    with value = cos @ w(0) + sin @ w'(0).
+    diagonalised once and cosh/sinh act on its eigenvalues, so no
+    per-family case analysis enters.  Returns (cos, sin, cos_dt, sin_dt)
+    with value = cos @ w(0) + sin @ w'(0): d x d matrices for a scalar
+    distance t, stacks of shape (T, d, d) for a 1-D array of T distances.
+    sin_dt equals cos and is returned as the same array.
     """
     K = jacobi_operator(model, direction)
     K = 0.5 * (K + K.T)
     w, V = np.linalg.eigh(K)
     w = np.clip(w, 0.0, None)
     sq = np.sqrt(w)
+    # rows of distances against the eigenvalue axis; a scalar gives one row
+    t = np.asarray(t, dtype=float)[..., None]
     ch = np.cosh(sq * t)
     small = sq < 1e-12
     sh_over = np.where(small, t, np.sinh(sq * t) / np.where(small, 1.0, sq))
-    cos_ = (V * ch) @ V.T
-    sin_ = (V * sh_over) @ V.T
-    cos_dt = (V * (sq * np.sinh(sq * t))) @ V.T
-    sin_dt = (V * ch) @ V.T
-    return cos_, sin_, cos_dt, sin_dt
+    cos_ = (V * ch[..., None, :]) @ V.T
+    sin_ = (V * sh_over[..., None, :]) @ V.T
+    cos_dt = (V * (sq * np.sinh(sq * t))[..., None, :]) @ V.T
+    return cos_, sin_, cos_dt, cos_
 
 
 # ---------------------------------------------------------------------------

@@ -383,27 +383,23 @@ def suite_catalog_counts() -> SuiteResult:
     started = time.perf_counter()
     failures = []
     n = 3
+    wk = families.tube_base("Wk", n, 2)
+    rhn = families.tube_base("RHn", n)
+    point = families.tube_base("point", n)
     checks = [
-        ("tube-Wk r=1", families.tube_spectrum("Wk", n, k=2, r=1.0).g, 4),
-        (
-            "tube-Wk exceptional",
-            families.tube_spectrum("Wk", n, k=2, r=jacobi.EXCEPTIONAL_RADIUS).g,
-            3,
-        ),
-        (
-            "tube-RHn exceptional",
-            families.tube_spectrum("RHn", n, r=jacobi.EXCEPTIONAL_RADIUS).g,
-            2,
-        ),
-        ("tube-RHn r=1", families.tube_spectrum("RHn", n, r=1.0).g, 3),
-        ("tube-RHn r=2", families.tube_spectrum("RHn", n, r=2.0).g, 3),
-        ("horosphere", families.tube_spectrum("horosphere", n, r=1.0).g, 2),
-        ("geodesic sphere r=0.7", families.tube_spectrum("point", n, r=0.7).g, 2),
-        ("geodesic sphere r=2", families.tube_spectrum("point", n, r=2.0).g, 2),
+        ("tube-Wk r=1", (wk, 1.0), 4),
+        ("tube-Wk exceptional", (wk, jacobi.EXCEPTIONAL_RADIUS), 3),
+        ("tube-RHn exceptional", (rhn, jacobi.EXCEPTIONAL_RADIUS), 2),
+        ("tube-RHn r=1", (rhn, 1.0), 3),
+        ("tube-RHn r=2", (rhn, 2.0), 3),
+        ("horosphere", (families.tube_base("horosphere", n), 1.0), 2),
+        ("geodesic sphere r=0.7", (point, 0.7), 2),
+        ("geodesic sphere r=2", (point, 2.0), 2),
     ]
-    for name, got, expected in checks:
-        if got != expected:
-            failures.append(f"{name}: g={got}, expected {expected}")
+    profiles = families.tube_spectra([job for _, job, _ in checks])
+    for (name, _, expected), profile in zip(checks, profiles):
+        if profile.g != expected:
+            failures.append(f"{name}: g={profile.g}, expected {expected}")
     residuals = [1.0] * len(failures)
     detail = "; ".join(failures) if failures else "engine-recomputed eigenvalue counts"
     return _result("catalog-counts", residuals, 0.5, detail, started)

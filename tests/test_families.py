@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
 SQ3 = math.sqrt(3.0)
+REFERENCE = Path(__file__).parent / "data" / "catalog_reference.json"
 
 
 def coth(x):
@@ -126,18 +130,80 @@ def test_unknown_base_rejected():
 
 def test_focal_radius_detected_for_strongly_curved_base():
     """A synthetic base with shape eigenvalue above 1/2 focalises."""
-    e = np.eye(6)
-    shape = np.zeros((5, 5))
-    shape[1, 1] = 0.75  # transverse class collapses at coth(t/2) = 3/2
-    base = families.TubeBase(
-        kind="synthetic", n=3, nu=e[0], tangent=e[1:], shape=shape,
-        sphere=np.zeros((0, 6)),
-    )
-    r_focal = 2.0 * math.atanh(2.0 / 3.0)
+    # the transverse class collapses at coth(t/2) = 3/2
+    base, r_focal = _synthetic_focal_base()
     with pytest.raises(FocalRadiusError):
         families.tube_spectrum(base, r=r_focal)
     profile = families.tube_spectrum(base, r=0.3)
     assert profile.total_dim == 5
+
+
+def _synthetic_focal_base():
+    """A base with shape eigenvalue 3/4 > 1/2, focal at 2 artanh(2/3)."""
+    e = np.eye(6)
+    shape = np.zeros((5, 5))
+    shape[1, 1] = 0.75
+    base = families.TubeBase(
+        kind="synthetic", n=3, nu=e[0], tangent=e[1:], shape=shape,
+        sphere=np.zeros((0, 6)),
+    )
+    return base, 2.0 * math.atanh(2.0 / 3.0)
+
+
+def test_focal_radius_detected_inside_a_group():
+    base, r_focal = _synthetic_focal_base()
+    jobs = [
+        (families.tube_base("point", 3), 0.7),
+        (families.tube_base("CHk", 3, 1), 1.0),
+        (base, r_focal),
+        (families.tube_base("horosphere", 3), 1.0),
+        (families.tube_base("Wk", 3, 2), R_STAR),
+    ]
+    with pytest.raises(FocalRadiusError, match=re.escape(f"distance {r_focal}")):
+        families.tube_spectra(jobs)
+
+
+def test_asymmetric_tube_shape_rejected():
+    base, _ = _synthetic_focal_base()
+    shape = base.shape.copy()
+    shape[1, 2] = 0.3
+    skew = families.TubeBase("synthetic", 3, base.nu, base.tangent, shape, base.sphere)
+    with pytest.raises(ValueError, match="asymmetric"):
+        families.tube_spectrum(skew, r=0.3)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 30.0, 1e6])
+@pytest.mark.parametrize("kind,k", [("point", None), ("CHk", 1), ("RHn", None), ("Wk", 1)])
+def test_tube_radius_out_of_range_rejected(kind, k, r):
+    with pytest.raises(ValueError, match=re.escape(f"tube radius {r} is out of range")):
+        families.tube_spectrum(kind, 3, k=k, r=r)
+
+
+@pytest.mark.parametrize("r", [math.nan, 40.0, -40.0])
+def test_equidistant_radius_out_of_range_rejected(r):
+    with pytest.raises(ValueError, match=re.escape(f"tube radius {-r} is out of range")):
+        families.equidistant_profile(3, r)
+
+
+def _bits(profile):
+    """Every digit of a profile, signed zeros included."""
+    h = profile.hopf
+    return repr((profile.entries, None if h is None else (h.b1, h.b2, h.lam1, h.lam2)))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_tube_spectra_matches_one_tube_at_a_time(n):
+    ruled = families.tube_base("Wk", n, 1)
+    jobs = [(families.tube_base("horosphere", n), 1.0), (ruled, -0.0)]
+    jobs += [(families.tube_base("CHk", n, k), r) for k in range(1, n) for r in (0.7, 2.2)]
+    jobs += [(ruled, r) for r in (0.0, -0.7, 1.3)]
+    jobs += [(families.tube_base("point", n), 0.7), (families.tube_base("RHn", n), R_STAR)]
+    jobs += [(families.tube_base("Wk", n, k), r) for k in range(2, n) for r in (R_STAR, 1.0)]
+    jobs += [(families.tube_base("horosphere", n), -1.5), (families.tube_base("RHn", n), 0.7)]
+    stacked = families.tube_spectra(jobs)
+    assert len(stacked) == len(jobs)
+    for (base, r), profile in zip(jobs, stacked):
+        assert _bits(profile) == _bits(families.tube_spectrum(base, r=r))
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +406,44 @@ def test_entry_serialisation():
     assert rdoc["b"] == pytest.approx(
         [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-12
     )
+
+
+def test_catalog_builds_each_algebra_and_propagator_once(monkeypatch):
+    counts = {"build_algebra": 0, "curvature_propagator": 0}
+
+    def counted(name):
+        fn = getattr(families, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(families, name, counted(name))
+    families.catalog(8, 1.0)
+    assert counts["build_algebra"] <= 2
+    assert counts["curvature_propagator"] <= 10
+
+
+def test_catalog_matches_reference():
+    """Catalog output recorded before the tube engine was stacked.
+
+    Structure is exact; curvatures and weights agree within 1e-12, so
+    the check does not depend on the BLAS build.
+    """
+    for case in json.loads(REFERENCE.read_text()):
+        entries, notes = families.catalog(case["n"], case["r"])
+        assert notes == case["notes"]
+        got = [families.entry_to_dict(e) for e in entries]
+        assert len(got) == len(case["entries"])
+        for doc, want in zip(got, case["entries"]):
+            exact = ("family", "n", "k", "r", "g", "hopf", "classification_family", "constraint")
+            assert {key: doc.get(key) for key in exact} == {key: want.get(key) for key in exact}
+            assert [m for _, m in doc["profile"]] == [m for _, m in want["profile"]]
+            lams = [lam for lam, _ in doc["profile"]]
+            assert lams == pytest.approx([lam for lam, _ in want["profile"]], abs=1e-12)
+            assert (doc["b"] is None) == (want["b"] is None)
+            if want["b"] is not None:
+                assert doc["b"] == pytest.approx(want["b"], abs=1e-12)

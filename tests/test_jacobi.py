@@ -266,6 +266,24 @@ def test_propagator_blocks_reproduce_mode_functions():
     assert np.linalg.norm(out_axis - axis * jn) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_propagator_radius_axis_matches_scalar_calls(n):
+    """A radius array stacks the scalar results bit for bit, signed zeros included."""
+    from chgeo.ambient import CurvatureModel
+
+    model = CurvatureModel(n)
+    radii = [-0.0, 0.0, -1.3, 0.7, jacobi.EXCEPTIONAL_RADIUS]
+    d = 2 * n
+    for nu in np.eye(d)[:3]:
+        stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
+        for j, t in enumerate(radii):
+            single = jacobi.curvature_propagator(model, nu, t)
+            for got, want in zip(stacked, single):
+                assert got.shape == (len(radii), d, d)
+                assert want.shape == (d, d)
+                assert got[j].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # transversal map
 # ---------------------------------------------------------------------------
