@@ -7,10 +7,7 @@ data."""
 
 from .ambient import (
     CurvatureModel,
-    HypersurfacePointData,
-    codazzi_residual,
     curvature,
-    gauss_residual,
     sectional_curvature,
 )
 from .families import (
@@ -69,7 +66,6 @@ __all__ = [
     "FocalPointError",
     "FocalRadiusError",
     "HopfAttitude",
-    "HypersurfacePointData",
     "OpenCaseError",
     "PrincipalProfile",
     "RuledSpec",
@@ -82,11 +78,9 @@ __all__ = [
     "build_algebra",
     "build_ruled",
     "catalog",
-    "codazzi_residual",
     "curvature",
     "default_ruled_spec",
     "equidistant_profile",
-    "gauss_residual",
     "horosphere_model",
     "image_shape_operator",
     "jacobi_field",

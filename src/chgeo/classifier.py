@@ -307,10 +307,6 @@ class SweepReport:
     outcomes: tuple[ClassifyOutcome, ...]
     isolated: SolutionBranch
 
-    @property
-    def branches(self) -> tuple[SolutionBranch, ...]:
-        return tuple(o.branch for o in self.outcomes if o.branch is not None)
-
 
 def sweep(grid) -> SweepReport:
     """Deterministic scan of the parametric branch over a lam3 grid."""

@@ -393,7 +393,32 @@ def structural_residuals(
         res[f"axis_carrier_{i + 1}"] = float(np.linalg.norm(nabla[2, i] - coeff * u[j]))
     res["axis_geodesic"] = float(np.linalg.norm(nabla[2, 2]))
     res["weight_balance"] = residual_hopf_weights(l1, l2, l3, b[0] ** 2, b[1] ** 2)
+    res["eigenpair_bracket"] = _eigenpair_bracket(orbit)
     return res
+
+
+def _eigenpair_bracket(orbit: OrbitModel) -> float:
+    """Worst defect of the same-eigenvalue pairing lemma over an eigenbasis of S.
+
+    For x, y in one principal distribution (eigenvalue lam) and z in
+    another (eigenvalue mu), 4 (mu - lam) <D_x y, z> = <Jy, z><x, J xi>
+    + <Jx, y><z, J xi> + 2 <Jx, z><y, J xi>.
+    """
+    J, xi = orbit.algebra.J, orbit.normal[0]
+    vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
+    e = vecs.T @ orbit.tangent
+    nabla = vecs.T @ np.tensordot(vecs.T, orbit.intrinsic_gamma, 1) @ vecs
+    pair = e @ J.T @ e.T  # pair[x, y] = <Jx, y>
+    jxi = e @ (J @ xi)
+    gap = vals[None, None, :] - vals[:, None, None]
+    rhs = (
+        pair[None, :, :] * jxi[:, None, None]
+        + pair[:, :, None] * jxi[None, None, :]
+        + 2.0 * pair[:, None, :] * jxi[None, :, None]
+    )
+    same = np.abs(vals[:, None] - vals[None, :]) < EIGENSPACE_TOL
+    mask = same[:, :, None] & ~same[:, None, :]
+    return float(np.max(np.abs(4.0 * gap * nabla - rhs)[mask]))
 
 
 def profile_identity_residuals(profile: PrincipalProfile) -> dict[str, float]:

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import CurvatureModel, complex_structure
+from .ambient import CurvatureModel, complex_structure, curvature
 from .errors import ValidationError
 
 __all__ = [
@@ -191,11 +191,11 @@ class OrbitModel:
     ``tangent`` and ``normal`` hold orthonormal rows in algebra
     coordinates.  The second fundamental form is the normal part of the
     ambient Koszul connection restricted to the tangent rows; for a
-    hypersurface orbit the shape operator and connection samples feed
-    the ambient residual evaluators.  The closure check, the shape
-    operator and ``intrinsic_gamma`` each contract over all frame pairs
-    at once; with d = 2n the closure check costs O(codim d^3) and a
-    shape operator O(d^3).
+    hypersurface orbit ``compatibility_defects`` checks the Gauss and
+    Codazzi equations over the whole frame.  The closure check, the
+    shape operator and ``intrinsic_gamma`` each contract over all frame
+    pairs at once; with d = 2n the closure check costs O(codim d^3) and
+    a shape operator O(d^3).
     """
 
     algebra: SolvableAlgebra
@@ -239,20 +239,31 @@ class OrbitModel:
         t = self.tangent
         return t @ np.tensordot(t, self.algebra.gamma, axes=1) @ t.T
 
-    def hypersurface_data(self):
-        """Package codimension-one orbits for the ambient residual evaluators."""
-        from .ambient import HypersurfacePointData
+    def compatibility_defects(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss and Codazzi defects over every tuple of tangent frame rows.
 
+        Returns ``(gauss, codazzi)`` of shapes (m, m, m, m) and (m, m, m),
+        m = 2n - 1: gauss[a, b, c, w] is <R(t_a, t_b) t_c, t_w> minus the
+        induced curvature plus S_bc S_aw - S_ac S_bw, and codazzi[a, b, c]
+        is <R(t_a, t_b) t_c, xi> minus <(D_a S) t_b - (D_b S) t_a, t_c>,
+        with the shape operator S constant in the frame.  Both vanish on a
+        hypersurface orbit; other codimensions raise ``ValidationError``.
+        """
         if self.codim != 1:
-            raise ValidationError("hypersurface data requires a codimension-one orbit")
-        xi = self.normal[0]
-        return HypersurfacePointData(
-            model=CurvatureModel(self.algebra.n),
-            unit_normal=xi,
-            tangent_basis=self.tangent,
-            shape_matrix=self.shape_operator(xi),
-            connection=self.intrinsic_gamma,
-        )
+            raise ValidationError("compatibility defects require a codimension-one orbit")
+        t, xi = self.tangent, self.normal[0]
+        G, S = self.intrinsic_gamma, self.shape_operator(xi)
+        model = CurvatureModel(self.algebra.n)
+        amb = curvature(model, t[:, None, None], t[None, :, None], t[None, None, :])
+        # R(a, b)c = D_a D_b c - D_b D_a c - D_[a, b] c over constant frame fields
+        first = np.einsum("bcp,apw->abcw", G, G)
+        d_bracket = np.einsum("abp,pcw->abcw", G - G.swapaxes(0, 1), G)
+        intrinsic = first - first.swapaxes(0, 1) - d_bracket
+        SS = np.einsum("bc,aw->abcw", S, S)
+        gauss = amb @ t.T - intrinsic + SS - SS.swapaxes(0, 1)
+        # (D_a S) t_b = D_a (S t_b) - S D_a t_b
+        dS = np.einsum("pb,apc->abc", S, G) - G @ S
+        return gauss, amb @ xi - (dS - dS.swapaxes(0, 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -363,19 +363,37 @@ def suite_classifier(seed: int = DEFAULT_SEED) -> SuiteResult:
 
 
 def suite_structural_residuals() -> SuiteResult:
-    """Connection identities on the ruled hypersurface orbit, n in {3, 4}."""
+    """Connection identities, pairing lemma, Gauss and Codazzi, n in {3, 4}.
+
+    The connection identities and the pairing lemma hold on the ruled
+    hypersurface orbit; Gauss and Codazzi are checked over the whole
+    frame of that orbit and of the horosphere.  A failing report names
+    the worst identity, its orbit and n.
+    """
     started = time.perf_counter()
-    residuals = []
+    labelled = []
     for n in (3, 4):
-        res = families.structural_residuals(n)
-        residuals.extend(res.values())
-    return _result(
+        alg = solvable.build_algebra(n)
+        ruled = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+        res = families.structural_residuals(n, model=ruled)
+        labelled += [(value, name, "ruled", n) for name, value in res.items()]
+        orbits = (("ruled", ruled.orbit), ("horosphere", solvable.horosphere_model(alg)))
+        for orbit_name, orbit in orbits:
+            gauss, codazzi = orbit.compatibility_defects()
+            labelled.append((float(np.max(np.abs(gauss))), "gauss", orbit_name, n))
+            labelled.append((float(np.max(np.abs(codazzi))), "codazzi", orbit_name, n))
+    result = _result(
         "structural-residuals",
-        residuals,
+        [value for value, *_ in labelled],
         1e-10,
-        "carrier/axis connection identities on the minimal orbit",
+        "carrier/axis connection identities and pairing lemma on the minimal orbit; "
+        "Gauss and Codazzi over the ruled and horosphere frames",
         started,
     )
+    if result.passed:
+        return result
+    value, name, orbit_name, n = max(labelled, key=lambda item: item[0])
+    return replace(result, detail=f"worst: {name} on the {orbit_name} orbit, n={n} ({value:.3e})")
 
 
 def suite_catalog_counts() -> SuiteResult:
@@ -410,10 +428,13 @@ def suite_cross_consistency() -> SuiteResult:
     started = time.perf_counter()
     residuals = []
     n = 3
-    for r in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+    radii = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+    # equidistants at signed distance r sit at engine distance -r from the ruled orbit
+    ruled = families.tube_base("Wk", n, 1)
+    profiles = families.tube_spectra([(ruled, -r) for r in radii])
+    for r, profile in zip(radii, profiles):
         lam3 = math.tanh(r / 2.0) / 2.0
         branch = classifier.solve_case_two(lam3).branch
-        profile = families.equidistant_profile(n, r)
         closed = sorted(
             [
                 (branch.lambda1, 1),

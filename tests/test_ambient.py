@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import ambient
-from chgeo.errors import DegeneratePlaneError, UnsupportedModelError
-from chgeo.solvable import build_algebra, build_ruled, default_ruled_spec, horosphere_model
+from chgeo import ambient, families
+from chgeo.errors import DegeneratePlaneError
+from chgeo.solvable import (
+    OrbitModel,
+    build_algebra,
+    build_ruled,
+    default_ruled_spec,
+    horosphere_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +24,23 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def random_tangent(model: ambient.CurvatureModel, rng: np.random.Generator):
+    v = rng.standard_normal(model.dim)
+    return v / np.linalg.norm(v)
+
+
+def random_totally_real_pair(model: ambient.CurvatureModel, rng: np.random.Generator):
+    """Orthonormal pair x, y with <Jx, y> = 0 (a totally real 2-plane)."""
+    x = random_tangent(model, rng)
+    jx = model.J @ x
+    while True:
+        y = rng.standard_normal(model.dim)
+        y -= (y @ x) * x + (y @ jx) * jx
+        norm = np.linalg.norm(y)
+        if norm > 1e-6:
+            return x, y / norm
+
+
 # ---------------------------------------------------------------------------
 # curvature tensor values
 # ---------------------------------------------------------------------------
@@ -26,7 +49,7 @@ def rng():
 def test_holomorphic_plane_curvature(model, rng):
     """K(X, JX) = -1 on any J-plane."""
     for _ in range(10):
-        x = ambient.random_tangent(model, rng)
+        x = random_tangent(model, rng)
         assert ambient.sectional_curvature(model, x, model.J @ x) == pytest.approx(
             -1.0, abs=1e-13
         )
@@ -34,7 +57,7 @@ def test_holomorphic_plane_curvature(model, rng):
 
 def test_totally_real_plane_curvature(model, rng):
     for _ in range(10):
-        x, y = ambient.random_totally_real_pair(model, rng)
+        x, y = random_totally_real_pair(model, rng)
         assert ambient.sectional_curvature(model, x, y) == pytest.approx(
             -0.25, abs=1e-13
         )
@@ -42,7 +65,7 @@ def test_totally_real_plane_curvature(model, rng):
 
 def test_rotated_plane_reduces_to_totally_real(model, rng):
     """Plane (X, cos t JX + sin t Y) at t = pi/2 is the totally real one."""
-    x, y = ambient.random_totally_real_pair(model, rng)
+    x, y = random_totally_real_pair(model, rng)
     theta = np.pi / 2.0
     mixed = np.cos(theta) * (model.J @ x) + np.sin(theta) * y
     assert ambient.sectional_curvature(model, x, mixed) == pytest.approx(
@@ -51,8 +74,8 @@ def test_rotated_plane_reduces_to_totally_real(model, rng):
 
 
 def test_antisymmetry_in_first_arguments(model, rng):
-    x = ambient.random_tangent(model, rng)
-    z = ambient.random_tangent(model, rng)
+    x = random_tangent(model, rng)
+    z = random_tangent(model, rng)
     assert np.linalg.norm(ambient.curvature(model, x, x, z)) <= 1e-15
 
 
@@ -61,7 +84,7 @@ def test_antisymmetry_in_first_arguments(model, rng):
 def test_pair_symmetry(seed):
     model = ambient.CurvatureModel(3)
     gen = np.random.default_rng(seed)
-    x, y, z, w = (ambient.random_tangent(model, gen) for _ in range(4))
+    x, y, z, w = (random_tangent(model, gen) for _ in range(4))
     lhs = ambient.curvature_component(model, x, y, z, w)
     rhs = ambient.curvature_component(model, z, w, x, y)
     assert abs(lhs - rhs) <= 1e-12
@@ -72,7 +95,7 @@ def test_pair_symmetry(seed):
 def test_first_bianchi_identity(seed):
     model = ambient.CurvatureModel(2)
     gen = np.random.default_rng(seed)
-    x, y, z = (ambient.random_tangent(model, gen) for _ in range(3))
+    x, y, z = (random_tangent(model, gen) for _ in range(3))
     total = (
         ambient.curvature(model, x, y, z)
         + ambient.curvature(model, y, z, x)
@@ -86,7 +109,7 @@ def test_first_bianchi_identity(seed):
 def test_complex_structure_invariance(seed):
     model = ambient.CurvatureModel(3)
     gen = np.random.default_rng(seed)
-    x, y, z = (ambient.random_tangent(model, gen) for _ in range(3))
+    x, y, z = (random_tangent(model, gen) for _ in range(3))
     lhs = ambient.curvature(model, model.J @ x, model.J @ y, z)
     rhs = ambient.curvature(model, x, y, z)
     assert np.linalg.norm(lhs - rhs) <= 1e-12
@@ -94,15 +117,15 @@ def test_complex_structure_invariance(seed):
 
 def test_sectional_curvature_pinching(model, rng):
     for _ in range(1000):
-        x = ambient.random_tangent(model, rng)
-        y = ambient.random_tangent(model, rng)
+        x = random_tangent(model, rng)
+        y = random_tangent(model, rng)
         kappa = ambient.sectional_curvature(model, x, y)
         assert -1.0 - 1e-12 <= kappa <= -0.25 + 1e-12
 
 
 def test_complex_structure_is_isometric_involution(model, rng):
-    x = ambient.random_tangent(model, rng)
-    y = ambient.random_tangent(model, rng)
+    x = random_tangent(model, rng)
+    y = random_tangent(model, rng)
     assert abs((model.J @ x) @ (model.J @ y) - x @ y) <= 1e-14
     assert np.linalg.norm(model.J @ (model.J @ x) + x) <= 1e-14
 
@@ -121,7 +144,7 @@ def test_degenerate_plane_rejected(model):
 
 def test_jacobi_operator_columns_are_curvature_values():
     model = ambient.CurvatureModel(4)
-    c = ambient.random_tangent(model, np.random.default_rng(5))
+    c = random_tangent(model, np.random.default_rng(5))
     K = ambient.jacobi_operator(model, c)
     ref = np.column_stack([-ambient.curvature(model, e, c, c) for e in np.eye(8)])
     assert np.max(np.abs(K - ref)) <= 1e-15
@@ -145,7 +168,7 @@ def test_single_vector_entry_points_reject_stacks(model):
     with pytest.raises(ValueError, match=r"got shape \(6, 6\)"):
         ambient.jacobi_operator(model, stack)
     with pytest.raises(ValueError, match=r"got shape \(6, 6\)"):
-        model.inner(stack, stack)
+        model.as_tangent(stack)
 
 
 def test_stacked_curvature_matches_row_by_row(model, rng):
@@ -178,118 +201,75 @@ def test_stacked_curvature_rejects_bad_rows(model, bad, message):
 
 
 # ---------------------------------------------------------------------------
-# compatibility-equation residuals on homogeneous models
+# compatibility equations on homogeneous models, read along random vectors
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def ruled_data():
     alg = build_algebra(3)
-    return build_ruled(alg, default_ruled_spec(alg, 1)).orbit.hypersurface_data()
+    return build_ruled(alg, default_ruled_spec(alg, 1)).orbit
 
 
 @pytest.fixture(scope="module")
 def horosphere_data():
-    return horosphere_model(build_algebra(3)).hypersurface_data()
-
-
-def _random_tangent_of(data, gen):
-    coeffs = gen.standard_normal(data.tangent_dim)
-    return data.from_frame(coeffs)
+    return horosphere_model(build_algebra(3))
 
 
 @pytest.mark.parametrize("fixture", ["ruled_data", "horosphere_data"])
 def test_gauss_residual_on_orbit_models(fixture, request, rng):
-    data = request.getfixturevalue(fixture)
-    for _ in range(25):
-        x, y, z, w = (_random_tangent_of(data, rng) for _ in range(4))
-        assert ambient.gauss_residual(data, x, y, z, w) <= 1e-10
+    orbit = request.getfixturevalue(fixture)
+    gauss, _ = orbit.compatibility_defects()
+    # frame coefficients of four random tangent vectors per row; each row
+    # reads the Gauss equation along them
+    x, y, z, w = rng.standard_normal((4, 25, orbit.dim))
+    values = np.einsum("abcw,ka,kb,kc,kw->k", gauss, x, y, z, w)
+    assert np.max(np.abs(values)) <= 1e-10
 
 
 def test_gauss_residual_vanishes_for_repeated_argument(ruled_data, rng):
-    x = _random_tangent_of(ruled_data, rng)
-    z = _random_tangent_of(ruled_data, rng)
-    w = _random_tangent_of(ruled_data, rng)
-    assert ambient.gauss_residual(ruled_data, x, x, z, w) <= 1e-14
+    gauss, _ = ruled_data.compatibility_defects()
+    x, z, w = rng.standard_normal((3, ruled_data.dim))
+    assert abs(np.einsum("abcw,a,b,c,w->", gauss, x, x, z, w)) <= 1e-14
+    # the whole tensor is skew in its first pair
+    assert np.max(np.abs(gauss + gauss.swapaxes(0, 1))) <= 1e-15
 
 
 @pytest.mark.parametrize("fixture", ["ruled_data", "horosphere_data"])
 def test_codazzi_residual_on_orbit_models(fixture, request, rng):
-    data = request.getfixturevalue(fixture)
-    for _ in range(25):
-        x, y, z = (_random_tangent_of(data, rng) for _ in range(3))
-        assert ambient.codazzi_residual(data, x, y, z) <= 1e-10
+    orbit = request.getfixturevalue(fixture)
+    _, codazzi = orbit.compatibility_defects()
+    x, y, z = rng.standard_normal((3, 25, orbit.dim))
+    values = np.einsum("abc,ka,kb,kc->k", codazzi, x, y, z)
+    assert np.max(np.abs(values)) <= 1e-10
 
 
 def test_codazzi_residual_vanishes_for_repeated_argument(ruled_data, rng):
-    x = _random_tangent_of(ruled_data, rng)
-    z = _random_tangent_of(ruled_data, rng)
-    assert ambient.codazzi_residual(ruled_data, x, x, z) <= 1e-14
+    _, codazzi = ruled_data.compatibility_defects()
+    x, z = rng.standard_normal((2, ruled_data.dim))
+    assert abs(np.einsum("abc,a,b,c->", codazzi, x, x, z)) <= 1e-14
+    assert np.max(np.abs(codazzi + codazzi.swapaxes(0, 1))) <= 1e-15
 
 
-def _eigen_fields(data, rng):
-    """Random vectors in each principal distribution, keyed by eigenvalue."""
-    vals, vecs = np.linalg.eigh(data.shape_matrix)
-    spaces = {}
-    for lam in np.unique(np.round(vals, 9)):
-        cols = vecs[:, np.abs(vals - lam) < 1e-9]
-        coeffs = cols @ rng.standard_normal(cols.shape[1])
-        coeffs /= np.linalg.norm(coeffs)
-        spaces[float(lam)] = data.from_frame(coeffs)
-    return spaces
+def test_eigenframe_codazzi_form(ruled_data):
+    """In an eigenbasis of S the normal curvature component is the two-term bracket
 
-
-def test_eigenframe_codazzi_form(ruled_data, rng):
-    """The eigenframe reduction of the normal curvature component holds."""
-    for _ in range(10):
-        spaces = _eigen_fields(ruled_data, rng)
-        lams = sorted(spaces)
-        for li in lams:
-            for lj in lams:
-                for lk in lams:
-                    r = ambient.codazzi_eigenframe_residual(
-                        ruled_data, spaces[li], spaces[lj], spaces[lk], li, lj, lk
-                    )
-                    assert r <= 1e-10
+    <R(x, y)z, xi> = (lam_y - lam_z) <D_x y, z> - (lam_x - lam_z) <D_y x, z>.
+    """
+    model = ambient.CurvatureModel(3)
+    xi = ruled_data.normal[0]
+    vals, vecs = np.linalg.eigh(ruled_data.shape_operator(xi))
+    e = vecs.T @ ruled_data.tangent
+    nabla = vecs.T @ np.tensordot(vecs.T, ruled_data.intrinsic_gamma, 1) @ vecs
+    lhs = ambient.curvature(model, e[:, None, None], e[None, :, None], e[None, None, :]) @ xi
+    gap = vals[None, :, None] - vals[None, None, :]
+    rhs = gap * nabla - gap.swapaxes(0, 1) * nabla.swapaxes(0, 1)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_eigenpair_bracket_form(ruled_data, rng):
-    """The same-eigenvalue pairing identity holds on the minimal orbit."""
-    vals, vecs = np.linalg.eigh(ruled_data.shape_matrix)
-    zero_cols = vecs[:, np.abs(vals) < 1e-9]
-    carrier = {
-        lam: vecs[:, np.abs(vals - lam) < 1e-9][:, 0] for lam in (-0.5, 0.5)
-    }
-    for _ in range(10):
-        x = ruled_data.from_frame(zero_cols @ rng.standard_normal(zero_cols.shape[1]))
-        y = ruled_data.from_frame(zero_cols @ rng.standard_normal(zero_cols.shape[1]))
-        for lam, col in carrier.items():
-            z = ruled_data.from_frame(col)
-            assert ambient.eigenpair_bracket_residual(
-                ruled_data, x, y, z, 0.0, lam
-            ) <= 1e-10
-
-
-def test_missing_connection_samples_rejected(ruled_data):
-    bare = ambient.HypersurfacePointData(
-        model=ruled_data.model,
-        unit_normal=ruled_data.unit_normal,
-        tangent_basis=ruled_data.tangent_basis,
-        shape_matrix=ruled_data.shape_matrix,
-        connection=None,
-    )
-    x = ruled_data.from_frame(np.eye(5)[0])
-    with pytest.raises(UnsupportedModelError):
-        ambient.gauss_residual(bare, x, x, x, x)
-
-
-def test_asymmetric_shape_operator_rejected(ruled_data):
-    bad = np.array(ruled_data.shape_matrix, copy=True)
-    bad[0, 1] += 1e-6
-    with pytest.raises(ValueError):
-        ambient.HypersurfacePointData(
-            model=ruled_data.model,
-            unit_normal=ruled_data.unit_normal,
-            tangent_basis=ruled_data.tangent_basis,
-            shape_matrix=bad,
-        )
+    """The same-eigenvalue pairing identity holds on the minimal orbit, in any frame."""
+    q, _ = np.linalg.qr(rng.standard_normal((ruled_data.dim, ruled_data.dim)))
+    rotated = OrbitModel(ruled_data.algebra, q @ ruled_data.tangent, ruled_data.normal)
+    for orbit in (ruled_data, rotated):
+        assert families.structural_residuals(3, orbit)["eigenpair_bracket"] <= 1e-13

@@ -174,13 +174,13 @@ def test_isolated_branch_residual_system():
 def test_sweep_counts():
     grid = np.arange(-0.4, 0.41, 0.1)
     report = classifier.sweep(grid)
-    assert len(report.branches) == 9
+    assert sum(o.branch is not None for o in report.outcomes) == 9
     assert report.isolated.case == "i"
 
 
 def test_sweep_empty_window():
     report = classifier.sweep([0.55])
-    assert len(report.branches) == 0
+    assert sum(o.branch is not None for o in report.outcomes) == 0
     assert "ellipse" in report.outcomes[0].reason
 
 

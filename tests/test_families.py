@@ -277,6 +277,7 @@ def test_equidistant_profile_identities():
 def test_structural_residuals_on_minimal_orbit(n):
     res = families.structural_residuals(n)
     assert res["axis_geodesic"] <= 1e-12
+    assert res["eigenpair_bracket"] <= 1e-10
     assert max(res.values()) <= 1e-10
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chgeo import ambient, solvable
+from chgeo import ambient, solvable, verification
 from chgeo.errors import ValidationError
 
 
@@ -314,3 +314,69 @@ def test_orbit_arrays_match_per_pair_levi_civita(n, k):
     assert np.max(np.abs(orbit.shape_operator(xi + t[3]) - S_ref)) <= 1e-13
     assert np.max(np.abs(orbit.intrinsic_gamma - amb @ t.T)) <= 1e-13
 
+
+
+# ---------------------------------------------------------------------------
+# Gauss and Codazzi over the whole frame
+# ---------------------------------------------------------------------------
+
+
+def _hypersurface_orbit(n, kind):
+    alg = solvable.build_algebra(n)
+    if kind == "ruled":
+        return solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
+    return solvable.horosphere_model(alg)
+
+
+@pytest.mark.parametrize("kind", ["ruled", "horosphere"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_compatibility_defects_vanish_on_hypersurface_orbits(n, kind):
+    orbit = _hypersurface_orbit(n, kind)
+    gauss, codazzi = orbit.compatibility_defects()
+    m = 2 * n - 1
+    assert gauss.shape == (m, m, m, m) and codazzi.shape == (m, m, m)
+    assert np.max(np.abs(gauss)) == 0.0
+    assert np.max(np.abs(codazzi)) == 0.0
+    # a rotated tangent frame spans the same orbit
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((m, m)))
+    rotated = solvable.OrbitModel(orbit.algebra, q @ orbit.tangent, orbit.normal)
+    gauss, codazzi = rotated.compatibility_defects()
+    assert np.max(np.abs(gauss)) <= 1e-14
+    assert np.max(np.abs(codazzi)) <= 1e-14
+
+
+def test_compatibility_defects_require_a_hypersurface(alg):
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2)).orbit
+    with pytest.raises(ValidationError, match="codimension-one"):
+        orbit.compatibility_defects()
+
+
+def _negated_shape_operator(monkeypatch):
+    shape_operator = solvable.OrbitModel.shape_operator
+    monkeypatch.setattr(
+        solvable.OrbitModel, "shape_operator", lambda self, xi: -shape_operator(self, xi)
+    )
+
+
+def _swapped_intrinsic_gamma(monkeypatch):
+    # a plain property: cached values from other tests stay out of reach
+    gamma = solvable.OrbitModel.intrinsic_gamma.func
+    monkeypatch.setattr(
+        solvable.OrbitModel, "intrinsic_gamma", property(lambda self: gamma(self).swapaxes(0, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, identity",
+    [(_negated_shape_operator, "codazzi"), (_swapped_intrinsic_gamma, "gauss")],
+    ids=["negated-shape-operator", "swapped-intrinsic-gamma"],
+)
+def test_structural_residuals_suite_catches_mutations(monkeypatch, mutate, identity):
+    assert verification.run_suite("structural-residuals").passed
+    mutate(monkeypatch)
+    gauss, codazzi = _hypersurface_orbit(3, "horosphere").compatibility_defects()
+    assert np.max(np.abs({"gauss": gauss, "codazzi": codazzi}[identity])) >= 0.5
+    result = verification.run_suite("structural-residuals")
+    assert not result.passed
+    assert result.detail.startswith("worst: ")
+    assert "orbit, n=" in result.detail
