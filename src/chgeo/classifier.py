@@ -196,6 +196,11 @@ def solve_case_two(lam3: float) -> ClassifyOutcome:
     produces real curvature triples whose weights leave (0, 1), and
     beyond it the conics have no real common point off the coincidence
     locus.
+
+    At lam3 = 0 the four relations hold for every b1^2 + b2^2 = 1, so
+    they do not fix the weights; the b^2 = 1/2 returned there comes from
+    the geometry (the carrier weights of the ruled minimal orbit), not
+    from the system.  ``verification.case_two_grid`` therefore skips 0.
     """
     # every |lam3| >= 1 has no real intersection; lam3**2 overflows for
     # the largest of them

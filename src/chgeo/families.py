@@ -149,14 +149,14 @@ def _orthocomplement(nu: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _carriers(S: np.ndarray, jnu_coeffs: np.ndarray):
+def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
     """Merged spectrum of S and the carriers of J(normal) among its eigenspaces.
 
-    Each carrier is (value, weight, multiplicity, unit direction), the
-    direction in the frame of S; the repeated carrier, if any, is listed
-    first, otherwise they ascend.
+    (vals, vecs) is ``np.linalg.eigh(S)``.  Each carrier is (value,
+    weight, multiplicity, unit direction), the direction in the frame of
+    S; the repeated carrier, if any, is listed first, otherwise they
+    ascend.
     """
-    vals, vecs = np.linalg.eigh(S)
     weights = vecs.T @ jnu_coeffs
     merged = merge_spectrum(vals)
     carriers = []
@@ -173,7 +173,7 @@ def _attitude_from_matrix(S: np.ndarray, jnu_coeffs: np.ndarray):
     """Hopf attitude of a shape matrix, or None when Jnu is an eigenvector."""
     if hopf_residual_matrix(S, jnu_coeffs) <= HOPF_RESIDUAL_TOL:
         return None
-    _, carriers = _carriers(S, jnu_coeffs)
+    _, carriers = _carriers(*np.linalg.eigh(S), jnu_coeffs)
     if len(carriers) != 2:
         return None
     (l1, b1, _, _), (l2, b2, _, _) = carriers
@@ -324,17 +324,18 @@ def equidistant_profile(n: int, r: float) -> PrincipalProfile:
 # ---------------------------------------------------------------------------
 
 
-def _carrier_frame(orbit: OrbitModel):
+def _carrier_frame(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray):
     """Unit carrier fields U1, U2 and the axis field A on a codim-1 orbit.
 
-    U_i are the normalised projections of J(normal) onto the carrier
-    eigenspaces, oriented to positive weights; A is fixed by
-    J A = b2 U1 - b1 U2.  Raises when the J-image sits inside a single
-    eigenspace (a Hopf model has no such frame).
+    (vals, vecs) is the eigendecomposition of the shape operator along
+    the orbit's unit normal.  U_i are the normalised projections of
+    J(normal) onto the carrier eigenspaces, oriented to positive
+    weights; A is fixed by J A = b2 U1 - b1 U2.  Raises when the J-image
+    sits inside a single eigenspace (a Hopf model has no such frame).
     """
     J, t = orbit.algebra.J, orbit.tangent
     xi = orbit.normal[0]
-    merged, carriers = _carriers(orbit.shape_operator(xi), t @ (J @ xi))
+    merged, carriers = _carriers(vals, vecs, t @ (J @ xi))
     if len(carriers) != 2:
         raise UnsupportedModelError(
             "model does not have a two-carrier normal J-image"
@@ -367,7 +368,9 @@ def structural_residuals(
     orbit = model.orbit if isinstance(model, RuledModel) else model
     if orbit.codim != 1:
         raise UnsupportedModelError("structural residuals need a hypersurface orbit")
-    (l1, l2, l3), b, fields = _carrier_frame(orbit)
+    # one decomposition of S serves the carrier frame and the pairing lemma
+    vals, vecs = np.linalg.eigh(orbit.shape_operator(orbit.normal[0]))
+    (l1, l2, l3), b, fields = _carrier_frame(orbit, vals, vecs)
     # frame coordinates of U1, U2, A; nabla[p, q] is the derivative of field q along p
     f = np.array(fields) @ orbit.tangent.T
     nabla = np.einsum("pi,qj,ijk->pqk", f, f, orbit.intrinsic_gamma)
@@ -393,19 +396,18 @@ def structural_residuals(
         res[f"axis_carrier_{i + 1}"] = float(np.linalg.norm(nabla[2, i] - coeff * u[j]))
     res["axis_geodesic"] = float(np.linalg.norm(nabla[2, 2]))
     res["weight_balance"] = residual_hopf_weights(l1, l2, l3, b[0] ** 2, b[1] ** 2)
-    res["eigenpair_bracket"] = _eigenpair_bracket(orbit)
+    res["eigenpair_bracket"] = _eigenpair_bracket(orbit, vals, vecs)
     return res
 
 
-def _eigenpair_bracket(orbit: OrbitModel) -> float:
-    """Worst defect of the same-eigenvalue pairing lemma over an eigenbasis of S.
+def _eigenpair_bracket(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """Worst defect of the same-eigenvalue pairing lemma over the eigenbasis vecs of S.
 
     For x, y in one principal distribution (eigenvalue lam) and z in
     another (eigenvalue mu), 4 (mu - lam) <D_x y, z> = <Jy, z><x, J xi>
     + <Jx, y><z, J xi> + 2 <Jx, z><y, J xi>.
     """
     J, xi = orbit.algebra.J, orbit.normal[0]
-    vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
     e = vecs.T @ orbit.tangent
     nabla = vecs.T @ np.tensordot(vecs.T, orbit.intrinsic_gamma, 1) @ vecs
     pair = e @ J.T @ e.T  # pair[x, y] = <Jx, y>

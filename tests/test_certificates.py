@@ -1,4 +1,5 @@
-"""Exact certificates: the classifier's relations solved symbolically.
+"""Exact certificates: the classifier's relations solved symbolically,
+and the half-angle value at the exceptional radius.
 
 The curvature relations are evaluated on sympy symbols and their float
 coefficients turned back into exact rationals, so the solutions below
@@ -10,7 +11,7 @@ import math
 import pytest
 import sympy as sp
 
-from chgeo import classifier
+from chgeo import classifier, jacobi
 
 L1, L2, L3 = sp.symbols("lambda1 lambda2 lambda3")
 ROOT = sp.sqrt(1 - 3 * L3**2)
@@ -62,3 +63,11 @@ def test_closed_pair_is_the_solved_branch_and_reciprocal_pair_is_rejected(lam3):
     assert l1 == float(lam3) and math.isfinite(l2)
     with pytest.raises(ValueError, match="must be distinct"):
         classifier.closed_form_weights(l1, l2, float(lam3))
+
+
+def test_exceptional_radius_half_angle_is_one_over_sqrt3():
+    # tanh(r/2) = (e^r - 1)/(e^r + 1) = (1 + sqrt 3)/(3 + sqrt 3) at e^r = 2 + sqrt 3
+    r = sp.log(2 + sp.sqrt(3))
+    gap = (sp.tanh(r / 2) - 1 / sp.sqrt(3)).rewrite(sp.exp)
+    assert sp.radsimp(gap) == 0
+    assert float(r) == pytest.approx(jacobi.EXCEPTIONAL_RADIUS, rel=1e-15)

@@ -546,16 +546,15 @@ def test_verify_overtight_tolerance_fails():
 
 
 # tolerances that run every suite; any other draw runs one stub suite
-REAL_VERIFY_TOLERANCES = (1e-15, 1e300)
+REAL_VERIFY_TOLERANCES = (1e-17, 1e-15, 1e300)
 
 
 def _stub_suite():
-    return cli.verification.SuiteResult(
-        name="stub", passed=True, max_residual=1e-12, tolerance=1e-10, detail="", seconds=0.0
-    )
+    return [(1e-12, "stub check")]
 
 
 @given(tolerance=st.floats())
+@example(tolerance=1e-17)
 @example(tolerance=1e-15)
 @example(tolerance=1e300)
 @example(tolerance=-0.0)
@@ -568,7 +567,8 @@ def test_verify_tolerance_property(tolerance):
     if tolerance in REAL_VERIFY_TOLERANCES:
         proc = run_cli(*args)
     else:
-        with mock.patch.dict(cli.verification._SUITES, {"stub": _stub_suite}, clear=True):
+        stub = {"stub": (_stub_suite, 1e-10, "stub coverage")}
+        with mock.patch.dict(cli.verification._SUITES, stub, clear=True):
             proc = run_cli(*args)
     assert "Traceback" not in proc.stderr
     if not (math.isfinite(tolerance) and tolerance >= 0):
@@ -581,6 +581,13 @@ def test_verify_tolerance_property(tolerance):
     for suite in doc["suites"]:
         assert suite["tolerance"] == tolerance
         assert suite["passed"] == (suite["max_residual"] <= tolerance)
+        if not suite["passed"]:
+            # a suite failed by the override names its worst check, not its coverage
+            value = f" ({suite['max_residual']:.3e})"
+            assert suite["detail"].startswith("worst: ") and suite["detail"].endswith(value)
+            assert suite["detail"][len("worst: "):-len(value)].strip()
+    if tolerance == 1e-17:
+        assert not doc["passed"]
 
 
 def test_verify_rejects_negative_tolerance():

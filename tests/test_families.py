@@ -281,11 +281,25 @@ def test_structural_residuals_on_minimal_orbit(n):
     assert max(res.values()) <= 1e-10
 
 
+def test_structural_residuals_decompose_the_shape_operator_once(monkeypatch):
+    calls = []
+    shape_operator = solvable.OrbitModel.shape_operator
+
+    def counted(self, xi):
+        calls.append(xi)
+        return shape_operator(self, xi)
+
+    monkeypatch.setattr(solvable.OrbitModel, "shape_operator", counted)
+    families.structural_residuals(3)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_orbit_and_tube_routes_agree_on_carriers(n):
     alg = solvable.build_algebra(n)
     orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
-    (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit)
+    vals, vecs = np.linalg.eigh(orbit.shape_operator(orbit.normal[0]))
+    (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit, vals, vecs)
     h = families.ruled_profile(n).hopf
     got = np.array([l1, l2, b1, b2])
     assert np.max(np.abs(got - [h.lam1, h.lam2, h.b1, h.b2])) <= 1e-14

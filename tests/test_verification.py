@@ -1,13 +1,13 @@
+import importlib
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chgeo import verification
 
-
-def _fake_result(name):
-    return verification.SuiteResult(
-        name=name, passed=True, max_residual=0.0, tolerance=1.0, detail="", seconds=0.0
-    )
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_seeded_suite_type_error_propagates(monkeypatch):
@@ -17,7 +17,7 @@ def test_seeded_suite_type_error_propagates(monkeypatch):
         calls.append(seed)
         raise TypeError("failure inside the suite")
 
-    monkeypatch.setitem(verification._SUITES, "broken", suite)
+    monkeypatch.setitem(verification._SUITES, "broken", (suite, 1.0, "broken"))
     with pytest.raises(TypeError, match="failure inside the suite"):
         verification.run_suite("broken", seed=5)
     # the suite ran once, with its seed; it was not re-run unseeded
@@ -29,17 +29,47 @@ def test_seed_reaches_only_suites_that_take_one(monkeypatch):
 
     def seeded(seed=verification.DEFAULT_SEED):
         seen.append(seed)
-        return _fake_result("seeded")
+        return [(0.0, "seeded check")]
 
     def fixed():
         seen.append(None)
-        return _fake_result("fixed")
+        return [(0.0, "fixed check")]
 
-    monkeypatch.setitem(verification._SUITES, "seeded", seeded)
-    monkeypatch.setitem(verification._SUITES, "fixed", fixed)
+    monkeypatch.setitem(verification._SUITES, "seeded", (seeded, 1.0, "seeded"))
+    monkeypatch.setitem(verification._SUITES, "fixed", (fixed, 1.0, "fixed"))
     verification.run_suite("seeded", seed=11)
     verification.run_suite("fixed", seed=11)
     assert seen == [11, None]
+
+
+def test_report_names_the_worst_record_only_on_failure(monkeypatch):
+    records = [(1e-12, "small"), (np.array([3e-9, 2e-9]), "large, n=3"), (1e-9, "middle")]
+    monkeypatch.setitem(verification._SUITES, "stub", (lambda: records, 1e-8, "stub coverage"))
+    passing = verification.run_suite("stub")
+    assert (passing.passed, passing.max_residual, passing.tolerance) == (True, 3e-9, 1e-8)
+    assert passing.detail == "stub coverage"
+    failing = verification.run_suite("stub", tolerance=1e-9)
+    assert (failing.passed, failing.max_residual, failing.tolerance) == (False, 3e-9, 1e-9)
+    assert failing.detail == "worst: large, n=3 (3.000e-09)"
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_nan_residual_fails_and_is_named(monkeypatch, nan_first):
+    records = [(np.array([0.0, math.nan]), "undefined check"), (5.0, "large check")]
+    records = records if nan_first else records[::-1]
+    monkeypatch.setitem(verification._SUITES, "stub", (lambda: records, 10.0, "stub coverage"))
+    result = verification.run_suite("stub")
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.detail == "worst: undefined check (nan)"
+
+
+def test_every_suite_is_named_as_the_benchmark_expects(monkeypatch):
+    # perfbench refuses a verify run whose suites differ from its list in
+    # name or order, so renaming a suite starts with a benchmark change
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    oracles = importlib.import_module("oracles")
+    assert tuple(verification.suite_names()) == oracles.SUITES
 
 
 def test_newton_anomaly_detail_names_the_root(monkeypatch):
@@ -49,11 +79,12 @@ def test_newton_anomaly_detail_names_the_root(monkeypatch):
         return [root] if lam3 == -0.3 else []
 
     monkeypatch.setattr(verification.classifier, "validate_against_closed_form", one_root)
-    result = verification.suite_classifier()
+    result = verification.run_suite("classifier-branches")
     assert not result.passed
+    assert result.max_residual == 1.0
     assert result.detail == (
-        "newton anomaly at lam3=-0.3: 1 unexplained root(s), "
-        "first (l1, l2, b1^2, b2^2) = (0.1, 0.9, 0.25, 0.75)"
+        "worst: unexplained newton roots at lam3=-0.3, "
+        "first (l1, l2, b1^2, b2^2) = (0.1, 0.9, 0.25, 0.75) (1.000e+00)"
     )
 
 
@@ -88,8 +119,8 @@ def test_stacked_suite_draws_equal_the_per_case_draws(monkeypatch):
 
     fields = _spy(monkeypatch, verification.jacobi, "jacobi_field")
     coefficients = _spy(monkeypatch, verification.jacobi, "transverse_coefficient")
-    assert verification.suite_jacobi_oracle(seed).passed
-    assert verification.suite_jacobi_field_equation(seed).passed
+    assert verification.run_suite("jacobi-oracle", seed=seed).passed
+    assert verification.run_suite("jacobi-field-equation", seed=seed).passed
 
     (_, v_start, t_start), (_, v_end, t_end) = fields
     assert np.array_equal(v_start, vectors) and np.array_equal(v_end, vectors)
