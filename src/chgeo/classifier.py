@@ -319,42 +319,42 @@ def sweep(grid) -> SweepReport:
     return SweepReport(outcomes=outcomes, isolated=solve_case_one())
 
 
-def _system(lam3: float):
-    """Residuals F and their exact Jacobian, both on stacked points x[..., 4].
+def _residuals(x, lam3):
+    """Residuals F on stacked points x[..., 4]; lam3 broadcasts against x[..., 0]."""
+    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
+    F = np.empty(x.shape)
+    F[..., 0] = _weight_balance(l1, l2, lam3, b1_sq, b2_sq)
+    F[..., 1] = b1_sq + b2_sq - 1.0
+    F[..., 2] = hyperbola_relation(l1, l2, lam3)
+    F[..., 3] = mean_relation(l1, l2, lam3)
+    return F
+
+
+def _jacobian(x, lam3):
+    """Exact Jacobian of ``_residuals``, shape x.shape + (4,).
 
     Only the weight-balance row is non-trivial; the weight-sum row is
     constant and the hyperbola and mean rows are linear in (l1, l2).
     """
+    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
+    g1, g2 = lam3 - l1, lam3 - l2
+    p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
+    J = np.zeros(x.shape + (4,))
+    J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
+    J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
+    J[..., 0, 2] = 3.0 * g2**2
+    J[..., 0, 3] = 3.0 * g1**2
+    J[..., 1, 2:] = 1.0
+    eight_lam3, mean_weight = 8.0 * lam3, 1.0 + 4.0 * lam3**2
+    J[..., 2, 0] = eight_lam3 - 4.0 * l2
+    J[..., 2, 1] = eight_lam3 - 4.0 * l1
+    J[..., 3, 0] = eight_lam3 * l1 - mean_weight
+    J[..., 3, 1] = eight_lam3 * l2 - mean_weight
+    return J
 
-    def F(x):
-        l1, l2, b1_sq, b2_sq = np.moveaxis(x, -1, 0)
-        return np.stack(
-            [
-                _weight_balance(l1, l2, lam3, b1_sq, b2_sq),
-                b1_sq + b2_sq - 1.0,
-                hyperbola_relation(l1, l2, lam3),
-                mean_relation(l1, l2, lam3),
-            ],
-            axis=-1,
-        )
 
-    def jacobian(x):
-        l1, l2, b1_sq, b2_sq = np.moveaxis(x, -1, 0)
-        g1, g2 = lam3 - l1, lam3 - l2
-        p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
-        J = np.zeros(x.shape + (4,))
-        J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
-        J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
-        J[..., 0, 2] = 3.0 * g2**2
-        J[..., 0, 3] = 3.0 * g1**2
-        J[..., 1, 2:] = 1.0
-        J[..., 2, 0] = 8.0 * lam3 - 4.0 * l2
-        J[..., 2, 1] = 8.0 * lam3 - 4.0 * l1
-        J[..., 3, 0] = 8.0 * lam3 * l1 - (1.0 + 4.0 * lam3**2)
-        J[..., 3, 1] = 8.0 * lam3 * l2 - (1.0 + 4.0 * lam3**2)
-        return J
-
-    return F, jacobian
+# the raw residual system as (F, jacobian), both taking (x, lam3)
+_SYSTEM = (_residuals, _jacobian)
 
 
 def _numeric_jacobian(F, x, h=1e-7):
@@ -370,32 +370,41 @@ def _numeric_jacobian(F, x, h=1e-7):
 # backtracking tries the step fractions 1, 1/2, ..., 2^-19 (every halving
 # above 1e-6) and takes the first that cuts the residual norm enough
 _STEP_FRACTIONS = 0.5 ** np.arange(20)
+# the residual-norm factor each fraction must reach, 1 - alpha/4
+_SUFFICIENT_DECREASE = 1.0 - 0.25 * _STEP_FRACTIONS
 
 
-def _damped_newton(system, x0):
+def _norm(f):
+    """Euclidean norm over the last axis, the sum ``np.linalg.norm`` forms."""
+    return np.sqrt(np.add.reduce(f * f, axis=-1))
+
+
+def _damped_newton(system, x0, lam3):
     """Damped Newton from every row of x0 at once; failed rows come back NaN.
 
-    A row fails when its Jacobian is singular, when no step fraction
-    passes ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.
+    ``lam3`` holds the axis curvature of each row, so one call can run
+    starts of several values; each row sees only its own value, and its
+    result does not depend on the other rows.  A row fails when its
+    Jacobian is singular, when no step fraction passes
+    ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.
     """
     F, jacobian = system
     x = np.array(x0, dtype=float)
-    fx = F(x)
-    norm = np.linalg.norm(fx, axis=-1)
+    lam3 = np.asarray(lam3, dtype=float)
+    fx = F(x, lam3)
+    norm = _norm(fx)
     live = np.flatnonzero(~(norm < NEWTON_TOL))
     for _ in range(NEWTON_MAX_ITER):
         if live.size == 0:
             break
-        J = jacobian(x[live])
+        J = jacobian(x[live], lam3[live])
         regular = np.linalg.det(J) != 0.0
         x[live[~regular]] = np.nan
         live = live[regular]
         step = np.linalg.solve(J[regular], -fx[live][..., None])[..., 0]
         trial = x[live, None] + _STEP_FRACTIONS[:, None] * step[:, None]
-        f_trial = F(trial)
-        accept = np.linalg.norm(f_trial, axis=-1) < (
-            (1.0 - 0.25 * _STEP_FRACTIONS) * norm[live, None]
-        )
+        f_trial = F(trial, lam3[live, None])
+        accept = _norm(f_trial) < _SUFFICIENT_DECREASE * norm[live, None]
         found = accept.any(axis=1)
         x[live[~found]] = np.nan
         rows = np.flatnonzero(found)
@@ -403,20 +412,14 @@ def _damped_newton(system, x0):
         live = live[rows]
         x[live] = trial[rows, first]
         fx[live] = f_trial[rows, first]
-        norm[live] = np.linalg.norm(fx[live], axis=-1)
+        norm[live] = _norm(fx[live])
         live = live[~(norm[live] < NEWTON_TOL)]
     x[live[~(norm[live] < 1e-10)]] = np.nan
     return x
 
 
-def newton_roots(lam3: float, rng: np.random.Generator, attempts: int = 20):
-    """Roots of the raw residual system found from random seeds.
-
-    Roots are normalised to l1 <= l2 and de-duplicated; weights are not
-    constrained to (0, 1) here so the exclusion mechanism stays visible.
-    """
-    starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(attempts, 4))
-    x = _damped_newton(_system(lam3), starts)
+def _distinct_roots(x):
+    """The finite rows of x, normalised to l1 <= l2 and de-duplicated."""
     x = x[~np.isnan(x).any(axis=1)]
     swap = x[:, 0] > x[:, 1]
     x[swap] = x[swap][:, [1, 0, 3, 2]]
@@ -427,16 +430,28 @@ def newton_roots(lam3: float, rng: np.random.Generator, attempts: int = 20):
     return roots
 
 
-def validate_against_closed_form(lam3: float, rng: np.random.Generator):
-    """Compare Newton roots with the closed forms; return anomalies.
+def newton_roots(lam3, rng: np.random.Generator, attempts: int = 20):
+    """Roots of the raw residual system found from random seeds.
 
-    A root counts as explained if it matches the parametric branch, is
-    a coincidence point (some curvature equals lam3 or the carriers
-    collide), or reproduces the closed-form weights outside (0, 1).
+    ``lam3`` is one axis curvature or a sequence of them.  Every start of
+    every value runs in one damped-Newton batch, and the starts are drawn
+    in one call, in the order that one call per value would draw them.
+    A float returns its list of roots, a sequence one list per value.
+    Roots are normalised to l1 <= l2 and de-duplicated; weights are not
+    constrained to (0, 1) here so the exclusion mechanism stays visible.
     """
+    values = np.atleast_1d(np.asarray(lam3, dtype=float))
+    starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(values.size * attempts, 4))
+    x = _damped_newton(_SYSTEM, starts, np.repeat(values, attempts))
+    roots = [_distinct_roots(rows) for rows in x.reshape(values.size, attempts, 4)]
+    return roots if np.ndim(lam3) else roots[0]
+
+
+def _unexplained(lam3: float, roots):
+    """The roots at lam3 that the closed forms do not explain."""
     anomalies = []
     outcome = solve_case_two(lam3)
-    for root in newton_roots(lam3, rng):
+    for root in roots:
         l1, l2, b1_sq, b2_sq = root
         if min(abs(l1 - l2), abs(l1 - lam3), abs(l2 - lam3)) < 1e-7:
             continue
@@ -454,3 +469,19 @@ def validate_against_closed_form(lam3: float, rng: np.random.Generator):
                 continue
         anomalies.append(root)
     return anomalies
+
+
+def validate_against_closed_form(lam3, rng: np.random.Generator):
+    """Compare Newton roots with the closed forms; return anomalies.
+
+    ``lam3`` is one axis curvature or a sequence of them, searched in
+    one ``newton_roots`` call; a float returns its list of anomalies, a
+    sequence one list per value.  A root counts as explained if it
+    matches the parametric branch, is a coincidence point (some
+    curvature equals lam3 or the carriers collide), or reproduces the
+    closed-form weights outside (0, 1).
+    """
+    values = np.atleast_1d(np.asarray(lam3, dtype=float))
+    found = newton_roots(values, rng)
+    anomalies = [_unexplained(float(v), roots) for v, roots in zip(values, found)]
+    return anomalies if np.ndim(lam3) else anomalies[0]

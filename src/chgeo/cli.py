@@ -265,6 +265,8 @@ def cmd_verify(args):
             for r in results
         ],
         "passed": all(r.passed for r in results),
+        # wall seconds per suite: the one part of the report that varies between runs
+        "timings": {r.name: r.seconds for r in results},
     }
     return doc, 0 if doc["passed"] else 1
 

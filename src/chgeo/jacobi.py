@@ -54,6 +54,7 @@ __all__ = [
     "transverse_coefficient",
     "transverse_coefficient_dt",
     "transversal_map",
+    "transversal_maps",
 ]
 
 # distance at which tube spectra degenerate: 2 artanh(1/sqrt(3))
@@ -72,25 +73,36 @@ KERNEL_GAP = 0.1
 # ---------------------------------------------------------------------------
 
 
+def _coefficient_pairs(lam, t):
+    """((f, g), (f_dt, g_dt)): the transverse and hopf coefficients at t and their derivatives.
+
+    All four share one cosh(t/2), one sinh(t/2) and their products with lam.
+    """
+    c, s = np.cosh(t / 2.0), np.sinh(t / 2.0)
+    two_lam_s, lam_c = 2.0 * lam * s, lam * c
+    mix = 1.0 + 2.0 * c - two_lam_s
+    return (
+        (c - two_lam_s, (c - 1.0) * mix),
+        (0.5 * s - lam_c, 0.5 * s * mix + (c - 1.0) * (s - lam_c)),
+    )
+
+
 def transverse_coefficient(lam: float, t):
     """Coefficient of the parallel translate for initial vectors off the Jc-line."""
-    return np.cosh(t / 2.0) - 2.0 * lam * np.sinh(t / 2.0)
+    return _coefficient_pairs(lam, t)[0][0]
 
 
 def transverse_coefficient_dt(lam: float, t):
-    return 0.5 * np.sinh(t / 2.0) - lam * np.cosh(t / 2.0)
+    return _coefficient_pairs(lam, t)[1][0]
 
 
 def hopf_coefficient(lam: float, t):
     """Coefficient mixing the initial Jc-projection back onto the Jc-line."""
-    c = np.cosh(t / 2.0)
-    return (c - 1.0) * (1.0 + 2.0 * c - 2.0 * lam * np.sinh(t / 2.0))
+    return _coefficient_pairs(lam, t)[0][1]
 
 
 def hopf_coefficient_dt(lam: float, t):
-    c = np.cosh(t / 2.0)
-    s = np.sinh(t / 2.0)
-    return 0.5 * s * (1.0 + 2.0 * c - 2.0 * lam * s) + (c - 1.0) * (s - lam * c)
+    return _coefficient_pairs(lam, t)[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +207,26 @@ def normal_frame(profile: PrincipalProfile):
     )
 
 
-# (transverse, hopf) coefficient pairs giving the field value and derivative
-_VALUE_AND_DERIVATIVE = (
-    (transverse_coefficient, hopf_coefficient),
-    (transverse_coefficient_dt, hopf_coefficient_dt),
-)
+def _coefficients(lambdas, t):
+    """``_coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at t.
 
-
-def _field_columns(frame: GeodesicNormalFrame, t):
-    """Values and derivatives at t of the basis-row fields; row i is column i of phi.
-
-    For t of shape (...) each has shape (..., m, d).  A scalar t stays a
-    scalar: the transversal map calls this once per distance, and scalar
-    arithmetic is the cheaper path there.
+    t broadcasts against the leading axes of lambdas; each coefficient
+    has shape (..., m, 1).  A scalar t stays a scalar: numpy's scalar
+    arithmetic is the cheaper path for the many one-distance calls.
     """
     if np.ndim(t):
         t = np.asarray(t, dtype=float)[..., None, None]
-    lams, w = frame.lambdas[:, None], (frame.basis @ frame.jxi)[:, None]
-    return tuple(
-        f(lams, t) * frame.basis + w * g(lams, t) * frame.jxi
-        for f, g in _VALUE_AND_DERIVATIVE
-    )
+    return _coefficient_pairs(lambdas[..., None], t)
+
+
+def _field_columns(coefficients, basis, jxi):
+    """Field values and derivatives of the rows of basis, each of shape (..., m, d).
+
+    ``coefficients`` are those of ``_coefficients`` at the curvatures of
+    the rows; row i of each result is column i of phi.
+    """
+    w = (basis @ jxi)[..., None]
+    return tuple(f * basis + w * g * jxi for f, g in coefficients)
 
 
 def jacobi_field(frame: GeodesicNormalFrame, v, t):
@@ -226,7 +237,8 @@ def jacobi_field(frame: GeodesicNormalFrame, v, t):
     vectors (value, derivative), each of the broadcast shape (..., d).
     """
     coeffs = frame.decompose(v)[..., None, :]
-    value, deriv = _field_columns(frame, t)
+    coefficients = _coefficients(frame.lambdas, t)
+    value, deriv = _field_columns(coefficients, frame.basis, frame.jxi)
     return (coeffs @ value)[..., 0, :], (coeffs @ deriv)[..., 0, :]
 
 
@@ -361,66 +373,102 @@ class FocalMapData:
 def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
     """Differential of the map travelling distance r along the normals.
 
-    |r| is at most MAX_RADIUS; further out the carrier blocks, built from
+    The one-job case of ``transversal_maps``, which states the limits on r.
+    """
+    return transversal_maps([(profile, r)])[0]
+
+
+def _check_distance(lam3: float, r: float) -> None:
+    """Reject a distance r that the transversal map cannot resolve at lam3."""
+    if not abs(r) <= MAX_RADIUS:
+        raise ValueError(
+            f"distance {r} is out of range at lam3={lam3}: "
+            f"|r| must be at most {MAX_RADIUS:.4f}"
+        )
+    if not abs(2.0 * lam3) < 1.0:
+        raise ValueError(
+            f"axis curvature {lam3} lies outside (-1/2, 1/2) at distance {r}: "
+            "the hypersurface is no equidistant of the minimal orbit"
+        )
+    image_distance = abs(2.0 * math.atanh(2.0 * lam3) - r)
+    if image_distance > MAX_RADIUS:
+        raise ValueError(
+            f"distance {r} at lam3={lam3} puts the image {image_distance:.4f} from the "
+            f"minimal orbit: at most {MAX_RADIUS:.4f} keeps its curvatures apart"
+        )
+
+
+def transversal_maps(jobs) -> list[FocalMapData]:
+    """``transversal_map`` for every (profile, r) job, computed as one stack.
+
+    Every profile must have the same complex dimension n.  Per job, |r|
+    is at most MAX_RADIUS; further out the carrier blocks, built from
     field values of size e^|r|, lose their digits.  So is the distance
     |2 artanh(2 lam3) - r| of the image from the minimal orbit, where
     lam3 is the axis curvature: further out the image curvatures come
-    closer than the merge gap.
+    closer than the merge gap.  A job that fails a check raises, naming
+    its lam3 and r.  Each job's data equals a call on that job alone.
     """
-    if not abs(r) <= MAX_RADIUS:
-        raise ValueError(
-            f"distance {r} is out of range: |r| must be at most {MAX_RADIUS:.4f}"
+    jobs = list(jobs)
+    frames = []
+    for profile, r in jobs:
+        frames.append(normal_frame(profile))
+        _check_distance(frames[-1].lam3, r)
+    if len({frame.n for frame in frames}) > 1:
+        raise ValidationError(
+            "stacked transversal maps need one complex dimension, got "
+            f"n in {sorted({frame.n for frame in frames})}"
         )
-    frame = normal_frame(profile)
-    if not abs(2.0 * frame.lam3) < 1.0:
-        raise ValueError(
-            f"axis curvature {frame.lam3} lies outside (-1/2, 1/2): "
-            "the hypersurface is no equidistant of the minimal orbit"
-        )
-    image_distance = abs(2.0 * math.atanh(2.0 * frame.lam3) - r)
-    if image_distance > MAX_RADIUS:
-        raise ValueError(
-            f"distance {r} puts the image {image_distance:.4f} from the minimal "
-            f"orbit: at most {MAX_RADIUS:.4f} keeps its curvatures apart"
-        )
-    values, derivs = _field_columns(frame, r)
-    phi, phi_dt = values.T, derivs.T
+    if not jobs:
+        return []
+    radii = np.array([r for _, r in jobs], dtype=float)
+    # one job keeps a scalar distance, the cheaper path in _coefficients
+    coefficients = _coefficients(
+        np.array([frame.lambdas for frame in frames]), radii if len(jobs) > 1 else radii[0]
+    )
+    values, derivs = _field_columns(
+        coefficients, np.array([frame.basis for frame in frames]), frames[0].jxi
+    )
+    phi, phi_dt = values.transpose(0, 2, 1), derivs.transpose(0, 2, 1)
+    # each row of singular values comes back in descending order
     svals = np.linalg.svd(phi, compute_uv=False)
-    kernel_dim = int(np.sum(svals <= KERNEL_TOL))
-    if kernel_dim:
-        nonkernel = svals[svals > KERNEL_TOL]
-        if nonkernel.size and nonkernel.min() < KERNEL_GAP:
+    kernel_dims = np.sum(svals <= KERNEL_TOL, axis=-1).tolist()
+    for i, kernel_dim in enumerate(kernel_dims):
+        # a job with a kernel must keep its other singular values above the gap
+        if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
             raise ValidationError(
-                "singular values fall between the kernel threshold and the "
-                f"gap guard at distance {r}: {svals}"
+                "singular values fall between the kernel threshold and the gap "
+                f"guard at distance {jobs[i][1]}, lam3={frames[i].lam3}: {svals[i]}"
             )
 
-    # the 2x2 action on the projection carriers (rows of phi restricted to them)
-    h = frame.hopf
-    lams, b = np.array([h.lam1, h.lam2]), np.array([h.b1, h.b2])
-    d_block, d_block_dt = (
-        np.diag(f(lams, r)) + np.outer(b, b) * g(lams, r)[:, None]
-        for f, g in _VALUE_AND_DERIVATIVE
-    )
-    det = float(np.linalg.det(d_block))
-    if abs(det) > BLOCK_DET_TOL:
-        c_block = -d_block_dt @ np.linalg.inv(d_block)
-        reason = None
-    else:
-        c_block = None
-        reason = f"det of the carrier block is {det:.3e}"
-    return FocalMapData(
-        r=r,
-        frame=frame,
-        phi=phi,
-        phi_dt=phi_dt,
-        singular_values=np.sort(svals)[::-1],
-        kernel_dim=kernel_dim,
-        d_block=d_block,
-        d_block_dt=d_block_dt,
-        _c_block=c_block,
-        c_reason=reason,
-    )
+    # the 2x2 action on the projection carriers, rows 0 and 1 of the frame:
+    # diag(f) + (b b^T) g on the carrier curvatures (lam1, lam2)
+    b = np.array([(frame.hopf.b1, frame.hopf.b2) for frame in frames])
+    outer = b[:, :, None] * b[:, None, :]
+    d_block, d_block_dt = np.zeros((2, len(jobs), 2, 2))
+    for block, (f, g) in zip((d_block, d_block_dt), coefficients):
+        # entries 0 and 3 of each flattened 2x2 block are its diagonal
+        block.reshape(-1, 4)[:, ::3] = f[:, :2, 0]
+        block += outer * g[:, :2]
+    det = np.linalg.det(d_block)
+    regular = np.abs(det) > BLOCK_DET_TOL
+    # C = -D_dt D^-1 of the regular blocks, in job order
+    c_blocks = iter(-d_block_dt[regular] @ np.linalg.inv(d_block[regular]))
+    return [
+        FocalMapData(
+            r=r,
+            frame=frames[i],
+            phi=phi[i],
+            phi_dt=phi_dt[i],
+            singular_values=svals[i],
+            kernel_dim=kernel_dim,
+            d_block=d_block[i],
+            d_block_dt=d_block_dt[i],
+            _c_block=next(c_blocks) if regular[i] else None,
+            c_reason=None if regular[i] else f"det of the carrier block is {det[i]:.3e}",
+        )
+        for i, ((_, r), kernel_dim) in enumerate(zip(jobs, kernel_dims))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,6 +499,6 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     entries = tuple(merge_spectrum(np.linalg.eigvalsh(S)))
     frame = focal.frame
     carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
-    f3 = float(transverse_coefficient(frame.lam3, focal.r))
-    axis_rate = -float(transverse_coefficient_dt(frame.lam3, focal.r)) / f3
+    (f3, _), (f3_dt, _) = _coefficient_pairs(frame.lam3, focal.r)
+    axis_rate = -float(f3_dt) / float(f3)
     return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=axis_rate)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import classifier
+from chgeo import classifier, verification
 
 SQ3 = math.sqrt(3.0)
 
@@ -206,11 +206,11 @@ def test_newton_finds_the_branch():
 
 @pytest.mark.parametrize("lam3", [0.2, -0.3, 0.55])
 def test_exact_jacobian_matches_finite_differences(lam3):
-    F, jacobian = classifier._system(lam3)
+    F, jacobian = classifier._SYSTEM
     points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 4))
-    exact = jacobian(points)  # all points stacked in one call
+    exact = jacobian(points, lam3)  # all points stacked in one call
     for x, J in zip(points, exact):
-        numeric = classifier._numeric_jacobian(F, x)
+        numeric = classifier._numeric_jacobian(lambda y: F(y, lam3), x)
         assert np.max(np.abs(J - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
 
 
@@ -224,27 +224,34 @@ def _newton_batch():
 
 
 def test_damped_newton_batch_equals_rows_run_alone():
-    system = classifier._system(0.2)
+    F, jacobian = system = classifier._SYSTEM
     starts, singular = _newton_batch()
-    assert np.all(np.linalg.det(system[1](starts[singular])) == 0.0)
-    batch = classifier._damped_newton(system, starts)
+    lam3 = np.full(len(starts), 0.2)
+    assert np.all(np.linalg.det(jacobian(starts[singular], lam3[singular])) == 0.0)
+    batch = classifier._damped_newton(system, starts, lam3)
     for i, x0 in enumerate(starts):
-        alone = classifier._damped_newton(system, x0[None])[0]
+        alone = classifier._damped_newton(system, x0[None], lam3[i : i + 1])[0]
         np.testing.assert_array_equal(batch[i], alone)
     regular = np.setdiff1d(np.arange(len(starts)), singular)
     assert np.isnan(batch[singular]).all()
     assert np.isfinite(batch[regular]).all()
-    assert np.all(np.linalg.norm(system[0](batch[regular]), axis=-1) < 1e-10)
+    assert np.all(np.linalg.norm(F(batch[regular], 0.2), axis=-1) < 1e-10)
 
 
 def test_damped_newton_takes_the_first_acceptable_step_fraction():
     # on a linear system every fraction is acceptable; the full step
     # lands on the root at once, where repeated 2^-19 steps would stall
     target = np.array([0.3, -0.7, 0.25, 0.75])
-    system = (lambda x: x - target, lambda x: np.broadcast_to(np.eye(4), x.shape + (4,)))
-    np.testing.assert_array_equal(
-        classifier._damped_newton(system, np.zeros((2, 4))), [target, target]
+    system = (
+        lambda x, lam3: x - target,
+        lambda x, lam3: np.broadcast_to(np.eye(4), x.shape + (4,)),
     )
+    np.testing.assert_array_equal(
+        classifier._damped_newton(system, np.zeros((2, 4)), np.zeros(2)), [target, target]
+    )
+
+
+SEARCHED = (0.2, -0.3, 0.55)
 
 
 def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
@@ -257,20 +264,65 @@ def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
                 expected.uniform(-0.5, 1.5),
                 expected.uniform(-0.5, 1.5),
             ]
-            for _ in range(20)
+            for _ in range(20 * len(SEARCHED))
         ]
     )
     seen = []
 
-    def record(system, x0):
-        seen.append(np.array(x0))
+    def record(system, x0, lam3):
+        seen.append((np.array(x0), np.array(lam3)))
         return np.full_like(x0, np.nan)
 
     monkeypatch.setattr(classifier, "_damped_newton", record)
     rng = np.random.default_rng(9)
-    assert classifier.newton_roots(0.2, rng) == []
-    np.testing.assert_array_equal(seen[0], per_attempt)
+    assert classifier.newton_roots(SEARCHED, rng) == [[], [], []]
+    ((starts, lam3),) = seen
+    np.testing.assert_array_equal(starts, per_attempt)
+    np.testing.assert_array_equal(lam3, np.repeat(SEARCHED, 20))
     assert rng.random() == expected.random()
+
+
+def test_one_newton_draw_equals_the_per_lambda3_draws(monkeypatch):
+    seen = []
+
+    def record(system, x0, lam3):
+        seen.append(np.array(x0))
+        return np.full_like(x0, np.nan)
+
+    monkeypatch.setattr(classifier, "_damped_newton", record)
+    per_value = np.random.default_rng(4)
+    assert [classifier.newton_roots(lam3, per_value) for lam3 in SEARCHED] == [[], [], []]
+    batched = np.random.default_rng(4)
+    assert classifier.newton_roots(SEARCHED, batched) == [[], [], []]
+    np.testing.assert_array_equal(seen[-1], np.concatenate(seen[:-1]))
+    # the generator ends where the per-value calls left it
+    assert batched.bit_generator.state == per_value.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11, verification.DEFAULT_SEED])
+def test_mixed_lambda3_newton_rows_equal_the_per_lambda3_calls(seed):
+    starts = np.random.default_rng(seed).uniform(
+        [-1.5, -1.5, -0.5, -0.5], 1.5, size=(20 * len(SEARCHED), 4)
+    )
+    mixed = classifier._damped_newton(classifier._SYSTEM, starts, np.repeat(SEARCHED, 20))
+    for k, lam3 in enumerate(SEARCHED):
+        rows = slice(20 * k, 20 * (k + 1))
+        alone = classifier._damped_newton(classifier._SYSTEM, starts[rows], np.full(20, lam3))
+        assert mixed[rows].tobytes() == alone.tobytes()
+    rng = np.random.default_rng(seed)
+    per_value = [classifier.newton_roots(lam3, rng) for lam3 in SEARCHED]
+    batched = classifier.newton_roots(SEARCHED, np.random.default_rng(seed))
+    assert len(batched) == len(per_value)
+    for one, many in zip(per_value, batched):
+        assert len(one) == len(many)
+        for a, b in zip(one, many):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_validation_of_a_sequence_is_one_list_per_lambda3():
+    batched = classifier.validate_against_closed_form(SEARCHED, np.random.default_rng(42))
+    assert batched == [[], [], []]
+    assert classifier.validate_against_closed_form(0.2, np.random.default_rng(42)) == []
 
 
 # ---------------------------------------------------------------------------

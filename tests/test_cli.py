@@ -523,16 +523,57 @@ def test_focal_multiplicity_property(case, n, k):
 # ---------------------------------------------------------------------------
 
 
+def _without_timings(stdout):
+    """The verify JSON without its ``timings``, the part that varies between runs."""
+    doc = json.loads(stdout)
+    timings = doc.pop("timings")
+    assert set(timings) == set(cli.verification.suite_names())
+    assert len(timings) == len(doc["suites"])
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    return cli.render(doc, "json")
+
+
 @pytest.mark.slow
 def test_verify_passes_and_is_deterministic():
     # one run in a fresh interpreter, so determinism holds across processes
     first = run_cli_subprocess("--seed", "7", "--format", "json", "verify")
     second = run_cli("--seed", "7", "--format", "json", "verify")
     assert first.returncode == 0
-    assert first.stdout == second.stdout
+    assert _without_timings(first.stdout) == _without_timings(second.stdout)
     doc = json.loads(first.stdout)
     assert doc["passed"] is True
     assert len(doc["suites"]) >= 9
+
+
+def test_verify_timings_stay_out_of_table_and_csv():
+    stub = {"stub": (_stub_suite, 1e-10, "stub coverage")}
+    with mock.patch.dict(cli.verification._SUITES, stub, clear=True):
+        table = run_cli("verify").stdout
+        csv_text = run_cli("--format", "csv", "verify").stdout
+    assert table.splitlines() == [
+        "[PASS] stub                       max residual 1.000e-12 (tol 1.0e-10) stub coverage",
+        "all suites passed",
+    ]
+    assert csv_text.splitlines() == [
+        "suite,passed,max_residual,tolerance",
+        "stub,True,1e-12,1e-10",
+    ]
+
+
+def test_engine_error_in_a_suite_fails_that_suite_only(monkeypatch):
+    # with the gap guard above every singular value, the collapse suite's
+    # transversal map raises; the other suites still report
+    monkeypatch.setattr(cli.jacobi, "KERNEL_GAP", 10)
+    proc = run_cli("--format", "json", "verify")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert len(doc["suites"]) == 11
+    failing = [s for s in doc["suites"] if not s["passed"]]
+    assert [s["name"] for s in failing] == ["focal-collapse"]
+    assert failing[0]["detail"].startswith(
+        "raised ValidationError: singular values fall between the kernel threshold"
+    )
 
 
 @pytest.mark.slow
@@ -604,7 +645,7 @@ def test_seed_environment_variable():
     with_env = run_cli("--format", "json", "verify", env=env)
     explicit = run_cli("--seed", "1234", "--format", "json", "verify")
     assert json.loads(with_env.stdout)["seed"] == 1234
-    assert with_env.stdout == explicit.stdout
+    assert _without_timings(with_env.stdout) == _without_timings(explicit.stdout)
 
 
 def test_seed_flag_beats_environment_variable():
@@ -630,7 +671,7 @@ def test_global_flags_accepted_after_subcommand():
     before = run_cli("--seed", "7", "--format", "json", "verify")
     after = run_cli("verify", "--seed", "7", "--format", "json")
     assert after.returncode == 0
-    assert after.stdout == before.stdout
+    assert _without_timings(after.stdout) == _without_timings(before.stdout)
 
 
 def test_default_format_is_table():

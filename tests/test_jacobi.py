@@ -352,6 +352,103 @@ def test_transversal_map_shares_the_field_columns(n, lam3):
         assert np.max(np.abs(block - (carriers @ columns[:, :2]).T)) <= 1e-14
 
 
+def _grid_jobs():
+    jobs = []
+    for lam3 in verification.case_two_grid():
+        branch = classifier.solve_case_two(float(lam3)).branch
+        jobs.append((classifier.branch_profile(branch, 3), 2.0 * math.atanh(2.0 * lam3)))
+    return jobs
+
+
+FOCAL_FIELDS = (
+    "r", "phi", "phi_dt", "singular_values", "kernel_dim", "d_block", "d_block_dt", "c_reason"
+)
+
+
+def _assert_same_focal(stacked, alone):
+    for name in FOCAL_FIELDS:
+        got, want = getattr(stacked, name), getattr(alone, name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want and type(got) is type(want), name
+    assert stacked.frame.basis.tobytes() == alone.frame.basis.tobytes()
+    assert stacked.frame.lambdas.tobytes() == alone.frame.lambdas.tobytes()
+    if alone.c_reason is None:
+        assert stacked.c_block.tobytes() == alone.c_block.tobytes()
+
+
+def test_stacked_transversal_maps_equal_the_one_job_calls():
+    jobs = _grid_jobs()
+    stacked = jacobi.transversal_maps(jobs)
+    assert len(stacked) == len(jobs) == 97
+    for focal, (profile, r) in zip(stacked, jobs):
+        _assert_same_focal(focal, jacobi.transversal_map(profile, r))
+
+
+def test_stacked_transversal_maps_keep_kernels_and_singular_blocks():
+    # the case-i collapse (kernels of dimension 1 and 2) next to a regular
+    # job, and a job whose carrier block is singular
+    iso = classifier.solve_case_one()
+    jobs = [
+        (classifier.branch_profile(iso, 4, m1=2), R_STAR),
+        (classifier.branch_profile(classifier.solve_case_two(0.2).branch, 4), 1.0),
+        (classifier.branch_profile(iso, 4, m1=3), R_STAR),
+    ]
+    for focal, (profile, r) in zip(jacobi.transversal_maps(jobs), jobs):
+        _assert_same_focal(focal, jacobi.transversal_map(profile, r))
+    lam1 = 1.0 / math.tanh(1.0)
+    hopf = HopfAttitude(b1=1.0, b2=0.0, lam1=lam1, lam2=2.0 * lam1)
+    singular = PrincipalProfile(
+        entries=((0.0, 3), (lam1, 1), (2.0 * lam1, 1)), total_dim=5, hopf=hopf
+    )
+    regular = classifier.branch_profile(classifier.solve_case_two(-0.3).branch, 3)
+    focals = jacobi.transversal_maps([(regular, 1.0), (singular, 1.0), (regular, -0.5)])
+    assert [f.c_reason is None for f in focals] == [True, False, True]
+    with pytest.raises(FocalPointError):
+        _ = focals[1].c_block
+    _assert_same_focal(focals[2], jacobi.transversal_map(regular, -0.5))
+
+
+@pytest.mark.parametrize("bad_r", [700.0, math.nan])
+def test_stacked_transversal_maps_name_the_rejected_job(bad_r):
+    jobs = _grid_jobs()[:5]
+    profile, _ = jobs[3]
+    jobs[3] = (profile, bad_r)
+    lam3 = profile.axis_value()
+    with pytest.raises(ValueError, match="out of range") as info:
+        jacobi.transversal_maps(jobs)
+    assert f"distance {bad_r}" in str(info.value)
+    assert f"lam3={lam3}" in str(info.value)
+
+
+def test_stacked_transversal_maps_name_the_job_off_the_equidistants():
+    hopf = HopfAttitude(b1=0.6, b2=0.8, lam1=0.0, lam2=1.0)
+    off = PrincipalProfile(entries=((0.0, 1), (0.75, 3), (1.0, 1)), total_dim=5, hopf=hopf)
+    jobs = _grid_jobs()[:2] + [(off, 1.0)]
+    with pytest.raises(ValueError, match="axis curvature 0.75 lies outside .* at distance 1.0"):
+        jacobi.transversal_maps(jobs)
+
+
+def test_stacked_kernel_gap_guard_names_its_job(monkeypatch):
+    iso = classifier.solve_case_one()
+    jobs = [
+        (classifier.branch_profile(classifier.solve_case_two(0.2).branch, 4), 1.0),
+        (classifier.branch_profile(iso, 4, m1=3), R_STAR),
+    ]
+    monkeypatch.setattr(jacobi, "KERNEL_GAP", 10.0)
+    with pytest.raises(ValidationError, match=f"at distance {R_STAR}, lam3={iso.lambda3}"):
+        jacobi.transversal_maps(jobs)
+
+
+def test_stacked_transversal_maps_need_one_dimension():
+    branch = classifier.solve_case_two(0.2).branch
+    jobs = [(classifier.branch_profile(branch, n), 0.5) for n in (3, 4)]
+    with pytest.raises(ValidationError, match="one complex dimension"):
+        jacobi.transversal_maps(jobs)
+    assert jacobi.transversal_maps([]) == []
+
+
 def _mult_near(entries, lam, tol=1e-9):
     return next(m for value, m in entries if abs(value - lam) <= tol)
 

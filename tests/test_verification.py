@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chgeo import verification
+from chgeo.errors import FocalPointError, ValidationError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,8 +76,8 @@ def test_every_suite_is_named_as_the_benchmark_expects(monkeypatch):
 def test_newton_anomaly_detail_names_the_root(monkeypatch):
     root = np.array([0.1, 0.9, 0.25, 0.75])
 
-    def one_root(lam3, rng):
-        return [root] if lam3 == -0.3 else []
+    def one_root(lam3s, rng):
+        return [[root] if lam3 == -0.3 else [] for lam3 in lam3s]
 
     monkeypatch.setattr(verification.classifier, "validate_against_closed_form", one_root)
     result = verification.run_suite("classifier-branches")
@@ -129,3 +130,41 @@ def test_stacked_suite_draws_equal_the_per_case_draws(monkeypatch):
     ((lam, stencil),) = coefficients
     assert np.array_equal(lam, cases[:, 0])
     assert np.array_equal(stencil[1], cases[:, 2])
+
+
+def test_classifier_suite_makes_one_newton_call(monkeypatch):
+    calls = _spy(monkeypatch, verification.classifier, "_damped_newton")
+    assert verification.run_suite("classifier-branches", seed=7).passed
+    ((_, starts, lam3),) = calls
+    assert starts.shape == (60, 4)
+    assert np.array_equal(lam3, np.repeat([0.2, -0.3, 0.55], 20))
+
+
+def test_equidistant_suite_stacks_its_transversal_maps(monkeypatch):
+    one_job = _spy(monkeypatch, verification.jacobi, "transversal_map")
+    stacked = _spy(monkeypatch, verification.jacobi, "transversal_maps")
+    assert verification.run_suite("equidistant-identities").passed
+    assert one_job == []
+    ((jobs,),) = stacked
+    assert len(jobs) == len(verification.case_two_grid())
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValidationError("frame is broken"),
+        FocalPointError("block is singular"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ],
+)
+def test_engine_error_fails_only_its_suite(monkeypatch, error):
+    def broken():
+        raise error
+
+    monkeypatch.setitem(verification._SUITES, "broken", (broken, 1.0, "broken coverage"))
+    result = verification.run_suite("broken")
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.tolerance == 1.0
+    assert result.detail == f"raised {type(error).__name__}: {error}"
+    assert result.seconds >= 0.0
