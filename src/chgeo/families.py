@@ -517,7 +517,6 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
         )
     alg = build_algebra(n)
     ruled, *ruled_k = [_orbit_base(alg, "Wk", k) for k in range(1, n)]
-    del alg  # no base refers to it: free its d^3 tensors before the engine pass
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)

@@ -44,15 +44,12 @@ __all__ = [
     "FocalMapData",
     "GeodesicNormalFrame",
     "ImageShapeData",
+    "coefficient_pairs",
     "curvature_propagator",
-    "hopf_coefficient",
-    "hopf_coefficient_dt",
     "image_shape_operator",
     "jacobi_field",
     "jacobi_numeric",
     "normal_frame",
-    "transverse_coefficient",
-    "transverse_coefficient_dt",
     "transversal_map",
     "transversal_maps",
 ]
@@ -73,10 +70,13 @@ KERNEL_GAP = 0.1
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_pairs(lam, t):
+def coefficient_pairs(lam, t):
     """((f, g), (f_dt, g_dt)): the transverse and hopf coefficients at t and their derivatives.
 
-    All four share one cosh(t/2), one sinh(t/2) and their products with lam.
+    f is the coefficient of the parallel translate for initial vectors
+    off the Jc-line; g mixes the initial Jc-projection back onto the
+    Jc-line.  All four share one cosh(t/2), one sinh(t/2) and their
+    products with lam.
     """
     c, s = np.cosh(t / 2.0), np.sinh(t / 2.0)
     two_lam_s, lam_c = 2.0 * lam * s, lam * c
@@ -85,24 +85,6 @@ def _coefficient_pairs(lam, t):
         (c - two_lam_s, (c - 1.0) * mix),
         (0.5 * s - lam_c, 0.5 * s * mix + (c - 1.0) * (s - lam_c)),
     )
-
-
-def transverse_coefficient(lam: float, t):
-    """Coefficient of the parallel translate for initial vectors off the Jc-line."""
-    return _coefficient_pairs(lam, t)[0][0]
-
-
-def transverse_coefficient_dt(lam: float, t):
-    return _coefficient_pairs(lam, t)[1][0]
-
-
-def hopf_coefficient(lam: float, t):
-    """Coefficient mixing the initial Jc-projection back onto the Jc-line."""
-    return _coefficient_pairs(lam, t)[0][1]
-
-
-def hopf_coefficient_dt(lam: float, t):
-    return _coefficient_pairs(lam, t)[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +190,7 @@ def normal_frame(profile: PrincipalProfile):
 
 
 def _coefficients(lambdas, t):
-    """``_coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at t.
+    """``coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at t.
 
     t broadcasts against the leading axes of lambdas; each coefficient
     has shape (..., m, 1).  A scalar t stays a scalar: numpy's scalar
@@ -216,7 +198,7 @@ def _coefficients(lambdas, t):
     """
     if np.ndim(t):
         t = np.asarray(t, dtype=float)[..., None, None]
-    return _coefficient_pairs(lambdas[..., None], t)
+    return coefficient_pairs(lambdas[..., None], t)
 
 
 def _field_columns(coefficients, basis, jxi):
@@ -499,6 +481,6 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     entries = tuple(merge_spectrum(np.linalg.eigvalsh(S)))
     frame = focal.frame
     carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
-    (f3, _), (f3_dt, _) = _coefficient_pairs(frame.lam3, focal.r)
+    (f3, _), (f3_dt, _) = coefficient_pairs(frame.lam3, focal.r)
     axis_rate = -float(f3_dt) / float(f3)
     return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=axis_rate)

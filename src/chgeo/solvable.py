@@ -20,10 +20,10 @@ a + z + (v - wperp) exponentiates to a (2n-k)-dimensional minimal
 submanifold whose second fundamental form is concentrated on the
 single pairing of Z against i(wperp).
 
-Each orbit is one whole-array contraction per quantity: the closure
-check, the shape operator and the induced connection each contract the
-bracket or Koszul tensor against the whole frame at once, normal side
-first where a normal direction enters.
+The structure constants are held only in factored form, the
+eigenvalues w of ad_A and the pairing omega on v; the bracket, the
+Koszul connection, the closure check and the shape operator are closed
+forms in these two factors, so no (d, d, d) array is ever built.
 """
 
 from __future__ import annotations
@@ -54,13 +54,17 @@ class SolvableAlgebra:
     """Structure constants and metric data of the group model.
 
     Basis index 0 is A, index 1 is Z, indices 2..2n-1 are V_1..V_{2n-2}
-    with V_{2j} = i V_{2j-1}.  ``bracket[i, j]`` holds the coefficient
-    vector of [e_i, e_j].
+    with V_{2j} = i V_{2j-1}.  The structure constants are held in two
+    factors: ``weights`` w = (0, 1, 1/2, ..., 1/2), the eigenvalues of
+    ad_A, and ``omega[i, j]`` = <i e_i, e_j> on v (zero on a + z), so
+    that [x, y] = x_A (w o y) - y_A (w o x) + omega(x, y) Z, with o the
+    entrywise product.
     """
 
     n: int
-    bracket: np.ndarray
     names: tuple[str, ...]
+    weights: np.ndarray
+    omega: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -71,19 +75,12 @@ class SolvableAlgebra:
         """Ambient complex structure under the standard identification."""
         return complex_structure(self.n)
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Koszul connection coefficients gamma[i, j, k] = <D_i e_j, e_k>.
-
-        2 <D_i e_j, e_k> = <[e_i,e_j],e_k> - <[e_j,e_k],e_i> + <[e_k,e_i],e_j>.
-        """
-        b = self.bracket
-        # transpose(b, (2, 0, 1))[i, j, k] = b[j, k, i]; (1, 2, 0) gives b[k, i, j]
-        return 0.5 * (b - np.transpose(b, (2, 0, 1)) + np.transpose(b, (1, 2, 0)))
-
     def bracket_of(self, x, y) -> np.ndarray:
         """[x, y] over broadcastable stacks of algebra vectors (..., d)."""
-        return _bilinear(self, self.bracket, x, y)
+        x, y = _tangents(self, x), _tangents(self, y)
+        out = x[..., :1] * (self.weights * y) - y[..., :1] * (self.weights * x)
+        out[..., 1] += _dot(x @ self.omega, y)
+        return out
 
 
 def build_algebra(n: int) -> SolvableAlgebra:
@@ -91,32 +88,23 @@ def build_algebra(n: int) -> SolvableAlgebra:
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
     d = 2 * n
-    bracket = np.zeros((d, d, d))
-    # [A, Z] = Z
-    bracket[0, 1, 1] = 1.0
-    bracket[1, 0, 1] = -1.0
-    # [A, V] = V / 2
-    for a in range(2, d):
-        bracket[0, a, a] = 0.5
-        bracket[a, 0, a] = -0.5
+    # [A, Z] = Z and [A, V] = V / 2
+    weights = np.full(d, 0.5)
+    weights[:2] = 0.0, 1.0
     # [U, V] = <iU, V> Z on the v-part; i pairs consecutive V's
-    for a in range(0, d - 2, 2):
-        i, j = 2 + a, 3 + a
-        bracket[i, j, 1] = 1.0
-        bracket[j, i, 1] = -1.0
+    omega = complex_structure(n).T
+    omega[:2, :2] = 0.0
     names = ("A", "Z") + tuple(f"V{j + 1}" for j in range(d - 2))
-    return SolvableAlgebra(n=n, bracket=bracket, names=names)
+    return SolvableAlgebra(n=n, names=names, weights=weights, omega=omega)
 
 
-def _bilinear(alg: SolvableAlgebra, T: np.ndarray, x, y) -> np.ndarray:
-    """sum_ij x_i y_j T[i, j, :] over broadcastable stacks (..., d) of tangent vectors.
+def _tangents(alg: SolvableAlgebra, v) -> np.ndarray:
+    return CurvatureModel(alg.n).as_tangents(v)
 
-    Two matrix products: x against T, then y against each resulting d x d
-    matrix.
-    """
-    model = CurvatureModel(alg.n)
-    x, y = model.as_tangents(x), model.as_tangents(y)
-    return (y[..., None, :] @ np.tensordot(x, T, 1))[..., 0, :]
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> along the last axis; a matrix-vector product sums a short axis fastest."""
+    return (a * b) @ np.ones(a.shape[-1])
 
 
 def levi_civita(alg: SolvableAlgebra, x, y) -> np.ndarray:
@@ -124,9 +112,21 @@ def levi_civita(alg: SolvableAlgebra, x, y) -> np.ndarray:
 
     x of shape (..., d) and y of shape (..., d) broadcast against each
     other on their leading axes; the result has the broadcast shape
-    (..., d).
+    (..., d).  The Koszul formula solved on the two structure factors:
+
+        D_x y = <w o x, y> A - y_A (w o x)
+                + (omega(x, y) Z - x_Z omega(y, .) - y_Z omega(x, .)) / 2.
     """
-    return _bilinear(alg, alg.gamma, x, y)
+    x, y = _tangents(alg, x), _tangents(alg, y)
+    half = 0.5 * alg.omega
+    ox = x @ half
+    out = x[..., 1:2] * (y @ half)
+    out += y[..., 1:2] * ox
+    out += y[..., :1] * (alg.weights * x)
+    np.negative(out, out=out)
+    out[..., 0] += (x * y) @ alg.weights
+    out[..., 1] += _dot(ox, y)
+    return out
 
 
 def algebra_curvature(alg: SolvableAlgebra, x, y, z) -> np.ndarray:
@@ -184,6 +184,16 @@ def validate_ruled_spec(alg: SolvableAlgebra, spec: RuledSpec) -> None:
         raise ValidationError("normal slice is not totally real")
 
 
+def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> np.ndarray:
+    """leak[c, i, j] = <[t_i, t_j], nr_c> for rows t (m, d) and nr (k, d).
+
+    On the factors this is t_iA <w o t_j, nr_c> - t_jA <w o t_i, nr_c>
+    + nr_cZ omega(t_i, t_j): one d x d product and O(k m^2) entries.
+    """
+    leak = t[:, 0, None] * (nr * alg.weights @ t.T)[:, None, :]
+    return leak - leak.transpose(0, 2, 1) + nr[:, 1, None, None] * (t @ alg.omega @ t.T)
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitModel:
     """Orbit of a subgroup through the base point, with induced data.
@@ -194,8 +204,8 @@ class OrbitModel:
     hypersurface orbit ``compatibility_defects`` checks the Gauss and
     Codazzi equations over the whole frame.  The closure check, the
     shape operator and ``intrinsic_gamma`` each contract over all frame
-    pairs at once; with d = 2n the closure check costs O(codim d^3) and
-    a shape operator O(d^3).
+    pairs at once; with d = 2n the closure check costs O(d^3 + codim d^2)
+    and a shape operator O(d^3).
     """
 
     algebra: SolvableAlgebra
@@ -208,8 +218,7 @@ class OrbitModel:
         full = np.vstack([t, nr])
         if full.shape != (d, d) or np.max(np.abs(full @ full.T - np.eye(d))) > 1e-10:
             raise ValidationError("tangent/normal rows do not form an orthonormal basis")
-        # subalgebra closure: normal part of [t_i, t_j] for every pair at once
-        leak = t @ (self.algebra.bracket @ nr.T).transpose(2, 0, 1) @ t.T
+        leak = _closure_leak(self.algebra, t, nr)
         if np.max(np.linalg.norm(leak, axis=0)) > 1e-12:
             raise ValidationError("tangent space is not closed under the bracket")
 
@@ -229,15 +238,20 @@ class OrbitModel:
     def shape_operator(self, xi) -> np.ndarray:
         """Symmetric matrix of the shape operator w.r.t. normal xi, tangent frame."""
         nu = self.normal.T @ (self.normal @ np.asarray(xi, dtype=float))
-        t = self.tangent
-        S = t @ (self.algebra.gamma @ nu) @ t.T
+        t, alg = self.tangent, self.algebra
+        # <[x, y], nu> is antisymmetric, so S is the symmetric part of
+        # <x, ad_nu y>: ad_nu = nu_A diag(w) - (w o nu) e_A^T + e_Z (nu omega)
+        ad = np.diag(nu[0] * alg.weights)
+        ad[:, 0] -= alg.weights * nu
+        ad[1] += nu @ alg.omega
+        S = t @ ad @ t.T
         return 0.5 * (S + S.T)
 
     @cached_property
     def intrinsic_gamma(self) -> np.ndarray:
         """Induced connection coefficients over the tangent frame."""
         t = self.tangent
-        return t @ np.tensordot(t, self.algebra.gamma, axes=1) @ t.T
+        return levi_civita(self.algebra, t[:, None], t[None, :]) @ t.T
 
     def compatibility_defects(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss and Codazzi defects over every tuple of tangent frame rows.
@@ -288,9 +302,7 @@ def build_ruled(alg: SolvableAlgebra, spec: RuledSpec) -> RuledModel:
     d = alg.dim
     w = spec.w_perp
     # tangent rows: A, Z, then an orthonormal basis of v minus the slice
-    proj = np.eye(d)
-    for row in w:
-        proj -= np.outer(row, row)
+    proj = np.eye(d) - w.T @ w
     v_block = proj[2:, :]
     # orthonormalise the projected v-directions
     q, r = np.linalg.qr(v_block.T)

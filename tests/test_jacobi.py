@@ -35,26 +35,25 @@ def test_exceptional_radius_hyperbolic_values():
 
 
 def test_initial_conditions_of_modes():
-    assert jacobi.transverse_coefficient(0.7, 0.0) == 1.0
-    assert jacobi.hopf_coefficient(0.7, 0.0) == 0.0
-    assert jacobi.transverse_coefficient_dt(0.7, 0.0) == -0.7
-    assert jacobi.hopf_coefficient_dt(0.7, 0.0) == 0.0
+    (f, g), (f_dt, g_dt) = jacobi.coefficient_pairs(0.7, 0.0)
+    assert f == 1.0
+    assert g == 0.0
+    assert f_dt == -0.7
+    assert g_dt == 0.0
 
 
 def test_transverse_collapse_at_exceptional_radius():
     """The sqrt(3)/2 mode vanishes exactly at the exceptional distance."""
-    assert abs(jacobi.transverse_coefficient(SQ3 / 2.0, R_STAR)) <= 1e-15
-    assert jacobi.transverse_coefficient_dt(SQ3 / 2.0, R_STAR) == pytest.approx(
-        -1.0 / SQ2, abs=1e-15
-    )
+    (f, _), (f_dt, _) = jacobi.coefficient_pairs(SQ3 / 2.0, R_STAR)
+    assert abs(f) <= 1e-15
+    assert f_dt == pytest.approx(-1.0 / SQ2, abs=1e-15)
 
 
 def test_axis_class_coefficient_at_exceptional_radius():
     # sqrt(3)/6 mode: value sqrt(6)/3 with stationary derivative
-    assert jacobi.transverse_coefficient(SQ3 / 6.0, R_STAR) == pytest.approx(
-        SQ6 / 3.0, abs=1e-15
-    )
-    assert abs(jacobi.transverse_coefficient_dt(SQ3 / 6.0, R_STAR)) <= 1e-15
+    (f, _), (f_dt, _) = jacobi.coefficient_pairs(SQ3 / 6.0, R_STAR)
+    assert f == pytest.approx(SQ6 / 3.0, abs=1e-15)
+    assert abs(f_dt) <= 1e-15
 
 
 @given(
@@ -64,7 +63,8 @@ def test_axis_class_coefficient_at_exceptional_radius():
 @settings(max_examples=200, deadline=None)
 def test_axis_coefficient_is_mode_sum(lam, t):
     """f + g collapses to the pure axis evolution cosh(t) - lam sinh(t)."""
-    total = jacobi.transverse_coefficient(lam, t) + jacobi.hopf_coefficient(lam, t)
+    (f, g), _ = jacobi.coefficient_pairs(lam, t)
+    total = f + g
     assert total == pytest.approx(np.cosh(t) - lam * np.sinh(t), abs=1e-10)
 
 
@@ -80,8 +80,7 @@ def test_closed_form_satisfies_field_equation(lam, w, t):
     vals = {}
     for step in (-1, 0, 1):
         tt = t_l + step * h
-        f = jacobi.transverse_coefficient(lam_l, tt)
-        g = jacobi.hopf_coefficient(lam_l, tt)
+        (f, g), _ = jacobi.coefficient_pairs(lam_l, tt)
         vals[step] = np.array([f, w_l * g], dtype=np.longdouble)
     second = (vals[1] - 2.0 * vals[0] + vals[-1]) / h**2
     axis = vals[0][0] * w_l + vals[0][1]
@@ -257,9 +256,8 @@ def test_propagator_blocks_reproduce_mode_functions():
     v = np.eye(6)[2]  # transverse to the J-line
     lam = 0.45
     out = cos_ @ v + sin_ @ (-lam * v)
-    assert np.linalg.norm(
-        out - jacobi.transverse_coefficient(lam, t) * v
-    ) <= 1e-12
+    (f, _), _ = jacobi.coefficient_pairs(lam, t)
+    assert np.linalg.norm(out - f * v) <= 1e-12
     jn = np.eye(6)[1]
     out_axis = cos_ @ jn + sin_ @ (-lam * jn)
     axis = np.cosh(t) - lam * np.sinh(t)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,31 @@ def test_stacked_algebra_curvature_matches_row_by_row(n, rng):
     assert np.all(gap <= 1e-15 * (nx * ny * nz)[:, None])
 
 
+def _dense_bracket(n):
+    """bracket[i, j] = coefficients of [e_i, e_j], entry by entry from the table."""
+    d = 2 * n
+    bracket = np.zeros((d, d, d))
+    # [A, Z] = Z
+    bracket[0, 1, 1], bracket[1, 0, 1] = 1.0, -1.0
+    # [A, V] = V / 2
+    for a in range(2, d):
+        bracket[0, a, a], bracket[a, 0, a] = 0.5, -0.5
+    # [V_{2j-1}, V_{2j}] = Z
+    for a in range(2, d, 2):
+        bracket[a, a + 1, 1], bracket[a + 1, a, 1] = 1.0, -1.0
+    return bracket
+
+
+def _dense_gamma(bracket):
+    """gamma[i, j, k] = <D_i e_j, e_k> from the Koszul formula on the dense bracket.
+
+    2 <D_i e_j, e_k> = <[e_i,e_j],e_k> - <[e_j,e_k],e_i> + <[e_k,e_i],e_j>.
+    """
+    return 0.5 * (
+        bracket - np.einsum("jki->ijk", bracket) + np.einsum("kij->ijk", bracket)
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize(
     "x_shape, y_shape",
@@ -155,6 +182,7 @@ def test_stacked_algebra_curvature_matches_row_by_row(n, rng):
 )
 def test_bilinear_maps_match_einsum_reference(n, x_shape, y_shape):
     alg = solvable.build_algebra(n)
+    bracket = _dense_bracket(n)
     rng = np.random.default_rng(12)
     # unit rows, so an absolute bound is a relative one
     x, y = (
@@ -162,12 +190,41 @@ def test_bilinear_maps_match_einsum_reference(n, x_shape, y_shape):
         for v in (rng.standard_normal((*shape, alg.dim)) for shape in (x_shape, y_shape))
     )
     for got, tensor in (
-        (solvable.levi_civita(alg, x, y), alg.gamma),
-        (alg.bracket_of(x, y), alg.bracket),
+        (solvable.levi_civita(alg, x, y), _dense_gamma(bracket)),
+        (alg.bracket_of(x, y), bracket),
     ):
         want = np.einsum("...i,...j,ijk->...k", x, y, tensor)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_closure_leak_matches_dense_reference(n):
+    alg = solvable.build_algebra(n)
+    bracket = _dense_bracket(n)
+    rng = np.random.default_rng(n)
+    for k in (1, n - 1):
+        frame, _ = np.linalg.qr(rng.standard_normal((alg.dim, alg.dim)))
+        t, nr = frame[k:], frame[:k]
+        want = np.einsum("ip,jq,pqr,cr->cij", t, t, bracket, nr)
+        assert np.max(np.abs(solvable._closure_leak(alg, t, nr) - want)) <= 1e-14
+        # the random normal mixes Z in, so [V, iV] = Z leaks out of the frame
+        assert abs(nr[0, 1]) > 1e-3
+        with pytest.raises(ValidationError, match="not closed under the bracket"):
+            solvable.OrbitModel(algebra=alg, tangent=t, normal=nr)
+
+
+def test_orbit_of_a_large_algebra_stays_small():
+    """No (d, d, d) array: n = 64 builds a ruled orbit and its shape operator in 4 MiB."""
+    tracemalloc.start()
+    try:
+        alg = solvable.build_algebra(64)
+        model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+        model.orbit.shape_operator(model.w_perp[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(
