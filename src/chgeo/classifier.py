@@ -48,9 +48,13 @@ __all__ = [
 
 COINCIDENCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
-# damped Newton stops below this residual norm or after this many steps
+# damped Newton stops below this residual norm or after this many steps.
+# A stalled start sits near the singular locus l1 + l2 = 2 lam3, moves
+# by 2^-17..2^-19 of a Newton step each time and never converges; the
+# cap sets how long it runs before it ends NaN.  30 steps cover nearly
+# every converging start: 99 % need at most 20 steps, 99.9 % at most 36.
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 80
+NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,8 @@ def multiplicity_quadratics(lam2, b2_sq) -> tuple[float, float]:
 def solve_case_two(lam3: float) -> ClassifyOutcome:
     """Parametric branch at the given axis curvature, or the obstruction.
 
-    Valid exactly for |lam3| < 1/2; the window 1/2 <= |lam3| <= 1/sqrt(3)
+    Valid exactly for |lam3| < 1/2; a non-finite lam3 raises
+    ``ValueError``.  The window 1/2 <= |lam3| <= 1/sqrt(3)
     produces real curvature triples whose weights leave (0, 1), and
     beyond it the conics have no real common point off the coincidence
     locus.
@@ -202,6 +207,8 @@ def solve_case_two(lam3: float) -> ClassifyOutcome:
     the geometry (the carrier weights of the ruled minimal orbit), not
     from the system.  ``verification.case_two_grid`` therefore skips 0.
     """
+    if not math.isfinite(lam3):
+        raise ValueError(f"lam3 must be a finite number, got {lam3}")
     # every |lam3| >= 1 has no real intersection; lam3**2 overflows for
     # the largest of them
     disc = -math.inf if abs(lam3) >= 1.0 else 1.0 - 3.0 * lam3**2
@@ -386,7 +393,12 @@ def _damped_newton(system, x0, lam3):
     starts of several values; each row sees only its own value, and its
     result does not depend on the other rows.  A row fails when its
     Jacobian is singular, when no step fraction passes
-    ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.
+    ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.  A row
+    still running after NEWTON_MAX_ITER steps ends NaN: nearly always a
+    stalled start, rarely a slow converging one whose root then drops
+    out of the root set.  The exact certificate in
+    tests/test_certificates.py, not this search, proves the root set
+    complete.
     """
     F, jacobian = system
     x = np.array(x0, dtype=float)
@@ -439,8 +451,14 @@ def newton_roots(lam3, rng: np.random.Generator, attempts: int = 20):
     A float returns its list of roots, a sequence one list per value.
     Roots are normalised to l1 <= l2 and de-duplicated; weights are not
     constrained to (0, 1) here so the exclusion mechanism stays visible.
+    A non-finite lam3 or fewer than one attempt raises ``ValueError``
+    before any start is drawn.
     """
     values = np.atleast_1d(np.asarray(lam3, dtype=float))
+    if not np.isfinite(values).all():
+        raise ValueError(f"lam3 must be finite, got {lam3}")
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
     starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(values.size * attempts, 4))
     x = _damped_newton(_SYSTEM, starts, np.repeat(values, attempts))
     roots = [_distinct_roots(rows) for rows in x.reshape(values.size, attempts, 4)]

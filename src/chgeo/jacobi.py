@@ -469,14 +469,17 @@ class ImageShapeData:
 
 
 def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
-    """Spectrum of the image shape operator w.r.t. the translated normal."""
+    """Spectrum of the image shape operator w.r.t. the translated normal.
+
+    With phi = U diag(s) V^T and p singular values above KERNEL_TOL,
+    the image tangent space is spanned by U_p, and in that basis
+    S = -(U_p^T phi_dt) pinv(U_p^T phi).  Since U_p^T phi = diag(s_p) V_p^T,
+    the pseudo-inverse is V_p diag(1/s_p), so the one SVD of phi gives S.
+    """
     focal.c_block  # raises FocalPointError when the carrier block is singular
-    U, s, _ = np.linalg.svd(focal.phi, full_matrices=False)
+    U, s, Vt = np.linalg.svd(focal.phi, full_matrices=False)
     p = int(np.sum(s > KERNEL_TOL))
-    Q = U[:, :p]
-    m_phi = Q.T @ focal.phi
-    m_dt = Q.T @ focal.phi_dt
-    S = -m_dt @ np.linalg.pinv(m_phi, rcond=1e-12)
+    S = -(U[:, :p].T @ focal.phi_dt) @ Vt[:p].T / s[:p]
     S = 0.5 * (S + S.T)
     entries = tuple(merge_spectrum(np.linalg.eigvalsh(S)))
     frame = focal.frame

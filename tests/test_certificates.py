@@ -1,6 +1,11 @@
 """Exact certificates: the classifier's relations solved symbolically,
 and the half-angle value at the exceptional radius.
 
+Together the conic and weight-system certificates show, for every lam3,
+that the raw residual system has exactly the roots the closed forms
+explain; the random-start Newton search in the classifier only
+re-checks this numerically.
+
 The curvature relations are evaluated on sympy symbols and their float
 coefficients turned back into exact rationals, so the solutions below
 hold for the polynomials the engine evaluates, not for a copy of them.
@@ -14,6 +19,7 @@ import sympy as sp
 from chgeo import classifier, jacobi
 
 L1, L2, L3 = sp.symbols("lambda1 lambda2 lambda3")
+B1, B2 = sp.symbols("b1_sq b2_sq")
 ROOT = sp.sqrt(1 - 3 * L3**2)
 # the parametric branch (3 l3 -+ sqrt(1 - 3 l3^2))/2, and the reciprocal
 # pair on which one carrier curvature coincides with the axis curvature
@@ -63,6 +69,61 @@ def test_closed_pair_is_the_solved_branch_and_reciprocal_pair_is_rejected(lam3):
     assert l1 == float(lam3) and math.isfinite(l2)
     with pytest.raises(ValueError, match="must be distinct"):
         classifier.closed_form_weights(l1, l2, float(lam3))
+
+
+def _weight_system():
+    """The weight balance and b1^2 + b2^2 = 1 as a linear system (A, rhs) in the weights."""
+    balance = sp.nsimplify(classifier._weight_balance(L1, L2, L3, B1, B2))
+    return sp.linear_eq_to_matrix([balance, B1 + B2 - 1], [B1, B2])
+
+
+def _at(matrix, pair, lam3=L3):
+    return matrix.subs({L1: pair[0], L2: pair[1]}).subs(L3, lam3)
+
+
+def _solve(A, rhs):
+    """The weights A^-1 rhs by the adjugate, far cheaper in sympy than LUsolve."""
+    return A.adjugate() @ rhs / A.det()
+
+
+def test_weight_system_determinant():
+    A, _ = _weight_system()
+    assert sp.expand(A.det() + 3 * (L1 - L2) * (L1 + L2 - 2 * L3)) == 0
+
+
+def test_weight_system_at_the_reciprocal_pair_puts_all_weight_on_one_carrier():
+    # the carrier whose curvature equals lam3 gets weight 0; det is +-3/(16 lam3^2)
+    A, rhs = _weight_system()
+    for pair, sign, want in ((RECIPROCAL, 1, [0, 1]), (RECIPROCAL[::-1], -1, [1, 0])):
+        assert sp.cancel(_at(A, pair).det() - sign * 3 / (16 * L3**2)) == 0
+        assert list(_solve(_at(A, pair), _at(rhs, pair)).applyfunc(sp.cancel)) == want
+
+
+@pytest.mark.parametrize(
+    "lam3", [sp.Rational(1, 5), sp.Rational(-3, 10), sp.Rational(11, 20)]
+)
+def test_weight_system_on_the_branch_gives_the_closed_form_weights(lam3):
+    # on the branch l1 + l2 = 3 lam3, so the determinant is -3 lam3 (l1 - l2)
+    A, rhs = _weight_system()
+    for pair in (CLOSED, CLOSED[::-1]):
+        assert sp.expand(_at(A, pair).det() + 3 * L3 * (pair[0] - pair[1])) == 0
+        exact = _solve(_at(A, pair), _at(rhs, pair)).subs(L3, lam3)
+        l1, l2 = (float(v.subs(L3, lam3)) for v in pair)
+        weights = classifier.closed_form_weights(l1, l2, float(lam3))
+        assert [float(w) for w in exact] == pytest.approx(weights, abs=1e-14)
+
+
+def test_weight_system_at_zero_axis_holds_for_every_unit_weight_sum():
+    # at lam3 = 0 both conic points have l1 + l2 = 0 = 2 lam3: the system is
+    # singular and any b1^2 + b2^2 = 1 solves it, which is why the weights
+    # b^2 = 1/2 of solve_case_two(0) are not a consequence of the relations
+    # and verification.case_two_grid leaves 0 out
+    A, rhs = _weight_system()
+    half = sp.Rational(1, 2)
+    for pair in ((-half, half), (half, -half)):
+        assert _at(A, pair, 0).det() == 0
+        residual = _at(A, pair, 0) @ sp.Matrix([B1, 1 - B1]) - _at(rhs, pair, 0)
+        assert residual.applyfunc(sp.expand) == sp.zeros(2, 1)
 
 
 def test_exceptional_radius_half_angle_is_one_over_sqrt3():

@@ -107,6 +107,12 @@ def test_far_exclusion_does_not_overflow(lam3):
     assert outcome.reason == "no real intersection (3 lam3^2 exceeds 1)"
 
 
+@pytest.mark.parametrize("lam3", [math.nan, math.inf, -math.inf])
+def test_non_finite_axis_curvature_is_rejected(lam3):
+    with pytest.raises(ValueError, match=f"lam3 must be a finite number, got {lam3}"):
+        classifier.solve_case_two(lam3)
+
+
 @given(lam3=st.floats(min_value=-0.49, max_value=0.49))
 @settings(max_examples=100, deadline=None)
 def test_branch_properties_inside_window(lam3):
@@ -323,6 +329,36 @@ def test_validation_of_a_sequence_is_one_list_per_lambda3():
     batched = classifier.validate_against_closed_form(SEARCHED, np.random.default_rng(42))
     assert batched == [[], [], []]
     assert classifier.validate_against_closed_form(0.2, np.random.default_rng(42)) == []
+
+
+@pytest.mark.parametrize(
+    ("lam3", "attempts", "message"),
+    [
+        (math.nan, 20, "lam3 must be finite"),
+        (math.inf, 20, "lam3 must be finite"),
+        ((0.2, -math.inf), 20, "lam3 must be finite"),
+        (0.2, 0, "attempts must be at least 1, got 0"),
+        (0.2, -3, "attempts must be at least 1, got -3"),
+    ],
+)
+def test_newton_roots_rejects_an_empty_or_non_finite_search(lam3, attempts, message):
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match=message):
+        classifier.newton_roots(lam3, rng, attempts=attempts)
+    # nothing was drawn
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11, verification.DEFAULT_SEED])
+def test_capped_newton_finds_the_branch_on_the_whole_grid(seed):
+    grid = verification.case_two_grid()
+    found = classifier.newton_roots(grid, np.random.default_rng(seed))
+    for lam3, roots in zip(grid, found):
+        b = classifier.solve_case_two(float(lam3)).branch
+        target = np.array([b.lambda1, b.lambda2, b.b1_sq, b.b2_sq])
+        assert any(np.linalg.norm(r - target) < 1e-7 for r in roots), lam3
+    anomalies = classifier.validate_against_closed_form(grid, np.random.default_rng(seed))
+    assert anomalies == [[]] * len(grid)
 
 
 # ---------------------------------------------------------------------------
