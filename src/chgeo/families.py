@@ -45,11 +45,9 @@ __all__ = [
     "catalog",
     "equidistant_profile",
     "ruled_profile",
-    "profile_identity_residuals",
     "structural_residuals",
     "three_curvature_families",
     "tube_base",
-    "tube_eigenvector_defect",
     "tube_spectra",
     "tube_spectrum",
     "two_curvature_families",
@@ -150,12 +148,14 @@ def _orthocomplement(nu: np.ndarray) -> np.ndarray:
 
 
 def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
-    """Merged spectrum of S and the carriers of J(normal) among its eigenspaces.
+    """Merged spectrum of S and the two carriers of J(normal) among its eigenspaces.
 
     (vals, vecs) is ``np.linalg.eigh(S)``.  Each carrier is (value,
     weight, multiplicity, unit direction), the direction in the frame of
     S; the repeated carrier, if any, is listed first, otherwise they
-    ascend.
+    ascend.  A count other than two raises: J(normal) inside one
+    eigenspace is a Hopf model, and three or more carriers fall outside
+    the non-Hopf models the paper classifies.
     """
     weights = vecs.T @ jnu_coeffs
     merged = merge_spectrum(vals)
@@ -165,26 +165,13 @@ def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
         w = float(np.linalg.norm(weights[mask]))
         if w > EIGENSPACE_TOL:
             carriers.append((value, w, int(np.sum(mask)), vecs[:, mask] @ weights[mask] / w))
+    if len(carriers) != 2:
+        raise UnsupportedModelError(
+            f"J(normal) has {len(carriers)} carrier eigenspaces, not the two of a "
+            "non-Hopf model"
+        )
     carriers.sort(key=lambda c: (-c[2], c[0]))
     return merged, carriers
-
-
-def _attitude_from_matrix(S: np.ndarray, jnu_coeffs: np.ndarray):
-    """Hopf attitude of a shape matrix, or None when Jnu is an eigenvector."""
-    if hopf_residual_matrix(S, jnu_coeffs) <= HOPF_RESIDUAL_TOL:
-        return None
-    _, carriers = _carriers(*np.linalg.eigh(S), jnu_coeffs)
-    if len(carriers) != 2:
-        return None
-    (l1, b1, _, _), (l2, b2, _, _) = carriers
-    norm = math.hypot(b1, b2)
-    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=l1, lam2=l2)
-
-
-def hopf_residual_matrix(S: np.ndarray, jnu_coeffs: np.ndarray) -> float:
-    """Norm of S Jnu minus its projection onto Jnu (eigenvector defect)."""
-    sj = S @ jnu_coeffs
-    return float(np.linalg.norm(sj - (jnu_coeffs @ sj) * jnu_coeffs))
 
 
 def _check_radius(base: TubeBase, r: float) -> None:
@@ -218,11 +205,21 @@ def _reduced_maps(bases, rows, cos_, sin_, cos_dt, sin_dt):
     return rows @ (cos_ @ val0 + sin_ @ der0), rows @ (cos_dt @ val0 + sin_dt @ der0)
 
 
-def _tube_shapes(jobs) -> list:
-    """(profile, S, J(normal) coefficients) of each (TubeBase, r) job, in order.
+def tube_spectra(jobs) -> list[PrincipalProfile]:
+    """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
-    S is the symmetric shape matrix in the frame of the rows spanning
-    the complement of the normal.
+    The jobs sharing (n, normal direction) run as one stack: a single
+    ``curvature_propagator`` call over their T distinct radii gives
+    (T, 2n, 2n) solution operators, and their B tubes' value and
+    derivative maps (B, 2n, 2n - 1) and shape matrices (B, 2n - 1, 2n - 1)
+    are batched.  One ``eigh`` of the shape stack gives every profile's
+    values, Hopf flag and carriers.  A tube is Hopf when its
+    eigenvector defect, |S J(normal) - mu J(normal)| with mu the
+    Rayleigh quotient, is at most HOPF_RESIDUAL_TOL.  Every r must be
+    finite with |r| <= MAX_RADIUS.  Proper tubes (bases of codimension
+    >= 2) require r > 0; hypersurface bases accept signed r and describe
+    the equidistant family.  A focal r raises FocalRadiusError, and a
+    non-Hopf tube with other than two carriers UnsupportedModelError.
     """
     for base, r in jobs:
         _check_radius(base, r)
@@ -254,26 +251,23 @@ def _tube_shapes(jobs) -> list:
                 raise ValueError(
                     f"tube shape operator at distance {t} asymmetric by {asym:.3e}"
                 )
-        S = 0.5 * (S + S_T)
+        vals, vecs = np.linalg.eigh(0.5 * (S + S_T))
         jnu = rows @ (model.J @ base.nu)
-        for i, S_i, vals in zip(members, S, np.linalg.eigvalsh(S)):
-            out[i] = make_profile(vals, hopf=_attitude_from_matrix(S_i, jnu)), S_i, jnu
+        # with w = vecs^T J(normal): defect^2 = sum w^2 (lam - mu)^2, mu = sum w^2 lam
+        w2 = (jnu @ vecs) ** 2
+        mu = np.sum(w2 * vals, axis=-1, keepdims=True)
+        defects = np.sqrt(np.sum(w2 * (vals - mu) ** 2, axis=-1))
+        for i, vals_i, vecs_i, defect in zip(members, vals, vecs, defects):
+            hopf = None if defect <= HOPF_RESIDUAL_TOL else _attitude(vals_i, vecs_i, jnu)
+            out[i] = make_profile(vals_i, hopf=hopf)
     return out
 
 
-def tube_spectra(jobs) -> list[PrincipalProfile]:
-    """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
-
-    The jobs sharing (n, normal direction) run as one stack: a single
-    ``curvature_propagator`` call over their T distinct radii gives
-    (T, 2n, 2n) solution operators, and their B tubes' value and
-    derivative maps (B, 2n, 2n - 1), shape matrices (B, 2n - 1, 2n - 1)
-    and eigenvalues (B, 2n - 1) are batched.  Every r must be finite
-    with |r| <= MAX_RADIUS.  Proper tubes (bases of codimension >= 2)
-    require r > 0; hypersurface bases accept signed r and describe the
-    equidistant family.  A focal r raises FocalRadiusError.
-    """
-    return [profile for profile, _, _ in _tube_shapes(jobs)]
+def _attitude(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray) -> HopfAttitude:
+    """Carrier weights and curvatures of a non-Hopf shape matrix with eigh (vals, vecs)."""
+    _, ((l1, b1, _, _), (l2, b2, _, _)) = _carriers(vals, vecs, jnu_coeffs)
+    norm = math.hypot(b1, b2)
+    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=l1, lam2=l2)
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:
@@ -292,16 +286,6 @@ def tube_spectrum(base, n: int | None = None, k: int | None = None, r: float = 1
     case of ``tube_spectra``, with its radius rules.
     """
     return tube_spectra([(_named_base(base, n, k), r)])[0]
-
-
-def tube_eigenvector_defect(base, n: int | None = None, k: int | None = None, r: float = 1.0):
-    """Norm of S(J normal) minus its projection back onto J(normal).
-
-    Zero exactly when the translated J-image of the normal is a
-    principal direction of the tube.
-    """
-    [(_, S, jnu)] = _tube_shapes([(_named_base(base, n, k), r)])
-    return hopf_residual_matrix(S, jnu)
 
 
 def ruled_profile(n: int) -> PrincipalProfile:
@@ -330,17 +314,12 @@ def _carrier_frame(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray):
     (vals, vecs) is the eigendecomposition of the shape operator along
     the orbit's unit normal.  U_i are the normalised projections of
     J(normal) onto the carrier eigenspaces, oriented to positive
-    weights; A is fixed by J A = b2 U1 - b1 U2.  Raises when the J-image
-    sits inside a single eigenspace (a Hopf model has no such frame).
+    weights; A is fixed by J A = b2 U1 - b1 U2.  Raises unless the J-image
+    splits over exactly two eigenspaces (a Hopf model has no such frame).
     """
     J, t = orbit.algebra.J, orbit.tangent
     xi = orbit.normal[0]
-    merged, carriers = _carriers(vals, vecs, t @ (J @ xi))
-    if len(carriers) != 2:
-        raise UnsupportedModelError(
-            "model does not have a two-carrier normal J-image"
-        )
-    (l1, b1, _, u1), (l2, b2, _, u2) = carriers
+    merged, ((l1, b1, _, u1), (l2, b2, _, u2)) = _carriers(vals, vecs, t @ (J @ xi))
     u1, u2 = u1 @ t, u2 @ t
     # A = -J(b2 U1 - b1 U2) since J^2 = -1
     a = -(J @ (b2 * u1 - b1 * u2))
@@ -421,25 +400,6 @@ def _eigenpair_bracket(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray) ->
     same = np.abs(vals[:, None] - vals[None, :]) < EIGENSPACE_TOL
     mask = same[:, :, None] & ~same[:, None, :]
     return float(np.max(np.abs(4.0 * gap * nabla - rhs)[mask]))
-
-
-def profile_identity_residuals(profile: PrincipalProfile) -> dict[str, float]:
-    """Scalar identities checkable from profile data alone.
-
-    Used for the equidistant entries, whose orbits miss the base point
-    so no left-invariant connection samples exist for them; the
-    curvature/weight identities still apply and are checked here.
-    """
-    if profile.hopf is None:
-        raise UnsupportedModelError("profile carries no carrier weights")
-    h = profile.hopf
-    lam3 = profile.axis_value()
-    return {
-        "weight_balance": residual_hopf_weights(
-            h.lam1, h.lam2, lam3, h.b1**2, h.b2**2
-        ),
-        "weight_sum": abs(h.b1**2 + h.b2**2 - 1.0),
-    }
 
 
 # ---------------------------------------------------------------------------

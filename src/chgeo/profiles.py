@@ -45,8 +45,11 @@ class PrincipalProfile:
     """Distinct principal curvatures with multiplicities.
 
     ``entries`` is sorted ascending by curvature; multiplicities sum to
-    ``total_dim``.  ``hopf`` is present on the non-Hopf models where the
-    tangential part of J(normal) splits over exactly two distributions.
+    ``total_dim``.  ``hopf is None`` means the model is Hopf: J(normal)
+    is a principal direction.  Otherwise ``hopf`` holds the two
+    distributions the tangential part of J(normal) splits over; the
+    tube engine raises UnsupportedModelError for a non-Hopf tube with
+    any other number of such carriers.
     """
 
     entries: tuple[tuple[float, int], ...]

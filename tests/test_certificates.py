@@ -1,5 +1,5 @@
 """Exact certificates: the classifier's relations solved symbolically,
-and the half-angle value at the exceptional radius.
+the isolated branch, and the half-angle value at the exceptional radius.
 
 Together the conic and weight-system certificates show, for every lam3,
 that the raw residual system has exactly the roots the closed forms
@@ -132,3 +132,22 @@ def test_exceptional_radius_half_angle_is_one_over_sqrt3():
     gap = (sp.tanh(r / 2) - 1 / sp.sqrt(3)).rewrite(sp.exp)
     assert sp.radsimp(gap) == 0
     assert float(r) == pytest.approx(jacobi.EXCEPTIONAL_RADIUS, rel=1e-15)
+
+
+def _exact(expr):
+    """expr with each float coefficient made exact, sqrt(3) multiples included."""
+    return expr.replace(lambda x: x.is_Float, lambda x: sp.nsimplify(x, [sp.sqrt(3)]))
+
+
+def test_isolated_branch_solves_its_relations_exactly():
+    s3 = sp.sqrt(3)
+    point = {L1: s3 / 2, L2: 0, L3: s3 / 6, B1: sp.Rational(8, 9), B2: sp.Rational(1, 9)}
+    q1, q2 = (_exact(q) for q in classifier.multiplicity_quadratics(L2, B2))
+    balance = _exact(classifier._weight_balance(L1, L2, L3, B1, B2))
+    relations = [q1, q2, 4 * L1 * L3 - 1, 2 * L1 * (L1 - L3) - 1, balance, B1 + B2 - 1]
+    assert [sp.expand(rel.subs(point)) for rel in relations] == [0] * len(relations)
+    # the factorisation that leaves only lam2 in {0, sqrt(3)/2}
+    assert sp.expand(q1 + q2 - 72 * B2 * L2 * (2 * L2 - s3)) == 0
+    branch = classifier.solve_case_one()
+    got = [branch.lambda1, branch.lambda2, branch.lambda3, branch.b1_sq, branch.b2_sq]
+    assert got == pytest.approx([float(point[s]) for s in (L1, L2, L3, B1, B2)], abs=1e-15)

@@ -533,7 +533,6 @@ def _without_timings(stdout):
     return cli.render(doc, "json")
 
 
-@pytest.mark.slow
 def test_verify_passes_and_is_deterministic():
     # one run in a fresh interpreter, so determinism holds across processes
     first = run_cli_subprocess("--seed", "7", "--format", "json", "verify")
@@ -576,7 +575,6 @@ def test_engine_error_in_a_suite_fails_that_suite_only(monkeypatch):
     )
 
 
-@pytest.mark.slow
 def test_verify_overtight_tolerance_fails():
     proc = run_cli("--format", "json", "verify", "--tolerance", "1e-15")
     assert proc.returncode == 1
@@ -666,7 +664,6 @@ def test_malformed_seed_environment_variable_is_usage_error(value):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.slow
 def test_global_flags_accepted_after_subcommand():
     before = run_cli("--seed", "7", "--format", "json", "verify")
     after = run_cli("verify", "--seed", "7", "--format", "json")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chgeo import classifier, families, jacobi, solvable
 from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
@@ -206,6 +208,40 @@ def test_tube_spectra_matches_one_tube_at_a_time(n):
         assert _bits(profile) == _bits(families.tube_spectrum(base, r=r))
 
 
+def _closed_form_table(n, k, r):
+    """Montiel's table of (value, multiplicity) by base, outward normal."""
+    far, near = -0.5 / math.tanh(r / 2.0), -0.5 * math.tanh(r / 2.0)
+    return {
+        "horosphere": [(0.5, 2 * n - 2), (1.0, 1)],
+        "point": [(far, 2 * n - 2), (-coth(r), 1)],
+        "CHk": [(far, 2 * (n - k - 1)), (near, 2 * k), (-coth(r), 1)],
+        "RHn": [(far, n - 1), (near, n - 1), (-math.tanh(r), 1)],
+    }
+
+
+@st.composite
+def _tube_parameters(draw):
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 2))
+    r = draw(st.floats(0.05, 4.0).filter(lambda r: abs(r - R_STAR) >= 0.05))
+    return n, k, r
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_tube_parameters())
+def test_hopf_tubes_match_the_closed_form_table(params):
+    n, k, r = params
+    table = _closed_form_table(n, k, r)
+    profiles = families.tube_spectra([(families.tube_base(kind, n, k), r) for kind in table])
+    for (kind, want), profile in zip(table.items(), profiles):
+        want = sorted(want)
+        assert [m for _, m in profile.entries] == [m for _, m in want], kind
+        assert [lam for lam, _ in profile.entries] == pytest.approx(
+            [lam for lam, _ in want], abs=1e-12
+        ), kind
+        assert profile.hopf is None, kind
+
+
 # ---------------------------------------------------------------------------
 # ruled orbit and equidistants
 # ---------------------------------------------------------------------------
@@ -261,11 +297,6 @@ def test_equidistant_matches_parametric_branch(r):
     assert sorted([hopf.b1**2, hopf.b2**2]) == pytest.approx(
         sorted([branch.b1_sq, branch.b2_sq]), abs=1e-10
     )
-
-
-def test_equidistant_profile_identities():
-    res = families.profile_identity_residuals(families.equidistant_profile(3, 1.2))
-    assert max(res.values()) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +402,60 @@ def test_hopf_flags_split_by_family():
 
 
 def test_eigenvector_defect_by_family():
-    """J(normal) is principal exactly for the totally geodesic bases."""
-    assert families.tube_eigenvector_defect("CHk", 3, k=1, r=1.0) <= 1e-12
-    assert families.tube_eigenvector_defect("RHn", 3, r=1.0) <= 1e-12
-    assert families.tube_eigenvector_defect("point", 3, r=0.7) <= 1e-12
-    assert families.tube_eigenvector_defect("horosphere", 3, r=1.0) <= 1e-12
-    assert families.tube_eigenvector_defect("Wk", 3, k=2, r=R_STAR) >= 0.01
-    assert families.tube_eigenvector_defect("Wk", 3, k=1, r=-1.0) >= 0.01
+    """J(normal) is principal exactly for the totally geodesic bases and the horosphere."""
+    assert families.tube_spectrum("CHk", 3, k=1, r=1.0).hopf is None
+    assert families.tube_spectrum("RHn", 3, r=1.0).hopf is None
+    assert families.tube_spectrum("point", 3, r=0.7).hopf is None
+    assert families.tube_spectrum("horosphere", 3, r=1.0).hopf is None
+    assert families.tube_spectrum("Wk", 3, k=2, r=R_STAR).hopf is not None
+    assert families.tube_spectrum("Wk", 3, k=1, r=-1.0).hopf is not None
+
+
+def _kahler_angle_base(phi):
+    """Base W^4 in n = 3 whose normal slice (V1, cos phi iV1 + sin phi V3) has Kahler angle phi."""
+    alg = solvable.build_algebra(3)
+    e = np.eye(alg.dim)
+    w_perp = np.array([e[2], math.cos(phi) * e[3] + math.sin(phi) * e[4]])
+    tangent = np.vstack([e[:2], e[5], -math.sin(phi) * e[3] + math.cos(phi) * e[4]])
+    orbit = solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp)
+    nu = w_perp[0]
+    return families.TubeBase("Wk", 3, nu, orbit.tangent, orbit.shape_operator(nu), w_perp[1:])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_kahler_angle_tube_with_three_carriers_is_not_reported_as_hopf(r):
+    # J(normal) is no eigenvector (defect 0.94 at r = 0.5, 0.40 at r = 1)
+    # and spreads over three eigenspaces: neither Hopf nor a two-carrier model
+    with pytest.raises(UnsupportedModelError, match="has 3 carrier eigenspaces"):
+        families.tube_spectrum(_kahler_angle_base(0.7), r=r)
+
+
+def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
+    n = 3
+    ruled = families.tube_base("Wk", n, 1)
+    # a geodesic sphere whose normal is the ruled orbit's, so every job is one stack
+    sphere = families.TubeBase(
+        "point", n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)),
+        families._orthocomplement(ruled.nu),
+    )
+    jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    profiles = families.tube_spectra(jobs)
+    assert [p.hopf is None for p in profiles] == [False, True, False, False]
+    # one for the Jacobi operator, one for the shape stack
+    assert calls == {"eigh": 2, "eigvalsh": 0}
 
 
 def test_carrier_multiplicity_one_on_non_hopf_families():
