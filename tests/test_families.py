@@ -299,6 +299,17 @@ def test_equidistant_matches_parametric_branch(r):
     )
 
 
+def test_equidistant_profile_identities():
+    """The weight balance and weight sum hold on the tube engine's carriers."""
+    profile = families.equidistant_profile(3, 1.2)
+    h = profile.hopf
+    balance = classifier.residual_hopf_weights(
+        h.lam1, h.lam2, profile.axis_value(), h.b1**2, h.b2**2
+    )
+    assert balance <= 1e-10
+    assert abs(h.b1**2 + h.b2**2 - 1.0) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # structural residuals
 # ---------------------------------------------------------------------------
