@@ -24,7 +24,6 @@ from .classifier import (
     residual_hopf_weights,
     solve_case_one,
     solve_case_two,
-    sweep,
 )
 from .errors import (
     DegeneratePlaneError,
@@ -43,7 +42,7 @@ from .jacobi import (
     normal_frame,
     transversal_map,
 )
-from .profiles import HopfAttitude, PrincipalProfile, make_profile
+from .profiles import HopfAttitude, PrincipalProfile
 from .solvable import (
     RuledSpec,
     SolvableAlgebra,
@@ -86,7 +85,6 @@ __all__ = [
     "jacobi_field",
     "jacobi_numeric",
     "levi_civita",
-    "make_profile",
     "normal_frame",
     "residual_hopf_weights",
     "ruled_profile",
@@ -94,7 +92,6 @@ __all__ = [
     "solve_case_one",
     "solve_case_two",
     "structural_residuals",
-    "sweep",
     "transversal_map",
     "tube_spectrum",
 ]

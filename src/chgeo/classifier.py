@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import HopfAttitude, PrincipalProfile
+from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile
 
 __all__ = [
     "ClassifyOutcome",
     "SolutionBranch",
-    "SweepReport",
     "branch_profile",
     "closed_form_weights",
     "multiplicity_quadratics",
@@ -42,11 +41,9 @@ __all__ = [
     "residual_weight_sum",
     "solve_case_one",
     "solve_case_two",
-    "sweep",
     "validate_against_closed_form",
 ]
 
-COINCIDENCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 # damped Newton stops below this residual norm or after this many steps.
 # A stalled start sits near the singular locus l1 + l2 = 2 lam3, moves
@@ -114,7 +111,7 @@ class ClassifyOutcome:
 
 def _require_distinct(l1: float, l2: float, l3: float) -> None:
     gaps = (abs(l1 - l2), abs(l1 - l3), abs(l2 - l3))
-    if min(gaps) < COINCIDENCE_TOL:
+    if min(gaps) < MERGE_TOL:
         raise ValueError(
             f"principal curvatures must be distinct, got ({l1}, {l2}, {l3})"
         )
@@ -168,6 +165,18 @@ def closed_form_weights(l1, l2, l3) -> tuple[float, float]:
     return float(b1), float(b2)
 
 
+def _smaller_weight(x, s):
+    """The smaller squared weight on the branch, with x = |lam3| and s = sqrt(1 - 3 lam3^2).
+
+    It is b1^2 of ``closed_form_weights`` for lam3 >= 0 and b2^2 for
+    lam3 <= 0 (tests/test_certificates.py proves both), written as
+    (1 - 4x^2)^3 / (2s (s + x)(1 - 2x^2 + 2xs)).  The closed form's factor
+    1 + 4 lam3 (lam3 - l_j) cancels as |lam3| -> 1/2; here 1 - 2x is exact
+    there and nothing else cancels.
+    """
+    return ((1 - 2 * x) * (1 + 2 * x)) ** 3 / (2 * s * (s + x) * (1 - 2 * x * x + 2 * x * s))
+
+
 def multiplicity_quadratics(lam2, b2_sq) -> tuple[float, float]:
     """The two quadratics constraining the repeated-carrier branch.
 
@@ -200,7 +209,8 @@ def solve_case_two(lam3: float) -> ClassifyOutcome:
     ``ValueError``.  The window 1/2 <= |lam3| <= 1/sqrt(3)
     produces real curvature triples whose weights leave (0, 1), and
     beyond it the conics have no real common point off the coincidence
-    locus.
+    locus.  For |lam3| < 1/2 the smaller weight is ``_smaller_weight``,
+    accurate up to the edge, and the larger one is one minus it.
 
     At lam3 = 0 the four relations hold for every b1^2 + b2^2 = 1, so
     they do not fix the weights; the b^2 = 1/2 returned there comes from
@@ -219,15 +229,17 @@ def solve_case_two(lam3: float) -> ClassifyOutcome:
     root = math.sqrt(max(disc, 0.0))
     l1 = 0.5 * (3.0 * lam3 - root)
     l2 = 0.5 * (3.0 * lam3 + root)
-    if min(abs(l1 - l2), abs(l1 - lam3), abs(l2 - lam3)) < COINCIDENCE_TOL:
+    if min(abs(l1 - l2), abs(l1 - lam3), abs(l2 - lam3)) < MERGE_TOL:
         return ClassifyOutcome(lam3, None, "coincident eigenvalues")
-    b1_sq, b2_sq = closed_form_weights(l1, l2, lam3)
-    if not (0.0 < b1_sq < 1.0 and 0.0 < b2_sq < 1.0):
+    # the smaller weight has the sign of 1 - 4 lam3^2
+    if abs(lam3) >= 0.5:
         return ClassifyOutcome(
             lam3,
             None,
             "ellipse exclusion (projection weights leave the unit interval)",
         )
+    small = _smaller_weight(abs(lam3), root)
+    b1_sq, b2_sq = (small, 1.0 - small) if lam3 >= 0.0 else (1.0 - small, small)
     branch = SolutionBranch(
         case="ii",
         lambda1=l1,
@@ -260,7 +272,7 @@ def solve_case_one() -> SolutionBranch:
     candidates = [0.0, s3 / 2.0]
     l2 = None
     for cand in candidates:
-        if abs(cand - l1) < COINCIDENCE_TOL:
+        if abs(cand - l1) < MERGE_TOL:
             continue
         l2 = cand
     if l2 is None:
@@ -310,20 +322,8 @@ def branch_profile(branch: SolutionBranch, n: int, m1: int | None = None) -> Pri
 
 
 # ---------------------------------------------------------------------------
-# sweep driver and independent validation
+# independent validation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    outcomes: tuple[ClassifyOutcome, ...]
-    isolated: SolutionBranch
-
-
-def sweep(grid) -> SweepReport:
-    """Deterministic scan of the parametric branch over a lam3 grid."""
-    outcomes = tuple(solve_case_two(float(lam3)) for lam3 in grid)
-    return SweepReport(outcomes=outcomes, isolated=solve_case_one())
 
 
 def _residuals(x, lam3):

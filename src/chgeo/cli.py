@@ -165,16 +165,15 @@ def cmd_sweep(args):
     if not math.isfinite(grid[-1]):
         # the slack lets the last point pass --hi, and so the largest float
         raise ValueError(f"sweep grid overflows: its last point is {grid[-1]}")
-    report = classifier.sweep(grid)
+    outcomes = [classifier.solve_case_two(lam3) for lam3 in grid]
     doc = {
         "schema": SCHEMA,
         "command": "sweep",
         "grid": grid,
         "outcomes": [
-            _branch_doc(o.branch, lambda3=o.lambda3, reason=o.reason)
-            for o in report.outcomes
+            _branch_doc(o.branch, lambda3=o.lambda3, reason=o.reason) for o in outcomes
         ],
-        "isolated": _branch_doc(report.isolated),
+        "isolated": _branch_doc(classifier.solve_case_one()),
     }
     return doc, 0
 

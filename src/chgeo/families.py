@@ -26,8 +26,8 @@ import numpy as np
 from .ambient import CurvatureModel
 from .classifier import residual_hopf_weights
 from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
-from .jacobi import EXCEPTIONAL_RADIUS, MAX_RADIUS, curvature_propagator
-from .profiles import HopfAttitude, PrincipalProfile, make_profile, merge_spectrum
+from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
+from .profiles import HopfAttitude, PrincipalProfile, eigenspaces
 from .solvable import (
     OrbitModel,
     RuledModel,
@@ -39,8 +39,9 @@ from .solvable import (
 )
 
 __all__ = [
+    "CARRIER_TOL",
+    "CATALOG_MAX_RADIUS",
     "CatalogEntry",
-    "HOPF_RESIDUAL_TOL",
     "TubeBase",
     "catalog",
     "equidistant_profile",
@@ -54,11 +55,12 @@ __all__ = [
     "entry_to_dict",
 ]
 
-HOPF_RESIDUAL_TOL = 1e-10
-FOCAL_TOL = 1e-10
-# eigenvalues closer than this share an eigenspace, and a projection of
-# J(normal) longer than this makes that eigenspace a carrier
-EIGENSPACE_TOL = 1e-8
+# a projection of J(normal) longer than this makes an eigenspace a carrier
+CARRIER_TOL = 1e-8
+# the smaller carrier weight of the ruled orbit's equidistant at distance r
+# falls like e^(-3r/2), 1.28e-8 at r = 13.5; past r = 13.66 it is below
+# CARRIER_TOL and that non-Hopf family would read as Hopf
+CATALOG_MAX_RADIUS = 13.5
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
@@ -73,7 +75,6 @@ class TubeBase:
     nu itself.  All vectors are ambient coordinates.
     """
 
-    kind: str
     n: int
     nu: np.ndarray
     tangent: np.ndarray
@@ -94,7 +95,6 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
             raise ValueError(f"complex base dimension must lie in 0..{n - 1}, got {k}")
         # base tangent: the last 2k coordinates (a complex subspace); k = 0 is a point
         return TubeBase(
-            kind="CHk" if k else "point",
             n=n,
             nu=e[0],
             tangent=e[d - 2 * k:],
@@ -106,7 +106,6 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
         tangent = e[0::2]
         normals = e[1::2]
         return TubeBase(
-            kind=kind,
             n=n,
             nu=normals[0],
             tangent=tangent,
@@ -130,7 +129,6 @@ def _orbit_base(alg: SolvableAlgebra, kind: str, k: int | None = None) -> TubeBa
         orbit = horosphere_model(alg)
         nu, sphere = orbit.normal[0], np.zeros((0, alg.dim))
     return TubeBase(
-        kind=kind,
         n=alg.n,
         nu=nu,
         tangent=orbit.tangent,
@@ -148,30 +146,30 @@ def _orthocomplement(nu: np.ndarray) -> np.ndarray:
 
 
 def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
-    """Merged spectrum of S and the two carriers of J(normal) among its eigenspaces.
+    """Merged spectrum of S and the eigenspaces that carry J(normal).
 
-    (vals, vecs) is ``np.linalg.eigh(S)``.  Each carrier is (value,
-    weight, multiplicity, unit direction), the direction in the frame of
-    S; the repeated carrier, if any, is listed first, otherwise they
-    ascend.  A count other than two raises: J(normal) inside one
-    eigenspace is a Hopf model, and three or more carriers fall outside
-    the non-Hopf models the paper classifies.
+    (vals, vecs) is ``np.linalg.eigh(S)``; an eigenspace of vals
+    (``eigenspaces``) is a carrier when J(normal) projects onto it
+    longer than CARRIER_TOL.  Each carrier is (index into the spectrum,
+    weight, unit direction), the direction in the frame of S; the
+    repeated carrier, if any, is listed first, otherwise they ascend.
+    One carrier makes a Hopf model and two a non-Hopf one; any other
+    count raises.
     """
     weights = vecs.T @ jnu_coeffs
-    merged = merge_spectrum(vals)
+    entries, groups = eigenspaces(vals)
     carriers = []
-    for value, _ in merged:
-        mask = np.abs(vals - value) < EIGENSPACE_TOL
-        w = float(np.linalg.norm(weights[mask]))
-        if w > EIGENSPACE_TOL:
-            carriers.append((value, w, int(np.sum(mask)), vecs[:, mask] @ weights[mask] / w))
-    if len(carriers) != 2:
+    for j, g in enumerate(groups):
+        w = float(np.linalg.norm(weights[g]))
+        if w > CARRIER_TOL:
+            carriers.append((j, w, vecs[:, g] @ weights[g] / w))
+    if len(carriers) not in (1, 2):
         raise UnsupportedModelError(
-            f"J(normal) has {len(carriers)} carrier eigenspaces, not the two of a "
-            "non-Hopf model"
+            f"J(normal) has {len(carriers)} carrier eigenspaces, neither the one of a "
+            "Hopf model nor the two of a non-Hopf model"
         )
-    carriers.sort(key=lambda c: (-c[2], c[0]))
-    return merged, carriers
+    carriers.sort(key=lambda c: (-entries[c[0]][1], c[0]))
+    return entries, carriers
 
 
 def _check_radius(base: TubeBase, r: float) -> None:
@@ -213,9 +211,9 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     (T, 2n, 2n) solution operators, and their B tubes' value and
     derivative maps (B, 2n, 2n - 1) and shape matrices (B, 2n - 1, 2n - 1)
     are batched.  One ``eigh`` of the shape stack gives every profile's
-    values, Hopf flag and carriers.  A tube is Hopf when its
-    eigenvector defect, |S J(normal) - mu J(normal)| with mu the
-    Rayleigh quotient, is at most HOPF_RESIDUAL_TOL.  Every r must be
+    values, Hopf flag and carriers, all read from one grouping of each
+    spectrum (``_carriers``): a tube is Hopf when J(normal) has one
+    carrier eigenspace, and non-Hopf with two.  Every r must be
     finite with |r| <= MAX_RADIUS.  Proper tubes (bases of codimension
     >= 2) require r > 0; hypersurface bases accept signed r and describe
     the equidistant family.  A focal r raises FocalRadiusError, and a
@@ -238,10 +236,10 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
         v_red, d_red = (np.concatenate(stack) for stack in zip(*maps))
         del maps  # copied into the stacks
         for t, svals in zip(dist, np.linalg.svd(v_red, compute_uv=False)):
-            if svals.min() < FOCAL_TOL:
+            if svals.min() < KERNEL_TOL:
                 raise FocalRadiusError(
                     f"tube differential degenerates at distance {t}",
-                    kernel_dim=int(np.sum(svals < FOCAL_TOL)),
+                    kernel_dim=int(np.sum(svals < KERNEL_TOL)),
                     singular_values=np.sort(svals)[::-1],
                 )
         S = -d_red @ np.linalg.inv(v_red)
@@ -253,21 +251,18 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
                 )
         vals, vecs = np.linalg.eigh(0.5 * (S + S_T))
         jnu = rows @ (model.J @ base.nu)
-        # with w = vecs^T J(normal): defect^2 = sum w^2 (lam - mu)^2, mu = sum w^2 lam
-        w2 = (jnu @ vecs) ** 2
-        mu = np.sum(w2 * vals, axis=-1, keepdims=True)
-        defects = np.sqrt(np.sum(w2 * (vals - mu) ** 2, axis=-1))
-        for i, vals_i, vecs_i, defect in zip(members, vals, vecs, defects):
-            hopf = None if defect <= HOPF_RESIDUAL_TOL else _attitude(vals_i, vecs_i, jnu)
-            out[i] = make_profile(vals_i, hopf=hopf)
+        for i, vals_i, vecs_i in zip(members, vals, vecs):
+            entries, carriers = _carriers(vals_i, vecs_i, jnu)
+            hopf = None if len(carriers) == 1 else _attitude(entries, carriers)
+            out[i] = PrincipalProfile(entries, total_dim=len(vals_i), hopf=hopf)
     return out
 
 
-def _attitude(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray) -> HopfAttitude:
-    """Carrier weights and curvatures of a non-Hopf shape matrix with eigh (vals, vecs)."""
-    _, ((l1, b1, _, _), (l2, b2, _, _)) = _carriers(vals, vecs, jnu_coeffs)
+def _attitude(entries, carriers) -> HopfAttitude:
+    """Carrier weights and curvatures of a non-Hopf spectrum."""
+    (j1, b1, _), (j2, b2, _) = carriers
     norm = math.hypot(b1, b2)
-    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=l1, lam2=l2)
+    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=entries[j1][0], lam2=entries[j2][0])
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:
@@ -308,25 +303,25 @@ def equidistant_profile(n: int, r: float) -> PrincipalProfile:
 # ---------------------------------------------------------------------------
 
 
-def _carrier_frame(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray):
+def _carrier_frame(orbit: OrbitModel, entries, carriers):
     """Unit carrier fields U1, U2 and the axis field A on a codim-1 orbit.
 
-    (vals, vecs) is the eigendecomposition of the shape operator along
-    the orbit's unit normal.  U_i are the normalised projections of
-    J(normal) onto the carrier eigenspaces, oriented to positive
-    weights; A is fixed by J A = b2 U1 - b1 U2.  Raises unless the J-image
-    splits over exactly two eigenspaces (a Hopf model has no such frame).
+    (entries, carriers) is ``_carriers`` of the eigendecomposition of
+    the shape operator along the orbit's unit normal.  U_i are the
+    normalised projections of J(normal) onto the carrier eigenspaces,
+    oriented to positive weights; A is fixed by J A = b2 U1 - b1 U2, and
+    lam3 is the value of the first eigenspace that is not a carrier.  A
+    Hopf model has one carrier and no such frame.
     """
+    if len(carriers) != 2:
+        raise UnsupportedModelError("a Hopf orbit has no carrier frame")
     J, t = orbit.algebra.J, orbit.tangent
-    xi = orbit.normal[0]
-    merged, ((l1, b1, _, u1), (l2, b2, _, u2)) = _carriers(vals, vecs, t @ (J @ xi))
+    (j1, b1, u1), (j2, b2, u2) = carriers
     u1, u2 = u1 @ t, u2 @ t
     # A = -J(b2 U1 - b1 U2) since J^2 = -1
     a = -(J @ (b2 * u1 - b1 * u2))
-    lam3 = [
-        v for v, _ in merged if abs(v - l1) > EIGENSPACE_TOL and abs(v - l2) > EIGENSPACE_TOL
-    ]
-    return (l1, l2, lam3[0]), (b1, b2), (u1, u2, a)
+    lam3 = [v for j, (v, _) in enumerate(entries) if j not in (j1, j2)]
+    return (entries[j1][0], entries[j2][0], lam3[0]), (b1, b2), (u1, u2, a)
 
 
 def structural_residuals(
@@ -347,9 +342,11 @@ def structural_residuals(
     orbit = model.orbit if isinstance(model, RuledModel) else model
     if orbit.codim != 1:
         raise UnsupportedModelError("structural residuals need a hypersurface orbit")
-    # one decomposition of S serves the carrier frame and the pairing lemma
-    vals, vecs = np.linalg.eigh(orbit.shape_operator(orbit.normal[0]))
-    (l1, l2, l3), b, fields = _carrier_frame(orbit, vals, vecs)
+    # one decomposition and grouping of S serve the carrier frame and the pairing lemma
+    xi = orbit.normal[0]
+    vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
+    entries, carriers = _carriers(vals, vecs, orbit.tangent @ (orbit.algebra.J @ xi))
+    (l1, l2, l3), b, fields = _carrier_frame(orbit, entries, carriers)
     # frame coordinates of U1, U2, A; nabla[p, q] is the derivative of field q along p
     f = np.array(fields) @ orbit.tangent.T
     nabla = np.einsum("pi,qj,ijk->pqk", f, f, orbit.intrinsic_gamma)
@@ -375,16 +372,17 @@ def structural_residuals(
         res[f"axis_carrier_{i + 1}"] = float(np.linalg.norm(nabla[2, i] - coeff * u[j]))
     res["axis_geodesic"] = float(np.linalg.norm(nabla[2, 2]))
     res["weight_balance"] = residual_hopf_weights(l1, l2, l3, b[0] ** 2, b[1] ** 2)
-    res["eigenpair_bracket"] = _eigenpair_bracket(orbit, vals, vecs)
+    res["eigenpair_bracket"] = _eigenpair_bracket(orbit, vals, vecs, entries)
     return res
 
 
-def _eigenpair_bracket(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray) -> float:
+def _eigenpair_bracket(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray, entries) -> float:
     """Worst defect of the same-eigenvalue pairing lemma over the eigenbasis vecs of S.
 
     For x, y in one principal distribution (eigenvalue lam) and z in
     another (eigenvalue mu), 4 (mu - lam) <D_x y, z> = <Jy, z><x, J xi>
-    + <Jx, y><z, J xi> + 2 <Jx, z><y, J xi>.
+    + <Jx, y><z, J xi> + 2 <Jx, z><y, J xi>.  The eigenvectors of one
+    entry of the merged spectrum ``entries`` span one distribution.
     """
     J, xi = orbit.algebra.J, orbit.normal[0]
     e = vecs.T @ orbit.tangent
@@ -397,7 +395,8 @@ def _eigenpair_bracket(orbit: OrbitModel, vals: np.ndarray, vecs: np.ndarray) ->
         + pair[:, :, None] * jxi[None, None, :]
         + 2.0 * pair[:, None, :] * jxi[None, :, None]
     )
-    same = np.abs(vals[:, None] - vals[None, :]) < EIGENSPACE_TOL
+    label = np.repeat(np.arange(len(entries)), [m for _, m in entries])
+    same = label[:, None] == label[None, :]
     mask = same[:, :, None] & ~same[:, None, :]
     return float(np.max(np.abs(4.0 * gap * nabla - rhs)[mask]))
 
@@ -506,12 +505,12 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
 
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
-    classification is open.  r is at most MAX_RADIUS; further out the
-    tube curvatures coth(r/2)/2 and tanh(r/2)/2 come closer than the
-    merge gap.
+    classification is open.  r is at most CATALOG_MAX_RADIUS, below
+    MAX_RADIUS: further out the equidistant's smaller carrier weight
+    approaches CARRIER_TOL.
     """
-    if not r <= MAX_RADIUS:
-        raise ValueError(f"catalog radius must be at most {MAX_RADIUS:.4f}, got {r}")
+    if not r <= CATALOG_MAX_RADIUS:
+        raise ValueError(f"catalog radius must be at most {CATALOG_MAX_RADIUS:.4f}, got {r}")
     entries = two_curvature_families(n, r=r)
     notes: list[str] = []
     try:

@@ -60,9 +60,9 @@ EXCEPTIONAL_RADIUS = math.log(2.0 + math.sqrt(3.0))
 # curvatures coth(r/2)/2 and tanh(r/2)/2, still exceeds the merge gap
 MAX_RADIUS = math.asinh(1.0 / MERGE_TOL)
 
-KERNEL_TOL = 1e-10
-BLOCK_DET_TOL = 1e-12
-KERNEL_GAP = 0.1
+KERNEL_TOL = 1e-10  # a value map's singular values at or below this are its kernel
+BLOCK_DET_TOL = 1e-12  # a carrier block with |det| at most this is singular
+KERNEL_GAP = 0.1  # a map with a kernel keeps its other singular values above this
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     p = int(np.sum(s > KERNEL_TOL))
     S = -(U[:, :p].T @ focal.phi_dt) @ Vt[:p].T / s[:p]
     S = 0.5 * (S + S.T)
-    entries = tuple(merge_spectrum(np.linalg.eigvalsh(S)))
+    entries = merge_spectrum(np.linalg.eigvalsh(S))
     frame = focal.frame
     carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
     (f3, _), (f3_dt, _) = coefficient_pairs(frame.lam3, focal.r)

@@ -10,11 +10,11 @@ __all__ = [
     "HopfAttitude",
     "PrincipalProfile",
     "MERGE_TOL",
-    "make_profile",
+    "eigenspaces",
     "merge_spectrum",
 ]
 
-# gap below which two numerically computed principal curvatures are one
+# neighbouring eigenvalues of a spectrum closer than this share one eigenspace
 MERGE_TOL = 1e-9
 
 
@@ -69,8 +69,9 @@ class PrincipalProfile:
         return len(self.entries)
 
     def multiplicity(self, lam: float) -> int:
+        """Multiplicity of the entry within MERGE_TOL/2 of lam; entries lie MERGE_TOL apart."""
         for value, mult in self.entries:
-            if abs(value - lam) <= 1e-8:
+            if abs(value - lam) <= MERGE_TOL / 2:
                 return mult
         raise KeyError(f"{lam} is not a principal curvature of this profile")
 
@@ -81,25 +82,26 @@ class PrincipalProfile:
         rest = [
             lam
             for lam, _ in self.entries
-            if abs(lam - self.hopf.lam1) > 1e-10 and abs(lam - self.hopf.lam2) > 1e-10
+            if min(abs(lam - self.hopf.lam1), abs(lam - self.hopf.lam2)) > MERGE_TOL / 2
         ]
         if len(rest) != 1:
             raise ValueError("profile does not have a unique axis curvature")
         return rest[0]
 
 
-def merge_spectrum(eigenvalues):
-    """Cluster a sorted/unsorted eigenvalue array into (value, mult) pairs."""
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    groups: list[list[float]] = []
-    for v in vals:
-        if groups and v - groups[-1][-1] < MERGE_TOL:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [(float(np.mean(g)), len(g)) for g in groups]
+def eigenspaces(vals):
+    """Merged spectrum and eigenspace index runs of an ascending spectrum.
+
+    A run ends where the next value is at least MERGE_TOL above the
+    previous one.  The merged spectrum holds each run's (mean value,
+    multiplicity), in ascending order.
+    """
+    cuts = (np.flatnonzero(np.diff(vals) >= MERGE_TOL) + 1).tolist()
+    bounds = [0, *cuts, len(vals)]
+    groups = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return tuple((float(np.mean(vals[g])), g.stop - g.start) for g in groups), groups
 
 
-def make_profile(eigenvalues, hopf: HopfAttitude | None = None):
-    entries = tuple((lam, m) for lam, m in merge_spectrum(eigenvalues))
-    return PrincipalProfile(entries=entries, total_dim=int(len(np.asarray(eigenvalues))), hopf=hopf)
+def merge_spectrum(eigenvalues) -> tuple[tuple[float, int], ...]:
+    """Distinct values of an eigenvalue array, ascending, with multiplicities."""
+    return eigenspaces(np.sort(np.asarray(eigenvalues, dtype=float)))[0]

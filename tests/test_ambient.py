@@ -80,7 +80,7 @@ def test_antisymmetry_in_first_arguments(model, rng):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_pair_symmetry(seed):
     model = ambient.CurvatureModel(3)
     gen = np.random.default_rng(seed)
@@ -91,7 +91,7 @@ def test_pair_symmetry(seed):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_first_bianchi_identity(seed):
     model = ambient.CurvatureModel(2)
     gen = np.random.default_rng(seed)
@@ -105,7 +105,7 @@ def test_first_bianchi_identity(seed):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_complex_structure_invariance(seed):
     model = ambient.CurvatureModel(3)
     gen = np.random.default_rng(seed)

@@ -65,6 +65,8 @@ def test_closed_pair_is_the_solved_branch_and_reciprocal_pair_is_rejected(lam3):
     branch = classifier.solve_case_two(float(lam3)).branch
     exact = [float(v.subs(L3, lam3)) for v in CLOSED]
     assert [branch.lambda1, branch.lambda2] == pytest.approx(exact, abs=1e-15)
+    weights = classifier.closed_form_weights(branch.lambda1, branch.lambda2, float(lam3))
+    assert [branch.b1_sq, branch.b2_sq] == pytest.approx(weights, abs=1e-15)
     l1, l2 = (float(v.subs(L3, lam3)) for v in RECIPROCAL)
     assert l1 == float(lam3) and math.isfinite(l2)
     with pytest.raises(ValueError, match="must be distinct"):
@@ -111,6 +113,19 @@ def test_weight_system_on_the_branch_gives_the_closed_form_weights(lam3):
         l1, l2 = (float(v.subs(L3, lam3)) for v in pair)
         weights = classifier.closed_form_weights(l1, l2, float(lam3))
         assert [float(w) for w in exact] == pytest.approx(weights, abs=1e-14)
+
+
+def test_smaller_weight_is_the_branch_weight_of_its_sign():
+    # with s for sqrt(1 - 3 lam3^2), the branch weights are rational in
+    # (lam3, s); their difference from the smaller-weight form vanishes
+    # modulo s^2 = 1 - 3 lam3^2, so the two agree for every lam3
+    s = sp.Symbol("s")
+    A, rhs = _weight_system()
+    pair = ((3 * L3 - s) / 2, (3 * L3 + s) / 2)
+    b1, b2 = _solve(_at(A, pair), _at(rhs, pair))
+    for weight, x in ((b1, L3), (b2, -L3)):
+        gap = sp.numer(sp.together(weight - classifier._smaller_weight(x, s)))
+        assert sp.rem(sp.expand(gap), s**2 - (1 - 3 * L3**2), s) == 0
 
 
 def test_weight_system_at_zero_axis_holds_for_every_unit_weight_sum():

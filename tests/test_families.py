@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chgeo import classifier, families, jacobi, solvable
 from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
+from chgeo.profiles import PrincipalProfile
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
 SQ3 = math.sqrt(3.0)
@@ -146,8 +147,7 @@ def _synthetic_focal_base():
     shape = np.zeros((5, 5))
     shape[1, 1] = 0.75
     base = families.TubeBase(
-        kind="synthetic", n=3, nu=e[0], tangent=e[1:], shape=shape,
-        sphere=np.zeros((0, 6)),
+        n=3, nu=e[0], tangent=e[1:], shape=shape, sphere=np.zeros((0, 6))
     )
     return base, 2.0 * math.atanh(2.0 / 3.0)
 
@@ -169,7 +169,7 @@ def test_asymmetric_tube_shape_rejected():
     base, _ = _synthetic_focal_base()
     shape = base.shape.copy()
     shape[1, 2] = 0.3
-    skew = families.TubeBase("synthetic", 3, base.nu, base.tangent, shape, base.sphere)
+    skew = families.TubeBase(3, base.nu, base.tangent, shape, base.sphere)
     with pytest.raises(ValueError, match="asymmetric"):
         families.tube_spectrum(skew, r=0.3)
 
@@ -227,7 +227,7 @@ def _tube_parameters(draw):
     return n, k, r
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(_tube_parameters())
 def test_hopf_tubes_match_the_closed_form_table(params):
     n, k, r = params
@@ -340,8 +340,10 @@ def test_structural_residuals_decompose_the_shape_operator_once(monkeypatch):
 def test_orbit_and_tube_routes_agree_on_carriers(n):
     alg = solvable.build_algebra(n)
     orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
-    vals, vecs = np.linalg.eigh(orbit.shape_operator(orbit.normal[0]))
-    (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit, vals, vecs)
+    xi = orbit.normal[0]
+    vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
+    carriers = families._carriers(vals, vecs, orbit.tangent @ (alg.J @ xi))
+    (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit, *carriers)
     h = families.ruled_profile(n).hopf
     got = np.array([l1, l2, b1, b2])
     assert np.max(np.abs(got - [h.lam1, h.lam2, h.b1, h.b2])) <= 1e-14
@@ -430,7 +432,7 @@ def _kahler_angle_base(phi):
     tangent = np.vstack([e[:2], e[5], -math.sin(phi) * e[3] + math.cos(phi) * e[4]])
     orbit = solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp)
     nu = w_perp[0]
-    return families.TubeBase("Wk", 3, nu, orbit.tangent, orbit.shape_operator(nu), w_perp[1:])
+    return families.TubeBase(3, nu, orbit.tangent, orbit.shape_operator(nu), w_perp[1:])
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0])
@@ -441,12 +443,38 @@ def test_kahler_angle_tube_with_three_carriers_is_not_reported_as_hopf(r):
         families.tube_spectrum(_kahler_angle_base(0.7), r=r)
 
 
+def test_carriers_read_the_merge_groups():
+    # curvatures 5e-9 apart lie past the merge gap: three eigenspaces, and
+    # J(normal) on the first and the last makes two carriers
+    vals = np.array([0.5, 0.5 + 5e-9, 1.0])
+    jnu = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+    entries, carriers = families._carriers(vals, np.eye(3), jnu)
+    assert [m for _, m in entries] == [1, 1, 1]
+    assert [j for j, _, _ in carriers] == [0, 2]
+
+
+def test_profile_multiplicity_tells_close_entries_apart():
+    profile = PrincipalProfile(entries=((0.5, 2), (0.5 + 5e-9, 1), (1.0, 2)), total_dim=5)
+    assert [profile.multiplicity(lam) for lam, _ in profile.entries] == [2, 1, 2]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_equidistant_at_the_catalog_bound_is_non_hopf(n):
+    r = families.CATALOG_MAX_RADIUS
+    entries, _ = families.catalog(n, r)
+    hopf = next(e for e in entries if e.family == "equidistant-W").profile.hopf
+    branch = classifier.solve_case_two(math.tanh(r / 2.0) / 2.0).branch
+    assert hopf is not None
+    want = [math.sqrt(branch.b1_sq), math.sqrt(branch.b2_sq), branch.lambda1, branch.lambda2]
+    assert [hopf.b1, hopf.b2, hopf.lam1, hopf.lam2] == pytest.approx(want, abs=1e-12)
+
+
 def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     n = 3
     ruled = families.tube_base("Wk", n, 1)
     # a geodesic sphere whose normal is the ruled orbit's, so every job is one stack
     sphere = families.TubeBase(
-        "point", n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)),
+        n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)),
         families._orthocomplement(ruled.nu),
     )
     jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]

@@ -60,7 +60,7 @@ def test_axis_class_coefficient_at_exceptional_radius():
     lam=st.floats(min_value=-1.0, max_value=1.0),
     t=st.floats(min_value=-3.0, max_value=3.0),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_axis_coefficient_is_mode_sum(lam, t):
     """f + g collapses to the pure axis evolution cosh(t) - lam sinh(t)."""
     (f, g), _ = jacobi.coefficient_pairs(lam, t)
@@ -73,7 +73,7 @@ def test_axis_coefficient_is_mode_sum(lam, t):
     w=st.floats(min_value=-1.0, max_value=1.0),
     t=st.floats(min_value=0.1, max_value=3.0),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_closed_form_satisfies_field_equation(lam, w, t):
     h = np.longdouble(1e-4)
     lam_l, w_l, t_l = np.longdouble(lam), np.longdouble(w), np.longdouble(t)
