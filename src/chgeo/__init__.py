@@ -44,7 +44,6 @@ from .jacobi import (
 )
 from .profiles import HopfAttitude, PrincipalProfile
 from .solvable import (
-    RuledSpec,
     SolvableAlgebra,
     algebra_curvature,
     build_algebra,
@@ -67,7 +66,6 @@ __all__ = [
     "HopfAttitude",
     "OpenCaseError",
     "PrincipalProfile",
-    "RuledSpec",
     "SolutionBranch",
     "SolvableAlgebra",
     "UnsupportedModelError",

@@ -79,6 +79,12 @@ def _tagged(value: float | None):
     return {"value": value, "symbol": symbol_for(value)}
 
 
+def _weight(value: float) -> dict:
+    """A branch weight lies strictly inside (0, 1), so it is never tagged 0 or 1."""
+    symbol = symbol_for(value)
+    return {"value": value, "symbol": None if symbol in ("0", "1") else symbol}
+
+
 # ---------------------------------------------------------------------------
 # document builders
 # ---------------------------------------------------------------------------
@@ -104,8 +110,8 @@ def _branch_doc(branch: classifier.SolutionBranch | None, lambda3=None, reason=N
         "lambda3": _tagged(branch.lambda3),
         "lambda1": _tagged(branch.lambda1),
         "lambda2": _tagged(branch.lambda2),
-        "b1sq": _tagged(branch.b1_sq),
-        "b2sq": _tagged(branch.b2_sq),
+        "b1sq": _weight(branch.b1_sq),
+        "b2sq": _weight(branch.b2_sq),
         "mults": list(branch.mult_pattern),
         "window": branch.window,
         "reason": reason,

@@ -28,15 +28,7 @@ from .classifier import residual_hopf_weights
 from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
 from .profiles import HopfAttitude, PrincipalProfile, eigenspaces
-from .solvable import (
-    OrbitModel,
-    RuledModel,
-    SolvableAlgebra,
-    build_algebra,
-    build_ruled,
-    default_ruled_spec,
-    horosphere_model,
-)
+from .solvable import OrbitModel, build_algebra, build_ruled, default_ruled_spec, horosphere_model
 
 __all__ = [
     "CARRIER_TOL",
@@ -115,25 +107,22 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     if kind == "Wk":
         if k is None or not 1 <= k <= n - 1:
             raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-    elif kind != "horosphere":
+        alg = build_algebra(n)
+        return _orbit_base(build_ruled(alg, default_ruled_spec(alg, k)))
+    if kind != "horosphere":
         raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
-    return _orbit_base(build_algebra(n), kind, k)
+    return _orbit_base(horosphere_model(build_algebra(n)))
 
 
-def _orbit_base(alg: SolvableAlgebra, kind: str, k: int | None = None) -> TubeBase:
-    """Base data of the ruled orbit of corank k ("Wk") or the horosphere, in alg."""
-    if kind == "Wk":
-        model = build_ruled(alg, default_ruled_spec(alg, k))
-        orbit, nu, sphere = model.orbit, model.w_perp[0], model.w_perp[1:]
-    else:
-        orbit = horosphere_model(alg)
-        nu, sphere = orbit.normal[0], np.zeros((0, alg.dim))
+def _orbit_base(orbit: OrbitModel) -> TubeBase:
+    """Base data of an orbit: nu is its first normal row, the other rows span the sphere."""
+    nu = orbit.normal[0]
     return TubeBase(
-        n=alg.n,
+        n=orbit.algebra.n,
         nu=nu,
         tangent=orbit.tangent,
         shape=orbit.shape_operator(nu),
-        sphere=sphere,
+        sphere=orbit.normal[1:],
     )
 
 
@@ -324,10 +313,8 @@ def _carrier_frame(orbit: OrbitModel, entries, carriers):
     return (entries[j1][0], entries[j2][0], lam3[0]), (b1, b2), (u1, u2, a)
 
 
-def structural_residuals(
-    n: int, model: RuledModel | OrbitModel | None = None
-) -> dict[str, float]:
-    """Connection-identity residuals on the ruled hypersurface orbit.
+def structural_residuals(orbit: OrbitModel) -> dict[str, float]:
+    """Connection-identity residuals on a non-Hopf hypersurface orbit, e.g. the ruled one.
 
     Evaluates the induced covariant derivatives of the carrier and axis
     fields against their closed forms in the curvatures and projection
@@ -336,10 +323,6 @@ def structural_residuals(
     computes the connection exactly there); Hopf orbits carry no
     carrier frame and are rejected.
     """
-    if model is None:
-        alg = build_algebra(n)
-        model = build_ruled(alg, default_ruled_spec(alg, 1))
-    orbit = model.orbit if isinstance(model, RuledModel) else model
     if orbit.codim != 1:
         raise UnsupportedModelError("structural residuals need a hypersurface orbit")
     # one decomposition and grouping of S serve the carrier frame and the pairing lemma
@@ -447,7 +430,7 @@ def _engine_entries(n: int, rows, g: int) -> list[CatalogEntry]:
 
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
-    horosphere = _orbit_base(build_algebra(n), "horosphere")
+    horosphere = _orbit_base(horosphere_model(build_algebra(n)))
     rows = [
         ("horosphere", None, None, (horosphere, 1.0), None, None),
         ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
@@ -475,7 +458,9 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
             "the three-curvature classification is open in complex dimension 2"
         )
     alg = build_algebra(n)
-    ruled, *ruled_k = [_orbit_base(alg, "Wk", k) for k in range(1, n)]
+    ruled, *ruled_k = [
+        _orbit_base(build_ruled(alg, default_ruled_spec(alg, k))) for k in range(1, n)
+    ]
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)

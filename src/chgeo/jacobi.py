@@ -100,15 +100,14 @@ class GeodesicNormalFrame:
     direction sits at e3 (with J-image e4), the two projection carriers
     u1, u2 mix e2 and e4, and the remaining coordinates pair off under
     J.  ``basis`` rows are ordered (u1, u2, axis, pairs...) and
-    ``lambdas`` assigns the principal curvature of each row.
+    ``lambdas`` assigns the principal curvature of each row, so the
+    axis curvature lam3 is ``lambdas[2]``.
     """
 
     n: int
     basis: np.ndarray
     lambdas: np.ndarray
     hopf: HopfAttitude
-    lam3: float
-    m1: int
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -179,14 +178,7 @@ def normal_frame(profile: PrincipalProfile):
             lams.extend([lam1, lam3])
         else:
             lams.extend([lam3, lam3])
-    return GeodesicNormalFrame(
-        n=n,
-        basis=np.array(rows),
-        lambdas=np.array(lams),
-        hopf=hopf,
-        lam3=lam3,
-        m1=m1,
-    )
+    return GeodesicNormalFrame(n=n, basis=np.array(rows), lambdas=np.array(lams), hopf=hopf)
 
 
 def _coefficients(lambdas, t):
@@ -395,7 +387,7 @@ def transversal_maps(jobs) -> list[FocalMapData]:
     frames = []
     for profile, r in jobs:
         frames.append(normal_frame(profile))
-        _check_distance(frames[-1].lam3, r)
+        _check_distance(float(frames[-1].lambdas[2]), r)
     if len({frame.n for frame in frames}) > 1:
         raise ValidationError(
             "stacked transversal maps need one complex dimension, got "
@@ -420,7 +412,7 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
             raise ValidationError(
                 "singular values fall between the kernel threshold and the gap "
-                f"guard at distance {jobs[i][1]}, lam3={frames[i].lam3}: {svals[i]}"
+                f"guard at distance {jobs[i][1]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
             )
 
     # the 2x2 action on the projection carriers, rows 0 and 1 of the frame:
@@ -484,6 +476,6 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     entries = merge_spectrum(np.linalg.eigvalsh(S))
     frame = focal.frame
     carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
-    (f3, _), (f3_dt, _) = coefficient_pairs(frame.lam3, focal.r)
+    (f3, _), (f3_dt, _) = coefficient_pairs(float(frame.lambdas[2]), focal.r)
     axis_rate = -float(f3_dt) / float(f3)
     return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=axis_rate)

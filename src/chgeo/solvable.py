@@ -38,7 +38,6 @@ from .errors import ValidationError
 
 __all__ = [
     "OrbitModel",
-    "RuledSpec",
     "SolvableAlgebra",
     "algebra_curvature",
     "build_algebra",
@@ -62,7 +61,6 @@ class SolvableAlgebra:
     """
 
     n: int
-    names: tuple[str, ...]
     weights: np.ndarray
     omega: np.ndarray
 
@@ -94,8 +92,7 @@ def build_algebra(n: int) -> SolvableAlgebra:
     # [U, V] = <iU, V> Z on the v-part; i pairs consecutive V's
     omega = complex_structure(n).T
     omega[:2, :2] = 0.0
-    names = ("A", "Z") + tuple(f"V{j + 1}" for j in range(d - 2))
-    return SolvableAlgebra(n=n, names=names, weights=weights, omega=omega)
+    return SolvableAlgebra(n=n, weights=weights, omega=omega)
 
 
 def _tangents(alg: SolvableAlgebra, v) -> np.ndarray:
@@ -146,42 +143,38 @@ def algebra_curvature(alg: SolvableAlgebra, x, y, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RuledSpec:
-    """Choice of a totally real normal slice inside the v-part.
-
-    ``w_perp`` holds k orthonormal rows (full algebra coordinates, with
-    vanishing A and Z components).
-    """
-
-    k: int
-    w_perp: np.ndarray
-
-
-def default_ruled_spec(alg: SolvableAlgebra, k: int) -> RuledSpec:
-    """Canonical slice spanned by V_1, V_3, ..., V_{2k-1}."""
+def default_ruled_spec(alg: SolvableAlgebra, k: int) -> np.ndarray:
+    """Rows of the canonical slice, spanned by V_1, V_3, ..., V_{2k-1}."""
     if not 1 <= k <= alg.n - 1:
         raise ValidationError(f"corank must lie in 1..{alg.n - 1}, got {k}")
     rows = np.zeros((k, alg.dim))
     for j in range(k):
         rows[j, 2 + 2 * j] = 1.0
-    return RuledSpec(k=k, w_perp=rows)
+    return rows
 
 
-def validate_ruled_spec(alg: SolvableAlgebra, spec: RuledSpec) -> None:
-    w = np.asarray(spec.w_perp, dtype=float)
-    if w.shape != (spec.k, alg.dim):
-        raise ValidationError(f"w_perp must be {spec.k} x {alg.dim}")
-    if not 1 <= spec.k <= alg.n - 1:
-        raise ValidationError(f"corank must lie in 1..{alg.n - 1}, got {spec.k}")
+def validate_ruled_spec(alg: SolvableAlgebra, w_perp) -> np.ndarray:
+    """The slice rows as a float (k, 2n) array, checked to be a totally real slice of v.
+
+    The corank k is the number of rows; non-finite rows are rejected by name.
+    """
+    w = np.asarray(w_perp, dtype=float)
+    if w.ndim != 2 or w.shape[1] != alg.dim:
+        raise ValidationError(f"slice rows must form a (k, {alg.dim}) array, got {w.shape}")
+    k = w.shape[0]
+    if not 1 <= k <= alg.n - 1:
+        raise ValidationError(f"corank must lie in 1..{alg.n - 1}, got {k}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("slice rows must be finite")
     if np.max(np.abs(w[:, :2])) > 1e-12:
         raise ValidationError("normal slice must lie inside the v-part")
-    if np.max(np.abs(w @ w.T - np.eye(spec.k))) > 1e-12:
+    if np.max(np.abs(w @ w.T - np.eye(k))) > 1e-12:
         raise ValidationError("normal slice basis is not orthonormal")
     # totally real: J maps the slice into its orthogonal complement
     jw = w @ alg.J.T
     if np.max(np.abs(jw @ w.T)) > 1e-12:
         raise ValidationError("normal slice is not totally real")
+    return w
 
 
 def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> np.ndarray:
@@ -216,10 +209,11 @@ class OrbitModel:
         t, nr = self.tangent, self.normal
         d = self.algebra.dim
         full = np.vstack([t, nr])
-        if full.shape != (d, d) or np.max(np.abs(full @ full.T - np.eye(d))) > 1e-10:
+        # written so that a NaN fails each check
+        if full.shape != (d, d) or not np.max(np.abs(full @ full.T - np.eye(d))) <= 1e-10:
             raise ValidationError("tangent/normal rows do not form an orthonormal basis")
         leak = _closure_leak(self.algebra, t, nr)
-        if np.max(np.linalg.norm(leak, axis=0)) > 1e-12:
+        if not np.max(np.linalg.norm(leak, axis=0)) <= 1e-12:
             raise ValidationError("tangent space is not closed under the bracket")
 
     @property
@@ -280,27 +274,13 @@ class OrbitModel:
         return gauss, amb @ xi - (dS - dS.swapaxes(0, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class RuledModel:
-    """Ruled minimal submanifold: orbit of a + z + w with slice data."""
+def build_ruled(alg: SolvableAlgebra, w_perp) -> OrbitModel:
+    """Orbit of the subalgebra a + z + (v minus the slice); its normal rows are the slice.
 
-    orbit: OrbitModel
-    spec: RuledSpec
-
-    @property
-    def algebra(self) -> SolvableAlgebra:
-        return self.orbit.algebra
-
-    @property
-    def w_perp(self) -> np.ndarray:
-        return self.spec.w_perp
-
-
-def build_ruled(alg: SolvableAlgebra, spec: RuledSpec) -> RuledModel:
-    """Orbit model of the subalgebra a + z + (v minus the chosen slice)."""
-    validate_ruled_spec(alg, spec)
+    ``w_perp`` holds the k slice rows, checked by ``validate_ruled_spec``.
+    """
+    w = validate_ruled_spec(alg, w_perp)
     d = alg.dim
-    w = spec.w_perp
     # tangent rows: A, Z, then an orthonormal basis of v minus the slice
     proj = np.eye(d) - w.T @ w
     v_block = proj[2:, :]
@@ -309,9 +289,9 @@ def build_ruled(alg: SolvableAlgebra, spec: RuledSpec) -> RuledModel:
     keep = np.abs(np.diag(r)) > 1e-9
     w_rows = q.T[keep]
     tangent = np.vstack([np.eye(d)[:2], w_rows])
-    if tangent.shape[0] != d - spec.k:
+    if tangent.shape[0] != d - len(w):
         raise ValidationError("slice does not have the declared dimension")
-    return RuledModel(orbit=OrbitModel(algebra=alg, tangent=tangent, normal=w), spec=spec)
+    return OrbitModel(algebra=alg, tangent=tangent, normal=w)
 
 
 def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ambient, classifier, families, jacobi, solvable
-from .errors import FocalPointError, ValidationError
+from .errors import FocalPointError, UnsupportedModelError, ValidationError
 
 __all__ = [
     "SuiteResult",
@@ -31,7 +31,7 @@ __all__ = [
 
 DEFAULT_SEED = 20260810
 # errors the engine raises on data it cannot handle; a suite that meets one fails
-_ENGINE_ERRORS = (ValidationError, FocalPointError, np.linalg.LinAlgError)
+_ENGINE_ERRORS = (ValidationError, UnsupportedModelError, FocalPointError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,9 @@ def suite_ruled_second_fundamental():
         alg = solvable.build_algebra(n)
         z_vec = np.eye(2 * n)[1]
         for k in range(1, n):
-            model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
-            orbit = model.orbit
+            orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
             expected = np.concatenate([[-0.5], np.zeros(orbit.dim - 2), [0.5]])
-            for i, xi in enumerate(model.w_perp):
+            for i, xi in enumerate(orbit.normal):
                 at = f"n={n}, k={k}, xi_{i}"
                 ixi = alg.J @ xi
                 # the single non-trivial pairing
@@ -313,9 +312,9 @@ def suite_structural_residuals():
     for n in (3, 4):
         alg = solvable.build_algebra(n)
         ruled = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
-        res = families.structural_residuals(n, model=ruled)
+        res = families.structural_residuals(ruled)
         records += [(value, f"{name} on the ruled orbit, n={n}") for name, value in res.items()]
-        orbits = (("ruled", ruled.orbit), ("horosphere", solvable.horosphere_model(alg)))
+        orbits = (("ruled", ruled), ("horosphere", solvable.horosphere_model(alg)))
         for orbit_name, orbit in orbits:
             gauss, codazzi = orbit.compatibility_defects()
             records.append((np.abs(gauss), f"gauss on the {orbit_name} orbit, n={n}"))

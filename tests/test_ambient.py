@@ -208,7 +208,7 @@ def test_stacked_curvature_rejects_bad_rows(model, bad, message):
 @pytest.fixture(scope="module")
 def ruled_data():
     alg = build_algebra(3)
-    return build_ruled(alg, default_ruled_spec(alg, 1)).orbit
+    return build_ruled(alg, default_ruled_spec(alg, 1))
 
 
 @pytest.fixture(scope="module")
@@ -272,4 +272,4 @@ def test_eigenpair_bracket_form(ruled_data, rng):
     q, _ = np.linalg.qr(rng.standard_normal((ruled_data.dim, ruled_data.dim)))
     rotated = OrbitModel(ruled_data.algebra, q @ ruled_data.tangent, ruled_data.normal)
     for orbit in (ruled_data, rotated):
-        assert families.structural_residuals(3, orbit)["eigenpair_bracket"] <= 1e-13
+        assert families.structural_residuals(orbit)["eigenpair_bracket"] <= 1e-13

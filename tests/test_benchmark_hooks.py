@@ -55,3 +55,21 @@ def test_newton_validation_is_one_span_per_lambda3(monkeypatch):
     calls = recorder.ops[0].calls
     assert calls["classifier.validate_against_closed_form"] == 1
     assert calls["classifier.newton"] == 1
+
+
+def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
+    # the benchmark's solvable.build_ruled.self_s layer reads these spans
+    spans = _spans(monkeypatch)
+    recorder = spans.Recorder()
+    tracer = spans.Tracer(recorder)
+    tracer.install()
+    try:
+        recorder.begin_op(0)
+        families.catalog(3, 1.0)
+        recorder.end_op()
+    finally:
+        tracer.uninstall()
+    calls = recorder.ops[0].calls
+    # one ruled orbit per corank k = 1, 2; their shape operators and the horosphere's
+    assert calls["solvable.build_ruled"] == 2
+    assert calls["solvable.shape_operator"] == 3

@@ -187,6 +187,17 @@ def test_classify_isolated_case():
     assert doc["case"] == "i"
     assert doc["lambda1"]["symbol"] == "sqrt(3)/2"
     assert doc["b1sq"]["symbol"] == "8/9"
+    assert doc["b2sq"]["symbol"] == "1/9"
+
+
+@pytest.mark.parametrize("value", ["0.499999", "-0.499999"])
+def test_branch_weights_are_never_tagged_zero_or_one(value):
+    # a branch exists only while both weights lie strictly inside (0, 1),
+    # even when one of them is within 1e-12 of an end
+    doc = json.loads(run_cli("--format", "json", "classify", f"--lambda3={value}").stdout)
+    weights = [doc["b1sq"], doc["b2sq"]]
+    assert min(w["value"] for w in weights) < 1e-12
+    assert all(0.0 < w["value"] < 1.0 and w["symbol"] is None for w in weights)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -315,9 +315,14 @@ def test_equidistant_profile_identities():
 # ---------------------------------------------------------------------------
 
 
+def _ruled_orbit(n):
+    alg = solvable.build_algebra(n)
+    return solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_structural_residuals_on_minimal_orbit(n):
-    res = families.structural_residuals(n)
+    res = families.structural_residuals(_ruled_orbit(n))
     assert res["axis_geodesic"] <= 1e-12
     assert res["eigenpair_bracket"] <= 1e-10
     assert max(res.values()) <= 1e-10
@@ -331,18 +336,18 @@ def test_structural_residuals_decompose_the_shape_operator_once(monkeypatch):
         calls.append(xi)
         return shape_operator(self, xi)
 
+    orbit = _ruled_orbit(3)
     monkeypatch.setattr(solvable.OrbitModel, "shape_operator", counted)
-    families.structural_residuals(3)
+    families.structural_residuals(orbit)
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_orbit_and_tube_routes_agree_on_carriers(n):
-    alg = solvable.build_algebra(n)
-    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
+    orbit = _ruled_orbit(n)
     xi = orbit.normal[0]
     vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
-    carriers = families._carriers(vals, vecs, orbit.tangent @ (alg.J @ xi))
+    carriers = families._carriers(vals, vecs, orbit.tangent @ (orbit.algebra.J @ xi))
     (l1, l2, _), (b1, b2), _ = families._carrier_frame(orbit, *carriers)
     h = families.ruled_profile(n).hopf
     got = np.array([l1, l2, b1, b2])
@@ -352,7 +357,7 @@ def test_orbit_and_tube_routes_agree_on_carriers(n):
 def test_structural_residuals_reject_hopf_orbit():
     alg = solvable.build_algebra(3)
     with pytest.raises(UnsupportedModelError):
-        families.structural_residuals(3, solvable.horosphere_model(alg))
+        families.structural_residuals(solvable.horosphere_model(alg))
 
 
 def test_weight_balance_closed_form_substitutions():
@@ -430,9 +435,7 @@ def _kahler_angle_base(phi):
     e = np.eye(alg.dim)
     w_perp = np.array([e[2], math.cos(phi) * e[3] + math.sin(phi) * e[4]])
     tangent = np.vstack([e[:2], e[5], -math.sin(phi) * e[3] + math.cos(phi) * e[4]])
-    orbit = solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp)
-    nu = w_perp[0]
-    return families.TubeBase(3, nu, orbit.tangent, orbit.shape_operator(nu), w_perp[1:])
+    return families._orbit_base(solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0])

@@ -24,7 +24,6 @@ def rng():
 
 def test_dimensions(alg):
     assert alg.dim == 6
-    assert alg.names == ("A", "Z", "V1", "V2", "V3", "V4")
     a, z, v1, v2 = np.eye(alg.dim)[:4]
     assert np.array_equal(alg.bracket_of(a, z), z)
     assert np.array_equal(alg.bracket_of(a, v1), 0.5 * v1)
@@ -219,8 +218,8 @@ def test_orbit_of_a_large_algebra_stays_small():
     tracemalloc.start()
     try:
         alg = solvable.build_algebra(64)
-        model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
-        model.orbit.shape_operator(model.w_perp[0])
+        orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+        orbit.shape_operator(orbit.normal[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -247,20 +246,21 @@ def test_stacked_algebra_curvature_rejects_bad_rows(alg, bad, message):
 
 
 def test_default_slice_is_totally_real(alg):
-    spec = solvable.default_ruled_spec(alg, 2)
-    jw = spec.w_perp @ alg.J.T
-    assert np.max(np.abs(jw @ spec.w_perp.T)) <= 1e-14
+    w_perp = solvable.default_ruled_spec(alg, 2)
+    jw = w_perp @ alg.J.T
+    assert np.max(np.abs(jw @ w_perp.T)) <= 1e-14
 
 
 def test_slice_decomposition(alg):
     """v splits orthogonally into the complex part, i(slice) and the slice."""
-    spec = solvable.default_ruled_spec(alg, 2)
-    model = solvable.build_ruled(alg, spec)
-    i_slice = spec.w_perp @ alg.J.T
-    tangent = model.orbit.tangent
+    w_perp = solvable.default_ruled_spec(alg, 2)
+    orbit = solvable.build_ruled(alg, w_perp)
+    i_slice = w_perp @ alg.J.T
+    tangent = orbit.tangent
     # i(slice) is tangent, the slice itself is normal
     assert np.max(np.abs(i_slice - (i_slice @ tangent.T) @ tangent)) <= 1e-12
-    assert np.max(np.abs(model.orbit.normal @ tangent.T)) <= 1e-12
+    assert np.array_equal(orbit.normal, w_perp)
+    assert np.max(np.abs(orbit.normal @ tangent.T)) <= 1e-12
 
 
 def test_non_totally_real_slice_rejected(alg):
@@ -268,7 +268,35 @@ def test_non_totally_real_slice_rejected(alg):
     rows[0, 2] = 1.0
     rows[1, 3] = 1.0  # the J-image of the first row
     with pytest.raises(ValidationError):
-        solvable.build_ruled(alg, solvable.RuledSpec(k=2, w_perp=rows))
+        solvable.build_ruled(alg, rows)
+
+
+def _nan_frame(alg):
+    nan = np.full((alg.dim, alg.dim), np.nan)
+    solvable.OrbitModel(algebra=alg, tangent=nan[1:], normal=nan[:1])
+
+
+def _nan_slice(alg):
+    rows = solvable.default_ruled_spec(alg, 1)
+    rows[0, 4] = np.nan
+    solvable.build_ruled(alg, rows)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_nan_frame, "do not form an orthonormal basis"),
+        (_nan_slice, "slice rows must be finite"),
+        (lambda alg: solvable.build_ruled(alg, np.eye(alg.dim)[2]), "must form a"),
+        (lambda alg: solvable.build_ruled(alg, np.zeros((0, alg.dim))), "got 0"),
+        (lambda alg: solvable.build_ruled(alg, np.eye(alg.dim)[1::2]), "got 3"),
+        (lambda alg: solvable.build_ruled(alg, np.eye(alg.dim - 2)[2:3]), "must form a"),
+    ],
+    ids=["nan-frame", "nan-slice", "1-d-slice", "zero-rows", "n-rows", "short-rows"],
+)
+def test_orbit_rejects_malformed_data(alg, build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(alg)
 
 
 def test_corank_range_enforced(alg):
@@ -277,9 +305,8 @@ def test_corank_range_enforced(alg):
 
 
 def test_hypersurface_second_fundamental_form(alg):
-    model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
-    orbit = model.orbit
-    xi = model.w_perp[0]
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+    xi = orbit.normal[0]
     ixi = alg.J @ xi
     z = np.eye(alg.dim)[1]
     assert np.linalg.norm(2.0 * orbit.second_fundamental(z, ixi) - xi) <= 1e-14
@@ -288,9 +315,8 @@ def test_hypersurface_second_fundamental_form(alg):
 
 
 def test_only_centre_slice_pairing_is_nonzero(alg):
-    model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
-    orbit = model.orbit
-    xi = model.w_perp[0]
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
+    xi = orbit.normal[0]
     ixi = alg.J @ xi
     z = np.eye(alg.dim)[1]
     for ti in orbit.tangent:
@@ -301,10 +327,9 @@ def test_only_centre_slice_pairing_is_nonzero(alg):
 
 
 def test_corank_two_spectrum_and_eigenvectors(alg):
-    model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2))
-    orbit = model.orbit
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2))
     z = np.eye(alg.dim)[1]
-    for xi in model.w_perp:
+    for xi in orbit.normal:
         vals, _ = np.linalg.eigh(orbit.shape_operator(xi))
         assert np.allclose(
             np.sort(vals), [-0.5, 0.0, 0.0, 0.5], atol=1e-12
@@ -318,11 +343,11 @@ def test_corank_two_spectrum_and_eigenvectors(alg):
 
 def test_random_unit_normal_spectrum(alg, rng):
     """Spectrum is the same for every unit vector of the normal slice."""
-    model = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2))
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2))
     coeffs = rng.standard_normal(2)
     coeffs /= np.linalg.norm(coeffs)
-    xi = coeffs @ model.w_perp
-    vals, _ = np.linalg.eigh(model.orbit.shape_operator(xi))
+    xi = coeffs @ orbit.normal
+    vals, _ = np.linalg.eigh(orbit.shape_operator(xi))
     assert np.allclose(np.sort(vals), [-0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
@@ -349,20 +374,19 @@ def _rotated_ruled(n, k, rng):
     real = np.zeros((2 * m, 2 * m))
     real[0::2, 0::2], real[0::2, 1::2] = q.real, -q.imag
     real[1::2, 0::2], real[1::2, 1::2] = q.imag, q.real
-    w = solvable.default_ruled_spec(alg, k).w_perp.copy()
+    w = solvable.default_ruled_spec(alg, k)
     w[:, 2:] = w[:, 2:] @ real.T
-    return solvable.build_ruled(alg, solvable.RuledSpec(k=k, w_perp=w))
+    return solvable.build_ruled(alg, w)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
 def test_orbit_arrays_match_per_pair_levi_civita(n, k):
     rng = np.random.default_rng(n)
-    model = _rotated_ruled(n, k, rng)
-    orbit, alg = model.orbit, model.algebra
-    t, nr = orbit.tangent, orbit.normal
+    orbit = _rotated_ruled(n, k, rng)
+    alg, t, nr = orbit.algebra, orbit.tangent, orbit.normal
     assert np.mean(np.abs(t[2:, 2:]) > 1e-3) > 0.5  # a dense frame
     coeffs = rng.standard_normal(k)
-    xi = (coeffs / np.linalg.norm(coeffs)) @ model.w_perp
+    xi = (coeffs / np.linalg.norm(coeffs)) @ nr
     amb = np.array([[solvable.levi_civita(alg, ti, tj) for tj in t] for ti in t])
     S_ref = (amb @ nr.T) @ (nr @ xi)
     S_ref = 0.5 * (S_ref + S_ref.T)
@@ -381,7 +405,7 @@ def test_orbit_arrays_match_per_pair_levi_civita(n, k):
 def _hypersurface_orbit(n, kind):
     alg = solvable.build_algebra(n)
     if kind == "ruled":
-        return solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1)).orbit
+        return solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
     return solvable.horosphere_model(alg)
 
 
@@ -403,7 +427,7 @@ def test_compatibility_defects_vanish_on_hypersurface_orbits(n, kind):
 
 
 def test_compatibility_defects_require_a_hypersurface(alg):
-    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2)).orbit
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 2))
     with pytest.raises(ValidationError, match="codimension-one"):
         orbit.compatibility_defects()
 

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chgeo import verification
-from chgeo.errors import FocalPointError, ValidationError
+from chgeo import families, verification
+from chgeo.errors import FocalPointError, UnsupportedModelError, ValidationError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -156,6 +156,7 @@ def test_equidistant_suite_stacks_its_transversal_maps(monkeypatch):
         ValidationError("frame is broken"),
         FocalPointError("block is singular"),
         np.linalg.LinAlgError("Singular matrix"),
+        UnsupportedModelError("J(normal) has 0 carrier eigenspaces"),
     ],
 )
 def test_engine_error_fails_only_its_suite(monkeypatch, error):
@@ -169,3 +170,11 @@ def test_engine_error_fails_only_its_suite(monkeypatch, error):
     assert result.tolerance == 1.0
     assert result.detail == f"raised {type(error).__name__}: {error}"
     assert result.seconds >= 0.0
+
+
+def test_unsupported_model_fails_the_suite_that_meets_it(monkeypatch):
+    # no eigenspace carries J(normal) longer than 2, so the tube engine raises
+    monkeypatch.setattr(families, "CARRIER_TOL", 2.0)
+    result = verification.run_suite("catalog-counts")
+    assert not result.passed
+    assert result.detail.startswith("raised UnsupportedModelError: J(normal) has 0 carrier")
