@@ -426,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_catalog.add_argument("--n", type=int, required=True)
     p_catalog.add_argument(
-        "--r", type=_finite_float, default=1.0, help="representative radius (> 0)"
+        "--r",
+        type=_finite_float,
+        default=1.0,
+        help=f"representative radius, 0 < r <= {jacobi.MAX_RADIUS:.4f}",
     )
     p_catalog.set_defaults(handler=cmd_catalog)
 

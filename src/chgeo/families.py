@@ -27,12 +27,18 @@ from .ambient import CurvatureModel
 from .classifier import residual_hopf_weights
 from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
-from .profiles import HopfAttitude, PrincipalProfile, eigenspaces
-from .solvable import OrbitModel, build_algebra, build_ruled, default_ruled_spec, horosphere_model
+from .profiles import HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
+from .solvable import (
+    OrbitModel,
+    SolvableAlgebra,
+    build_algebra,
+    build_ruled,
+    default_ruled_spec,
+    horosphere_model,
+)
 
 __all__ = [
     "CARRIER_TOL",
-    "CATALOG_MAX_RADIUS",
     "CatalogEntry",
     "TubeBase",
     "catalog",
@@ -47,12 +53,12 @@ __all__ = [
     "entry_to_dict",
 ]
 
-# a projection of J(normal) longer than this makes an eigenspace a carrier
-CARRIER_TOL = 1e-8
-# the smaller carrier weight of the ruled orbit's equidistant at distance r
-# falls like e^(-3r/2), 1.28e-8 at r = 13.5; past r = 13.66 it is below
-# CARRIER_TOL and that non-Hopf family would read as Hopf
-CATALOG_MAX_RADIUS = 13.5
+# a projection of J(normal) longer than this makes an eigenspace a carrier.
+# Over every base kind, n in {3, 5, 8} and 40 radii up to MAX_RADIUS (signed
+# for the hypersurfaces), J(normal) projects at most 3.3e-16 on a non-carrier
+# eigenspace, and the smallest carrier weight is 8.9e-14: the equidistant's,
+# which falls like e^(-3r/2).  This sits 30x above the one and 9x below the other.
+CARRIER_TOL = 1e-14
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
@@ -126,38 +132,49 @@ def _orbit_base(orbit: OrbitModel) -> TubeBase:
     )
 
 
-def _orthocomplement(nu: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the complement of nu."""
-    d = nu.shape[0]
-    basis = np.linalg.svd(np.atleast_2d(nu))[2][1:]
-    assert basis.shape == (d - 1, d)
-    return basis
+def _carrier_runs(entries, masks, weights):
+    """Carrier lengths and carrier runs of a stack of grouped spectra.
+
+    (entries, masks) is ``eigenspaces`` of a (B, m) stack of spectra and
+    ``weights`` (B, m) holds J(normal)'s coordinates in each row's
+    eigenbasis.  A run is a carrier when J(normal) projects onto it
+    longer than CARRIER_TOL.  Returns the (B, G) projection lengths and,
+    for each row, its carrier runs: the repeated one first, if any,
+    otherwise ascending.  One carrier makes a Hopf model and two a
+    non-Hopf one; any other count raises.
+    """
+    lengths = np.sqrt(eigenspace_sums(weights * weights, masks))
+    carrier = lengths > CARRIER_TOL
+    counts = np.count_nonzero(carrier, axis=-1)
+    bad = (counts < 1) | (counts > 2)
+    if bad.any():
+        raise UnsupportedModelError(
+            f"J(normal) has {counts[bad][0]} carrier eigenspaces, neither the one of a "
+            "Hopf model nor the two of a non-Hopf model"
+        )
+    runs = []
+    for row_entries, row in zip(entries, carrier.tolist()):
+        js = [j for j, c in enumerate(row) if c]
+        if len(js) == 2 and row_entries[js[1]][1] > row_entries[js[0]][1]:
+            js.reverse()
+        runs.append(js)
+    return lengths, runs
 
 
 def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
     """Merged spectrum of S and the eigenspaces that carry J(normal).
 
-    (vals, vecs) is ``np.linalg.eigh(S)``; an eigenspace of vals
-    (``eigenspaces``) is a carrier when J(normal) projects onto it
-    longer than CARRIER_TOL.  Each carrier is (index into the spectrum,
-    weight, unit direction), the direction in the frame of S; the
-    repeated carrier, if any, is listed first, otherwise they ascend.
-    One carrier makes a Hopf model and two a non-Hopf one; any other
-    count raises.
+    (vals, vecs) is ``np.linalg.eigh(S)``; this is the one-row reading of
+    ``_carrier_runs``.  Each carrier is (index into the spectrum, weight,
+    unit direction), the direction in the frame of S.
     """
-    weights = vecs.T @ jnu_coeffs
-    entries, groups = eigenspaces(vals)
-    carriers = []
-    for j, g in enumerate(groups):
-        w = float(np.linalg.norm(weights[g]))
-        if w > CARRIER_TOL:
-            carriers.append((j, w, vecs[:, g] @ weights[g] / w))
-    if len(carriers) not in (1, 2):
-        raise UnsupportedModelError(
-            f"J(normal) has {len(carriers)} carrier eigenspaces, neither the one of a "
-            "Hopf model nor the two of a non-Hopf model"
-        )
-    carriers.sort(key=lambda c: (-entries[c[0]][1], c[0]))
+    entries, masks = eigenspaces(vals)
+    weights = jnu_coeffs @ vecs
+    lengths, (runs,) = _carrier_runs([entries], masks[None], weights[None])
+    carriers = [
+        (j, float(lengths[0, j]), vecs @ np.where(masks[j], weights, 0.0) / lengths[0, j])
+        for j in runs
+    ]
     return entries, carriers
 
 
@@ -185,27 +202,29 @@ def _groups(jobs) -> list[list[list[int]]]:
     return [list(runs.values()) for runs in groups.values()]
 
 
-def _reduced_maps(bases, rows, cos_, sin_, cos_dt, sin_dt):
-    """Value and derivative maps, in the rows' frame, of tubes at one radius."""
-    val0 = np.stack([np.vstack([b.tangent, np.zeros_like(b.sphere)]).T for b in bases])
-    der0 = np.stack([np.vstack([-(b.shape @ b.tangent), b.sphere]).T for b in bases])
-    return rows @ (cos_ @ val0 + sin_ @ der0), rows @ (cos_dt @ val0 + sin_dt @ der0)
-
-
 def tube_spectra(jobs) -> list[PrincipalProfile]:
     """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
-    The jobs sharing (n, normal direction) run as one stack: a single
-    ``curvature_propagator`` call over their T distinct radii gives
-    (T, 2n, 2n) solution operators, and their B tubes' value and
-    derivative maps (B, 2n, 2n - 1) and shape matrices (B, 2n - 1, 2n - 1)
-    are batched.  One ``eigh`` of the shape stack gives every profile's
-    values, Hopf flag and carriers, all read from one grouping of each
-    spectrum (``_carriers``): a tube is Hopf when J(normal) has one
-    carrier eigenspace, and non-Hopf with two.  Every r must be
-    finite with |r| <= MAX_RADIUS.  Proper tubes (bases of codimension
-    >= 2) require r > 0; hypersurface bases accept signed r and describe
-    the equidistant family.  A focal r raises FocalRadiusError, and a
+    The jobs sharing (n, normal direction) run as one stack.  One
+    ``curvature_propagator`` call gives the Jacobi operator's eigenbasis
+    of the normal's complement and, per radius, its diagonal factors:
+    the growth K = cosh(sqrt(kappa) r) and two bounded tanh factors.
+    Each tube's initial data is mapped into that basis by one product,
+    and its value and derivative maps are V = K Y and D = K X, where Y
+    and X take only the bounded factors, as diagonal scalings.  One
+    batched ``solve`` gives M = -X Y^-1, and the shape matrix
+    S = K M K^-1 takes each entry S_ij = (K_i / K_j) M_ij from the side
+    where K_i <= K_j, so no ratio above 1 multiplies an entry of M and
+    the eigenvectors keep their digits at any radius.  One ``eigh`` of
+    the shape stack and one grouping of all its spectra
+    (``eigenspaces``) give every profile's values, Hopf flag and
+    carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
+    and non-Hopf with two.
+
+    Every r must be finite with |r| <= MAX_RADIUS.  Proper tubes (bases
+    of codimension >= 2) require r > 0; hypersurface bases accept signed
+    r and describe the equidistant family.  A focal r, where a singular
+    value of V is below KERNEL_TOL, raises FocalRadiusError, and a
     non-Hopf tube with other than two carriers UnsupportedModelError.
     """
     for base, r in jobs:
@@ -213,45 +232,80 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     out = [None] * len(jobs)
     for runs in _groups(jobs):
         members = [i for run in runs for i in run]
-        dist = [jobs[i][1] for i in members]
-        base = jobs[members[0]][0]
-        model = CurvatureModel(base.n)
-        rows = _orthocomplement(base.nu)
-        props = curvature_propagator(model, base.nu, np.array([jobs[run[0]][1] for run in runs]))
-        maps = [
-            _reduced_maps([jobs[i][0] for i in run], rows, *(p[j] for p in props))
-            for j, run in enumerate(runs)
-        ]
-        v_red, d_red = (np.concatenate(stack) for stack in zip(*maps))
-        del maps  # copied into the stacks
-        for t, svals in zip(dist, np.linalg.svd(v_red, compute_uv=False)):
-            if svals.min() < KERNEL_TOL:
-                raise FocalRadiusError(
-                    f"tube differential degenerates at distance {t}",
-                    kernel_dim=int(np.sum(svals < KERNEL_TOL)),
-                    singular_values=np.sort(svals)[::-1],
-                )
-        S = -d_red @ np.linalg.inv(v_red)
-        S_T = np.swapaxes(S, -1, -2)
-        for t, asym in zip(dist, np.max(np.abs(S - S_T), axis=(-2, -1))):
-            if asym > 1e-8:
-                raise ValueError(
-                    f"tube shape operator at distance {t} asymmetric by {asym:.3e}"
-                )
-        vals, vecs = np.linalg.eigh(0.5 * (S + S_T))
-        jnu = rows @ (model.J @ base.nu)
-        for i, vals_i, vecs_i in zip(members, vals, vecs):
-            entries, carriers = _carriers(vals_i, vecs_i, jnu)
-            hopf = None if len(carriers) == 1 else _attitude(entries, carriers)
-            out[i] = PrincipalProfile(entries, total_dim=len(vals_i), hopf=hopf)
+        profiles = _stack_profiles([jobs[i] for i in members], [len(run) for run in runs])
+        for i, profile in zip(members, profiles):
+            out[i] = profile
     return out
 
 
-def _attitude(entries, carriers) -> HopfAttitude:
-    """Carrier weights and curvatures of a non-Hopf spectrum."""
-    (j1, b1, _), (j2, b2, _) = carriers
-    norm = math.hypot(b1, b2)
-    return HopfAttitude(b1=b1 / norm, b2=b2 / norm, lam1=entries[j1][0], lam2=entries[j2][0])
+def _stack_profiles(stack, counts) -> list[PrincipalProfile]:
+    """One stack of ``tube_spectra``: tubes that share n and the unit normal.
+
+    ``stack`` lists the (TubeBase, r) jobs in runs of one radius, and
+    ``counts`` holds the run lengths.
+    """
+    model = CurvatureModel(stack[0][0].n)
+    nu = stack[0][0].nu
+    starts = np.cumsum([0, *counts[:-1]])
+    basis, ch, th, th_dt = curvature_propagator(model, nu, np.array([stack[i][1] for i in starts]))
+    at_r = np.repeat(np.arange(len(counts)), counts)
+    # initial values, then derivatives, of each tube's frame vectors, as rows
+    init = np.zeros((len(stack), 2, *basis.shape))
+    for row, (b, _) in zip(init, stack):
+        k = len(b.tangent)
+        row[0, :k] = b.tangent
+        row[1, :k] = -(b.shape @ b.tangent)
+        row[1, k:] = b.sphere
+    init = init @ basis.T
+    # Y and X transposed: rows are frame vectors, columns eigenbasis coordinates
+    K = ch[at_r, None, :]
+    y_t = init[:, 1] * th[at_r, None, :]
+    y_t += init[:, 0]
+    x_t = init[:, 0] * th_dt[at_r, None, :]
+    x_t += init[:, 1]
+    # each (B, 2n - 1, 2n - 1) stack is freed once used: catalog --n 100 keeps ~300 MB
+    del init
+    svals = np.linalg.svd(y_t * K, compute_uv=False)
+    focal = np.flatnonzero(svals.min(axis=-1) < KERNEL_TOL)
+    if focal.size:
+        row = svals[focal[0]]
+        raise FocalRadiusError(
+            f"tube differential degenerates at distance {stack[focal[0]][1]}",
+            kernel_dim=int(np.sum(row < KERNEL_TOL)),
+            singular_values=np.sort(row)[::-1],
+        )
+    # S^T = K^-1 M^T K with M^T = -(Y^T)^-1 X^T: entry (i, j) scaled by K_j / K_i
+    s_t = np.linalg.solve(y_t, x_t)
+    del y_t, x_t
+    s_t *= -K
+    s_t /= np.swapaxes(K, -1, -2)
+    s_tt = np.swapaxes(s_t, -1, -2)
+    asym = np.max(np.abs(s_t - s_tt), axis=(-2, -1))
+    skew = np.flatnonzero(asym > 1e-8)
+    if skew.size:
+        raise ValueError(
+            f"tube shape operator at distance {stack[skew[0]][1]} asymmetric by "
+            f"{asym[skew[0]]:.3e}"
+        )
+    # eigh reads one triangle; each entry there comes from its side with K_j <= K_i
+    vals, vecs = np.linalg.eigh(np.where(K <= np.swapaxes(K, -1, -2), s_t, s_tt))
+    del s_t, s_tt
+    entries, masks = eigenspaces(vals)
+    lengths, carriers = _carrier_runs(entries, masks, (basis @ (model.J @ nu)) @ vecs)
+    profiles = []
+    for row_entries, row_lengths, row_carriers in zip(entries, lengths.tolist(), carriers):
+        hopf = None
+        if len(row_carriers) == 2:
+            j1, j2 = row_carriers
+            norm = math.hypot(row_lengths[j1], row_lengths[j2])
+            hopf = HopfAttitude(
+                b1=row_lengths[j1] / norm,
+                b2=row_lengths[j2] / norm,
+                lam1=row_entries[j1][0],
+                lam2=row_entries[j2][0],
+            )
+        profiles.append(PrincipalProfile(row_entries, total_dim=vals.shape[-1], hopf=hopf))
+    return profiles
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:
@@ -410,15 +464,18 @@ class CatalogEntry:
         return self.profile.hopf is None
 
 
-def _engine_entries(n: int, rows, g: int) -> list[CatalogEntry]:
-    """Catalog entries from one ``tube_spectra`` pass, each checked to have g curvatures.
+def _engine_entries(n: int, groups) -> list[CatalogEntry]:
+    """Catalog entries from one ``tube_spectra`` pass over every row of every group.
 
-    Each row is (family, k, r, (base, distance), classification family,
-    constraint); the distance is the engine's signed radius.
+    ``groups`` is a list of (g, rows), and each entry is checked to have
+    its group's g distinct curvatures.  Each row is (family, k, r,
+    (base, distance), classification family, constraint); the distance
+    is the engine's signed radius.
     """
-    profiles = tube_spectra([job for _, _, _, job, _, _ in rows])
+    rows = [(g, *row) for g, group in groups for row in group]
+    profiles = tube_spectra([row[4] for row in rows])
     entries = []
-    for (family, k, r, _, letter, constraint), profile in zip(rows, profiles):
+    for (g, family, k, r, _, letter, constraint), profile in zip(rows, profiles):
         if profile.g != g:
             raise ValueError(
                 f"{family} at r = {r} has g = {profile.g}, not {g}: its "
@@ -428,10 +485,11 @@ def _engine_entries(n: int, rows, g: int) -> list[CatalogEntry]:
     return entries
 
 
-def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
-    """The four families with two distinct constant principal curvatures."""
-    horosphere = _orbit_base(horosphere_model(build_algebra(n)))
-    rows = [
+def _two_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
+    """Rows of the four families with two distinct curvatures."""
+    n = alg.n
+    horosphere = _orbit_base(horosphere_model(alg))
+    return [
         ("horosphere", None, None, (horosphere, 1.0), None, None),
         ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
         ("tube-CHk", n - 1, r, (tube_base("CHk", n, n - 1), r), None, "k = n-1"),
@@ -444,20 +502,11 @@ def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
             "r = ln(2+sqrt(3))",
         ),
     ]
-    return _engine_entries(n, rows, 2)
 
 
-def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
-    """Representatives of the families with three distinct curvatures.
-
-    Defined for n >= 3; for n = 2 the classification is open and this
-    raises OpenCaseError.
-    """
-    if n == 2:
-        raise OpenCaseError(
-            "the three-curvature classification is open in complex dimension 2"
-        )
-    alg = build_algebra(n)
+def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
+    """Rows of the representatives with three distinct curvatures, for n >= 3."""
+    n = alg.n
     ruled, *ruled_k = [
         _orbit_base(build_ruled(alg, default_ruled_spec(alg, k))) for k in range(1, n)
     ]
@@ -482,7 +531,26 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
         )
         for k, base in enumerate(ruled_k, start=2)
     ]
-    return _engine_entries(n, rows, 3)
+    return rows
+
+
+_OPEN_CASE = "the three-curvature classification is open in complex dimension 2"
+
+
+def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
+    """The four families with two distinct constant principal curvatures."""
+    return _engine_entries(n, [(2, _two_curvature_rows(build_algebra(n), r))])
+
+
+def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
+    """Representatives of the families with three distinct curvatures.
+
+    Defined for n >= 3; for n = 2 the classification is open and this
+    raises OpenCaseError.
+    """
+    if n == 2:
+        raise OpenCaseError(_OPEN_CASE)
+    return _engine_entries(n, [(3, _three_curvature_rows(build_algebra(n), r))])
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -490,19 +558,17 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
 
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
-    classification is open.  r is at most CATALOG_MAX_RADIUS, below
-    MAX_RADIUS: further out the equidistant's smaller carrier weight
-    approaches CARRIER_TOL.
+    classification is open.  One algebra serves every orbit, and every
+    family runs through one ``tube_spectra`` pass.
     """
-    if not r <= CATALOG_MAX_RADIUS:
-        raise ValueError(f"catalog radius must be at most {CATALOG_MAX_RADIUS:.4f}, got {r}")
-    entries = two_curvature_families(n, r=r)
+    alg = build_algebra(n)
+    groups = [(2, _two_curvature_rows(alg, r))]
     notes: list[str] = []
-    try:
-        entries.extend(three_curvature_families(n, r=r))
-    except OpenCaseError as exc:
-        notes.append(str(exc))
-    return entries, notes
+    if n == 2:
+        notes.append(_OPEN_CASE)
+    else:
+        groups.append((3, _three_curvature_rows(alg, r)))
+    return _engine_entries(n, groups), notes
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:

@@ -266,29 +266,27 @@ def jacobi_numeric(v0, v0_prime, jc, t: float, step: float):
 
 
 def curvature_propagator(model: CurvatureModel, direction, t):
-    """Solution operators of the Jacobi equation from the curvature operator.
+    """Solution operators of the Jacobi equation on c-perp, in scaled diagonal form.
 
     Directions are classified spectrally: the operator -R(., c)c is
-    diagonalised once and cosh/sinh act on its eigenvalues, so no
-    per-family case analysis enters.  Returns (cos, sin, cos_dt, sin_dt)
-    with value = cos @ w(0) + sin @ w'(0): d x d matrices for a scalar
-    distance t, stacks of shape (T, d, d) for a 1-D array of T distances.
-    sin_dt equals cos and is returned as the same array.
+    diagonalised once and cosh/tanh act on its eigenvalues kappa > 0 on
+    c-perp, so no per-family case analysis enters.  Returns
+    (basis, ch, th, th_dt): basis rows are an orthonormal eigenbasis of
+    c-perp, ch = cosh(sqrt(kappa) t), th = tanh(sqrt(kappa) t)/sqrt(kappa)
+    and th_dt = sqrt(kappa) tanh(sqrt(kappa) t).  In basis coordinates a
+    field's value is ch * (w(0) + th * w'(0)) and its derivative
+    ch * (th_dt * w(0) + w'(0)), so the growth ch stays a factor apart.
+    The factors have shape (d - 1,) for a scalar distance t and (T, d - 1)
+    for a 1-D array of T distances.
     """
     K = jacobi_operator(model, direction)
-    K = 0.5 * (K + K.T)
-    w, V = np.linalg.eigh(K)
-    w = np.clip(w, 0.0, None)
-    sq = np.sqrt(w)
+    w, V = np.linalg.eigh(0.5 * (K + K.T))
+    # the first eigenvector is c itself, with kappa = 0
+    sq = np.sqrt(w[1:])
     # rows of distances against the eigenvalue axis; a scalar gives one row
-    t = np.asarray(t, dtype=float)[..., None]
-    ch = np.cosh(sq * t)
-    small = sq < 1e-12
-    sh_over = np.where(small, t, np.sinh(sq * t) / np.where(small, 1.0, sq))
-    cos_ = (V * ch[..., None, :]) @ V.T
-    sin_ = (V * sh_over[..., None, :]) @ V.T
-    cos_dt = (V * (sq * np.sinh(sq * t))[..., None, :]) @ V.T
-    return cos_, sin_, cos_dt, cos_
+    st = sq * np.asarray(t, dtype=float)[..., None]
+    th = np.tanh(st)
+    return V[:, 1:].T, np.cosh(st), th / sq, sq * th
 
 
 # ---------------------------------------------------------------------------

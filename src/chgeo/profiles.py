@@ -10,6 +10,7 @@ __all__ = [
     "HopfAttitude",
     "PrincipalProfile",
     "MERGE_TOL",
+    "eigenspace_sums",
     "eigenspaces",
     "merge_spectrum",
 ]
@@ -90,16 +91,39 @@ class PrincipalProfile:
 
 
 def eigenspaces(vals):
-    """Merged spectrum and eigenspace index runs of an ascending spectrum.
+    """Merged spectra and eigenspace masks of ascending spectra, grouped in one pass.
 
-    A run ends where the next value is at least MERGE_TOL above the
-    previous one.  The merged spectrum holds each run's (mean value,
-    multiplicity), in ascending order.
+    ``vals`` is one ascending spectrum (m,) or a stack (B, m) of them.
+    In each row a run ends where the next value is at least MERGE_TOL
+    above the previous one.  Returns (entries, masks): ``masks[b, j]``
+    marks the indices of row b's j-th run, a (B, G, m) boolean array
+    with G the most runs of any row (a row's masks past its last run
+    are empty), and ``entries[b]`` is row b's merged spectrum, each
+    run's (mean value, multiplicity) in ascending order.  A single
+    spectrum is the one-row case: its own entries and (G, m) masks.
     """
-    cuts = (np.flatnonzero(np.diff(vals) >= MERGE_TOL) + 1).tolist()
-    bounds = [0, *cuts, len(vals)]
-    groups = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    return tuple((float(np.mean(vals[g])), g.stop - g.start) for g in groups), groups
+    vals = np.asarray(vals, dtype=float)
+    stack = vals[None] if vals.ndim == 1 else vals
+    label = np.zeros(stack.shape, dtype=np.intp)
+    np.cumsum(np.diff(stack) >= MERGE_TOL, axis=-1, out=label[:, 1:])
+    masks = label[:, None, :] == np.arange(label.max(initial=-1) + 1)[:, None]
+    entries = [
+        tuple((total / count, count) for total, count in zip(row_sums, row_counts) if count)
+        for row_sums, row_counts in zip(
+            eigenspace_sums(stack, masks).tolist(), masks.sum(axis=-1).tolist()
+        )
+    ]
+    return (entries[0], masks[0]) if vals.ndim == 1 else (entries, masks)
+
+
+def eigenspace_sums(x, masks):
+    """Sums of x over every run of ``eigenspaces``: (B, G) from (B, m), or (G,) from (m,).
+
+    Each run is summed as one contiguous reduction, so a run's sum over
+    its count is bit-identical to ``np.mean`` of its values.
+    """
+    x = np.asarray(x, dtype=float)[..., None, :]
+    return np.add.reduce(x.repeat(masks.shape[-2], axis=-2), axis=-1, where=masks)
 
 
 def merge_spectrum(eigenvalues) -> tuple[tuple[float, int], ...]:

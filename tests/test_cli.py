@@ -321,15 +321,18 @@ FOCAL = ("focal", "--case", "ii", "--n", "3", "--lambda3", "0.2")
         # two curvatures of one family merge
         ((*CATALOG, "--r=1e-9"), 2, "geodesic-sphere at r = 1e-09 has g = 1, not 2"),
         ((*CATALOG, "--r=1.3169578981248167"), 2, "tube-RHn at r = 1.3169578981248167"),
-        # past the catalog cap the equidistant's smaller carrier weight nears
-        # the carrier threshold; from about r = 13.66 the family would read as Hopf
-        ((*CATALOG, "--r=14"), 2, "catalog radius must be at most 13.5000, got 14.0"),
-        ((*CATALOG, "--r=21"), 2, "catalog radius must be at most 13.5000, got 21.0"),
-        ((*CATALOG, "--r=22"), 2, "catalog radius must be at most 13.5000, got 22.0"),
-        # past MAX_RADIUS the engine reports a degenerate tube differential
-        ((*CATALOG, "--r=100"), 2, "catalog radius must be at most 13.5000"),
-        # or overflows in cosh
-        ((*CATALOG, "--r=800"), 2, "catalog radius must be at most 13.5000"),
+        # the equidistant keeps its two carriers, its smaller weight 1.7e-13 at r = 21
+        ((*CATALOG, "--r=14"), 0, ""),
+        ((*CATALOG, "--r=21"), 0, ""),
+        # past MAX_RADIUS two tube curvatures come closer than the merge gap
+        (
+            (*CATALOG, "--r=22"),
+            2,
+            "tube radius 22.0 is out of range: |r| must be finite and at most 21.4164",
+        ),
+        # and further out the engine would degenerate or overflow in cosh
+        ((*CATALOG, "--r=100"), 2, "tube radius 100.0 is out of range"),
+        ((*CATALOG, "--r=800"), 2, "tube radius 800.0 is out of range"),
         # or builds carrier blocks whose spectra disagree in the third digit
         ((*FOCAL, "--r=700"), 2, "distance 700.0 is out of range"),
         ((*FOCAL, "--r=-700"), 2, "distance -700.0 is out of range"),

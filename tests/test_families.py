@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import classifier, families, jacobi, solvable
+from chgeo import classifier, families, jacobi, profiles, solvable
+from chgeo.ambient import CurvatureModel, jacobi_operator
 from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
 from chgeo.profiles import PrincipalProfile
 
@@ -112,11 +113,16 @@ def test_ruled_base_tube_matches_isolated_branch_up_to_orientation():
 
 
 def test_horosphere_profile_and_self_parallelism():
-    profile = families.tube_spectrum("horosphere", 3, r=1.0)
-    assert profile.entries == ((0.5, 4), (1.0, 1))
-    for r in (-1.5, 0.7, 3.0):
-        again = families.tube_spectrum("horosphere", 3, r=r)
-        assert again.entries == profile.entries
+    # every parallel of a horosphere is a horosphere: values 1/2 and 1 up to
+    # rounding, which puts 1 at 0.9999999999999999 at some radii
+    radii = np.linspace(-5.0, 5.0, 401)
+    for n in (3, 5, 8):
+        base = families.tube_base("horosphere", n)
+        for r, profile in zip(radii, families.tube_spectra([(base, r) for r in radii])):
+            assert [m for _, m in profile.entries] == [2 * n - 2, 1], (n, r)
+            for (lam, _), want in zip(profile.entries, (0.5, 1.0)):
+                assert abs(lam - want) <= 4 * math.ulp(want), (n, r)
+            assert profile.hopf is None
 
 
 def test_proper_tube_requires_positive_radius():
@@ -206,6 +212,61 @@ def test_tube_spectra_matches_one_tube_at_a_time(n):
     assert len(stacked) == len(jobs)
     for (base, r), profile in zip(jobs, stacked):
         assert _bits(profile) == _bits(families.tube_spectrum(base, r=r))
+
+
+def _dense_tube(base, r):
+    """The dense reference engine: (entries, carriers) of the tube of radius r around base.
+
+    The solution operators cos, sin and cos_dt of the Jacobi operator are
+    full d x d matrices, the value and derivative maps V and D are taken
+    in an orthonormal frame of the normal's complement, and S = -D V^-1.
+    """
+    model = CurvatureModel(base.n)
+    kappa, vecs = np.linalg.eigh(jacobi_operator(model, base.nu))
+    sq = np.sqrt(np.clip(kappa, 0.0, None))
+    small = sq < 1e-12
+    sh_over = np.where(small, r, np.sinh(sq * r) / np.where(small, 1.0, sq))
+    cos_ = (vecs * np.cosh(sq * r)) @ vecs.T
+    sin_ = (vecs * sh_over) @ vecs.T
+    cos_dt = (vecs * (sq * np.sinh(sq * r))) @ vecs.T
+    rows = np.linalg.svd(base.nu[None])[2][1:]
+    val0 = np.vstack([base.tangent, np.zeros_like(base.sphere)]).T
+    der0 = np.vstack([-(base.shape @ base.tangent), base.sphere]).T
+    value = rows @ (cos_ @ val0 + sin_ @ der0)
+    derivative = rows @ (cos_dt @ val0 + cos_ @ der0)
+    S = -derivative @ np.linalg.inv(value)
+    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    return families._carriers(vals, vecs, rows @ (model.J @ base.nu))
+
+
+def _reference_jobs(n):
+    """Every base kind: proper tubes at positive radii, hypersurfaces at signed ones."""
+    proper = (0.3, 1.0, R_STAR, 2.5, 5.0)
+    signed = (-5.0, -2.2, -0.7, -0.0, 0.0, 0.7, 2.2, 5.0)
+    bases = [families.tube_base("point", n), families.tube_base("RHn", n)]
+    bases += [families.tube_base("CHk", n, k) for k in range(1, n)]
+    bases += [families.tube_base("Wk", n, k) for k in range(2, n)]
+    jobs = [(base, r) for base in bases for r in proper]
+    hypersurfaces = (families.tube_base("Wk", n, 1), families.tube_base("horosphere", n))
+    return jobs + [(base, r) for base in hypersurfaces for r in signed]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_scaled_engine_matches_the_dense_reference(n):
+    jobs = _reference_jobs(n)
+    for (base, r), profile in zip(jobs, families.tube_spectra(jobs)):
+        entries, carriers = _dense_tube(base, r)
+        assert [m for _, m in profile.entries] == [m for _, m in entries], r
+        assert [lam for lam, _ in profile.entries] == pytest.approx(
+            [lam for lam, _ in entries], abs=1e-12
+        ), r
+        assert (profile.hopf is None) == (len(carriers) == 1), r
+        if profile.hopf is not None:
+            (j1, b1, _), (j2, b2, _) = carriers
+            norm = math.hypot(b1, b2)
+            h = profile.hopf
+            want = [b1 / norm, b2 / norm, entries[j1][0], entries[j2][0]]
+            assert [h.b1, h.b2, h.lam1, h.lam2] == pytest.approx(want, abs=1e-12), r
 
 
 def _closed_form_table(n, k, r):
@@ -456,32 +517,48 @@ def test_carriers_read_the_merge_groups():
     assert [j for j, _, _ in carriers] == [0, 2]
 
 
+def test_eigenspaces_groups_a_stack_as_its_rows():
+    # the loop it replaced: cut where the next value is MERGE_TOL or more above
+    rng = np.random.default_rng(5)
+    levels = np.array([-0.5, 0.0, 0.5, 0.5 + 5e-9, 1.0])
+    stack = np.sort(rng.choice(levels, size=(40, 31)) + 1e-12 * rng.random((40, 31)), axis=-1)
+    entries, masks = profiles.eigenspaces(stack)
+    assert masks.shape[:2] == (40, max(len(e) for e in entries))
+    for row, row_entries, row_masks in zip(stack, entries, masks):
+        cuts = [0, *(np.flatnonzero(np.diff(row) >= profiles.MERGE_TOL) + 1), len(row)]
+        want = tuple((float(np.mean(row[a:b])), b - a) for a, b in zip(cuts, cuts[1:]))
+        assert row_entries == want
+        assert profiles.eigenspaces(row)[0] == want
+        assert np.array_equal(row_masks.sum(axis=-1)[: len(want)], [m for _, m in want])
+
+
 def test_profile_multiplicity_tells_close_entries_apart():
     profile = PrincipalProfile(entries=((0.5, 2), (0.5 + 5e-9, 1), (1.0, 2)), total_dim=5)
     assert [profile.multiplicity(lam) for lam, _ in profile.entries] == [2, 1, 2]
 
 
 @pytest.mark.parametrize("n", [3, 8])
-def test_equidistant_at_the_catalog_bound_is_non_hopf(n):
-    r = families.CATALOG_MAX_RADIUS
-    entries, _ = families.catalog(n, r)
-    hopf = next(e for e in entries if e.family == "equidistant-W").profile.hopf
-    branch = classifier.solve_case_two(math.tanh(r / 2.0) / 2.0).branch
-    assert hopf is not None
-    want = [math.sqrt(branch.b1_sq), math.sqrt(branch.b2_sq), branch.lambda1, branch.lambda2]
-    assert [hopf.b1, hopf.b2, hopf.lam1, hopf.lam2] == pytest.approx(want, abs=1e-12)
+def test_far_equidistant_is_non_hopf_with_the_closed_form_weight(n):
+    # the smaller carrier weight falls like e^(-3r/2), 8.9e-14 at MAX_RADIUS
+    for r in (13.5, 14.0, 20.0, jacobi.MAX_RADIUS):
+        hopf = families.equidistant_profile(n, r).hopf
+        assert hopf is not None, r
+        # solve_case_two's smaller weight; at MAX_RADIUS that solver already
+        # calls lambda1 and lambda3 coincident, 1e-9 apart, and gives no branch
+        x = math.tanh(r / 2.0) / 2.0
+        want = classifier._smaller_weight(x, math.sqrt(1.0 - 3.0 * x * x))
+        got = min(hopf.b1, hopf.b2) ** 2
+        assert abs(got - want) <= (1e-10 if r <= 14.0 else 1e-6) * want, r
 
 
 def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     n = 3
     ruled = families.tube_base("Wk", n, 1)
     # a geodesic sphere whose normal is the ruled orbit's, so every job is one stack
-    sphere = families.TubeBase(
-        n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)),
-        families._orthocomplement(ruled.nu),
-    )
+    sphere_rows = np.vstack([ruled.tangent, ruled.sphere])
+    sphere = families.TubeBase(n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
     jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
 
     def counted(name):
         fn = getattr(np.linalg, name)
@@ -497,7 +574,7 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     profiles = families.tube_spectra(jobs)
     assert [p.hopf is None for p in profiles] == [False, True, False, False]
     # one for the Jacobi operator, one for the shape stack
-    assert calls == {"eigh": 2, "eigvalsh": 0}
+    assert calls == {"eigh": 2, "eigvalsh": 0, "inv": 0}
 
 
 def test_carrier_multiplicity_one_on_non_hopf_families():
@@ -558,8 +635,8 @@ def test_catalog_builds_each_algebra_and_propagator_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(families, name, counted(name))
     families.catalog(8, 1.0)
-    assert counts["build_algebra"] <= 2
-    assert counts["curvature_propagator"] <= 10
+    # one propagator per normal direction: A, its J-image and the slice
+    assert counts == {"build_algebra": 1, "curvature_propagator": 3}
 
 
 def test_catalog_matches_reference():

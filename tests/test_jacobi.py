@@ -252,16 +252,26 @@ def test_propagator_blocks_reproduce_mode_functions():
     model = CurvatureModel(3)
     nu = np.eye(6)[0]
     t = 1.7
-    cos_, sin_, cos_dt, sin_dt = jacobi.curvature_propagator(model, nu, t)
-    v = np.eye(6)[2]  # transverse to the J-line
+    basis, ch, th, th_dt = jacobi.curvature_propagator(model, nu, t)
+    assert basis.shape == (5, 6)
+    assert np.allclose(basis @ basis.T, np.eye(5), atol=1e-15)
+    assert np.max(np.abs(basis @ nu)) <= 1e-15
     lam = 0.45
-    out = cos_ @ v + sin_ @ (-lam * v)
-    (f, _), _ = jacobi.coefficient_pairs(lam, t)
-    assert np.linalg.norm(out - f * v) <= 1e-12
+
+    def value_and_derivative(v):
+        # initial value v and derivative -lam v, in the eigenbasis of nu-perp
+        w0, w0_dt = basis @ v, basis @ (-lam * v)
+        return basis.T @ (ch * (w0 + th * w0_dt)), basis.T @ (ch * (th_dt * w0 + w0_dt))
+
+    v = np.eye(6)[2]  # transverse to the J-line
+    (f, _), (f_dt, _) = jacobi.coefficient_pairs(lam, t)
+    value, derivative = value_and_derivative(v)
+    assert np.linalg.norm(value - f * v) <= 1e-12
+    assert np.linalg.norm(derivative - f_dt * v) <= 1e-12
     jn = np.eye(6)[1]
-    out_axis = cos_ @ jn + sin_ @ (-lam * jn)
-    axis = np.cosh(t) - lam * np.sinh(t)
-    assert np.linalg.norm(out_axis - axis * jn) <= 1e-12
+    value, derivative = value_and_derivative(jn)
+    assert np.linalg.norm(value - (np.cosh(t) - lam * np.sinh(t)) * jn) <= 1e-12
+    assert np.linalg.norm(derivative - (np.sinh(t) - lam * np.cosh(t)) * jn) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -273,12 +283,13 @@ def test_propagator_radius_axis_matches_scalar_calls(n):
     radii = [-0.0, 0.0, -1.3, 0.7, jacobi.EXCEPTIONAL_RADIUS]
     d = 2 * n
     for nu in np.eye(d)[:3]:
-        stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
+        basis, *stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
         for j, t in enumerate(radii):
-            single = jacobi.curvature_propagator(model, nu, t)
+            single_basis, *single = jacobi.curvature_propagator(model, nu, t)
+            assert single_basis.tobytes() == basis.tobytes()
             for got, want in zip(stacked, single):
-                assert got.shape == (len(radii), d, d)
-                assert want.shape == (d, d)
+                assert got.shape == (len(radii), d - 1)
+                assert want.shape == (d - 1,)
                 assert got[j].tobytes() == want.tobytes()
 
 
