@@ -268,28 +268,16 @@ def solve_case_one() -> SolutionBranch:
     # 2 l1^2 - 2 l1 l3 = 1 and 4 l1 l3 = 1 give l1^2 = 3/4
     l1 = math.sqrt(0.75)
     l3 = 1.0 / (4.0 * l1)
-    s3 = math.sqrt(3.0)
-    candidates = [0.0, s3 / 2.0]
-    l2 = None
-    for cand in candidates:
-        if abs(cand - l1) < MERGE_TOL:
-            continue
-        l2 = cand
-    if l2 is None:
-        raise AssertionError("no admissible repeated-carrier axis value")
-    # the first quadratic is linear in the weight once lam2 is fixed
-    denom = 36.0 * l2**2 - 36.0 * s3 * l2 + 27.0
-    b2_sq = (12.0 * l2**2 - 8.0 * s3 * l2 + 3.0) / denom
-    b1_sq = 1.0 - b2_sq
-    q1, q2 = multiplicity_quadratics(l2, b2_sq)
-    if max(abs(q1), abs(q2)) > 1e-12:
-        raise AssertionError("quadratic pair not satisfied at the isolated branch")
+    # q1 + q2 = 72 b2^2 lam2 (2 lam2 - sqrt(3)) (proved exactly in test_certificates)
+    # leaves lam2 = 0 or sqrt(3)/2, and sqrt(3)/2 is l1 itself; at lam2 = 0 the
+    # first quadratic, 3 (9 b2^2 - 1), fixes b2^2 = 1/9
+    b2_sq = 1.0 / 9.0
     branch = SolutionBranch(
         case="i",
         lambda1=l1,
-        lambda2=l2,
+        lambda2=0.0,
         lambda3=l3,
-        b1_sq=b1_sq,
+        b1_sq=1.0 - b2_sq,
         b2_sq=b2_sq,
         mult_pattern=("m1>=2", "1", "2n-2-m1"),
         window="isolated",

@@ -31,8 +31,9 @@ _MAX_SWEEP_POINTS = 10_000
 # fraction of a step by which the sweep's last point may pass --hi, so that
 # a (hi - lo)/step that rounds to just below an integer keeps its endpoint
 _SWEEP_SLACK = 1e-9
-# catalog --n 100 takes about 6 s and 340 MB; from n = 64 to 100 its time
-# grew like n^3.4 and its memory, mostly the tube engine pass, like n^2.5
+# catalog --n 100 takes about 5.3 s and 308 MB (median of 3 runs, 2-CPU Intel
+# Xeon); from n = 64 to 100 its time grew like n^2.8 and its memory, mostly the
+# tube engine pass, like n^2.4
 _MAX_DIMENSION = 100
 
 _SQ2 = math.sqrt(2.0)

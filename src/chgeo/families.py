@@ -60,6 +60,12 @@ __all__ = [
 # which falls like e^(-3r/2).  This sits 30x above the one and 9x below the other.
 CARRIER_TOL = 1e-14
 
+# a tube shape matrix S = K M K^-1 asymmetric by more than this raises.  Over
+# every base kind, n in {3, 5, 8, 16} and 60 radii up to MAX_RADIUS (signed for
+# the hypersurfaces), the worst |S - S^T| is 1.7e-12, around the ruled orbit
+# (Wk, k = 1) in n = 3 at r = 18.9: 6,000x below this bound.
+SYMMETRY_TOL = 1e-8
+
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
 
@@ -168,14 +174,14 @@ def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
     ``_carrier_runs``.  Each carrier is (index into the spectrum, weight,
     unit direction), the direction in the frame of S.
     """
-    entries, masks = eigenspaces(vals)
+    entries, masks = eigenspaces(vals[None])
     weights = jnu_coeffs @ vecs
-    lengths, (runs,) = _carrier_runs([entries], masks[None], weights[None])
+    lengths, (runs,) = _carrier_runs(entries, masks, weights[None])
     carriers = [
-        (j, float(lengths[0, j]), vecs @ np.where(masks[j], weights, 0.0) / lengths[0, j])
+        (j, float(lengths[0, j]), vecs @ np.where(masks[0, j], weights, 0.0) / lengths[0, j])
         for j in runs
     ]
-    return entries, carriers
+    return entries[0], carriers
 
 
 def _check_radius(base: TubeBase, r: float) -> None:
@@ -189,17 +195,12 @@ def _check_radius(base: TubeBase, r: float) -> None:
         raise ValueError(f"tube radius must be positive, got {r}")
 
 
-def _groups(jobs) -> list[list[list[int]]]:
-    """Job indices by (n, normal direction), each group split in runs of one radius.
-
-    -0.0 and 0.0 share a run: their propagators agree bit for bit.
-    """
-    if len(jobs) == 1:
-        return [[[0]]]
+def _groups(jobs) -> list[list[int]]:
+    """Job indices by (n, normal direction)."""
     groups: dict = {}
-    for i, (base, r) in enumerate(jobs):
-        groups.setdefault((base.n, base.nu.tobytes()), {}).setdefault(r, []).append(i)
-    return [list(runs.values()) for runs in groups.values()]
+    for i, (base, _) in enumerate(jobs):
+        groups.setdefault((base.n, base.nu.tobytes()), []).append(i)
+    return list(groups.values())
 
 
 def tube_spectra(jobs) -> list[PrincipalProfile]:
@@ -207,12 +208,12 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
 
     The jobs sharing (n, normal direction) run as one stack.  One
     ``curvature_propagator`` call gives the Jacobi operator's eigenbasis
-    of the normal's complement and, per radius, its diagonal factors:
-    the growth K = cosh(sqrt(kappa) r) and two bounded tanh factors.
-    Each tube's initial data is mapped into that basis by one product,
-    and its value and derivative maps are V = K Y and D = K X, where Y
-    and X take only the bounded factors, as diagonal scalings.  One
-    batched ``solve`` gives M = -X Y^-1, and the shape matrix
+    of the normal's complement and, per tube at its own radius, its
+    diagonal factors: the growth K = cosh(sqrt(kappa) r) and two bounded
+    tanh factors.  Each tube's initial data is mapped into that basis by
+    one product, and its value and derivative maps are V = K Y and
+    D = K X, where Y and X take only the bounded factors, as diagonal
+    scalings.  One batched ``solve`` gives M = -X Y^-1, and the shape matrix
     S = K M K^-1 takes each entry S_ij = (K_i / K_j) M_ij from the side
     where K_i <= K_j, so no ratio above 1 multiplies an entry of M and
     the eigenvectors keep their digits at any radius.  One ``eigh`` of
@@ -230,25 +231,21 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     for base, r in jobs:
         _check_radius(base, r)
     out = [None] * len(jobs)
-    for runs in _groups(jobs):
-        members = [i for run in runs for i in run]
-        profiles = _stack_profiles([jobs[i] for i in members], [len(run) for run in runs])
-        for i, profile in zip(members, profiles):
+    for members in _groups(jobs):
+        for i, profile in zip(members, _stack_profiles([jobs[i] for i in members])):
             out[i] = profile
     return out
 
 
-def _stack_profiles(stack, counts) -> list[PrincipalProfile]:
-    """One stack of ``tube_spectra``: tubes that share n and the unit normal.
+def _stack_profiles(stack) -> list[PrincipalProfile]:
+    """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n and the unit normal.
 
-    ``stack`` lists the (TubeBase, r) jobs in runs of one radius, and
-    ``counts`` holds the run lengths.
+    One ``curvature_propagator`` call takes every job's own radius, so
+    its factors have one (2n - 1,) row per job.
     """
     model = CurvatureModel(stack[0][0].n)
     nu = stack[0][0].nu
-    starts = np.cumsum([0, *counts[:-1]])
-    basis, ch, th, th_dt = curvature_propagator(model, nu, np.array([stack[i][1] for i in starts]))
-    at_r = np.repeat(np.arange(len(counts)), counts)
+    basis, ch, th, th_dt = curvature_propagator(model, nu, np.array([r for _, r in stack]))
     # initial values, then derivatives, of each tube's frame vectors, as rows
     init = np.zeros((len(stack), 2, *basis.shape))
     for row, (b, _) in zip(init, stack):
@@ -258,10 +255,10 @@ def _stack_profiles(stack, counts) -> list[PrincipalProfile]:
         row[1, k:] = b.sphere
     init = init @ basis.T
     # Y and X transposed: rows are frame vectors, columns eigenbasis coordinates
-    K = ch[at_r, None, :]
-    y_t = init[:, 1] * th[at_r, None, :]
+    K = ch[:, None, :]
+    y_t = init[:, 1] * th[:, None, :]
     y_t += init[:, 0]
-    x_t = init[:, 0] * th_dt[at_r, None, :]
+    x_t = init[:, 0] * th_dt[:, None, :]
     x_t += init[:, 1]
     # each (B, 2n - 1, 2n - 1) stack is freed once used: catalog --n 100 keeps ~300 MB
     del init
@@ -281,7 +278,7 @@ def _stack_profiles(stack, counts) -> list[PrincipalProfile]:
     s_t /= np.swapaxes(K, -1, -2)
     s_tt = np.swapaxes(s_t, -1, -2)
     asym = np.max(np.abs(s_t - s_tt), axis=(-2, -1))
-    skew = np.flatnonzero(asym > 1e-8)
+    skew = np.flatnonzero(asym > SYMMETRY_TOL)
     if skew.size:
         raise ValueError(
             f"tube shape operator at distance {stack[skew[0]][1]} asymmetric by "

@@ -182,15 +182,12 @@ def normal_frame(profile: PrincipalProfile):
 
 
 def _coefficients(lambdas, t):
-    """``coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at t.
+    """``coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at distances t.
 
-    t broadcasts against the leading axes of lambdas; each coefficient
-    has shape (..., m, 1).  A scalar t stays a scalar: numpy's scalar
-    arithmetic is the cheaper path for the many one-distance calls.
+    t, a scalar or an array, broadcasts against the leading axes of
+    lambdas; each coefficient has shape (..., m, 1).
     """
-    if np.ndim(t):
-        t = np.asarray(t, dtype=float)[..., None, None]
-    return coefficient_pairs(lambdas[..., None], t)
+    return coefficient_pairs(lambdas[..., None], np.asarray(t, dtype=float)[..., None, None])
 
 
 def _field_columns(coefficients, basis, jxi):
@@ -276,14 +273,15 @@ def curvature_propagator(model: CurvatureModel, direction, t):
     and th_dt = sqrt(kappa) tanh(sqrt(kappa) t).  In basis coordinates a
     field's value is ch * (w(0) + th * w'(0)) and its derivative
     ch * (th_dt * w(0) + w'(0)), so the growth ch stays a factor apart.
-    The factors have shape (d - 1,) for a scalar distance t and (T, d - 1)
-    for a 1-D array of T distances.
+    The factors have shape (T, d - 1) for a 1-D array of T distances (the
+    tube engine passes one per tube, repeats included) and (d - 1,) for a
+    scalar t.
     """
     K = jacobi_operator(model, direction)
     w, V = np.linalg.eigh(0.5 * (K + K.T))
     # the first eigenvector is c itself, with kappa = 0
     sq = np.sqrt(w[1:])
-    # rows of distances against the eigenvalue axis; a scalar gives one row
+    # one row per distance against the eigenvalue axis
     st = sq * np.asarray(t, dtype=float)[..., None]
     th = np.tanh(st)
     return V[:, 1:].T, np.cosh(st), th / sq, sq * th
@@ -393,10 +391,8 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         )
     if not jobs:
         return []
-    radii = np.array([r for _, r in jobs], dtype=float)
-    # one job keeps a scalar distance, the cheaper path in _coefficients
     coefficients = _coefficients(
-        np.array([frame.lambdas for frame in frames]), radii if len(jobs) > 1 else radii[0]
+        np.array([frame.lambdas for frame in frames]), [r for _, r in jobs]
     )
     values, derivs = _field_columns(
         coefficients, np.array([frame.basis for frame in frames]), frames[0].jxi

@@ -91,33 +91,31 @@ class PrincipalProfile:
 
 
 def eigenspaces(vals):
-    """Merged spectra and eigenspace masks of ascending spectra, grouped in one pass.
+    """Merged spectra and eigenspace masks of a (B, m) stack of ascending spectra, in one pass.
 
-    ``vals`` is one ascending spectrum (m,) or a stack (B, m) of them.
     In each row a run ends where the next value is at least MERGE_TOL
     above the previous one.  Returns (entries, masks): ``masks[b, j]``
     marks the indices of row b's j-th run, a (B, G, m) boolean array
     with G the most runs of any row (a row's masks past its last run
     are empty), and ``entries[b]`` is row b's merged spectrum, each
-    run's (mean value, multiplicity) in ascending order.  A single
-    spectrum is the one-row case: its own entries and (G, m) masks.
+    run's (mean value, multiplicity) in ascending order.  One spectrum
+    is read as a one-row stack.
     """
     vals = np.asarray(vals, dtype=float)
-    stack = vals[None] if vals.ndim == 1 else vals
-    label = np.zeros(stack.shape, dtype=np.intp)
-    np.cumsum(np.diff(stack) >= MERGE_TOL, axis=-1, out=label[:, 1:])
+    label = np.zeros(vals.shape, dtype=np.intp)
+    np.cumsum(np.diff(vals) >= MERGE_TOL, axis=-1, out=label[:, 1:])
     masks = label[:, None, :] == np.arange(label.max(initial=-1) + 1)[:, None]
     entries = [
         tuple((total / count, count) for total, count in zip(row_sums, row_counts) if count)
         for row_sums, row_counts in zip(
-            eigenspace_sums(stack, masks).tolist(), masks.sum(axis=-1).tolist()
+            eigenspace_sums(vals, masks).tolist(), masks.sum(axis=-1).tolist()
         )
     ]
-    return (entries[0], masks[0]) if vals.ndim == 1 else (entries, masks)
+    return entries, masks
 
 
 def eigenspace_sums(x, masks):
-    """Sums of x over every run of ``eigenspaces``: (B, G) from (B, m), or (G,) from (m,).
+    """Sums (B, G) of a (B, m) stack x over every run of ``eigenspaces``.
 
     Each run is summed as one contiguous reduction, so a run's sum over
     its count is bit-identical to ``np.mean`` of its values.
@@ -128,4 +126,4 @@ def eigenspace_sums(x, masks):
 
 def merge_spectrum(eigenvalues) -> tuple[tuple[float, int], ...]:
     """Distinct values of an eigenvalue array, ascending, with multiplicities."""
-    return eigenspaces(np.sort(np.asarray(eigenvalues, dtype=float)))[0]
+    return eigenspaces(np.sort(np.asarray(eigenvalues, dtype=float))[None])[0][0]

@@ -528,8 +528,11 @@ def test_eigenspaces_groups_a_stack_as_its_rows():
         cuts = [0, *(np.flatnonzero(np.diff(row) >= profiles.MERGE_TOL) + 1), len(row)]
         want = tuple((float(np.mean(row[a:b])), b - a) for a, b in zip(cuts, cuts[1:]))
         assert row_entries == want
-        assert profiles.eigenspaces(row)[0] == want
         assert np.array_equal(row_masks.sum(axis=-1)[: len(want)], [m for _, m in want])
+        # the row as a one-row stack: its own entries and masks, without the empty ones
+        one_entries, one_masks = profiles.eigenspaces(row[None])
+        assert one_entries == [want]
+        assert np.array_equal(one_masks, row_masks[None, : len(want)])
 
 
 def test_profile_multiplicity_tells_close_entries_apart():
