@@ -31,8 +31,8 @@ _MAX_SWEEP_POINTS = 10_000
 # fraction of a step by which the sweep's last point may pass --hi, so that
 # a (hi - lo)/step that rounds to just below an integer keeps its endpoint
 _SWEEP_SLACK = 1e-9
-# catalog --n 100 takes about 5.3 s and 308 MB (median of 3 runs, 2-CPU Intel
-# Xeon); from n = 64 to 100 its time grew like n^2.8 and its memory, mostly the
+# catalog --n 100 takes about 4.8 s and 308 MB (median of 3 runs, 2-CPU Intel
+# Xeon); from n = 64 to 100 its time grew like n^3.2 and its memory, mostly the
 # tube engine pass, like n^2.4
 _MAX_DIMENSION = 100
 
@@ -131,30 +131,16 @@ def cmd_catalog(args):
     if args.r <= 0:
         raise ValueError(f"catalog requires --r > 0, got {args.r}")
     entries, notes = families.catalog(args.n, r=args.r)
-    doc = {
-        "schema": SCHEMA,
-        "command": "catalog",
-        "n": args.n,
-        "entries": [_entry_doc(e) for e in entries],
-        "notes": notes,
-    }
-    return doc, 0
+    return {"n": args.n, "entries": [_entry_doc(e) for e in entries], "notes": notes}, 0
 
 
 def cmd_classify(args):
     if args.case == "i":
-        branch = classifier.solve_case_one()
-        doc = {"schema": SCHEMA, "command": "classify", **_branch_doc(branch)}
-        return doc, 0
+        return _branch_doc(classifier.solve_case_one()), 0
     if args.lambda3 is None:
         raise ValueError("classify requires --lambda3 or --case i")
     outcome = classifier.solve_case_two(args.lambda3)
-    doc = {
-        "schema": SCHEMA,
-        "command": "classify",
-        **_branch_doc(outcome.branch, lambda3=args.lambda3, reason=outcome.reason),
-    }
-    return doc, 0
+    return _branch_doc(outcome.branch, lambda3=args.lambda3, reason=outcome.reason), 0
 
 
 def cmd_sweep(args):
@@ -174,8 +160,6 @@ def cmd_sweep(args):
         raise ValueError(f"sweep grid overflows: its last point is {grid[-1]}")
     outcomes = [classifier.solve_case_two(lam3) for lam3 in grid]
     doc = {
-        "schema": SCHEMA,
-        "command": "sweep",
         "grid": grid,
         "outcomes": [
             _branch_doc(o.branch, lambda3=o.lambda3, reason=o.reason) for o in outcomes
@@ -202,8 +186,6 @@ def cmd_focal(args):
         if outcome.branch is None:
             return (
                 {
-                    "schema": SCHEMA,
-                    "command": "focal",
                     "case": "ii",
                     "lambda3": _tagged(args.lambda3),
                     "result": None,
@@ -216,8 +198,6 @@ def cmd_focal(args):
         r = args.r if args.r is not None else 2.0 * math.atanh(2.0 * branch.lambda3)
     focal = jacobi.transversal_map(profile, r)
     doc = {
-        "schema": SCHEMA,
-        "command": "focal",
         "case": args.case,
         "n": args.n,
         "r": _tagged(r),
@@ -257,8 +237,6 @@ def cmd_verify(args):
         raise ValueError(f"verify requires --tolerance >= 0, got {args.tolerance}")
     results = verification.run_all(seed=args.seed, tolerance=args.tolerance)
     doc = {
-        "schema": SCHEMA,
-        "command": "verify",
         "seed": args.seed,
         "suites": [
             {
@@ -298,26 +276,15 @@ def _csv_rows(doc):
                 )
         return header, rows
     if doc["command"] == "sweep":
-        header = ["case", "lambda3", "lambda1", "lambda2", "b1sq", "b2sq", "reason"]
-        rows = []
-        for out in doc["outcomes"] + [doc["isolated"]]:
-            if out.get("branch", "present") is None:
-                rows.append(
-                    ["ii", out["lambda3"]["value"], "", "", "", "", out["reason"]]
-                )
-            else:
-                rows.append(
-                    [
-                        out["case"],
-                        out["lambda3"]["value"],
-                        out["lambda1"]["value"],
-                        out["lambda2"]["value"],
-                        out["b1sq"]["value"],
-                        out["b2sq"]["value"],
-                        "",
-                    ]
-                )
-        return header, rows
+        values = ["lambda3", "lambda1", "lambda2", "b1sq", "b2sq"]
+        # an excluded outcome has no curvatures or weights: their cells stay empty
+        rows = [
+            [out["case"]]
+            + [out[key]["value"] if key in out else "" for key in values]
+            + [out["reason"] or ""]
+            for out in doc["outcomes"] + [doc["isolated"]]
+        ]
+        return ["case", *values, "reason"], rows
     if doc["command"] == "verify":
         header = ["suite", "passed", "max_residual", "tolerance"]
         rows = [
@@ -483,7 +450,7 @@ def run(argv=None) -> int:
     try:
         args.seed = _resolve_seed(args)
         doc, code = args.handler(args)
-        text = render(doc, args.fmt)
+        text = render({"schema": SCHEMA, "command": args.command, **doc}, args.fmt)
     except (ValueError, FocalPointError, np.linalg.LinAlgError) as exc:
         # OpenCaseError is a ValueError; FocalRadiusError a FocalPointError
         print(f"error: {exc}", file=sys.stderr)

@@ -23,16 +23,7 @@ class UnsupportedModelError(ValueError):
 
 
 class FocalPointError(RuntimeError):
-    """A map differential is singular at the requested distance.
-
-    Carries a description of the kernel so callers can report what
-    collapsed instead of inverting a singular block.
-    """
-
-    def __init__(self, message, kernel_dim=None, singular_values=None):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
-        self.singular_values = singular_values
+    """A map differential is singular at the requested distance."""
 
 
 class FocalRadiusError(FocalPointError):

@@ -225,7 +225,7 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     Every r must be finite with |r| <= MAX_RADIUS.  Proper tubes (bases
     of codimension >= 2) require r > 0; hypersurface bases accept signed
     r and describe the equidistant family.  A focal r, where a singular
-    value of V is below KERNEL_TOL, raises FocalRadiusError, and a
+    value of V is at most KERNEL_TOL, raises FocalRadiusError, and a
     non-Hopf tube with other than two carriers UnsupportedModelError.
     """
     for base, r in jobs:
@@ -263,14 +263,9 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     # each (B, 2n - 1, 2n - 1) stack is freed once used: catalog --n 100 keeps ~300 MB
     del init
     svals = np.linalg.svd(y_t * K, compute_uv=False)
-    focal = np.flatnonzero(svals.min(axis=-1) < KERNEL_TOL)
+    focal = np.flatnonzero(svals.min(axis=-1) <= KERNEL_TOL)
     if focal.size:
-        row = svals[focal[0]]
-        raise FocalRadiusError(
-            f"tube differential degenerates at distance {stack[focal[0]][1]}",
-            kernel_dim=int(np.sum(row < KERNEL_TOL)),
-            singular_values=np.sort(row)[::-1],
-        )
+        raise FocalRadiusError(f"tube differential degenerates at distance {stack[focal[0]][1]}")
     # S^T = K^-1 M^T K with M^T = -(Y^T)^-1 X^T: entry (i, j) scaled by K_j / K_i
     s_t = np.linalg.solve(y_t, x_t)
     del y_t, x_t

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import CurvatureModel, complex_structure, jacobi_operator
+from .ambient import CurvatureModel, jacobi_operator
 from .errors import FocalPointError, ValidationError
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, merge_spectrum
 
@@ -109,23 +109,13 @@ class GeodesicNormalFrame:
     lambdas: np.ndarray
     hopf: HopfAttitude
 
-    @cached_property
-    def J(self) -> np.ndarray:
-        return complex_structure(self.n)
-
     @property
     def dim(self) -> int:
         return 2 * self.n
 
     @cached_property
-    def xi(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[0] = 1.0
-        return e
-
-    @cached_property
     def jxi(self) -> np.ndarray:
-        return self.J @ self.xi
+        return np.eye(self.dim)[1]
 
     def decompose(self, v) -> np.ndarray:
         """Basis-row coefficients, shape (..., m), of tangent vectors v of shape (..., d).
@@ -299,7 +289,10 @@ class FocalMapData:
     ``phi`` and ``phi_dt`` hold the field values and derivatives of the
     frame basis as columns (parallel-frame coefficients).  ``d_block``
     is the 2x2 action on the projection carriers; ``c_block`` is
-    -d_block_dt @ inv(d_block) when the block is invertible.
+    -d_block_dt @ inv(d_block) when the block is invertible.  It equals
+    D @ carrier_block @ inv(D) for D = ``d_block`` and the
+    ``carrier_block`` of ``image_shape_operator``, so it has the same
+    trace, determinant and spectrum, but it is not symmetric.
     ``kernel_dim`` counts vanishing singular values of the full
     differential, ``rank`` is the complement and ``image_codim`` the
     ambient codimension of the image (kernel_dim plus the normal
@@ -328,11 +321,7 @@ class FocalMapData:
     @property
     def c_block(self) -> np.ndarray:
         if self._c_block is None:
-            raise FocalPointError(
-                f"carrier block singular at distance {self.r}: {self.c_reason}",
-                kernel_dim=self.kernel_dim,
-                singular_values=self.singular_values,
-            )
+            raise FocalPointError(f"carrier block singular at distance {self.r}: {self.c_reason}")
         return self._c_block
 
     @property
@@ -443,10 +432,11 @@ def transversal_maps(jobs) -> list[FocalMapData]:
 class ImageShapeData:
     """Shape-operator data of the image of the transversal map.
 
-    ``entries`` is the merged spectrum w.r.t. the translated normal,
-    ``carrier_block`` the 2x2 matrix on the translated projection
-    carriers (orthonormal basis), and ``axis_rate`` the eigenvalue on
-    translated axis-class directions.
+    ``entries`` is the merged spectrum w.r.t. the translated normal and
+    ``axis_rate`` the eigenvalue on translated axis-class directions.
+    ``carrier_block`` = -inv(D) @ D_dt, with D the focal map's
+    ``d_block``, is the image shape operator on the translated
+    projection carriers in an orthonormal basis, so it is symmetric.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -457,14 +447,15 @@ class ImageShapeData:
 def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     """Spectrum of the image shape operator w.r.t. the translated normal.
 
-    With phi = U diag(s) V^T and p singular values above KERNEL_TOL,
-    the image tangent space is spanned by U_p, and in that basis
+    With phi = U diag(s) V^T and p = ``focal.rank``, the count of
+    singular values that ``transversal_maps`` found above KERNEL_TOL, the
+    image tangent space is spanned by U_p, and in that basis
     S = -(U_p^T phi_dt) pinv(U_p^T phi).  Since U_p^T phi = diag(s_p) V_p^T,
     the pseudo-inverse is V_p diag(1/s_p), so the one SVD of phi gives S.
     """
     focal.c_block  # raises FocalPointError when the carrier block is singular
     U, s, Vt = np.linalg.svd(focal.phi, full_matrices=False)
-    p = int(np.sum(s > KERNEL_TOL))
+    p = focal.rank
     S = -(U[:, :p].T @ focal.phi_dt) @ Vt[:p].T / s[:p]
     S = 0.5 * (S + S.T)
     entries = merge_spectrum(np.linalg.eigvalsh(S))

@@ -197,8 +197,9 @@ class OrbitModel:
     hypersurface orbit ``compatibility_defects`` checks the Gauss and
     Codazzi equations over the whole frame.  The closure check, the
     shape operator and ``intrinsic_gamma`` each contract over all frame
-    pairs at once; with d = 2n the closure check costs O(d^3 + codim d^2)
-    and a shape operator O(d^3).
+    pairs at once.  With d = 2n and m tangent and k normal rows, the
+    closure check forms one d x d product and k m^2 entries, and a shape
+    operator costs O(d^3).
     """
 
     algebra: SolvableAlgebra

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -62,6 +63,26 @@ def test_catalog_json_document():
     for entry in doc["entries"]:
         for lam, mult in entry["profile"]:
             assert isinstance(lam, float) and isinstance(mult, int)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("catalog", "--n", "3"),
+        ("classify", "--lambda3", "0.2"),
+        ("classify", "--case", "i"),
+        ("sweep", "--lo", "-0.1", "--hi", "0.1", "--step", "0.1"),
+        ("focal", "--case", "ii", "--lambda3", "0.3"),
+        ("focal", "--case", "ii", "--lambda3", "0.55"),  # excluded: no result
+        ("verify",),
+    ],
+)
+def test_every_json_document_names_its_schema_and_command(args):
+    proc = run_cli("--format", "json", *args)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["schema"] == "chgeo/1"
+    assert doc["command"] == args[0]
 
 
 def test_catalog_emits_symbolic_tags():
@@ -220,13 +241,24 @@ def test_sweep_far_outside_the_window():
 
 
 def test_sweep_csv():
-    proc = run_cli(
-        "--format", "csv", "sweep", "--lo", "-0.4", "--hi", "0.4", "--step", "0.1"
-    )
-    lines = proc.stdout.strip().splitlines()
-    # header + nine parametric rows + the isolated row
-    assert len(lines) == 11
-    assert lines[-1].startswith("i,")
+    # the second grid crosses the exclusion window at lambda3 = 1/2
+    for lo, hi, points, excluded in (("-0.4", "0.4", 9, 0), ("0.4", "0.6", 3, 2)):
+        proc = run_cli("--format", "csv", "sweep", "--lo", lo, "--hi", hi, "--step", "0.1")
+        lines = proc.stdout.strip().splitlines()
+        # header + one row per grid point + the isolated row
+        assert len(lines) == points + 2
+        assert lines[-1].startswith("i,")
+        rows = list(csv.DictReader(lines))
+        assert sum(row["reason"] != "" for row in rows) == excluded
+        for row in rows:
+            cells = [row[key] for key in ("lambda1", "lambda2", "b1sq", "b2sq")]
+            outcome = cli.classifier.solve_case_two(float(row["lambda3"]))
+            if row["case"] == "ii" and outcome.branch is None:
+                assert cells == ["", "", "", ""]
+                assert row["reason"] == outcome.reason
+            else:
+                assert "" not in cells
+                assert row["reason"] == ""
 
 
 @pytest.mark.parametrize(

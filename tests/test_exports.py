@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -35,3 +36,21 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
                 if name.partition(".")[0] not in {"numpy", "chgeo", *sys.stdlib_module_names}
             ]
     assert foreign == []
+
+
+def test_readme_names_every_tolerance_with_its_module_and_value():
+    # every module-level *_TOL and *_GAP constant, as (module, value)
+    in_code = {}
+    for path in sorted(Path(chgeo.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                name = getattr(node.targets[0], "id", "")
+                if re.fullmatch(r"[A-Z_]+_(TOL|GAP)", name):
+                    in_code[name] = (path.stem, ast.literal_eval(node.value))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("- The named tolerances:\n", 1)[1].split("\n- ", 1)[0]
+    in_readme = {
+        name: (module, float(value))
+        for name, value, module in re.findall(r"^  - `(\w+)` = (\S+) \(`(\w+)`\)", listed, re.M)
+    }
+    assert in_readme == in_code

@@ -469,6 +469,7 @@ def test_repeated_carrier_collapse_larger_multiplicity():
     assert focal.image_codim == 3
     image = jacobi.image_shape_operator(focal)
     assert _mult_near(image.entries, 0.0) == 2 * 4 - 3 - 2
+    assert sum(m for _, m in image.entries) == focal.rank
 
 
 def test_image_shape_block(iso_profile):
@@ -480,6 +481,26 @@ def test_image_shape_block(iso_profile):
     assert np.allclose(eig, [-0.5, 0.5], atol=1e-12)
     assert abs(image.axis_rate) <= 1e-12
     assert sorted(dict(image.entries)) == pytest.approx([-0.5, 0.0, 0.5], abs=1e-12)
+    assert sum(m for _, m in image.entries) == focal.rank
+
+
+def test_carrier_block_is_symmetric_and_similar_to_c_block():
+    # carrier_block = -D^-1 D_dt is the image shape operator in an orthonormal
+    # carrier basis; c_block = -D_dt D^-1 = D carrier_block D^-1 is not symmetric
+    jobs = []
+    for lam3 in verification.case_two_grid():
+        branch = classifier.solve_case_two(float(lam3)).branch
+        profile = classifier.branch_profile(branch, 3)
+        jobs += [(profile, r) for r in (2.0 * math.atanh(2.0 * lam3), 1.0, -2.0, 5.0)]
+    focals = jacobi.transversal_maps(jobs)
+    iso = classifier.solve_case_one()
+    for n, m1 in ((3, 2), (4, 2), (4, 3), (6, 5)):
+        focals.append(jacobi.transversal_map(classifier.branch_profile(iso, n, m1=m1), R_STAR))
+    for focal in focals:
+        block = jacobi.image_shape_operator(focal).carrier_block
+        D = focal.d_block
+        assert np.max(np.abs(block - block.T)) <= 1e-12
+        assert np.max(np.abs(np.linalg.inv(D) @ focal.c_block @ D - block)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -520,6 +541,7 @@ def test_image_spectrum_of_parametric_branch():
     assert [lam for lam, _ in image.entries] == pytest.approx(
         [-0.5, 0.0, 0.5], abs=1e-10
     )
+    assert sum(m for _, m in image.entries) == focal.rank
 
 
 def test_signed_distance_supported():
