@@ -22,9 +22,11 @@ with cosh(t) - lam sinh(t).
 The transversal map sends each point of the hypersurface a fixed
 distance along its normal geodesic; its differential evaluates Jacobi
 fields at that distance, and the shape operator of the image is read
-off from minus the tangential part of the field derivatives.  Working
-in the parallel frame reduces all of this to dense linear algebra on
-coefficient vectors.
+off from minus the tangential part of the field derivatives.  In the
+frame of ``normal_frame`` only the two projection carriers meet the
+Jc-line, so the map is block diagonal: a 2x2 block D on the carriers
+and the transverse coefficient f on every other row.  Its singular
+values and the image spectrum come from D and f alone.
 """
 
 from __future__ import annotations
@@ -180,16 +182,6 @@ def _coefficients(lambdas, t):
     return coefficient_pairs(lambdas[..., None], np.asarray(t, dtype=float)[..., None, None])
 
 
-def _field_columns(coefficients, basis, jxi):
-    """Field values and derivatives of the rows of basis, each of shape (..., m, d).
-
-    ``coefficients`` are those of ``_coefficients`` at the curvatures of
-    the rows; row i of each result is column i of phi.
-    """
-    w = (basis @ jxi)[..., None]
-    return tuple(f * basis + w * g * jxi for f, g in coefficients)
-
-
 def jacobi_field(frame: GeodesicNormalFrame, v, t):
     """Closed-form field and derivative for tangent vectors v at times t.
 
@@ -198,9 +190,12 @@ def jacobi_field(frame: GeodesicNormalFrame, v, t):
     vectors (value, derivative), each of the broadcast shape (..., d).
     """
     coeffs = frame.decompose(v)[..., None, :]
-    coefficients = _coefficients(frame.lambdas, t)
-    value, deriv = _field_columns(coefficients, frame.basis, frame.jxi)
-    return (coeffs @ value)[..., 0, :], (coeffs @ deriv)[..., 0, :]
+    # the field of basis row i is f_i row_i + <row_i, Jc> g_i Jc
+    w = (frame.basis @ frame.jxi)[:, None]
+    return tuple(
+        (coeffs @ (f * frame.basis + w * g * frame.jxi))[..., 0, :]
+        for f, g in _coefficients(frame.lambdas, t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +281,13 @@ def curvature_propagator(model: CurvatureModel, direction, t):
 class FocalMapData:
     """Differential data of the distance-r transversal map.
 
-    ``phi`` and ``phi_dt`` hold the field values and derivatives of the
-    frame basis as columns (parallel-frame coefficients).  ``d_block``
-    is the 2x2 action on the projection carriers; ``c_block`` is
-    -d_block_dt @ inv(d_block) when the block is invertible.  It equals
-    D @ carrier_block @ inv(D) for D = ``d_block`` and the
+    The map is block diagonal in the frame of ``normal_frame``.
+    ``d_block`` is its 2x2 action D on the projection carriers, frame
+    rows 0 and 1, and ``f`` the transverse coefficients of rows 2
+    onwards, the axis first; ``d_block_dt`` and ``f_dt`` are their
+    derivatives.  ``singular_values`` are those of D and the |f|, in
+    descending order.  ``c_block`` is -d_block_dt @ inv(d_block) when
+    the block is invertible.  It equals D @ carrier_block @ inv(D) for the
     ``carrier_block`` of ``image_shape_operator``, so it has the same
     trace, determinant and spectrum, but it is not symmetric.
     ``kernel_dim`` counts vanishing singular values of the full
@@ -301,8 +298,8 @@ class FocalMapData:
 
     r: float
     frame: GeodesicNormalFrame
-    phi: np.ndarray
-    phi_dt: np.ndarray
+    f: np.ndarray
+    f_dt: np.ndarray
     singular_values: np.ndarray
     kernel_dim: int
     d_block: np.ndarray
@@ -312,7 +309,7 @@ class FocalMapData:
 
     @property
     def rank(self) -> int:
-        return self.phi.shape[1] - self.kernel_dim
+        return len(self.singular_values) - self.kernel_dim
 
     @property
     def image_codim(self) -> int:
@@ -383,21 +380,6 @@ def transversal_maps(jobs) -> list[FocalMapData]:
     coefficients = _coefficients(
         np.array([frame.lambdas for frame in frames]), [r for _, r in jobs]
     )
-    values, derivs = _field_columns(
-        coefficients, np.array([frame.basis for frame in frames]), frames[0].jxi
-    )
-    phi, phi_dt = values.transpose(0, 2, 1), derivs.transpose(0, 2, 1)
-    # each row of singular values comes back in descending order
-    svals = np.linalg.svd(phi, compute_uv=False)
-    kernel_dims = np.sum(svals <= KERNEL_TOL, axis=-1).tolist()
-    for i, kernel_dim in enumerate(kernel_dims):
-        # a job with a kernel must keep its other singular values above the gap
-        if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
-            raise ValidationError(
-                "singular values fall between the kernel threshold and the gap "
-                f"guard at distance {jobs[i][1]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
-            )
-
     # the 2x2 action on the projection carriers, rows 0 and 1 of the frame:
     # diag(f) + (b b^T) g on the carrier curvatures (lam1, lam2)
     b = np.array([(frame.hopf.b1, frame.hopf.b2) for frame in frames])
@@ -407,6 +389,20 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         # entries 0 and 3 of each flattened 2x2 block are its diagonal
         block.reshape(-1, 4)[:, ::3] = f[:, :2, 0]
         block += outer * g[:, :2]
+    # the other rows keep their direction and scale by f
+    (f, _), (f_dt, _) = coefficients
+    f, f_dt = f[:, 2:, 0], f_dt[:, 2:, 0]
+    svals = np.concatenate([np.linalg.svd(d_block, compute_uv=False), np.abs(f)], axis=-1)
+    svals = np.sort(svals)[:, ::-1]
+    kernel_dims = np.sum(svals <= KERNEL_TOL, axis=-1).tolist()
+    for i, kernel_dim in enumerate(kernel_dims):
+        # a job with a kernel must keep its other singular values above the gap
+        if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
+            raise ValidationError(
+                "singular values fall between the kernel threshold and the gap "
+                f"guard at distance {jobs[i][1]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
+            )
+
     det = np.linalg.det(d_block)
     regular = np.abs(det) > BLOCK_DET_TOL
     # C = -D_dt D^-1 of the regular blocks, in job order
@@ -415,8 +411,8 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         FocalMapData(
             r=r,
             frame=frames[i],
-            phi=phi[i],
-            phi_dt=phi_dt[i],
+            f=f[i],
+            f_dt=f_dt[i],
             singular_values=svals[i],
             kernel_dim=kernel_dim,
             d_block=d_block[i],
@@ -447,20 +443,17 @@ class ImageShapeData:
 def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     """Spectrum of the image shape operator w.r.t. the translated normal.
 
-    With phi = U diag(s) V^T and p = ``focal.rank``, the count of
-    singular values that ``transversal_maps`` found above KERNEL_TOL, the
-    image tangent space is spanned by U_p, and in that basis
-    S = -(U_p^T phi_dt) pinv(U_p^T phi).  Since U_p^T phi = diag(s_p) V_p^T,
-    the pseudo-inverse is V_p diag(1/s_p), so the one SVD of phi gives S.
+    The map is block diagonal, and so is the image shape operator: on
+    the translated carriers it is ``carrier_block`` = -inv(D) @ D_dt,
+    and a transverse row with f above KERNEL_TOL keeps its direction
+    with eigenvalue -f_dt/f; rows with f at or below KERNEL_TOL are
+    kernel and leave the image.
     """
     focal.c_block  # raises FocalPointError when the carrier block is singular
-    U, s, Vt = np.linalg.svd(focal.phi, full_matrices=False)
-    p = focal.rank
-    S = -(U[:, :p].T @ focal.phi_dt) @ Vt[:p].T / s[:p]
-    S = 0.5 * (S + S.T)
-    entries = merge_spectrum(np.linalg.eigvalsh(S))
-    frame = focal.frame
     carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
-    (f3, _), (f3_dt, _) = coefficient_pairs(float(frame.lambdas[2]), focal.r)
-    axis_rate = -float(f3_dt) / float(f3)
-    return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=axis_rate)
+    live = np.abs(focal.f) > KERNEL_TOL
+    rates = -focal.f_dt[live] / focal.f[live]
+    carrier = np.linalg.eigvalsh(0.5 * (carrier_block + carrier_block.T))
+    entries = merge_spectrum(np.concatenate([carrier, rates]))
+    # frame row 2, the axis, is never kernel: its f stays positive for |lam3| < 1/2
+    return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=float(rates[0]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import classifier, jacobi, verification
+from chgeo import classifier, jacobi, solvable, verification
 from chgeo.errors import FocalPointError, ValidationError
-from chgeo.profiles import HopfAttitude, PrincipalProfile
+from chgeo.profiles import HopfAttitude, PrincipalProfile, merge_spectrum
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
 SQ2, SQ3, SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
@@ -301,10 +302,8 @@ def test_propagator_radius_axis_matches_scalar_calls(n):
 def test_zero_distance_is_identity(iso_profile):
     focal = jacobi.transversal_map(iso_profile, 0.0)
     assert focal.kernel_dim == 0
-    assert np.allclose(focal.d_block, np.eye(2), atol=1e-15)
-    assert np.allclose(
-        focal.phi.T @ focal.phi, np.eye(focal.phi.shape[1]), atol=1e-14
-    )
+    assert np.array_equal(focal.d_block, np.eye(2))
+    assert np.array_equal(focal.f, np.ones(len(focal.frame.basis) - 2))
 
 
 def test_repeated_carrier_collapse(iso_profile):
@@ -342,7 +341,7 @@ def test_transversal_map_rejects_axis_curvature_off_the_equidistants():
     "n, lam3", [(n, lam3) for lam3 in (0.2, -0.3) for n in (3, 5)] + [(4, None)]
 )
 def test_transversal_map_shares_the_field_columns(n, lam3):
-    """phi holds the jacobi_field columns; the carrier block restricts them."""
+    """The basis fields are blockdiag(D, diag f) times the basis, derivatives likewise."""
     if lam3 is None:  # case i at the exceptional radius, m1 = 3
         profile = classifier.branch_profile(classifier.solve_case_one(), n, m1=3)
         r = R_STAR
@@ -351,14 +350,13 @@ def test_transversal_map_shares_the_field_columns(n, lam3):
         r = 2.0 * math.atanh(2.0 * lam3)
     focal = jacobi.transversal_map(profile, r)
     frame = focal.frame
-    for i, row in enumerate(frame.basis):
-        value, deriv = jacobi.jacobi_field(frame, row, focal.r)
-        assert np.array_equal(value, focal.phi[:, i])
-        assert np.array_equal(deriv, focal.phi_dt[:, i])
-    carriers = frame.basis[:2]
-    pairs = ((focal.d_block, focal.phi), (focal.d_block_dt, focal.phi_dt))
-    for block, columns in pairs:
-        assert np.max(np.abs(block - (carriers @ columns[:, :2]).T)) <= 1e-14
+    fields = jacobi.jacobi_field(frame, frame.basis, focal.r)
+    blocks = ((focal.d_block, focal.f), (focal.d_block_dt, focal.f_dt))
+    m = len(frame.basis)
+    for field, (block, diagonal) in zip(fields, blocks):
+        expected = np.zeros((m, m))
+        expected[:2, :2], expected[2:, 2:] = block, np.diag(diagonal)
+        assert np.max(np.abs(field - expected @ frame.basis)) <= 1e-14
 
 
 def _grid_jobs():
@@ -370,7 +368,7 @@ def _grid_jobs():
 
 
 FOCAL_FIELDS = (
-    "r", "phi", "phi_dt", "singular_values", "kernel_dim", "d_block", "d_block_dt", "c_reason"
+    "r", "f", "f_dt", "singular_values", "kernel_dim", "d_block", "d_block_dt", "c_reason"
 )
 
 
@@ -456,6 +454,77 @@ def test_stacked_transversal_maps_need_one_dimension():
     with pytest.raises(ValidationError, match="one complex dimension"):
         jacobi.transversal_maps(jobs)
     assert jacobi.transversal_maps([]) == []
+
+
+def _dense_reference(focal):
+    """Singular values and image spectrum of the map as a dense matrix.
+
+    phi holds the jacobi_field values of the frame basis as columns;
+    with phi = U diag(s) V^T and p the singular values above KERNEL_TOL,
+    the image shape operator is S = -(U_p^T phi_dt) V_p / s_p.
+    """
+    frame = focal.frame
+    value, deriv = jacobi.jacobi_field(frame, frame.basis, focal.r)
+    phi, phi_dt = value.T, deriv.T
+    U, s, Vt = np.linalg.svd(phi, full_matrices=False)
+    p = int(np.sum(s > jacobi.KERNEL_TOL))
+    if focal.c_reason is not None:
+        return s, p, None
+    S = -(U[:, :p].T @ phi_dt) @ Vt[:p].T / s[:p]
+    return s, p, merge_spectrum(np.linalg.eigvalsh(0.5 * (S + S.T)))
+
+
+def _assert_same_spectrum(got, want, tol=1e-12):
+    assert [m for _, m in got] == [m for _, m in want]
+    assert np.max(np.abs(np.subtract([v for v, _ in got], [v for v, _ in want]))) <= tol
+
+
+def test_block_route_matches_the_dense_map():
+    iso = classifier.solve_case_one()
+    focals = []
+    for n in (3, 5, 8):
+        jobs = []
+        for lam3 in verification.case_two_grid():
+            profile = classifier.branch_profile(classifier.solve_case_two(float(lam3)).branch, n)
+            jobs += [(profile, r) for r in (2.0 * math.atanh(2.0 * lam3), 1.0, -2.0, 5.0)]
+        focals += jacobi.transversal_maps(jobs)
+    for (n, m1), r in itertools.product(((3, 2), (4, 2), (4, 3), (6, 5), (8, 4)), (R_STAR, 1.3)):
+        focals.append(jacobi.transversal_map(classifier.branch_profile(iso, n, m1=m1), r))
+    assert len(focals) == 1174
+    for focal in focals:
+        s, p, spectrum = _dense_reference(focal)
+        got = focal.singular_values
+        assert np.max(np.abs(got - s) / np.maximum(s, 1.0)) <= 1e-12
+        assert focal.rank == p
+        if spectrum is not None:
+            _assert_same_spectrum(jacobi.image_shape_operator(focal).entries, spectrum)
+
+
+def _assert_image_is_orbit(focal, k):
+    """The focal image has the spectrum of the Koszul orbit W^{2n-k} in every normal."""
+    alg = solvable.build_algebra(focal.frame.n)
+    orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
+    assert orbit.dim == focal.rank
+    entries = jacobi.image_shape_operator(focal).entries
+    total = orbit.normal.sum(axis=0)
+    for xi in [*orbit.normal, total / np.linalg.norm(total)]:
+        orbit_entries = merge_spectrum(np.linalg.eigvalsh(orbit.shape_operator(xi)))
+        _assert_same_spectrum(entries, orbit_entries)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_case_one_focal_image_is_the_ruled_orbit(n):
+    iso = classifier.solve_case_one()
+    for m1 in range(2, n):
+        focal = jacobi.transversal_map(classifier.branch_profile(iso, n, m1=m1), R_STAR)
+        _assert_image_is_orbit(focal, m1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_case_two_focal_image_is_the_ruled_orbit(n):
+    for lam3 in (-0.4, -0.2, 0.1, 0.3, 0.45):
+        profile = classifier.branch_profile(classifier.solve_case_two(lam3).branch, n)
+        _assert_image_is_orbit(jacobi.transversal_map(profile, 2.0 * math.atanh(2.0 * lam3)), 1)
 
 
 def _mult_near(entries, lam, tol=1e-9):
