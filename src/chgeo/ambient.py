@@ -37,9 +37,8 @@ DEGENERATE_PLANE_TOL = 1e-12
 def complex_structure(n: int) -> np.ndarray:
     """Matrix of J in the adapted basis: J e_{2i-1} = e_{2i}, J^2 = -1."""
     j = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        j[2 * i + 1, 2 * i] = 1.0
-        j[2 * i, 2 * i + 1] = -1.0
+    first = np.arange(0, 2 * n, 2)
+    j[first + 1, first], j[first, first + 1] = 1.0, -1.0
     return j
 
 

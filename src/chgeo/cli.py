@@ -358,11 +358,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _global_flags(**defaults) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         help="seed for randomised checks (env CHGEO_SEED overrides the default)",
     )
     flags.add_argument(
@@ -436,13 +446,11 @@ def _resolve_seed(args) -> int:
     """The seed from --seed, else from CHGEO_SEED, else the default."""
     if args.seed is not None:
         return args.seed
-    raw = os.environ.get("CHGEO_SEED")
-    if raw is None:
-        return verification.DEFAULT_SEED
+    raw = os.environ.get("CHGEO_SEED", str(verification.DEFAULT_SEED))
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CHGEO_SEED must be an integer, got {raw!r}") from None
+        return _seed(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CHGEO_SEED {exc}") from None
 
 
 def run(argv=None) -> int:

@@ -107,14 +107,12 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
         )
     if kind == "RHn":
         # totally real base spanned by the odd coordinates; normal = J image
-        tangent = e[0::2]
-        normals = e[1::2]
         return TubeBase(
             n=n,
-            nu=normals[0],
-            tangent=tangent,
+            nu=e[1],
+            tangent=e[0::2],
             shape=np.zeros((n, n)),
-            sphere=normals[1:],
+            sphere=e[3::2],
         )
     if kind == "Wk":
         if k is None or not 1 <= k <= n - 1:

@@ -103,7 +103,8 @@ class GeodesicNormalFrame:
     u1, u2 mix e2 and e4, and the remaining coordinates pair off under
     J.  ``basis`` rows are ordered (u1, u2, axis, pairs...) and
     ``lambdas`` assigns the principal curvature of each row, so the
-    axis curvature lam3 is ``lambdas[2]``.
+    axis curvature lam3 is ``lambdas[2]``; the first m1 - 1 pairs carry
+    (lam1, lam3) and the rest (lam3, lam3), m1 the multiplicity of lam1.
     """
 
     n: int
@@ -151,26 +152,14 @@ def normal_frame(profile: PrincipalProfile):
         raise ValidationError(
             f"carrier multiplicity {m1} does not fit complex dimension {n}"
         )
-    if profile.multiplicity(lam3) != 2 * n - 2 - m1:
-        raise ValidationError("axis multiplicity inconsistent with frame layout")
 
-    d = 2 * n
-    e = np.eye(d)
+    e = np.eye(2 * n)
     b1, b2 = hopf.b1, hopf.b2
     u1 = b1 * e[1] + b2 * e[3]
     u2 = b2 * e[1] - b1 * e[3]
-    rows = [u1, u2, e[2]]
-    lams = [lam1, lam2, lam3]
-    pair_count = n - 2
-    carriers = m1 - 1
-    for p in range(pair_count):
-        first, second = e[4 + 2 * p], e[5 + 2 * p]
-        rows.extend([first, second])
-        if p < carriers:
-            lams.extend([lam1, lam3])
-        else:
-            lams.extend([lam3, lam3])
-    return GeodesicNormalFrame(n=n, basis=np.array(rows), lambdas=np.array(lams), hopf=hopf)
+    basis = np.concatenate([[u1, u2, e[2]], e[4:]])
+    lambdas = [lam1, lam2, lam3] + [lam1, lam3] * (m1 - 1) + [lam3, lam3] * (n - 1 - m1)
+    return GeodesicNormalFrame(n=n, basis=basis, lambdas=np.array(lambdas), hopf=hopf)
 
 
 def _coefficients(lambdas, t):

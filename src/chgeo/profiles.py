@@ -45,12 +45,12 @@ class HopfAttitude:
 class PrincipalProfile:
     """Distinct principal curvatures with multiplicities.
 
-    ``entries`` is sorted ascending by curvature; multiplicities sum to
-    ``total_dim``.  ``hopf is None`` means the model is Hopf: J(normal)
-    is a principal direction.  Otherwise ``hopf`` holds the two
-    distributions the tangential part of J(normal) splits over; the
-    tube engine raises UnsupportedModelError for a non-Hopf tube with
-    any other number of such carriers.
+    ``entries`` is sorted ascending by curvature; multiplicities are at
+    least 1 and sum to ``total_dim``.  ``hopf is None`` means the model is
+    Hopf: J(normal) is a principal direction.  Otherwise ``hopf`` holds the
+    two distributions the tangential part of J(normal) splits over; the tube
+    engine raises UnsupportedModelError for a non-Hopf tube with any other
+    number of such carriers.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -58,6 +58,8 @@ class PrincipalProfile:
     hopf: HopfAttitude | None = None
 
     def __post_init__(self):
+        if any(m < 1 for _, m in self.entries):
+            raise ValueError(f"every multiplicity must be at least 1, got {self.entries}")
         if sum(m for _, m in self.entries) != self.total_dim:
             raise ValueError("multiplicities do not sum to the total dimension")
         vals = [lam for lam, _ in self.entries]

@@ -147,10 +147,7 @@ def default_ruled_spec(alg: SolvableAlgebra, k: int) -> np.ndarray:
     """Rows of the canonical slice, spanned by V_1, V_3, ..., V_{2k-1}."""
     if not 1 <= k <= alg.n - 1:
         raise ValidationError(f"corank must lie in 1..{alg.n - 1}, got {k}")
-    rows = np.zeros((k, alg.dim))
-    for j in range(k):
-        rows[j, 2 + 2 * j] = 1.0
-    return rows
+    return np.eye(alg.dim)[2 : 2 + 2 * k : 2]
 
 
 def validate_ruled_spec(alg: SolvableAlgebra, w_perp) -> np.ndarray:
@@ -297,8 +294,6 @@ def build_ruled(alg: SolvableAlgebra, w_perp) -> OrbitModel:
 
 def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:
     """Orbit of the nilpotent part z + v; the normal is the A-direction."""
-    d = alg.dim
-    tangent = np.eye(d)[1:]
-    normal = np.eye(d)[:1]
-    return OrbitModel(algebra=alg, tangent=tangent, normal=normal)
+    e = np.eye(alg.dim)
+    return OrbitModel(algebra=alg, tangent=e[1:], normal=e[:1])
 

@@ -165,19 +165,16 @@ def suite_jacobi_oracle(seed: int = DEFAULT_SEED):
     """Closed forms against fourth-order integration, 200 random cases."""
     rng = np.random.default_rng(seed)
     n = 3
-    d = 2 * n
     count = 200
     h = 1e-3
-    jc = np.zeros(d)
-    jc[1] = 1.0
     branch = classifier.solve_case_two(0.2).branch
     profile = classifier.branch_profile(branch, n)
     frame = jacobi.normal_frame(profile)
     steps = rng.integers(0, int(round(3.0 / h)) + 1, size=count)
-    v = rng.standard_normal((count, d))
+    v = rng.standard_normal((count, frame.dim))
     v[:, 0] = 0.0
     v0, v0p = jacobi.jacobi_field(frame, v, 0.0)
-    z, zp = _rk4_at_steps(v0.T, v0p.T, jc, h, steps)
+    z, zp = _rk4_at_steps(v0.T, v0p.T, frame.jxi, h, steps)
     value, deriv = jacobi.jacobi_field(frame, v, steps * h)
     return [
         (np.linalg.norm(z.T - value, axis=-1), "Jacobi field vs RK4 at lam3=0.2, n=3"),
@@ -356,15 +353,8 @@ def suite_cross_consistency():
     for r, profile in zip(radii, profiles):
         lam3 = math.tanh(r / 2.0) / 2.0
         branch = classifier.solve_case_two(lam3).branch
-        closed = sorted(
-            [
-                (branch.lambda1, 1),
-                (branch.lambda2, 1),
-                (branch.lambda3, 2 * n - 3),
-            ]
-        )
-        engine = sorted(profile.entries)
-        for i, ((lv, lm), (ev, em)) in enumerate(zip(closed, engine)):
+        closed = classifier.branch_profile(branch, n).entries
+        for i, ((lv, lm), (ev, em)) in enumerate(zip(closed, profile.entries)):
             records.append((abs(lv - ev), f"curvature {i + 1} at r={r:g}, n={n}"))
             records.append((abs(lm - em), f"multiplicity {i + 1} at r={r:g}, n={n}"))
         hopf = profile.hopf

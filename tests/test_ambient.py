@@ -130,6 +130,16 @@ def test_complex_structure_is_isometric_involution(model, rng):
     assert np.linalg.norm(model.J @ (model.J @ x) + x) <= 1e-14
 
 
+def test_complex_structure_equals_the_pair_loop():
+    # the per-pair construction ``complex_structure`` replaced, kept as a reference
+    for n in range(1, 13):
+        j = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            j[2 * i + 1, 2 * i] = 1.0
+            j[2 * i, 2 * i + 1] = -1.0
+        assert ambient.complex_structure(n).tobytes() == j.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

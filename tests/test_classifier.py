@@ -372,6 +372,15 @@ def test_branch_profile_structure():
     assert profile.hopf.b1 == pytest.approx(math.sqrt(branch.b1_sq), abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_branch_profile_rejects_non_positive_multiplicities(n):
+    # the axis multiplicity 2n - 3 of a case-ii branch is below 1 for n < 2
+    branch = classifier.solve_case_two(0.2).branch
+    with pytest.raises(ValueError, match="multiplicity must be at least 1"):
+        classifier.branch_profile(branch, n)
+    assert classifier.branch_profile(branch, 2).entries[1] == (branch.lambda3, 1)
+
+
 def test_isolated_profile_multiplicity_range():
     branch = classifier.solve_case_one()
     with pytest.raises(ValueError):

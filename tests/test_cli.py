@@ -727,6 +727,34 @@ def test_malformed_seed_environment_variable_is_usage_error(value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [("--seed=-1", "verify"), ("verify", "--seed", "-1")])
+def test_negative_seed_flag_is_usage_error_naming_the_flag(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --seed: must be a non-negative integer, got '-1'" in proc.stderr
+
+
+def test_negative_seed_environment_variable_is_usage_error_naming_it():
+    env = dict(os.environ)
+    env["CHGEO_SEED"] = "-5"
+    proc = run_cli("--format", "json", "verify", env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "CHGEO_SEED must be a non-negative integer, got '-5'" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 2**70])
+def test_zero_and_very_large_seeds_run(seed):
+    env = dict(os.environ)
+    env["CHGEO_SEED"] = str(seed)
+    from_env = run_cli("--format", "json", "verify", env=env)
+    from_flag = run_cli("--seed", str(seed), "--format", "json", "verify")
+    assert from_flag.returncode == 0
+    assert json.loads(from_flag.stdout)["seed"] == seed
+    assert _without_timings(from_env.stdout) == _without_timings(from_flag.stdout)
+
+
 def test_global_flags_accepted_after_subcommand():
     before = run_cli("--seed", "7", "--format", "json", "verify")
     after = run_cli("verify", "--seed", "7", "--format", "json")

@@ -54,3 +54,22 @@ def test_readme_names_every_tolerance_with_its_module_and_value():
         for name, value, module in re.findall(r"^  - `(\w+)` = (\S+) \(`(\w+)`\)", listed, re.M)
     }
     assert in_readme == in_code
+
+
+def test_every_named_tolerance_is_read():
+    # a module-level *_TOL or *_GAP that nothing reads is a stale tolerance;
+    # its own assignment, an import and an ``__all__`` entry are not reads
+    defined, read = set(), set()
+    for path in sorted(Path(chgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                name = getattr(node.targets[0], "id", "")
+                if re.fullmatch(r"[A-Z_]+_(TOL|GAP)", name):
+                    defined.add(f"{path.stem}.{name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(q for q in defined if q.partition(".")[2] not in read) == []

@@ -655,3 +655,44 @@ def test_frame_rejects_inconsistent_multiplicities():
     )
     with pytest.raises(ValidationError):
         jacobi.normal_frame(profile)
+
+
+def _frame_by_pair_loop(profile):
+    """The per-pair construction ``normal_frame`` replaced, kept as a reference."""
+    hopf = profile.hopf
+    n = (profile.total_dim + 1) // 2
+    lam3 = profile.axis_value()
+    m1 = profile.multiplicity(hopf.lam1)
+    e = np.eye(2 * n)
+    rows = [hopf.b1 * e[1] + hopf.b2 * e[3], hopf.b2 * e[1] - hopf.b1 * e[3], e[2]]
+    lams = [hopf.lam1, hopf.lam2, lam3]
+    for p in range(n - 2):
+        rows.extend([e[4 + 2 * p], e[5 + 2 * p]])
+        lams.extend([hopf.lam1, lam3] if p < m1 - 1 else [lam3, lam3])
+    return np.array(rows), np.array(lams)
+
+
+def _layout_profiles():
+    yield from (
+        classifier.branch_profile(classifier.solve_case_two(lam3).branch, n)
+        for n in range(2, 13)
+        for lam3 in (-0.3, 0.2, 0.45)
+    )
+    iso = classifier.solve_case_one()
+    yield from (
+        classifier.branch_profile(iso, n, m1=m1) for n in range(3, 13) for m1 in range(2, n)
+    )
+    rng = np.random.default_rng(5)
+    for n, theta in zip(range(2, 13), rng.uniform(0.1, 1.4, size=11)):
+        hopf = HopfAttitude(b1=math.cos(theta), b2=math.sin(theta), lam1=-0.7, lam2=1.3)
+        m1 = int(rng.integers(1, n))
+        entries = ((-0.7, m1), (0.25, 2 * n - 2 - m1), (1.3, 1))
+        yield PrincipalProfile(entries=entries, total_dim=2 * n - 1, hopf=hopf)
+
+
+def test_frame_layout_equals_the_pair_loop():
+    for profile in _layout_profiles():
+        frame = jacobi.normal_frame(profile)
+        basis, lambdas = _frame_by_pair_loop(profile)
+        assert frame.basis.tobytes() == basis.tobytes() and frame.basis.shape == basis.shape
+        assert frame.lambdas.tobytes() == lambdas.tobytes()

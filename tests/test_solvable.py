@@ -461,3 +461,15 @@ def test_structural_residuals_suite_catches_mutations(monkeypatch, mutate, ident
     assert not result.passed
     assert result.detail.startswith("worst: ")
     assert "orbit, n=" in result.detail
+
+
+def test_slice_rows_equal_the_row_loop():
+    # the per-row construction ``default_ruled_spec`` replaced, kept as a reference
+    for n in range(2, 13):
+        alg = solvable.build_algebra(n)
+        for k in range(1, n):
+            rows = np.zeros((k, alg.dim))
+            for j in range(k):
+                rows[j, 2 + 2 * j] = 1.0
+            spec = solvable.default_ruled_spec(alg, k)
+            assert spec.shape == rows.shape and spec.tobytes() == rows.tobytes()
