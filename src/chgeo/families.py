@@ -4,10 +4,13 @@ Every hypersurface family here is produced by one mechanism: start
 from a base submanifold (a point, a totally geodesic complex or real
 subspace, or a ruled minimal orbit of the group model), propagate
 Jacobi fields the tube distance along a unit normal, and read the
-shape operator of the result as minus the derivative matrix against
-the value matrix.  Directions are classified spectrally through the
+shape operator of the result as minus the derivative map against
+the value map.  Directions are classified spectrally through the
 ambient curvature operator, so no family gets hard-coded curvature
-formulas.
+formulas.  Its two eigenvalues on the normal's complement make both
+maps diagonal plus rank one in the base's principal frame, so each
+tube reduces to scalar ratios and one small block on the directions
+that J(normal) meets (the deflation of a rank-one eigenvalue update).
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
@@ -25,9 +28,9 @@ import numpy as np
 
 from .ambient import CurvatureModel
 from .classifier import residual_hopf_weights
-from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
+from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError, ValidationError
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
-from .profiles import HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
+from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
 from .solvable import (
     OrbitModel,
     SolvableAlgebra,
@@ -53,17 +56,21 @@ __all__ = [
     "entry_to_dict",
 ]
 
-# a projection of J(normal) longer than this makes an eigenspace a carrier.
-# Over every base kind, n in {3, 5, 8} and 40 radii up to MAX_RADIUS (signed
-# for the hypersurfaces), J(normal) projects at most 3.3e-16 on a non-carrier
-# eigenspace, and the smallest carrier weight is 8.9e-14: the equidistant's,
-# which falls like e^(-3r/2).  This sits 30x above the one and 9x below the other.
+# a projection of J(normal) longer than this makes a group of frame rows with
+# equal initial data, and an eigenspace, a carrier.  Over every base kind and
+# n in {3, 5, 8, 16}, J(normal) projects on a group either exactly 0 or at least
+# 0.707.  Over the same bases and 60 radii up to MAX_RADIUS (signed for the
+# hypersurfaces), a non-carrier eigenspace has projection exactly 0, and the
+# smallest carrier weight is 8.9e-14: the equidistant's at MAX_RADIUS, which
+# falls like e^(-3r/2), 9x above this.
 CARRIER_TOL = 1e-14
 
-# a tube shape matrix S = K M K^-1 asymmetric by more than this raises.  Over
-# every base kind, n in {3, 5, 8, 16} and 60 radii up to MAX_RADIUS (signed for
-# the hypersurfaces), the worst |S - S^T| is 1.7e-12, around the ruled orbit
-# (Wk, k = 1) in n = 3 at r = 18.9: 6,000x below this bound.
+# a base shape operator or a tube's G x G shape block S = K M K^-1 asymmetric by
+# more than this raises.  Orbit shape operators are symmetric as built, so the
+# base check guards hand-made TubeBase data.  Over every base kind, n in
+# {3, 5, 8, 16} and 60 radii up to MAX_RADIUS (signed for the hypersurfaces), the
+# worst block |S - S^T| is 1.9e-12, around the ruled orbit (Wk, k = 1) in n = 3
+# at r = 18.2: 5,000x below this bound.
 SYMMETRY_TOL = 1e-8
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
@@ -194,37 +201,40 @@ def _check_radius(base: TubeBase, r: float) -> None:
 
 
 def _groups(jobs) -> list[list[int]]:
-    """Job indices by (n, normal direction)."""
+    """Job indices by complex dimension n."""
     groups: dict = {}
     for i, (base, _) in enumerate(jobs):
-        groups.setdefault((base.n, base.nu.tobytes()), []).append(i)
+        groups.setdefault(base.n, []).append(i)
     return list(groups.values())
 
 
 def tube_spectra(jobs) -> list[PrincipalProfile]:
     """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
-    The jobs sharing (n, normal direction) run as one stack.  One
-    ``curvature_propagator`` call gives the Jacobi operator's eigenbasis
-    of the normal's complement and, per tube at its own radius, its
-    diagonal factors: the growth K = cosh(sqrt(kappa) r) and two bounded
-    tanh factors.  Each tube's initial data is mapped into that basis by
-    one product, and its value and derivative maps are V = K Y and
-    D = K X, where Y and X take only the bounded factors, as diagonal
-    scalings.  One batched ``solve`` gives M = -X Y^-1, and the shape matrix
-    S = K M K^-1 takes each entry S_ij = (K_i / K_j) M_ij from the side
-    where K_i <= K_j, so no ratio above 1 multiplies an entry of M and
-    the eigenvectors keep their digits at any radius.  One ``eigh`` of
-    the shape stack and one grouping of all its spectra
-    (``eigenspaces``) give every profile's values, Hopf flag and
+    The jobs sharing n run as one stack, with one ``curvature_propagator``
+    call per normal direction: on the normal's complement the Jacobi
+    operator is 1 on the line of J(normal) and 1/4 on the rest.  In the
+    base's principal frame (the eigenvectors of its shape operator, then
+    the sphere rows) each row starts as a multiple of itself, so the
+    value and derivative maps V and D are diagonal plus rank one.  Rows
+    with equal initial data form a group.  Off the projection of
+    J(normal), a group is an eigenspace with the scalar value -X/Y, X
+    and Y its bounded derivative and value factors.  The G projections
+    span a G x G block, G = 1 for a Hopf tube and 2 for the paper's
+    non-Hopf ones, solved in scaled form, stacked by G
+    (``_block_spectra``).  One grouping of all the spectra
+    (``eigenspaces``) gives every profile's values, Hopf flag and
     carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
-    and non-Hopf with two.
+    and non-Hopf with two.  No (2n - 1) x (2n - 1) matrix is formed; an
+    orbit base costs one ``eigh`` of its shape operator.
 
     Every r must be finite with |r| <= MAX_RADIUS.  Proper tubes (bases
     of codimension >= 2) require r > 0; hypersurface bases accept signed
     r and describe the equidistant family.  A focal r, where a singular
-    value of V is at most KERNEL_TOL, raises FocalRadiusError, and a
-    non-Hopf tube with other than two carriers UnsupportedModelError.
+    value of V is at most KERNEL_TOL, raises FocalRadiusError; a base
+    shape operator or a block asymmetric by more than SYMMETRY_TOL raises
+    ValueError, and a tube with other than one or two carriers
+    UnsupportedModelError.
     """
     for base, r in jobs:
         _check_radius(base, r)
@@ -235,53 +245,115 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     return out
 
 
-def _stack_profiles(stack) -> list[PrincipalProfile]:
-    """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n and the unit normal.
+def _bounded(alpha, beta, q, s, tau):
+    """Bounded value and derivative factors (Y, X) of fields starting at alpha u, beta u.
 
-    One ``curvature_propagator`` call takes every job's own radius, so
-    its factors have one (2n - 1,) row per job.
+    u is an eigenvector of the Jacobi operator with eigenvalue q^2, s
+    the sign of the distance and tau = 1 - tanh(q |r|); the field's
+    value and derivative are cosh(q r) times these.  Each is written as
+    its limit at r -> infinity minus a multiple of tau, so a field that
+    decays, such as a horosphere's, keeps its digits at any distance.
+    """
+    y = (alpha + s * beta / q) - s * beta * tau / q
+    return y, (s * alpha * q + beta) - s * alpha * q * tau
+
+
+def _frame_rows(base: TubeBase, jc: np.ndarray) -> np.ndarray:
+    """Initial data of a base's principal frame: (3, d - 1) rows of alpha, beta and weight.
+
+    Each frame row u starts at alpha u with derivative beta u.  A
+    tangent row is a unit eigenvector of the base shape operator, in
+    ascending eigenvalue sigma, with (alpha, beta) = (1, -sigma); the
+    sphere rows follow with (0, 1).  The weight is <u, jc>.  A zero
+    shape operator, the named bases', needs no ``eigh``.
+    """
+    shape = base.shape
+    jc_t = base.tangent @ jc
+    k = len(jc_t)
+    if k + len(base.sphere) != 2 * base.n - 1:
+        raise ValidationError(
+            f"a tube base in complex dimension {base.n} needs 2n - 1 = {2 * base.n - 1} "
+            f"tangent and sphere rows, got {k} + {len(base.sphere)}"
+        )
+    rows = np.zeros((3, k + len(base.sphere)))
+    rows[0, :k] = 1.0
+    rows[1, k:] = 1.0
+    if shape.any():
+        asym = np.max(np.abs(shape - shape.T))
+        if asym > SYMMETRY_TOL:
+            raise ValueError(f"base shape operator asymmetric by {asym:.3e}")
+        sigma, vecs = np.linalg.eigh(shape)
+        jc_t = jc_t @ vecs
+        rows[1, :k] = -sigma
+    rows[2, :k] = jc_t
+    rows[2, k:] = base.sphere @ jc
+    return rows
+
+
+def _stack_profiles(stack) -> list[PrincipalProfile]:
+    """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n.
+
+    Per normal direction, one ``curvature_propagator`` call takes every
+    job's own radius.  Each distinct base's frame is read once
+    (``_frame_rows``).  In each job, the rows whose initial data differ
+    by less than MERGE_TOL form a group, and the G x G blocks run
+    through ``_block_spectra``, one stack per G.
     """
     model = CurvatureModel(stack[0][0].n)
-    nu = stack[0][0].nu
-    basis, ch, th, th_dt = curvature_propagator(model, nu, np.array([r for _, r in stack]))
-    # initial values, then derivatives, of each tube's frame vectors, as rows
-    init = np.zeros((len(stack), 2, *basis.shape))
-    for row, (b, _) in zip(init, stack):
-        k = len(b.tangent)
-        row[0, :k] = b.tangent
-        row[1, :k] = -(b.shape @ b.tangent)
-        row[1, k:] = b.sphere
-    init = init @ basis.T
-    # Y and X transposed: rows are frame vectors, columns eigenbasis coordinates
-    K = ch[:, None, :]
-    y_t = init[:, 1] * th[:, None, :]
-    y_t += init[:, 0]
-    x_t = init[:, 0] * th_dt[:, None, :]
-    x_t += init[:, 1]
-    # each (B, 2n - 1, 2n - 1) stack is freed once used: catalog --n 100 keeps ~300 MB
-    del init
-    svals = np.linalg.svd(y_t * K, compute_uv=False)
-    focal = np.flatnonzero(svals.min(axis=-1) <= KERNEL_TOL)
-    if focal.size:
-        raise FocalRadiusError(f"tube differential degenerates at distance {stack[focal[0]][1]}")
-    # S^T = K^-1 M^T K with M^T = -(Y^T)^-1 X^T: entry (i, j) scaled by K_j / K_i
-    s_t = np.linalg.solve(y_t, x_t)
-    del y_t, x_t
-    s_t *= -K
-    s_t /= np.swapaxes(K, -1, -2)
-    s_tt = np.swapaxes(s_t, -1, -2)
-    asym = np.max(np.abs(s_t - s_tt), axis=(-2, -1))
-    skew = np.flatnonzero(asym > SYMMETRY_TOL)
-    if skew.size:
-        raise ValueError(
-            f"tube shape operator at distance {stack[skew[0]][1]} asymmetric by "
-            f"{asym[skew[0]]:.3e}"
+    radii = np.array([r for _, r in stack])
+    normals: dict = {}
+    for i, (base, _) in enumerate(stack):
+        normals.setdefault(base.nu.tobytes(), (base.nu, []))[1].append(i)
+    jcs = {}
+    q, ch, tau = np.empty((3, len(stack), 2))
+    for key, (nu, members) in normals.items():
+        jcs[key], q[members], ch[members], tau[members] = curvature_propagator(
+            model, nu, radii[members]
         )
-    # eigh reads one triangle; each entry there comes from its side with K_j <= K_i
-    vals, vecs = np.linalg.eigh(np.where(K <= np.swapaxes(K, -1, -2), s_t, s_tt))
-    del s_t, s_tt
+    bases: dict = {}
+    index = [bases.setdefault(id(base), (len(bases), base))[0] for base, _ in stack]
+    frames = [_frame_rows(base, jcs[base.nu.tobytes()]) for _, base in bases.values()]
+    alpha, beta, weight = np.stack(frames, axis=1)[:, index]
+    m = beta.shape[-1]
+    # a group starts at each row whose initial data differs from the row before
+    cut = np.ones(beta.shape, dtype=bool)
+    cut[:, 1:] = np.abs(beta[:, 1:] - beta[:, :-1]) >= MERGE_TOL
+    cut[:, 1:] |= alpha[:, 1:] != alpha[:, :-1]
+    label = np.cumsum(cut, axis=-1) - 1
+    groups = label[:, None, :] == np.arange(label.max() + 1)[:, None]
+    # (B, G) per job and group; a job's groups past its last are empty
+    mult = groups.sum(axis=-1)
+    alpha, beta = (eigenspace_sums(a, groups) / np.maximum(mult, 1) for a in (alpha, beta))
+    weight = np.sqrt(eigenspace_sums(np.square(weight), groups))
+    carrier = weight > CARRIER_TOL
+    # off its carrier direction a group is an eigenspace of multiplicity rest
+    rest = mult - carrier
+    sign = np.copysign(1.0, radii)[:, None]
+    y, x = _bounded(alpha, beta, q[:, :1], sign, tau[:, :1])
+    focal = np.flatnonzero(np.any((rest > 0) & (ch[:, :1] * np.abs(y) <= KERNEL_TOL), axis=-1))
+    if focal.size:
+        raise FocalRadiusError(f"tube differential degenerates at distance {radii[focal[0]]}")
+    # each job's scalar values first, then its G block values, G its carrier count
+    count = carrier.sum(axis=-1)
+    vals = np.empty((len(stack), m))
+    weights = np.zeros(vals.shape)
+    scalar = -x / np.where(rest > 0, y, 1.0)
+    vals[np.arange(m) < m - count[:, None]] = np.repeat(scalar.ravel(), rest.ravel())
+    for g in sorted(set(count.tolist()) - {0}):
+        rows = np.flatnonzero(count == g)
+        pick = carrier[rows]
+        block_vals, vecs = _block_spectra(
+            radii[rows],
+            *(a[rows][pick].reshape(-1, g) for a in (alpha, beta, weight)),
+            sign[rows], q[rows], ch[rows], tau[rows],
+        )
+        vals[rows, m - g :] = block_vals
+        # J(normal) is the first coordinate of the block basis, up to sign
+        weights[rows, m - g :] = vecs[:, 0]
+    order = np.argsort(vals, axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
     entries, masks = eigenspaces(vals)
-    lengths, carriers = _carrier_runs(entries, masks, (basis @ (model.J @ nu)) @ vecs)
+    lengths, carriers = _carrier_runs(entries, masks, np.take_along_axis(weights, order, axis=-1))
     profiles = []
     for row_entries, row_lengths, row_carriers in zip(entries, lengths.tolist(), carriers):
         hopf = None
@@ -296,6 +368,52 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
             )
         profiles.append(PrincipalProfile(row_entries, total_dim=vals.shape[-1], hopf=hopf))
     return profiles
+
+
+def _block_spectra(radii, alpha, beta, weight, sign, q, ch, tau):
+    """``eigh`` of the G x G shape blocks of a (B, G) stack of carrier groups.
+
+    A reflection Q takes e_0 to -w/|w|, w the carriers' weights, so in
+    the basis of Q's columns J(normal) is the first coordinate, the
+    Jacobi operator is diagonal (q[1]^2 on row 0, q[0]^2 on the rest)
+    and the growth K is cosh(q r) per row.  Carrier g starts at alpha_g
+    and beta_g times its direction, column g of Q.  The value map is
+    V = K Y; a singular value of V at or below KERNEL_TOL raises
+    FocalRadiusError.  The shape block S = K M K^-1, M = -X Y^-1, takes
+    each entry S_ij = (K_i / K_j) M_ij from the side where K_i <= K_j,
+    so no ratio above 1 multiplies an entry of M; asymmetric by more
+    than SYMMETRY_TOL, it raises.  ``radii`` name the blocks' distances.
+    """
+    g = alpha.shape[-1]
+    v = weight / np.linalg.norm(weight, axis=-1, keepdims=True)
+    v[:, 0] += 1.0
+    Q = np.eye(g) - v[:, :, None] * v[:, None, :] / v[:, :1, None]
+    mode = (np.arange(g) == 0).astype(int)  # row 0 runs on q[1], the rest on q[0]
+    # Y and X transposed, rows are directions: Q is symmetric, so entry (h, i)
+    # of Q is coordinate i of direction h
+    y_t, x_t = _bounded(
+        alpha[:, :, None], beta[:, :, None], q[:, None, mode], sign[:, :, None], tau[:, None, mode]
+    )
+    y_t *= Q
+    x_t *= Q
+    K = ch[:, None, mode]
+    singular = np.flatnonzero(np.linalg.svd(y_t * K, compute_uv=False).min(axis=-1) <= KERNEL_TOL)
+    if singular.size:
+        raise FocalRadiusError(f"tube differential degenerates at distance {radii[singular[0]]}")
+    # S^T = K^-1 M^T K with M^T = -(Y^T)^-1 X^T: entry (i, j) scaled by K_j / K_i
+    s_t = np.linalg.solve(y_t, x_t)
+    s_t *= -K
+    s_t /= np.swapaxes(K, -1, -2)
+    s_tt = np.swapaxes(s_t, -1, -2)
+    asym = np.max(np.abs(s_t - s_tt), axis=(-2, -1))
+    skew = np.flatnonzero(asym > SYMMETRY_TOL)
+    if skew.size:
+        raise ValueError(
+            f"tube shape operator at distance {radii[skew[0]]} asymmetric by "
+            f"{asym[skew[0]]:.3e}"
+        )
+    # eigh reads one triangle; each entry there comes from its side with K_j <= K_i
+    return np.linalg.eigh(np.where(K <= np.swapaxes(K, -1, -2), s_t, s_tt))
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import CurvatureModel, jacobi_operator
-from .errors import FocalPointError, ValidationError
+from .errors import FocalPointError, UnsupportedModelError, ValidationError
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, merge_spectrum
 
 __all__ = [
@@ -237,28 +237,40 @@ def jacobi_numeric(v0, v0_prime, jc, t: float, step: float):
 
 
 def curvature_propagator(model: CurvatureModel, direction, t):
-    """Solution operators of the Jacobi equation on c-perp, in scaled diagonal form.
+    """Solution factors of the Jacobi equation on c-perp, one pair per eigenvalue.
 
     Directions are classified spectrally: the operator -R(., c)c is
-    diagonalised once and cosh/tanh act on its eigenvalues kappa > 0 on
-    c-perp, so no per-family case analysis enters.  Returns
-    (basis, ch, th, th_dt): basis rows are an orthonormal eigenbasis of
-    c-perp, ch = cosh(sqrt(kappa) t), th = tanh(sqrt(kappa) t)/sqrt(kappa)
-    and th_dt = sqrt(kappa) tanh(sqrt(kappa) t).  In basis coordinates a
-    field's value is ch * (w(0) + th * w'(0)) and its derivative
-    ch * (th_dt * w(0) + w'(0)), so the growth ch stays a factor apart.
-    The factors have shape (T, d - 1) for a 1-D array of T distances (the
-    tube engine passes one per tube, repeats included) and (d - 1,) for a
-    scalar t.
+    diagonalised once, and on c-perp it must have two eigenvalues, kappa
+    on a line and kappa_perp on the rest, or UnsupportedModelError is
+    raised.  Returns (jc, q, ch, tau): jc is the unit eigenvector of the
+    simple eigenvalue (the line of J c, up to sign), q = sqrt(kappa_perp,
+    kappa), ch = cosh(q t) and tau = 1 - tanh(q |t|) = 2 / (e^(2 q |t|) + 1),
+    which has no cancellation.  With s the sign of t (that of a signed
+    zero included), a field along an eigenvector with eigenvalue q^2 has
+    value ch * ((w(0) + s w'(0)/q) - s w'(0) tau / q) and derivative
+    ch * ((s q w(0) + w'(0)) - s q w(0) tau): the growth ch stays a
+    factor apart, and a field that decays, such as a horosphere's,
+    keeps its digits at any distance.  The factors have shape (T, 2) for
+    a 1-D array of T distances (the tube engine passes one per tube,
+    repeats included) and (2,) for a scalar t.
     """
     K = jacobi_operator(model, direction)
     w, V = np.linalg.eigh(0.5 * (K + K.T))
-    # the first eigenvector is c itself, with kappa = 0
-    sq = np.sqrt(w[1:])
+    # ascending: c's own kappa = 0, then d - 2 equal ones and a simple one on c-perp
+    rest = w[1:-1]
+    if not (
+        rest.size
+        and abs(w[0]) < MERGE_TOL
+        and rest[-1] - rest[0] < MERGE_TOL <= w[-1] - rest[-1]
+    ):
+        raise UnsupportedModelError(
+            f"the Jacobi operator along the normal has eigenvalues {w.tolist()}, not "
+            "0, one of multiplicity d - 2 and a simple one"
+        )
+    q = np.sqrt([rest.mean(), w[-1]])
     # one row per distance against the eigenvalue axis
-    st = sq * np.asarray(t, dtype=float)[..., None]
-    th = np.tanh(st)
-    return V[:, 1:].T, np.cosh(st), th / sq, sq * th
+    st = q * np.asarray(t, dtype=float)[..., None]
+    return V[:, -1], q, np.cosh(st), 2.0 / (np.exp(2.0 * np.abs(st)) + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -424,8 +424,11 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tolerance: float | None = Non
 
     An engine error raised inside the suite fails that suite alone, with
     a NaN residual and the error as its detail; any other exception
-    propagates.
+    propagates.  A seed that is not a non-negative integer raises
+    ValueError naming it, before any suite runs.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     fn, default_tolerance, coverage = _SUITES[name]
     tolerance = default_tolerance if tolerance is None else tolerance
     started = time.perf_counter()
@@ -450,4 +453,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tolerance: float | None = Non
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None):
+    """Every suite, in order; a bad seed raises from the first ``run_suite`` before any runs."""
     return [run_suite(name, seed=seed, tolerance=tolerance) for name in _SUITES]

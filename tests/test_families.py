@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from chgeo import classifier, families, jacobi, profiles, solvable
 from chgeo.ambient import CurvatureModel, jacobi_operator
-from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError
+from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError, ValidationError
 from chgeo.profiles import PrincipalProfile
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
@@ -180,6 +181,14 @@ def test_asymmetric_tube_shape_rejected():
         families.tube_spectrum(skew, r=0.3)
 
 
+def test_tube_base_with_a_missing_frame_row_rejected():
+    base = families.tube_base("point", 3)
+    short = families.TubeBase(3, base.nu, base.tangent, base.shape, base.sphere[1:])
+    message = re.escape("2n - 1 = 5 tangent and sphere rows, got 0 + 4")
+    with pytest.raises(ValidationError, match=message):
+        families.tube_spectrum(short, r=1.0)
+
+
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 30.0, 1e6])
 @pytest.mark.parametrize("kind,k", [("point", None), ("CHk", 1), ("RHn", None), ("Wk", 1)])
 def test_tube_radius_out_of_range_rejected(kind, k, r):
@@ -267,6 +276,83 @@ def test_scaled_engine_matches_the_dense_reference(n):
             h = profile.hopf
             want = [b1 / norm, b2 / norm, entries[j1][0], entries[j2][0]]
             assert [h.b1, h.b2, h.lam1, h.lam2] == pytest.approx(want, abs=1e-12), r
+
+
+def _scaled_dense_stack(stack):
+    """The scaled dense engine: profiles of (TubeBase, r) jobs that share n and the normal.
+
+    Every tube's value and derivative maps V = K Y and D = K X are full
+    (2n - 1) x (2n - 1) matrices in the Jacobi operator's eigenbasis of
+    the normal's complement, with the growth K = cosh(sqrt(kappa) r)
+    kept apart.  One solve gives M = -X Y^-1, and each entry
+    S_ij = (K_i / K_j) M_ij of the shape matrix comes from the side where
+    K_i <= K_j.  One eigh of the (B, 2n - 1, 2n - 1) shape stack gives
+    the spectra.
+    """
+    model = CurvatureModel(stack[0][0].n)
+    nu = stack[0][0].nu
+    kappa, vecs = np.linalg.eigh(jacobi_operator(model, nu))
+    sq = np.sqrt(kappa[1:])
+    st = sq * np.array([r for _, r in stack])[:, None]
+    basis, th = vecs[:, 1:].T, np.tanh(st)
+    init = np.zeros((len(stack), 2, *basis.shape))
+    for row, (b, _) in zip(init, stack):
+        k = len(b.tangent)
+        row[0, :k] = b.tangent
+        row[1, :k] = -(b.shape @ b.tangent)
+        row[1, k:] = b.sphere
+    init = init @ basis.T
+    # Y and X transposed: rows are frame vectors, columns eigenbasis coordinates
+    K = np.cosh(st)[:, None, :]
+    y_t = init[:, 0] + init[:, 1] * (th / sq)[:, None, :]
+    x_t = init[:, 0] * (sq * th)[:, None, :] + init[:, 1]
+    s_t = -np.linalg.solve(y_t, x_t) * K / np.swapaxes(K, -1, -2)
+    s_tt = np.swapaxes(s_t, -1, -2)
+    vals, vecs = np.linalg.eigh(np.where(K <= np.swapaxes(K, -1, -2), s_t, s_tt))
+    entries, masks = profiles.eigenspaces(vals)
+    lengths, carriers = families._carrier_runs(entries, masks, (basis @ (model.J @ nu)) @ vecs)
+    out = []
+    for row_entries, row_lengths, row_carriers in zip(entries, lengths.tolist(), carriers):
+        hopf = None
+        if len(row_carriers) == 2:
+            j1, j2 = row_carriers
+            norm = math.hypot(row_lengths[j1], row_lengths[j2])
+            hopf = profiles.HopfAttitude(
+                row_lengths[j1] / norm,
+                row_lengths[j2] / norm,
+                row_entries[j1][0],
+                row_entries[j2][0],
+            )
+        out.append(PrincipalProfile(row_entries, total_dim=vals.shape[-1], hopf=hopf))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_reduced_kernel_matches_the_scaled_dense_engine(n):
+    ruled = families.tube_base("Wk", n, 1)
+    jobs = _reference_jobs(n) + [(ruled, -r) for r in (10.0, 13.5, 20.0, 21.4)]
+    for (base, r), got in zip(jobs, families.tube_spectra(jobs)):
+        (want,) = _scaled_dense_stack([(base, r)])
+        assert [m for _, m in got.entries] == [m for _, m in want.entries], r
+        assert [lam for lam, _ in got.entries] == pytest.approx(
+            [lam for lam, _ in want.entries], abs=1e-12
+        ), r
+        assert (got.hopf is None) == (want.hopf is None), r
+        if got.hopf is not None:
+            h, w = got.hopf, want.hopf
+            assert [h.lam1, h.lam2] == pytest.approx([w.lam1, w.lam2], abs=1e-12), r
+            # the smaller weight falls like e^(-3r/2): the far-equidistant bounds
+            small, want_small = min(h.b1, h.b2) ** 2, min(w.b1, w.b2) ** 2
+            assert abs(small - want_small) <= (1e-10 if abs(r) <= 14.0 else 1e-6) * want_small, r
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_horosphere_has_no_focal_point_up_to_the_largest_radius(n):
+    # 1 - tanh r rounds to 0 from r = 18.99; the engine's tau form keeps it
+    for r in (18.0, 19.0, 19.5, 20.0, 21.0, 21.4, jacobi.MAX_RADIUS):
+        profile = families.tube_spectrum("horosphere", n, r=r)
+        assert profile.entries == ((0.5, 2 * n - 2), (1.0, 1)), r
+        assert profile.hopf is None, r
 
 
 def _closed_form_table(n, k, r):
@@ -561,23 +647,56 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     sphere_rows = np.vstack([ruled.tangent, ruled.sphere])
     sphere = families.TubeBase(n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
     jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]
-    calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
+    calls = {"eigh": [], "eigvalsh": [], "inv": [], "jacobi_operator": []}
 
-    def counted(name):
-        fn = getattr(np.linalg, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    for name in ("eigh", "eigvalsh", "inv"):
+        counted(np.linalg, name)
+    counted(jacobi, "jacobi_operator")
     profiles = families.tube_spectra(jobs)
     assert [p.hopf is None for p in profiles] == [False, True, False, False]
-    # one for the Jacobi operator, one for the shape stack
-    assert calls == {"eigh": 2, "eigvalsh": 0, "inv": 0}
+    # one read of the Jacobi operator for the one (n, normal) stack
+    assert len(calls["jacobi_operator"]) == 1
+    # one eigh of that operator (6 x 6), one per orbit base shape (the ruled
+    # orbit's 5 x 5 serves both of its radii, W^4's is 4 x 4; the sphere has
+    # none), and one per stack of G x G blocks: the sphere's G = 1 and the
+    # three G = 2 tubes
+    assert sorted(calls["eigh"]) == sorted([(6, 6), (5, 5), (4, 4), (1, 1, 1), (3, 2, 2)])
+    assert calls["eigvalsh"] == calls["inv"] == []
+
+
+def test_tube_pass_builds_no_dense_stack():
+    n, r = 48, 1.3
+    alg = solvable.build_algebra(n)
+    rows = families._two_curvature_rows(alg, r) + families._three_curvature_rows(alg, r)
+    jobs = [row[3] for row in rows]
+    # a value and a derivative stack of (B, 2n - 1, 2n - 1) doubles: 14.3 MB;
+    # the dense engine peaked at 21.6 MB here, the reduced kernel at 1.4 MB
+    dense = 2 * len(jobs) * (2 * n - 1) ** 2 * 8
+    # one small tube first, so numpy's one-time allocations stay out of the count
+    families.tube_spectrum("point", 3, r=r)
+    tracemalloc.start()
+    try:
+        families.tube_spectra(jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense / 5, peak
+
+
+def test_asymmetric_tube_block_rejected(monkeypatch):
+    # a named base has no shape operator to check, so the G x G block is what raises
+    monkeypatch.setattr(families, "SYMMETRY_TOL", -1.0)
+    with pytest.raises(ValueError, match="tube shape operator at distance 0.7 asymmetric"):
+        families.tube_spectrum("point", 3, r=0.7)
 
 
 def test_carrier_multiplicity_one_on_non_hopf_families():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chgeo import classifier, jacobi, solvable, verification
-from chgeo.errors import FocalPointError, ValidationError
+from chgeo.errors import FocalPointError, UnsupportedModelError, ValidationError
 from chgeo.profiles import HopfAttitude, PrincipalProfile, merge_spectrum
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
@@ -252,27 +252,45 @@ def test_propagator_blocks_reproduce_mode_functions():
 
     model = CurvatureModel(3)
     nu = np.eye(6)[0]
-    t = 1.7
-    basis, ch, th, th_dt = jacobi.curvature_propagator(model, nu, t)
-    assert basis.shape == (5, 6)
-    assert np.allclose(basis @ basis.T, np.eye(5), atol=1e-15)
-    assert np.max(np.abs(basis @ nu)) <= 1e-15
     lam = 0.45
+    for t in (1.7, -1.7):
+        jc, q, ch, tau = jacobi.curvature_propagator(model, nu, t)
+        # the simple eigenvalue's line is J(nu), up to sign
+        assert abs(jc @ (model.J @ nu)) == pytest.approx(1.0, abs=1e-15)
+        assert q.tolist() == [0.5, 1.0]
+        assert ch.shape == tau.shape == (2,)
+        s = math.copysign(1.0, t)
+        # initial value 1 and derivative -lam along an eigenvector of each q^2
+        value = ch * ((1.0 - s * lam / q) + s * lam * tau / q)
+        derivative = ch * ((s * q - lam) - s * q * tau)
+        # off the J-line: the transverse coefficient f; on it: cosh t - lam sinh t
+        (f, _), (f_dt, _) = jacobi.coefficient_pairs(lam, t)
+        assert value[0] == pytest.approx(f, abs=1e-12)
+        assert derivative[0] == pytest.approx(f_dt, abs=1e-12)
+        assert value[1] == pytest.approx(math.cosh(t) - lam * math.sinh(t), abs=1e-12)
+        assert derivative[1] == pytest.approx(math.sinh(t) - lam * math.cosh(t), abs=1e-12)
 
-    def value_and_derivative(v):
-        # initial value v and derivative -lam v, in the eigenbasis of nu-perp
-        w0, w0_dt = basis @ v, basis @ (-lam * v)
-        return basis.T @ (ch * (w0 + th * w0_dt)), basis.T @ (ch * (th_dt * w0 + w0_dt))
 
-    v = np.eye(6)[2]  # transverse to the J-line
-    (f, _), (f_dt, _) = jacobi.coefficient_pairs(lam, t)
-    value, derivative = value_and_derivative(v)
-    assert np.linalg.norm(value - f * v) <= 1e-12
-    assert np.linalg.norm(derivative - f_dt * v) <= 1e-12
-    jn = np.eye(6)[1]
-    value, derivative = value_and_derivative(jn)
-    assert np.linalg.norm(value - (np.cosh(t) - lam * np.sinh(t)) * jn) <= 1e-12
-    assert np.linalg.norm(derivative - (np.sinh(t) - lam * np.cosh(t)) * jn) <= 1e-12
+def test_propagator_keeps_the_digits_of_a_decaying_field():
+    # a horosphere row (lam = q) decays like e^(-q t); 1 - tanh(q t) would round to 0
+    from chgeo.ambient import CurvatureModel
+
+    t = np.array([1.0, 19.0, jacobi.MAX_RADIUS])
+    _, q, ch, tau = jacobi.curvature_propagator(CurvatureModel(4), np.eye(8)[0], t)
+    value = ch * ((1.0 - q / q) + q * tau / q)
+    want = np.exp(-q * t[:, None])
+    assert np.max(np.abs(value / want - 1.0)) <= 1e-14
+
+
+def test_propagator_rejects_a_jacobi_operator_without_two_eigenvalues(monkeypatch):
+    from chgeo.ambient import CurvatureModel
+
+    model = CurvatureModel(3)
+    # real hyperbolic space: one eigenvalue 1 on the whole normal complement
+    flat = np.eye(6) - np.outer(np.eye(6)[0], np.eye(6)[0])
+    monkeypatch.setattr(jacobi, "jacobi_operator", lambda model, direction: flat)
+    with pytest.raises(UnsupportedModelError, match="not 0, one of multiplicity d - 2"):
+        jacobi.curvature_propagator(model, np.eye(6)[0], 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -284,13 +302,14 @@ def test_propagator_radius_axis_matches_scalar_calls(n):
     radii = [-0.0, 0.0, -1.3, 0.7, jacobi.EXCEPTIONAL_RADIUS]
     d = 2 * n
     for nu in np.eye(d)[:3]:
-        basis, *stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
+        jc, q, *stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
         for j, t in enumerate(radii):
-            single_basis, *single = jacobi.curvature_propagator(model, nu, t)
-            assert single_basis.tobytes() == basis.tobytes()
+            single_jc, single_q, *single = jacobi.curvature_propagator(model, nu, t)
+            assert single_jc.tobytes() == jc.tobytes()
+            assert single_q.tobytes() == q.tobytes()
             for got, want in zip(stacked, single):
-                assert got.shape == (len(radii), d - 1)
-                assert want.shape == (d - 1,)
+                assert got.shape == (len(radii), 2)
+                assert want.shape == (2,)
                 assert got[j].tobytes() == want.tobytes()
 
 

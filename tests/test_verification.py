@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,27 @@ def test_seeded_suite_type_error_propagates(monkeypatch):
         verification.run_suite("broken", seed=5)
     # the suite ran once, with its seed; it was not re-run unseeded
     assert calls == [5]
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 7.0, "7", None, True])
+def test_a_bad_seed_is_a_usage_error_naming_it(monkeypatch, seed):
+    ran = []
+
+    def seeded(seed=verification.DEFAULT_SEED):
+        ran.append(seed)
+        return [(0.0, "seeded check")]
+
+    monkeypatch.setattr(verification, "_SUITES", {"seeded": (seeded, 1.0, "seeded")})
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        verification.run_all(seed=seed)
+    with pytest.raises(ValueError, match=message):
+        verification.run_suite("seeded", seed=seed)
+    assert ran == []
+    # a numpy integer and a seed past 2^64 are seeds
+    assert [r.passed for r in verification.run_all(seed=np.int64(3))] == [True]
+    assert verification.run_suite("seeded", seed=2**70).passed
+    assert ran == [3, 2**70]
 
 
 def test_seed_reaches_only_suites_that_take_one(monkeypatch):
