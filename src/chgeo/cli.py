@@ -31,9 +31,9 @@ _MAX_SWEEP_POINTS = 10_000
 # fraction of a step by which the sweep's last point may pass --hi, so that
 # a (hi - lo)/step that rounds to just below an integer keeps its endpoint
 _SWEEP_SLACK = 1e-9
-# catalog --n 100 takes about 4.8 s and 308 MB (median of 3 runs, 2-CPU Intel
-# Xeon); from n = 64 to 100 its time grew like n^3.2 and its memory, mostly the
-# tube engine pass, like n^2.4
+# catalog --n 100 takes 0.5-0.9 s and 97 MB (4 runs, 2-CPU Intel Xeon under
+# outside load), n = 64 0.3-0.4 s and 51 MB; each of its n ruled orbits still
+# costs O(n^3), so the cap bounds the n^4 growth before anything is built
 _MAX_DIMENSION = 100
 
 _SQ2 = math.sqrt(2.0)

@@ -5,6 +5,7 @@ __all__ = [
     "FocalPointError",
     "FocalRadiusError",
     "OpenCaseError",
+    "UnresolvedSpectrumError",
     "UnsupportedModelError",
     "ValidationError",
 ]
@@ -16,6 +17,18 @@ class DegeneratePlaneError(ValueError):
 
 class ValidationError(ValueError):
     """Constructed data violates a structural invariant."""
+
+
+class UnresolvedSpectrumError(ValueError):
+    """Two distinct principal curvatures lie closer than MERGE_TOL.
+
+    ``job`` is the index of the tube in its ``tube_spectra`` call, when
+    the tube engine raised it, else None.
+    """
+
+    def __init__(self, message: str, job: int | None = None):
+        super().__init__(message)
+        self.job = job
 
 
 class UnsupportedModelError(ValueError):

@@ -28,7 +28,13 @@ import numpy as np
 
 from .ambient import CurvatureModel
 from .classifier import residual_hopf_weights
-from .errors import FocalRadiusError, OpenCaseError, UnsupportedModelError, ValidationError
+from .errors import (
+    FocalRadiusError,
+    OpenCaseError,
+    UnresolvedSpectrumError,
+    UnsupportedModelError,
+    ValidationError,
+)
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
 from .solvable import (
@@ -38,6 +44,7 @@ from .solvable import (
     build_ruled,
     default_ruled_spec,
     horosphere_model,
+    ruled_flag,
 )
 
 __all__ = [
@@ -233,14 +240,21 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     r and describe the equidistant family.  A focal r, where a singular
     value of V is at most KERNEL_TOL, raises FocalRadiusError; a base
     shape operator or a block asymmetric by more than SYMMETRY_TOL raises
-    ValueError, and a tube with other than one or two carriers
-    UnsupportedModelError.
+    ValueError, a tube with other than one or two carriers
+    UnsupportedModelError, and a tube with two distinct curvatures within
+    MERGE_TOL UnresolvedSpectrumError, naming its radius, the two values
+    and, as ``job``, its index in ``jobs``.
     """
     for base, r in jobs:
         _check_radius(base, r)
     out = [None] * len(jobs)
     for members in _groups(jobs):
-        for i, profile in zip(members, _stack_profiles([jobs[i] for i in members])):
+        try:
+            profiles = _stack_profiles([jobs[i] for i in members])
+        except UnresolvedSpectrumError as exc:
+            exc.job = members[exc.job]
+            raise
+        for i, profile in zip(members, profiles):
             out[i] = profile
     return out
 
@@ -355,7 +369,9 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     entries, masks = eigenspaces(vals)
     lengths, carriers = _carrier_runs(entries, masks, np.take_along_axis(weights, order, axis=-1))
     profiles = []
-    for row_entries, row_lengths, row_carriers in zip(entries, lengths.tolist(), carriers):
+    for i, (row_entries, row_lengths, row_carriers) in enumerate(
+        zip(entries, lengths.tolist(), carriers)
+    ):
         hopf = None
         if len(row_carriers) == 2:
             j1, j2 = row_carriers
@@ -366,7 +382,12 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
                 lam1=row_entries[j1][0],
                 lam2=row_entries[j2][0],
             )
-        profiles.append(PrincipalProfile(row_entries, total_dim=vals.shape[-1], hopf=hopf))
+        try:
+            profiles.append(PrincipalProfile(row_entries, total_dim=m, hopf=hopf))
+        except UnresolvedSpectrumError as exc:
+            raise UnresolvedSpectrumError(
+                f"the tube at distance {float(radii[i])!r}: {exc}", i
+            ) from None
     return profiles
 
 
@@ -581,7 +602,12 @@ def _engine_entries(n: int, groups) -> list[CatalogEntry]:
     is the engine's signed radius.
     """
     rows = [(g, *row) for g, group in groups for row in group]
-    profiles = tube_spectra([row[4] for row in rows])
+    try:
+        profiles = tube_spectra([row[4] for row in rows])
+    except UnresolvedSpectrumError as exc:
+        _, family, k, *_ = rows[exc.job]
+        family += "" if k is None else f" (k = {k})"
+        raise UnresolvedSpectrumError(f"catalog family {family}, {exc}", exc.job) from None
     entries = []
     for (g, family, k, r, _, letter, constraint), profile in zip(rows, profiles):
         if profile.g != g:
@@ -615,9 +641,9 @@ def _two_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
 def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
     """Rows of the representatives with three distinct curvatures, for n >= 3."""
     n = alg.n
-    ruled, *ruled_k = [
-        _orbit_base(build_ruled(alg, default_ruled_spec(alg, k))) for k in range(1, n)
-    ]
+    # the default slices are nested, so one frame holds the orbit of every corank
+    flag = ruled_flag(alg, default_ruled_spec(alg, n - 1))
+    ruled, *ruled_k = [_orbit_base(orbit) for orbit in flag]
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnresolvedSpectrumError
+
 __all__ = [
     "HopfAttitude",
     "PrincipalProfile",
@@ -63,8 +65,12 @@ class PrincipalProfile:
         if sum(m for _, m in self.entries) != self.total_dim:
             raise ValueError("multiplicities do not sum to the total dimension")
         vals = [lam for lam, _ in self.entries]
-        if any(b - a < MERGE_TOL for a, b in zip(vals, vals[1:])):
-            raise ValueError("profile entries are not separated; merge first")
+        for a, b in zip(vals, vals[1:]):
+            if b - a < MERGE_TOL:
+                raise UnresolvedSpectrumError(
+                    f"principal curvatures {a!r} and {b!r} lie within MERGE_TOL = "
+                    f"{MERGE_TOL:g} of each other and cannot be told apart"
+                )
 
     @property
     def g(self) -> int:

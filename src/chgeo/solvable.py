@@ -18,12 +18,17 @@ Orbit models of subgroups provide the ruled minimal submanifolds: for
 a totally real k-dimensional slice wperp of v, the subalgebra
 a + z + (v - wperp) exponentiates to a (2n-k)-dimensional minimal
 submanifold whose second fundamental form is concentrated on the
-single pairing of Z against i(wperp).
+single pairing of Z against i(wperp).  The orbits of the nested
+slices wperp[:1], ..., wperp[:k] form a flag, and ``ruled_flag`` reads
+all of them from one orthonormal frame.
 
 The structure constants are held only in factored form, the
 eigenvalues w of ad_A and the pairing omega on v; the bracket, the
 Koszul connection, the closure check and the shape operator are closed
-forms in these two factors, so no (d, d, d) array is ever built.
+forms in these two factors, so no (d, d, d) array is ever built.  The
+closure check of an orbit with m tangent and k normal rows reads one
+(k, m) block after a Householder reflection of its tangent rows, so
+no (k, m, m) leak is built either.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "default_ruled_spec",
     "horosphere_model",
     "levi_civita",
+    "ruled_flag",
 ]
 
 
@@ -174,14 +180,33 @@ def validate_ruled_spec(alg: SolvableAlgebra, w_perp) -> np.ndarray:
     return w
 
 
-def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> np.ndarray:
-    """leak[c, i, j] = <[t_i, t_j], nr_c> for rows t (m, d) and nr (k, d).
+def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> float:
+    """Frobenius norm of leak[c, i, j] = <[t_i, t_j], nr_c> for rows t (m, d) and nr (k, d).
 
-    On the factors this is t_iA <w o t_j, nr_c> - t_jA <w o t_i, nr_c>
-    + nr_cZ omega(t_i, t_j): one d x d product and O(k m^2) entries.
+    On the factors the leak is t_iA <w o t_j, nr_c> - t_jA <w o t_i, nr_c>
+    + nr_cZ omega(t_i, t_j).  Its norm does not depend on the orthonormal
+    basis of the tangent span, so one Householder reflection of the rows
+    first takes their A-column to alpha e_0.  Then, with B = (nr o w) t^T
+    and Omega = t omega t^T, leak[c, 0, j] = alpha B_cj + nr_cZ Omega_0j and
+    leak[c, i, j] = nr_cZ Omega_ij for i, j >= 1: the leak is one (k, m)
+    row block, plus Omega when a normal row has a Z-part.
     """
-    leak = t[:, 0, None] * (nr * alg.weights @ t.T)[:, None, :]
-    return leak - leak.transpose(0, 2, 1) + nr[:, 1, None, None] * (t @ alg.omega @ t.T)
+    a = t[:, 0]
+    alpha = -np.copysign(np.linalg.norm(a), a[0])
+    v = a.copy()
+    v[0] -= alpha
+    if v.any():
+        t = t - np.outer(v, v @ t) * (2.0 / (v @ v))
+    row = alpha * ((nr * alg.weights) @ t.T)
+    nz = nr[:, 1]
+    if nz.any():
+        omega = t @ alg.omega @ t.T
+        row += nz[:, None] * omega[0]
+        inner = np.dot(nz, nz) * np.sum(np.square(omega[1:, 1:]))
+    else:
+        inner = 0.0
+    # leak[c, 0, 0] = 0, and each (0, j) entry appears again as -(j, 0)
+    return float(np.sqrt(2.0 * np.sum(np.square(row[:, 1:])) + inner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +220,9 @@ class OrbitModel:
     Codazzi equations over the whole frame.  The closure check, the
     shape operator and ``intrinsic_gamma`` each contract over all frame
     pairs at once.  With d = 2n and m tangent and k normal rows, the
-    closure check forms one d x d product and k m^2 entries, and a shape
-    operator costs O(d^3).
+    closure check forms one (k, m) product of O(k m d) flops and no
+    (k, m, m) leak (plus one m x m pairing when a normal row has a
+    Z-part), and a shape operator costs O(d^3).
     """
 
     algebra: SolvableAlgebra
@@ -210,8 +236,7 @@ class OrbitModel:
         # written so that a NaN fails each check
         if full.shape != (d, d) or not np.max(np.abs(full @ full.T - np.eye(d))) <= 1e-10:
             raise ValidationError("tangent/normal rows do not form an orthonormal basis")
-        leak = _closure_leak(self.algebra, t, nr)
-        if not np.max(np.linalg.norm(leak, axis=0)) <= 1e-12:
+        if not _closure_leak(self.algebra, t, nr) <= 1e-12:
             raise ValidationError("tangent space is not closed under the bracket")
 
     @property
@@ -290,6 +315,22 @@ def build_ruled(alg: SolvableAlgebra, w_perp) -> OrbitModel:
     if tangent.shape[0] != d - len(w):
         raise ValidationError("slice does not have the declared dimension")
     return OrbitModel(algebra=alg, tangent=tangent, normal=w)
+
+
+def ruled_flag(alg: SolvableAlgebra, w_perp) -> list[OrbitModel]:
+    """Orbits of the nested slices w_perp[:1], ..., w_perp[:K], from one frame.
+
+    A prefix of a totally real slice is one, so ``build_ruled`` validates
+    and orthonormalises the whole slice once.  Its frame, the tangent rows
+    and then the slice rows in reverse, holds every orbit of the flag: the
+    corank-k orbit has the first d - k frame rows as its tangent rows and
+    w_perp[:k] as its normal rows, as ``build_ruled(alg, w_perp[:k])``.
+    """
+    top = build_ruled(alg, w_perp)
+    w, d = top.normal, alg.dim
+    frame = np.vstack([top.tangent, w[::-1]])
+    lower = [OrbitModel(alg, tangent=frame[: d - k], normal=w[:k]) for k in range(1, len(w))]
+    return lower + [top]
 
 
 def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:

@@ -130,13 +130,13 @@ def suite_cross_model_curvature(seed: int = DEFAULT_SEED):
 
 
 def suite_ruled_second_fundamental():
-    """Second fundamental form and shape spectra of the ruled orbits."""
+    """Second fundamental form and shape spectra of the ruled orbits of the catalog's flag."""
     records = []
     for n in (3, 4, 5):
         alg = solvable.build_algebra(n)
         z_vec = np.eye(2 * n)[1]
-        for k in range(1, n):
-            orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
+        flag = solvable.ruled_flag(alg, solvable.default_ruled_spec(alg, n - 1))
+        for k, orbit in enumerate(flag, start=1):
             expected = np.concatenate([[-0.5], np.zeros(orbit.dim - 2), [0.5]])
             for i, xi in enumerate(orbit.normal):
                 at = f"n={n}, k={k}, xi_{i}"

@@ -140,6 +140,18 @@ def test_catalog_focal_radius_is_usage_error():
     assert proc.stderr == "error: tube differential degenerates at distance 1e-12\n"
 
 
+def test_catalog_at_the_radius_cap_is_a_usage_error_naming_the_family():
+    # at the cap two curvatures of the tube around CH^5 lie within MERGE_TOL
+    proc = run_cli("--format", "json", "catalog", "--n", "8", "--r", "21.41641301750635")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: catalog family tube-CHk (k = 5), the tube at distance 21.41641301750635: "
+        "principal curvatures -0.5000000005 and -0.49999999950000007 lie within MERGE_TOL"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from chgeo import classifier, families, jacobi, profiles, solvable
 from chgeo.ambient import CurvatureModel, jacobi_operator
-from chgeo.errors import FocalRadiusError, OpenCaseError, UnsupportedModelError, ValidationError
+from chgeo.errors import (
+    FocalRadiusError,
+    OpenCaseError,
+    UnresolvedSpectrumError,
+    UnsupportedModelError,
+    ValidationError,
+)
 from chgeo.profiles import PrincipalProfile
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
@@ -671,6 +677,59 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     # three G = 2 tubes
     assert sorted(calls["eigh"]) == sorted([(6, 6), (5, 5), (4, 4), (1, 1, 1), (3, 2, 2)])
     assert calls["eigvalsh"] == calls["inv"] == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
+    # the n - 1 ruled orbits are one flag: one slice validation and one QR
+    calls = {"qr": [], "validate_ruled_spec": []}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[-1].shape)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "qr")
+    counted(solvable, "validate_ruled_spec")
+    families.catalog(n, 1.3)
+    # the corank n - 1 slice of v, and the QR of its (2n - 2) x 2n projection, transposed
+    assert calls == {"qr": [(2 * n, 2 * n - 2)], "validate_ruled_spec": [(n - 1, 2 * n)]}
+
+
+# at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
+# engine cuts them into two eigenspaces whose means then fall within MERGE_TOL
+_UNRESOLVED = (
+    r"principal curvatures -0\.500000000\d* and -0\.499999999\d* lie within "
+    r"MERGE_TOL = 1e-09 of each other and cannot be told apart"
+)
+
+
+def test_tube_at_the_radius_cap_names_the_curvatures_it_cannot_separate():
+    named = rf"^the tube at distance 21\.41641301750635\d*: {_UNRESOLVED}$"
+    with pytest.raises(UnresolvedSpectrumError, match=named) as caught:
+        families.tube_spectrum("CHk", 8, k=5, r=jacobi.MAX_RADIUS)
+    assert caught.value.job == 0
+    # in a list of jobs over two dimensions, the error names the job's own index
+    jobs = [
+        (families.tube_base("point", 3), 1.0),
+        (families.tube_base("CHk", 8, 5), jacobi.MAX_RADIUS),
+        (families.tube_base("point", 8), 1.0),
+    ]
+    with pytest.raises(UnresolvedSpectrumError, match=_UNRESOLVED) as caught:
+        families.tube_spectra(jobs)
+    assert caught.value.job == 1
+
+
+@pytest.mark.parametrize("r", [jacobi.MAX_RADIUS, 21.41641301750635])
+def test_catalog_at_the_radius_cap_names_the_family(r):
+    at = re.escape(repr(r))
+    named = rf"^catalog family tube-CHk \(k = 5\), the tube at distance {at}: {_UNRESOLVED}$"
+    with pytest.raises(UnresolvedSpectrumError, match=named):
+        families.catalog(8, r)
 
 
 def test_tube_pass_builds_no_dense_stack():
