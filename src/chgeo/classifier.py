@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import as_int
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile
 
 __all__ = [
@@ -290,6 +291,9 @@ def solve_case_one() -> SolutionBranch:
 
 def branch_profile(branch: SolutionBranch, n: int, m1: int | None = None) -> PrincipalProfile:
     """Materialise a branch as a hypersurface profile in complex dimension n."""
+    n = as_int("n", n)
+    if m1 is not None:
+        m1 = as_int("m1", m1)
     if branch.case == "i":
         m1 = 2 if m1 is None else m1
         if not 2 <= m1 <= n - 1:

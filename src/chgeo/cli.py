@@ -31,9 +31,10 @@ _MAX_SWEEP_POINTS = 10_000
 # fraction of a step by which the sweep's last point may pass --hi, so that
 # a (hi - lo)/step that rounds to just below an integer keeps its endpoint
 _SWEEP_SLACK = 1e-9
-# catalog --n 100 takes 0.5-0.9 s and 97 MB (4 runs, 2-CPU Intel Xeon under
-# outside load), n = 64 0.3-0.4 s and 51 MB; each of its n ruled orbits still
-# costs O(n^3), so the cap bounds the n^4 growth before anything is built
+# catalog --n 100 takes 0.4-0.6 s and 80 MB (4 runs, 2-CPU Intel Xeon under
+# outside load), n = 64 0.2-0.3 s and 45 MB; the eigh of each of its n ruled
+# orbits' base shapes still costs O(n^3), so the cap bounds the n^4 growth
+# before anything is built
 _MAX_DIMENSION = 100
 
 _SQ2 = math.sqrt(2.0)
@@ -233,8 +234,6 @@ def cmd_focal(args):
 
 
 def cmd_verify(args):
-    if args.tolerance is not None and args.tolerance < 0:
-        raise ValueError(f"verify requires --tolerance >= 0, got {args.tolerance}")
     results = verification.run_all(seed=args.seed, tolerance=args.tolerance)
     doc = {
         "seed": args.seed,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its check of integer arguments."""
+
+import operator
 
 __all__ = [
     "DegeneratePlaneError",
@@ -8,7 +10,21 @@ __all__ = [
     "UnresolvedSpectrumError",
     "UnsupportedModelError",
     "ValidationError",
+    "as_int",
 ]
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as a plain int; a float, string or bool raises ValueError naming ``name``.
+
+    Numpy integers are accepted and stored as plain ints, so they reach JSON.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class DegeneratePlaneError(ValueError):

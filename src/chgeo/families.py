@@ -34,6 +34,7 @@ from .errors import (
     UnresolvedSpectrumError,
     UnsupportedModelError,
     ValidationError,
+    as_int,
 )
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
@@ -102,6 +103,9 @@ class TubeBase:
 
 def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     """Base data for one of the named base submanifolds."""
+    n = as_int("n", n)
+    if k is not None:
+        k = as_int("k", k)
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
     d = 2 * n
@@ -138,14 +142,17 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     return _orbit_base(horosphere_model(build_algebra(n)))
 
 
-def _orbit_base(orbit: OrbitModel) -> TubeBase:
-    """Base data of an orbit: nu is its first normal row, the other rows span the sphere."""
+def _orbit_base(orbit: OrbitModel, shape: np.ndarray | None = None) -> TubeBase:
+    """Base data of an orbit: nu is its first normal row, the other rows span the sphere.
+
+    ``shape``, when given, is the orbit's shape operator along nu, already formed.
+    """
     nu = orbit.normal[0]
     return TubeBase(
         n=orbit.algebra.n,
         nu=nu,
         tangent=orbit.tangent,
-        shape=orbit.shape_operator(nu),
+        shape=orbit.shape_operator(nu) if shape is None else shape,
         sphere=orbit.normal[1:],
     )
 
@@ -643,7 +650,10 @@ def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
     n = alg.n
     # the default slices are nested, so one frame holds the orbit of every corank
     flag = ruled_flag(alg, default_ruled_spec(alg, n - 1))
-    ruled, *ruled_k = [_orbit_base(orbit) for orbit in flag]
+    # each orbit's nu is w[0] and its tangent rows are a prefix of the corank-1
+    # orbit's, so its base shape is a leading block of that orbit's
+    shape = flag[0].shape_operator(flag[0].normal[0])
+    ruled, *ruled_k = [_orbit_base(orbit, shape[: orbit.dim, : orbit.dim]) for orbit in flag]
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)
@@ -673,7 +683,8 @@ _OPEN_CASE = "the three-curvature classification is open in complex dimension 2"
 
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
-    return _engine_entries(n, [(2, _two_curvature_rows(build_algebra(n), r))])
+    alg = build_algebra(n)
+    return _engine_entries(alg.n, [(2, _two_curvature_rows(alg, r))])
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -682,9 +693,10 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     Defined for n >= 3; for n = 2 the classification is open and this
     raises OpenCaseError.
     """
-    if n == 2:
+    alg = build_algebra(n)
+    if alg.n == 2:
         raise OpenCaseError(_OPEN_CASE)
-    return _engine_entries(n, [(3, _three_curvature_rows(build_algebra(n), r))])
+    return _engine_entries(alg.n, [(3, _three_curvature_rows(alg, r))])
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -696,6 +708,7 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
     family runs through one ``tube_spectra`` pass.
     """
     alg = build_algebra(n)
+    n = alg.n
     groups = [(2, _two_curvature_rows(alg, r))]
     notes: list[str] = []
     if n == 2:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnresolvedSpectrumError
+from .errors import UnresolvedSpectrumError, as_int
 
 __all__ = [
     "HopfAttitude",
@@ -60,6 +60,11 @@ class PrincipalProfile:
     hopf: HopfAttitude | None = None
 
     def __post_init__(self):
+        if type(self.total_dim) is not int or any(type(m) is not int for _, m in self.entries):
+            # store numpy counts as plain ints; anything else that is not an integer raises
+            entries = tuple((lam, as_int("multiplicity", m)) for lam, m in self.entries)
+            object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, "total_dim", as_int("total_dim", self.total_dim))
         if any(m < 1 for _, m in self.entries):
             raise ValueError(f"every multiplicity must be at least 1, got {self.entries}")
         if sum(m for _, m in self.entries) != self.total_dim:

@@ -28,7 +28,8 @@ Koszul connection, the closure check and the shape operator are closed
 forms in these two factors, so no (d, d, d) array is ever built.  The
 closure check of an orbit with m tangent and k normal rows reads one
 (k, m) block after a Householder reflection of its tangent rows, so
-no (k, m, m) leak is built either.
+no (k, m, m) leak is built either; a flag checks the closure of all its
+lower orbits from one (K, d) product.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import CurvatureModel, complex_structure, curvature
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 
 __all__ = [
     "OrbitModel",
@@ -89,6 +90,7 @@ class SolvableAlgebra:
 
 def build_algebra(n: int) -> SolvableAlgebra:
     """Construct the algebra for complex dimension n >= 2."""
+    n = as_int("n", n)
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
     d = 2 * n
@@ -151,6 +153,7 @@ def algebra_curvature(alg: SolvableAlgebra, x, y, z) -> np.ndarray:
 
 def default_ruled_spec(alg: SolvableAlgebra, k: int) -> np.ndarray:
     """Rows of the canonical slice, spanned by V_1, V_3, ..., V_{2k-1}."""
+    k = as_int("k", k)
     if not 1 <= k <= alg.n - 1:
         raise ValidationError(f"corank must lie in 1..{alg.n - 1}, got {k}")
     return np.eye(alg.dim)[2 : 2 + 2 * k : 2]
@@ -209,6 +212,25 @@ def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> float:
     return float(np.sqrt(2.0 * np.sum(np.square(row[:, 1:])) + inner))
 
 
+def _flag_leaks(alg: SolvableAlgebra, frame: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Closure leaks of the orbits with tangent rows frame[:d - k] and normal rows w[:k].
+
+    One entry per corank k = 1, ..., len(w), each the ``_closure_leak`` of
+    its orbit; the rows of w must have no Z-part.  Then leak[c, i, j] =
+    a_i P_cj - a_j P_ci with a = frame[:, 0] and P = (w o weights) frame^T,
+    whose squared norm over the first m rows is, by Lagrange's identity,
+    2 sum_c (|a|^2 |P_c|^2 - (a . P_c)^2), each sum a prefix sum over one
+    (K, d) array.
+    """
+    a = frame[:, 0]
+    P = (w * alg.weights) @ frame.T
+    terms = np.cumsum(a * a) * np.cumsum(P * P, axis=1) - np.square(np.cumsum(a * P, axis=1))
+    # the corank-k orbit reads column m - 1 = d - k - 1 of its k normal rows' terms
+    ks = np.arange(1, len(w) + 1)
+    squares = 2.0 * np.triu(terms[:, len(a) - 1 - ks]).sum(axis=0)
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitModel:
     """Orbit of a subgroup through the base point, with induced data.
@@ -222,7 +244,9 @@ class OrbitModel:
     pairs at once.  With d = 2n and m tangent and k normal rows, the
     closure check forms one (k, m) product of O(k m d) flops and no
     (k, m, m) leak (plus one m x m pairing when a normal row has a
-    Z-part), and a shape operator costs O(d^3).
+    Z-part), and a shape operator costs O(d^3).  Construction checks that
+    the rows are orthonormal and close under the bracket; only the lower
+    orbits of a ``ruled_flag`` skip it, as the flag is checked as a whole.
     """
 
     algebra: SolvableAlgebra
@@ -325,12 +349,24 @@ def ruled_flag(alg: SolvableAlgebra, w_perp) -> list[OrbitModel]:
     and then the slice rows in reverse, holds every orbit of the flag: the
     corank-k orbit has the first d - k frame rows as its tangent rows and
     w_perp[:k] as its normal rows, as ``build_ruled(alg, w_perp[:k])``.
+    The flag is checked once: constructing the top orbit checks that the
+    frame is orthonormal and closes, and ``_flag_leaks`` holds every lower
+    orbit's closure leak to the same bound from one product.
     """
     top = build_ruled(alg, w_perp)
     w, d = top.normal, alg.dim
     frame = np.vstack([top.tangent, w[::-1]])
-    lower = [OrbitModel(alg, tangent=frame[: d - k], normal=w[:k]) for k in range(1, len(w))]
+    if not np.max(_flag_leaks(alg, frame, w[:-1]), initial=0.0) <= 1e-12:
+        raise ValidationError("tangent space is not closed under the bracket")
+    lower = [_flag_orbit(alg, frame[: d - k], w[:k]) for k in range(1, len(w))]
     return lower + [top]
+
+
+def _flag_orbit(alg: SolvableAlgebra, tangent: np.ndarray, normal: np.ndarray) -> OrbitModel:
+    """A lower orbit of a flag that ``ruled_flag`` has checked, built without re-checking."""
+    orbit = object.__new__(OrbitModel)
+    vars(orbit).update(algebra=alg, tangent=tangent, normal=normal)
+    return orbit
 
 
 def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:

@@ -424,11 +424,20 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tolerance: float | None = Non
 
     An engine error raised inside the suite fails that suite alone, with
     a NaN residual and the error as its detail; any other exception
-    propagates.  A seed that is not a non-negative integer raises
+    propagates.  An unknown suite name, a seed that is not a non-negative
+    integer or a tolerance that is not a finite number >= 0 raises
     ValueError naming it, before any suite runs.
     """
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {suite_names()}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if tolerance is not None and (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, (int, float, np.integer, np.floating))
+        or not (math.isfinite(tolerance) and tolerance >= 0)
+    ):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     fn, default_tolerance, coverage = _SUITES[name]
     tolerance = default_tolerance if tolerance is None else tolerance
     started = time.perf_counter()
@@ -453,5 +462,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tolerance: float | None = Non
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None):
-    """Every suite, in order; a bad seed raises from the first ``run_suite`` before any runs."""
+    """Every suite, in order; a bad seed or tolerance raises from the first ``run_suite``."""
     return [run_suite(name, seed=seed, tolerance=tolerance) for name in _SUITES]

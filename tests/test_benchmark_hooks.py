@@ -70,9 +70,9 @@ def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
     finally:
         tracer.uninstall()
     calls = recorder.ops[0].calls
-    # the orbits of coranks k = 1, 2 are one flag from one build_ruled call; the
-    # shape operators are theirs and the horosphere's
+    # the orbits of coranks k = 1, 2 are one flag from one build_ruled call; one
+    # shape operator serves the whole flag, and one the horosphere
     assert calls["solvable.build_ruled"] == 1
-    assert calls["solvable.shape_operator"] == 3
+    assert calls["solvable.shape_operator"] == 2
     # one propagator per normal direction of the one tube pass: A, its J-image, the slice
     assert calls["jacobi.curvature_propagator"] == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,20 @@ def test_branch_profile_rejects_non_positive_multiplicities(n):
     with pytest.raises(ValueError, match="multiplicity must be at least 1"):
         classifier.branch_profile(branch, n)
     assert classifier.branch_profile(branch, 2).entries[1] == (branch.lambda3, 1)
+
+
+def test_branch_profile_rejects_a_dimension_that_is_not_an_integer():
+    # it used to return multiplicity 4.0 and total_dim 6.0
+    branch = classifier.solve_case_two(0.2).branch
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, got 3.5")):
+        classifier.branch_profile(branch, 3.5)
+    assert type(classifier.branch_profile(branch, np.int64(4)).total_dim) is int
+
+
+def test_branch_profile_rejects_a_carrier_multiplicity_that_is_not_an_integer():
+    # it used to return multiplicities 3.5 and 2.5
+    with pytest.raises(ValueError, match=re.escape("m1 must be an integer, got 2.5")):
+        classifier.branch_profile(classifier.solve_case_one(), 4, m1=2.5)
 
 
 def test_isolated_profile_multiplicity_range():

@@ -709,7 +709,7 @@ def test_verify_rejects_negative_tolerance():
     proc = run_cli("--format", "json", "verify", "--tolerance", "-1")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "--tolerance >= 0" in proc.stderr
+    assert "tolerance must be a finite number >= 0, got -1.0" in proc.stderr
 
 
 def test_seed_environment_variable():

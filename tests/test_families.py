@@ -700,6 +700,40 @@ def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
     assert calls == {"qr": [(2 * n, 2 * n - 2)], "validate_ruled_spec": [(n - 1, 2 * n)]}
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
+    # one shape operator and one construction check each for the flag and the horosphere
+    calls = {"shape_operator": 0, "__post_init__": 0}
+
+    def counted(name):
+        fn = getattr(solvable.OrbitModel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvable.OrbitModel, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    families.catalog(n, 1.3)
+    assert calls == {"shape_operator": 2, "__post_init__": 2}
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_catalog_base_shapes_are_each_orbits_own(n):
+    alg = solvable.build_algebra(n)
+    w = solvable.default_ruled_spec(alg, n - 1)
+    flag = solvable.ruled_flag(alg, w)
+    rows = families._three_curvature_rows(alg, 1.3)
+    bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
+    assert sorted(bases) == list(range(1, n))
+    for k, orbit in enumerate(flag, start=1):
+        assert np.array_equal(bases[k].tangent, orbit.tangent)
+        own = orbit.shape_operator(w[0])
+        assert np.max(np.abs(bases[k].shape - own)) <= 1e-15
+
+
 # at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
 # engine cuts them into two eigenspaces whose means then fall within MERGE_TOL
 _UNRESOLVED = (
@@ -780,6 +814,40 @@ def test_catalog_open_case_handling():
 def test_catalog_rejects_tiny_dimension():
     with pytest.raises(ValueError):
         families.catalog(1)
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, "4", True])
+def test_catalog_rejects_a_dimension_that_is_not_an_integer(n):
+    # 3.5 used to raise numpy's bare "expected a sequence of integers"
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+        families.catalog(n, 1.0)
+
+
+def test_tube_base_rejects_a_corank_that_is_not_an_integer():
+    # it used to raise "slice indices must be integers"
+    with pytest.raises(ValueError, match=re.escape("k must be an integer, got 1.5")):
+        families.tube_base("CHk", 4, 1.5)
+
+
+def test_catalog_of_a_numpy_dimension_serialises():
+    # the entries used to carry the numpy integer, which json cannot write
+    entries, _ = families.catalog(np.int64(4), 1.0)
+    assert all(type(entry.n) is int for entry in entries)
+    assert json.dumps([families.entry_to_dict(e) for e in entries]) == json.dumps(
+        [families.entry_to_dict(e) for e in families.catalog(4, 1.0)[0]]
+    )
+
+
+@pytest.mark.parametrize(
+    "entries, total_dim, name",
+    [(((0.5, 2.5), (1.0, 1)), 3.5, "multiplicity"), (((0.5, 2), (1.0, 1)), 3.0, "total_dim")],
+)
+def test_profile_rejects_a_count_that_is_not_an_integer(entries, total_dim, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
+        PrincipalProfile(entries=entries, total_dim=total_dim)
+    # numpy counts are stored as plain ints
+    profile = PrincipalProfile(entries=((0.5, np.int64(2)), (1.0, 1)), total_dim=np.int64(3))
+    assert type(profile.entries[0][1]) is int and type(profile.total_dim) is int
 
 
 def test_exceptional_representative_radius_rejected():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -479,6 +480,48 @@ def test_flag_orbits_match_one_build_per_corank(n, slice_kind):
         assert np.max(np.abs(proj)) <= 1e-12
         spectra = [np.linalg.eigvalsh(o.shape_operator(w[0])) for o in (orbit, ref)]
         assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12
+        # the flag checked every orbit as a whole; each passes the checks on its own
+        solvable.OrbitModel(alg, orbit.tangent, orbit.normal)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_flag_leaks_equal_the_closure_leak_of_each_prefix(n, mixed):
+    rng = np.random.default_rng(80 + n)
+    alg = solvable.build_algebra(n)
+    top = solvable.build_ruled(alg, _random_slice(alg, n - 1, rng))
+    w, d = top.normal, alg.dim
+    frame = np.vstack([_random_basis(top, rng), w[::-1]])
+    if mixed:
+        # a normal row mixed into the tangent rows: no orbit of the flag closes
+        frame[: d - len(w)] += 0.3 * rng.standard_normal((d - len(w), 1)) * w[0]
+    leaks = solvable._flag_leaks(alg, frame, w)
+    want = [solvable._closure_leak(alg, frame[: d - k], w[:k]) for k in range(1, n)]
+    assert np.max(np.abs(leaks - want)) <= 1e-15
+    assert (np.min(leaks) > 1e-3) if mixed else (np.max(leaks) <= 1e-13)
+
+
+def test_flag_with_a_leaking_lower_orbit_is_rejected(monkeypatch):
+    alg = solvable.build_algebra(4)
+    w = solvable.default_ruled_spec(alg, 3)
+    monkeypatch.setattr(solvable, "_flag_leaks", lambda alg, frame, w: np.full(len(w), 2e-12))
+    with pytest.raises(ValidationError, match="not closed under the bracket"):
+        solvable.ruled_flag(alg, w)
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", True])
+def test_build_algebra_rejects_a_dimension_that_is_not_an_integer(n):
+    # 3.0 used to raise numpy's bare "expected a sequence of integers"
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+        solvable.build_algebra(n)
+    assert solvable.build_algebra(np.int64(3)).n == 3
+    assert type(solvable.build_algebra(np.int64(3)).n) is int
+
+
+def test_default_slice_rejects_a_corank_that_is_not_an_integer(alg):
+    # it used to raise "slice indices must be integers"
+    with pytest.raises(ValueError, match=re.escape("k must be an integer, got 2.5")):
+        solvable.default_ruled_spec(alg, 2.5)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])

@@ -47,6 +47,33 @@ def test_a_bad_seed_is_a_usage_error_naming_it(monkeypatch, seed):
     assert ran == [3, 2**70]
 
 
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0, True, "1", 1j, np.complex128(1)])
+def test_a_bad_tolerance_is_a_usage_error_naming_it(monkeypatch, tolerance):
+    # inf used to pass every suite, and nan and -1 to fail every suite
+    ran = []
+
+    def fixed():
+        ran.append(None)
+        return [(0.0, "fixed check")]
+
+    monkeypatch.setattr(verification, "_SUITES", {"fixed": (fixed, 1.0, "fixed")})
+    message = re.escape(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    with pytest.raises(ValueError, match=message):
+        verification.run_all(tolerance=tolerance)
+    with pytest.raises(ValueError, match=message):
+        verification.run_suite("fixed", tolerance=tolerance)
+    assert ran == []
+    assert verification.run_suite("fixed", tolerance=0.0).passed
+    assert verification.run_suite("fixed", tolerance=np.float32(1e-3)).passed
+
+
+def test_an_unknown_suite_is_a_usage_error_listing_the_names():
+    # it used to raise a bare KeyError
+    message = re.escape(f"unknown suite 'bogus'; expected one of {verification.suite_names()}")
+    with pytest.raises(ValueError, match=message):
+        verification.run_suite("bogus")
+
+
 def test_seed_reaches_only_suites_that_take_one(monkeypatch):
     seen = []
 
