@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePlaneError
+from .errors import DegeneratePlaneError, as_int
 
 __all__ = [
     "CurvatureModel",
@@ -52,6 +52,8 @@ class CurvatureModel:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:  # a numpy integer is stored as an int; a non-integer raises
+            object.__setattr__(self, "n", as_int("n", self.n))
         if self.n < 1:
             raise ValueError(f"complex dimension must be >= 1, got {self.n}")
 

@@ -6,11 +6,13 @@ subspace, or a ruled minimal orbit of the group model), propagate
 Jacobi fields the tube distance along a unit normal, and read the
 shape operator of the result as minus the derivative map against
 the value map.  Directions are classified spectrally through the
-ambient curvature operator, so no family gets hard-coded curvature
-formulas.  Its two eigenvalues on the normal's complement make both
-maps diagonal plus rank one in the base's principal frame, so each
-tube reduces to scalar ratios and one small block on the directions
-that J(normal) meets (the deflation of a rank-one eigenvalue update).
+ambient curvature operator (``jacobi.curvature_propagator``), so no
+family gets hard-coded curvature formulas.  Its two eigenvalues on the
+normal's complement make both maps diagonal plus rank one in the
+base's principal frame, so each tube reduces to scalar ratios and one
+small block on the directions that J(normal) meets (the deflation of a
+rank-one eigenvalue update).  Every field is a mode of one rate,
+evaluated by ``jacobi.jacobi_mode``, the function the focal map reads.
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
@@ -36,7 +38,7 @@ from .errors import (
     ValidationError,
     as_int,
 )
-from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator
+from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator, jacobi_mode
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
 from .solvable import (
     OrbitModel,
@@ -227,15 +229,16 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
 
     The jobs sharing n run as one stack, with one ``curvature_propagator``
     call per normal direction: on the normal's complement the Jacobi
-    operator is 1 on the line of J(normal) and 1/4 on the rest.  In the
+    operator is 1 on the line of J(normal) and 1/4 on the rest, and
+    ``jacobi_mode`` evaluates the fields of both rates.  In the
     base's principal frame (the eigenvectors of its shape operator, then
     the sphere rows) each row starts as a multiple of itself, so the
     value and derivative maps V and D are diagonal plus rank one.  Rows
     with equal initial data form a group.  Off the projection of
     J(normal), a group is an eigenspace with the scalar value -X/Y, X
-    and Y its bounded derivative and value factors.  The G projections
-    span a G x G block, G = 1 for a Hopf tube and 2 for the paper's
-    non-Hopf ones, solved in scaled form, stacked by G
+    and Y its bounded derivative and value factors from ``jacobi_mode``.
+    The G projections span a G x G block, G = 1 for a Hopf tube and 2
+    for the paper's non-Hopf ones, solved in scaled form, stacked by G
     (``_block_spectra``).  One grouping of all the spectra
     (``eigenspaces``) gives every profile's values, Hopf flag and
     carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
@@ -264,19 +267,6 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
         for i, profile in zip(members, profiles):
             out[i] = profile
     return out
-
-
-def _bounded(alpha, beta, q, s, tau):
-    """Bounded value and derivative factors (Y, X) of fields starting at alpha u, beta u.
-
-    u is an eigenvector of the Jacobi operator with eigenvalue q^2, s
-    the sign of the distance and tau = 1 - tanh(q |r|); the field's
-    value and derivative are cosh(q r) times these.  Each is written as
-    its limit at r -> infinity minus a multiple of tau, so a field that
-    decays, such as a horosphere's, keeps its digits at any distance.
-    """
-    y = (alpha + s * beta / q) - s * beta * tau / q
-    return y, (s * alpha * q + beta) - s * alpha * q * tau
 
 
 def _frame_rows(base: TubeBase, jc: np.ndarray) -> np.ndarray:
@@ -314,11 +304,12 @@ def _frame_rows(base: TubeBase, jc: np.ndarray) -> np.ndarray:
 def _stack_profiles(stack) -> list[PrincipalProfile]:
     """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n.
 
-    Per normal direction, one ``curvature_propagator`` call takes every
-    job's own radius.  Each distinct base's frame is read once
-    (``_frame_rows``).  In each job, the rows whose initial data differ
-    by less than MERGE_TOL form a group, and the G x G blocks run
-    through ``_block_spectra``, one stack per G.
+    Per normal direction, one ``curvature_propagator`` call gives the
+    rates q, and ``jacobi_mode`` evaluates each job at its own radius.
+    Each distinct base's frame is read once (``_frame_rows``).  In each
+    job, the rows whose initial data differ by less than MERGE_TOL form
+    a group, and the G x G blocks run through ``_block_spectra``, one
+    stack per G.
     """
     model = CurvatureModel(stack[0][0].n)
     radii = np.array([r for _, r in stack])
@@ -326,11 +317,9 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     for i, (base, _) in enumerate(stack):
         normals.setdefault(base.nu.tobytes(), (base.nu, []))[1].append(i)
     jcs = {}
-    q, ch, tau = np.empty((3, len(stack), 2))
+    q = np.empty((len(stack), 2))
     for key, (nu, members) in normals.items():
-        jcs[key], q[members], ch[members], tau[members] = curvature_propagator(
-            model, nu, radii[members]
-        )
+        jcs[key], q[members] = curvature_propagator(model, nu)
     bases: dict = {}
     index = [bases.setdefault(id(base), (len(bases), base))[0] for base, _ in stack]
     frames = [_frame_rows(base, jcs[base.nu.tobytes()]) for _, base in bases.values()]
@@ -349,9 +338,8 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     carrier = weight > CARRIER_TOL
     # off its carrier direction a group is an eigenspace of multiplicity rest
     rest = mult - carrier
-    sign = np.copysign(1.0, radii)[:, None]
-    y, x = _bounded(alpha, beta, q[:, :1], sign, tau[:, :1])
-    focal = np.flatnonzero(np.any((rest > 0) & (ch[:, :1] * np.abs(y) <= KERNEL_TOL), axis=-1))
+    growth, y, x = jacobi_mode(alpha, beta, q[:, :1], radii[:, None])
+    focal = np.flatnonzero(np.any((rest > 0) & (growth * np.abs(y) <= KERNEL_TOL), axis=-1))
     if focal.size:
         raise FocalRadiusError(f"tube differential degenerates at distance {radii[focal[0]]}")
     # each job's scalar values first, then its G block values, G its carrier count
@@ -366,7 +354,7 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
         block_vals, vecs = _block_spectra(
             radii[rows],
             *(a[rows][pick].reshape(-1, g) for a in (alpha, beta, weight)),
-            sign[rows], q[rows], ch[rows], tau[rows],
+            q[rows],
         )
         vals[rows, m - g :] = block_vals
         # J(normal) is the first coordinate of the block basis, up to sign
@@ -398,15 +386,16 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     return profiles
 
 
-def _block_spectra(radii, alpha, beta, weight, sign, q, ch, tau):
+def _block_spectra(radii, alpha, beta, weight, q):
     """``eigh`` of the G x G shape blocks of a (B, G) stack of carrier groups.
 
     A reflection Q takes e_0 to -w/|w|, w the carriers' weights, so in
     the basis of Q's columns J(normal) is the first coordinate, the
     Jacobi operator is diagonal (q[1]^2 on row 0, q[0]^2 on the rest)
     and the growth K is cosh(q r) per row.  Carrier g starts at alpha_g
-    and beta_g times its direction, column g of Q.  The value map is
-    V = K Y; a singular value of V at or below KERNEL_TOL raises
+    and beta_g times its direction, column g of Q, and ``jacobi_mode``
+    gives K and the bounded factors Y and X.  The value map is V = K Y;
+    a singular value of V at or below KERNEL_TOL raises
     FocalRadiusError.  The shape block S = K M K^-1, M = -X Y^-1, takes
     each entry S_ij = (K_i / K_j) M_ij from the side where K_i <= K_j,
     so no ratio above 1 multiplies an entry of M; asymmetric by more
@@ -419,12 +408,11 @@ def _block_spectra(radii, alpha, beta, weight, sign, q, ch, tau):
     mode = (np.arange(g) == 0).astype(int)  # row 0 runs on q[1], the rest on q[0]
     # Y and X transposed, rows are directions: Q is symmetric, so entry (h, i)
     # of Q is coordinate i of direction h
-    y_t, x_t = _bounded(
-        alpha[:, :, None], beta[:, :, None], q[:, None, mode], sign[:, :, None], tau[:, None, mode]
+    K, y_t, x_t = jacobi_mode(
+        alpha[:, :, None], beta[:, :, None], q[:, None, mode], radii[:, None, None]
     )
     y_t *= Q
     x_t *= Q
-    K = ch[:, None, mode]
     singular = np.flatnonzero(np.linalg.svd(y_t * K, compute_uv=False).min(axis=-1) <= KERNEL_TOL)
     if singular.size:
         raise FocalRadiusError(f"tube differential degenerates at distance {radii[singular[0]]}")

@@ -6,8 +6,13 @@ equation in a parallel frame is constant-coefficient:
     4 w'' = w + 3 <w, Jc> Jc,
 
 where Jc is the (parallel) image of the tangent direction under the
-complex structure.  For an initial vector in a principal distribution
-with curvature lam the solution splits into a transverse coefficient
+complex structure.  A field that starts on the Jc-line stays there,
+at rate q = 1, and one orthogonal to it stays orthogonal, at rate
+q = 1/2.  ``jacobi_mode`` evaluates such a mode: the one solution of
+the equation, read by the focal map here and the tube engine of
+``families``, and held against RK4 (``jacobi_numeric``).  For v in a
+principal distribution with curvature lam, starting with derivative
+-lam v, the modes give a transverse coefficient
 
     f(t) = cosh(t/2) - 2 lam sinh(t/2)
 
@@ -15,9 +20,9 @@ and a mixing coefficient against the Jc-line
 
     g(t) = (cosh(t/2) - 1) (1 + 2 cosh(t/2) - 2 lam sinh(t/2)),
 
-so the field is f(t) B_v(t) + <v, Jc(0)> g(t) Jc(t) with B_v the
-parallel translate of v.  Components squarely on the Jc-line evolve
-with cosh(t) - lam sinh(t).
+the rate-1 mode cosh(t) - lam sinh(t) minus f; the field is
+f(t) B_v(t) + <v, Jc(0)> g(t) Jc(t) with B_v the parallel translate of
+v.
 
 The transversal map sends each point of the hypersurface a fixed
 distance along its normal geodesic; its differential evaluates Jacobi
@@ -46,10 +51,10 @@ __all__ = [
     "FocalMapData",
     "GeodesicNormalFrame",
     "ImageShapeData",
-    "coefficient_pairs",
     "curvature_propagator",
     "image_shape_operator",
     "jacobi_field",
+    "jacobi_mode",
     "jacobi_numeric",
     "normal_frame",
     "transversal_map",
@@ -65,28 +70,35 @@ MAX_RADIUS = math.asinh(1.0 / MERGE_TOL)
 KERNEL_TOL = 1e-10  # a value map's singular values at or below this are its kernel
 BLOCK_DET_TOL = 1e-12  # a carrier block with |det| at most this is singular
 KERNEL_GAP = 0.1  # a map with a kernel keeps its other singular values above this
+TANGENT_TOL = 1e-10  # a vector further than this from a frame's span is not tangent
+# the Jacobi equation's rates off the Jc-line and on it, as a column
+_RATES = np.array([[0.5], [1.0]])
 
 
 # ---------------------------------------------------------------------------
-# scalar coefficient functions
+# the Jacobi mode
 # ---------------------------------------------------------------------------
 
 
-def coefficient_pairs(lam, t):
-    """((f, g), (f_dt, g_dt)): the transverse and hopf coefficients at t and their derivatives.
+def jacobi_mode(alpha, beta, q, t):
+    """Growth and bounded factors (K, Y, X) of the field starting at alpha u, beta u.
 
-    f is the coefficient of the parallel translate for initial vectors
-    off the Jc-line; g mixes the initial Jc-projection back onto the
-    Jc-line.  All four share one cosh(t/2), one sinh(t/2) and their
-    products with lam.
+    u is an eigenvector of the Jacobi operator with eigenvalue q^2; at
+    distance t the field is K Y u with derivative K X u, K = cosh(q t).
+    With s the sign of t (a signed zero's included) and
+    tau = 1 - tanh(q |t|) = 2 / (e^(2 q |t|) + 1), free of cancellation,
+    Y = (alpha + s beta / q) - s beta tau / q and
+    X = (s q alpha + beta) - s q alpha tau: each is its limit at
+    |t| -> infinity minus a multiple of tau, so a decaying field, such
+    as a horosphere's, keeps its digits at any distance.  The arguments
+    broadcast, and the factors keep their dtype, long double included.
     """
-    c, s = np.cosh(t / 2.0), np.sinh(t / 2.0)
-    two_lam_s, lam_c = 2.0 * lam * s, lam * c
-    mix = 1.0 + 2.0 * c - two_lam_s
-    return (
-        (c - two_lam_s, (c - 1.0) * mix),
-        (0.5 * s - lam_c, 0.5 * s * mix + (c - 1.0) * (s - lam_c)),
-    )
+    st = q * t
+    tau = 2.0 / (np.exp(2.0 * np.abs(st)) + 1.0)
+    s = np.copysign(1.0, t)
+    s_beta, s_alpha_q = s * beta, s * alpha * q
+    y = (alpha + s_beta / q) - s_beta * tau / q
+    return np.cosh(st), y, (s_alpha_q + beta) - s_alpha_q * tau
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +135,11 @@ class GeodesicNormalFrame:
     def decompose(self, v) -> np.ndarray:
         """Basis-row coefficients, shape (..., m), of tangent vectors v of shape (..., d).
 
-        Raises if any row of v leaves the span of the basis by more than 1e-10.
+        Raises if any row of v leaves the span of the basis by more than TANGENT_TOL.
         """
         v = np.asarray(v, dtype=float)[..., None, :]
         coeffs = v @ self.basis.T
-        if not np.all(np.linalg.norm(v - coeffs @ self.basis, axis=-1) <= 1e-10):
+        if not np.all(np.linalg.norm(v - coeffs @ self.basis, axis=-1) <= TANGENT_TOL):
             raise ValueError("vector is not tangent to the hypersurface frame")
         return coeffs[..., 0, :]
 
@@ -162,29 +174,39 @@ def normal_frame(profile: PrincipalProfile):
     return GeodesicNormalFrame(n=n, basis=basis, lambdas=np.array(lambdas), hopf=hopf)
 
 
-def _coefficients(lambdas, t):
-    """``coefficient_pairs`` for principal curvatures ``lambdas`` (..., m) at distances t.
+def _row_modes(lambdas, t):
+    """((f, g), (f_dt, g_dt)) of frame rows with curvatures ``lambdas`` (..., m) at distances t.
 
-    t, a scalar or an array, broadcasts against the leading axes of
-    lambdas; each coefficient has shape (..., m, 1).
+    Row i starts at (1, -lambdas[i]) times itself.  f, shape (..., m),
+    is K Y of its rate-1/2 mode; g, shape (..., 2), is K Y of the rate-1
+    mode minus f on the carriers, rows 0 and 1, the only rows that meet
+    the Jc-line.  t broadcasts against the leading axes of lambdas.
     """
-    return coefficient_pairs(lambdas[..., None], np.asarray(t, dtype=float)[..., None, None])
+    growth, y, x = jacobi_mode(
+        1.0, -lambdas[..., None, :], _RATES, np.asarray(t, dtype=float)[..., None, None]
+    )
+    value, deriv = growth * y, growth * x
+    f, f_dt = value[..., 0, :], deriv[..., 0, :]
+    return (f, value[..., 1, :2] - f[..., :2]), (f_dt, deriv[..., 1, :2] - f_dt[..., :2])
 
 
 def jacobi_field(frame: GeodesicNormalFrame, v, t):
-    """Closed-form field and derivative for tangent vectors v at times t.
+    """Field and derivative for tangent vectors v at times t, from ``jacobi_mode``.
 
     v has shape (..., d) and t broadcasts against its leading axes (a
     scalar t serves every row).  Returns parallel-frame coefficient
     vectors (value, derivative), each of the broadcast shape (..., d).
     """
     coeffs = frame.decompose(v)[..., None, :]
-    # the field of basis row i is f_i row_i + <row_i, Jc> g_i Jc
-    w = (frame.basis @ frame.jxi)[:, None]
-    return tuple(
-        (coeffs @ (f * frame.basis + w * g * frame.jxi))[..., 0, :]
-        for f, g in _coefficients(frame.lambdas, t)
-    )
+    # the field of basis row i is f_i row_i + <row_i, Jc> g_i Jc; only the
+    # carriers, rows 0 and 1, have <row_i, Jc> != 0
+    w = (frame.basis[:2] @ frame.jxi)[:, None]
+    fields = []
+    for f, g in _row_modes(frame.lambdas, t):
+        rows = f[..., None] * frame.basis
+        rows[..., :2, :] += w * g[..., None] * frame.jxi
+        fields.append((coeffs @ rows)[..., 0, :])
+    return tuple(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +258,15 @@ def jacobi_numeric(v0, v0_prime, jc, t: float, step: float):
     return _rk4_segment(z, zp, jc, t / nsteps, nsteps)
 
 
-def curvature_propagator(model: CurvatureModel, direction, t):
-    """Solution factors of the Jacobi equation on c-perp, one pair per eigenvalue.
+def curvature_propagator(model: CurvatureModel, direction):
+    """The two rates of the Jacobi equation on c-perp, for ``jacobi_mode``.
 
     Directions are classified spectrally: the operator -R(., c)c is
     diagonalised once, and on c-perp it must have two eigenvalues, kappa
     on a line and kappa_perp on the rest, or UnsupportedModelError is
-    raised.  Returns (jc, q, ch, tau): jc is the unit eigenvector of the
-    simple eigenvalue (the line of J c, up to sign), q = sqrt(kappa_perp,
-    kappa), ch = cosh(q t) and tau = 1 - tanh(q |t|) = 2 / (e^(2 q |t|) + 1),
-    which has no cancellation.  With s the sign of t (that of a signed
-    zero included), a field along an eigenvector with eigenvalue q^2 has
-    value ch * ((w(0) + s w'(0)/q) - s w'(0) tau / q) and derivative
-    ch * ((s q w(0) + w'(0)) - s q w(0) tau): the growth ch stays a
-    factor apart, and a field that decays, such as a horosphere's,
-    keeps its digits at any distance.  The factors have shape (T, 2) for
-    a 1-D array of T distances (the tube engine passes one per tube,
-    repeats included) and (2,) for a scalar t.
+    raised.  Returns (jc, q): jc is the unit eigenvector of the simple
+    eigenvalue (the line of J c, up to sign) and q = sqrt(kappa_perp,
+    kappa), the rate of a mode off that line and on it.
     """
     K = jacobi_operator(model, direction)
     w, V = np.linalg.eigh(0.5 * (K + K.T))
@@ -267,10 +281,7 @@ def curvature_propagator(model: CurvatureModel, direction, t):
             f"the Jacobi operator along the normal has eigenvalues {w.tolist()}, not "
             "0, one of multiplicity d - 2 and a simple one"
         )
-    q = np.sqrt([rest.mean(), w[-1]])
-    # one row per distance against the eigenvalue axis
-    st = q * np.asarray(t, dtype=float)[..., None]
-    return V[:, -1], q, np.cosh(st), 2.0 / (np.exp(2.0 * np.abs(st)) + 1.0)
+    return V[:, -1], np.sqrt([rest.mean(), w[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +389,17 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         )
     if not jobs:
         return []
-    coefficients = _coefficients(
-        np.array([frame.lambdas for frame in frames]), [r for _, r in jobs]
-    )
+    lambdas = np.array([frame.lambdas for frame in frames])
+    (f, g), (f_dt, g_dt) = _row_modes(lambdas, [r for _, r in jobs])
     # the 2x2 action on the projection carriers, rows 0 and 1 of the frame:
     # diag(f) + (b b^T) g on the carrier curvatures (lam1, lam2)
     b = np.array([(frame.hopf.b1, frame.hopf.b2) for frame in frames])
     outer = b[:, :, None] * b[:, None, :]
-    d_block, d_block_dt = np.zeros((2, len(jobs), 2, 2))
-    for block, (f, g) in zip((d_block, d_block_dt), coefficients):
-        # entries 0 and 3 of each flattened 2x2 block are its diagonal
-        block.reshape(-1, 4)[:, ::3] = f[:, :2, 0]
-        block += outer * g[:, :2]
+    eye = np.eye(2)
+    d_block = eye * f[:, None, :2] + outer * g[:, :, None]
+    d_block_dt = eye * f_dt[:, None, :2] + outer * g_dt[:, :, None]
     # the other rows keep their direction and scale by f
-    (f, _), (f_dt, _) = coefficients
-    f, f_dt = f[:, 2:, 0], f_dt[:, 2:, 0]
+    f, f_dt = f[:, 2:], f_dt[:, 2:]
     svals = np.concatenate([np.linalg.svd(d_block, compute_uv=False), np.abs(f)], axis=-1)
     svals = np.sort(svals)[:, ::-1]
     kernel_dims = np.sum(svals <= KERNEL_TOL, axis=-1).tolist()

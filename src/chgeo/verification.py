@@ -162,7 +162,7 @@ def suite_ruled_second_fundamental():
 
 
 def suite_jacobi_oracle(seed: int = DEFAULT_SEED):
-    """Closed forms against fourth-order integration, 200 random cases."""
+    """``jacobi_field`` (``jacobi_mode``) against fourth-order integration, 200 random cases."""
     rng = np.random.default_rng(seed)
     n = 3
     count = 200
@@ -183,7 +183,7 @@ def suite_jacobi_oracle(seed: int = DEFAULT_SEED):
 
 
 def suite_jacobi_field_equation(seed: int = DEFAULT_SEED):
-    """Finite-difference check that the closed form solves the field equation.
+    """Finite-difference check that ``jacobi_mode`` solves the field equation.
 
     The second difference at step 1e-4 cancels ~8 leading digits, so it
     is evaluated in extended precision to keep the rounding noise below
@@ -194,9 +194,11 @@ def suite_jacobi_field_equation(seed: int = DEFAULT_SEED):
     draws = rng.uniform([-1.0, -1.0, 0.1], [1.0, 1.0, 3.0], size=(200, 3))
     lam, w, t = draws.astype(np.longdouble).T
     tt = t + np.array([-h, 0, h], dtype=np.longdouble)[:, None]
-    # rows (f, w g) at the stencil points t - h, t, t + h
-    (f, g), _ = jacobi.coefficient_pairs(lam, tt)
-    vals = np.stack([f, w * g])
+    # rows (f, w g) at the stencil points t - h, t, t + h: f and f + g are
+    # the rate-1/2 and rate-1 modes from (1, -lam), on the last axis
+    growth, y, _ = jacobi.jacobi_mode(1.0, -lam[:, None], np.array([0.5, 1.0]), tt[..., None])
+    f, f_plus_g = np.moveaxis(growth * y, -1, 0)
+    vals = np.stack([f, w * (f_plus_g - f)])
     second = (vals[:, 2] - 2.0 * vals[:, 1] + vals[:, 0]) / h**2
     zeta = vals[:, 1]
     # <zeta, Jc> in the (B_v, Jc) expansion: B_v carries weight w on Jc
@@ -214,12 +216,12 @@ def suite_focal_collapse():
     s2, s3 = math.sqrt(2.0), math.sqrt(3.0)
     expected = np.array([[4.0, s2], [4.0 * s2 - 2.0 * s3, 2.0 + 4.0 * math.sqrt(6.0)]])
     block_expected = (1.0 / 18.0) * np.array([[4.0 * s2, -7.0], [-7.0, -4.0 * s2]])
-    (f, _), _ = jacobi.coefficient_pairs(branch.lambda3, r)
-    transverse = 9.0 * f - 3.0 * math.sqrt(6.0)
     for n, m1 in ((3, 2), (4, 2), (4, 3)):
         at = f"n={n}, m1={m1}"
         profile = classifier.branch_profile(branch, n, m1=m1)
         focal = jacobi.transversal_map(profile, r)
+        # f of the axis row, whose curvature is lam3
+        transverse = 9.0 * focal.f[0] - 3.0 * math.sqrt(6.0)
         vanishing = np.count_nonzero(focal.singular_values <= 1e-12)
         image = jacobi.image_shape_operator(focal)
         eig = np.sort(np.linalg.eigvalsh(image.carrier_block))

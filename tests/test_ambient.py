@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,19 @@ def test_degenerate_plane_rejected(model):
     x[0] = 1.0
     with pytest.raises(DegeneratePlaneError):
         ambient.sectional_curvature(model, x, 2.0 * x)
+
+
+@pytest.mark.parametrize("n", [3.5, "3", True])
+def test_curvature_model_rejects_a_dimension_that_is_not_an_integer(n):
+    # 3.5 used to raise the bare TypeError of complex_structure on first use of J
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+        ambient.CurvatureModel(n)
+
+
+def test_curvature_model_stores_a_numpy_dimension_as_an_int():
+    model = ambient.CurvatureModel(np.int64(3))
+    assert type(model.n) is int and model.n == 3
+    assert model.J.shape == (6, 6)
 
 
 def test_jacobi_operator_columns_are_curvature_values():

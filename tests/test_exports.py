@@ -73,3 +73,36 @@ def test_every_named_tolerance_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert sorted(q for q in defined if q.partition(".")[2] not in read) == []
+
+
+def test_only_jacobi_mode_evaluates_the_jacobi_equation():
+    # numpy's cosh, sinh, tanh and exp appear only in the one mode function, so
+    # no second copy of the field can come back; the checks' math.* calls are
+    # not covered
+    functions = {"cosh", "sinh", "tanh", "exp"}
+    found = set()
+    for path in sorted(Path(chgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        numpy_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "numpy"
+        }
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                    if node.module.partition(".")[0] == "numpy" and any(
+                        alias.name in functions for alias in node.names
+                    ):
+                        found.add(owner)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in functions
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in numpy_names
+                ):
+                    found.add(owner)
+    assert sorted(found) == ["jacobi.jacobi_mode"]

@@ -25,8 +25,17 @@ def frame(iso_profile):
 
 
 # ---------------------------------------------------------------------------
-# scalar coefficients
+# the Jacobi mode
 # ---------------------------------------------------------------------------
+
+
+def modes(lam, t):
+    """((f, g), (f_dt, g_dt)) of a row with curvature lam: rate-1/2 mode f, rate-1 mode minus f."""
+    (k_half, y_half, x_half), (k_one, y_one, x_one) = (
+        jacobi.jacobi_mode(1.0, -lam, q, t) for q in (0.5, 1.0)
+    )
+    f, f_dt = k_half * y_half, k_half * x_half
+    return (f, k_one * y_one - f), (f_dt, k_one * x_one - f_dt)
 
 
 def test_exceptional_radius_hyperbolic_values():
@@ -36,7 +45,7 @@ def test_exceptional_radius_hyperbolic_values():
 
 
 def test_initial_conditions_of_modes():
-    (f, g), (f_dt, g_dt) = jacobi.coefficient_pairs(0.7, 0.0)
+    (f, g), (f_dt, g_dt) = modes(0.7, 0.0)
     assert f == 1.0
     assert g == 0.0
     assert f_dt == -0.7
@@ -45,14 +54,14 @@ def test_initial_conditions_of_modes():
 
 def test_transverse_collapse_at_exceptional_radius():
     """The sqrt(3)/2 mode vanishes exactly at the exceptional distance."""
-    (f, _), (f_dt, _) = jacobi.coefficient_pairs(SQ3 / 2.0, R_STAR)
+    (f, _), (f_dt, _) = modes(SQ3 / 2.0, R_STAR)
     assert abs(f) <= 1e-15
     assert f_dt == pytest.approx(-1.0 / SQ2, abs=1e-15)
 
 
 def test_axis_class_coefficient_at_exceptional_radius():
     # sqrt(3)/6 mode: value sqrt(6)/3 with stationary derivative
-    (f, _), (f_dt, _) = jacobi.coefficient_pairs(SQ3 / 6.0, R_STAR)
+    (f, _), (f_dt, _) = modes(SQ3 / 6.0, R_STAR)
     assert f == pytest.approx(SQ6 / 3.0, abs=1e-15)
     assert abs(f_dt) <= 1e-15
 
@@ -64,7 +73,7 @@ def test_axis_class_coefficient_at_exceptional_radius():
 @settings(max_examples=200)
 def test_axis_coefficient_is_mode_sum(lam, t):
     """f + g collapses to the pure axis evolution cosh(t) - lam sinh(t)."""
-    (f, g), _ = jacobi.coefficient_pairs(lam, t)
+    (f, g), _ = modes(lam, t)
     total = f + g
     assert total == pytest.approx(np.cosh(t) - lam * np.sinh(t), abs=1e-10)
 
@@ -81,7 +90,7 @@ def test_closed_form_satisfies_field_equation(lam, w, t):
     vals = {}
     for step in (-1, 0, 1):
         tt = t_l + step * h
-        (f, g), _ = jacobi.coefficient_pairs(lam_l, tt)
+        (f, g), _ = modes(lam_l, tt)
         vals[step] = np.array([f, w_l * g], dtype=np.longdouble)
     second = (vals[1] - 2.0 * vals[0] + vals[-1]) / h**2
     axis = vals[0][0] * w_l + vals[0][1]
@@ -248,38 +257,46 @@ def test_per_bit_rk4_sampling_matches_jacobi_numeric(frame):
 
 
 def test_propagator_blocks_reproduce_mode_functions():
+    """jacobi_mode on the propagator's rates against cosh/sinh closed forms and RK4."""
     from chgeo.ambient import CurvatureModel
 
     model = CurvatureModel(3)
     nu = np.eye(6)[0]
+    jc, q = jacobi.curvature_propagator(model, nu)
+    # the simple eigenvalue's line is J(nu), up to sign
+    assert abs(jc @ (model.J @ nu)) == pytest.approx(1.0, abs=1e-15)
+    assert q.tolist() == [0.5, 1.0]
     lam = 0.45
-    for t in (1.7, -1.7):
-        jc, q, ch, tau = jacobi.curvature_propagator(model, nu, t)
-        # the simple eigenvalue's line is J(nu), up to sign
-        assert abs(jc @ (model.J @ nu)) == pytest.approx(1.0, abs=1e-15)
-        assert q.tolist() == [0.5, 1.0]
-        assert ch.shape == tau.shape == (2,)
-        s = math.copysign(1.0, t)
-        # initial value 1 and derivative -lam along an eigenvector of each q^2
-        value = ch * ((1.0 - s * lam / q) + s * lam * tau / q)
-        derivative = ch * ((s * q - lam) - s * q * tau)
-        # off the J-line: the transverse coefficient f; on it: cosh t - lam sinh t
-        (f, _), (f_dt, _) = jacobi.coefficient_pairs(lam, t)
-        assert value[0] == pytest.approx(f, abs=1e-12)
-        assert derivative[0] == pytest.approx(f_dt, abs=1e-12)
-        assert value[1] == pytest.approx(math.cosh(t) - lam * math.sinh(t), abs=1e-12)
-        assert derivative[1] == pytest.approx(math.sinh(t) - lam * math.cosh(t), abs=1e-12)
+    for t in (1.7, -1.7, 0.0, -0.0):
+        c, s = math.cosh(t / 2.0), math.sinh(t / 2.0)
+        (f, g), (f_dt, g_dt) = modes(lam, t)
+        # off the J-line: the transverse coefficient; on it: cosh t - lam sinh t
+        assert f == pytest.approx(c - 2.0 * lam * s, abs=1e-12)
+        assert f_dt == pytest.approx(0.5 * s - lam * c, abs=1e-12)
+        assert f + g == pytest.approx(math.cosh(t) - lam * math.sinh(t), abs=1e-12)
+        assert f_dt + g_dt == pytest.approx(math.sinh(t) - lam * math.cosh(t), abs=1e-12)
+        assert g == pytest.approx((c - 1.0) * (1.0 + 2.0 * c - 2.0 * lam * s), abs=1e-12)
+    # a row off the J-line runs on q[0], the J-line on q[1]
+    lines = (np.eye(6)[2], jc)
+    for t in (1.7, -1.7, -0.0):
+        # tangent rows start at (1, -sigma), sphere rows at (0, 1)
+        for alpha, beta in ((1.0, -lam), (1.0, 0.5), (0.0, 1.0)):
+            for rate, u in zip(q, lines):
+                growth, y, x = jacobi.jacobi_mode(alpha, beta, rate, t)
+                z, zp = jacobi.jacobi_numeric(alpha * u, beta * u, jc, t, 1e-3)
+                assert np.max(np.abs(growth * y * u - z)) <= 1e-10
+                assert np.max(np.abs(growth * x * u - zp)) <= 1e-10
 
 
 def test_propagator_keeps_the_digits_of_a_decaying_field():
     # a horosphere row (lam = q) decays like e^(-q t); 1 - tanh(q t) would round to 0
     from chgeo.ambient import CurvatureModel
 
-    t = np.array([1.0, 19.0, jacobi.MAX_RADIUS])
-    _, q, ch, tau = jacobi.curvature_propagator(CurvatureModel(4), np.eye(8)[0], t)
-    value = ch * ((1.0 - q / q) + q * tau / q)
-    want = np.exp(-q * t[:, None])
-    assert np.max(np.abs(value / want - 1.0)) <= 1e-14
+    t = np.array([1.0, 19.0, jacobi.MAX_RADIUS])[:, None]
+    _, q = jacobi.curvature_propagator(CurvatureModel(4), np.eye(8)[0])
+    growth, y, _ = jacobi.jacobi_mode(1.0, -q, q, t)
+    want = np.exp(-q * t)
+    assert np.max(np.abs(growth * y / want - 1.0)) <= 1e-14
 
 
 def test_propagator_rejects_a_jacobi_operator_without_two_eigenvalues(monkeypatch):
@@ -290,27 +307,25 @@ def test_propagator_rejects_a_jacobi_operator_without_two_eigenvalues(monkeypatc
     flat = np.eye(6) - np.outer(np.eye(6)[0], np.eye(6)[0])
     monkeypatch.setattr(jacobi, "jacobi_operator", lambda model, direction: flat)
     with pytest.raises(UnsupportedModelError, match="not 0, one of multiplicity d - 2"):
-        jacobi.curvature_propagator(model, np.eye(6)[0], 1.0)
+        jacobi.curvature_propagator(model, np.eye(6)[0])
 
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_propagator_radius_axis_matches_scalar_calls(n):
-    """A radius array stacks the scalar results bit for bit, signed zeros included."""
+    """A radius array stacks the scalar modes bit for bit, signed zeros included."""
     from chgeo.ambient import CurvatureModel
 
     model = CurvatureModel(n)
-    radii = [-0.0, 0.0, -1.3, 0.7, jacobi.EXCEPTIONAL_RADIUS]
-    d = 2 * n
-    for nu in np.eye(d)[:3]:
-        jc, q, *stacked = jacobi.curvature_propagator(model, nu, np.array(radii))
-        for j, t in enumerate(radii):
-            single_jc, single_q, *single = jacobi.curvature_propagator(model, nu, t)
-            assert single_jc.tobytes() == jc.tobytes()
-            assert single_q.tobytes() == q.tobytes()
-            for got, want in zip(stacked, single):
-                assert got.shape == (len(radii), 2)
-                assert want.shape == (2,)
-                assert got[j].tobytes() == want.tobytes()
+    radii = np.array([-0.0, 0.0, -1.3, 0.7, jacobi.EXCEPTIONAL_RADIUS])
+    for nu in np.eye(2 * n)[:3]:
+        _, q = jacobi.curvature_propagator(model, nu)
+        for alpha, beta in ((1.0, -0.3), (0.0, 1.0)):
+            stacked = jacobi.jacobi_mode(alpha, beta, q, radii[:, None])
+            for j, t in enumerate(radii.tolist()):
+                for got, want in zip(stacked, jacobi.jacobi_mode(alpha, beta, q, t)):
+                    assert got.shape == (len(radii), 2)
+                    assert want.shape == (2,)
+                    assert got[j].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -170,16 +170,18 @@ def test_stacked_suite_draws_equal_the_per_case_draws(monkeypatch):
     fields = _spy(monkeypatch, verification.jacobi, "jacobi_field")
     assert verification.run_suite("jacobi-oracle", seed=seed).passed
     # jacobi_field evaluates the same table, so spy on it only afterwards
-    coefficients = _spy(monkeypatch, verification.jacobi, "coefficient_pairs")
+    modes = _spy(monkeypatch, verification.jacobi, "jacobi_mode")
     assert verification.run_suite("jacobi-field-equation", seed=seed).passed
 
     (_, v_start, t_start), (_, v_end, t_end) = fields
     assert np.array_equal(v_start, vectors) and np.array_equal(v_end, vectors)
     assert t_start == 0.0
     assert np.array_equal(t_end, steps * 1e-3)
-    ((lam, stencil),) = coefficients
-    assert np.array_equal(lam, cases[:, 0])
-    assert np.array_equal(stencil[1], cases[:, 2])
+    # one call: both rates of every case at its three stencil points
+    ((alpha, beta, q, stencil),) = modes
+    assert alpha == 1.0 and q.tolist() == [0.5, 1.0]
+    assert np.array_equal(-beta[:, 0], cases[:, 0])
+    assert np.array_equal(stencil[1, :, 0], cases[:, 2])
 
 
 def test_classifier_suite_makes_one_newton_call(monkeypatch):
