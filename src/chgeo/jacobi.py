@@ -31,12 +31,15 @@ off from minus the tangential part of the field derivatives.  In the
 frame of ``normal_frame`` only the two projection carriers meet the
 Jc-line, so the map is block diagonal: a 2x2 block D on the carriers
 and the transverse coefficient f on every other row.  Its singular
-values and the image spectrum come from D and f alone.
+values and the image spectrum come from D and f alone, and the 2x2
+algebra (determinant, adjugate, singular values, symmetric
+eigenvalues) is written in closed form: no ``numpy.linalg`` call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,16 +120,23 @@ class GeodesicNormalFrame:
     ``lambdas`` assigns the principal curvature of each row, so the
     axis curvature lam3 is ``lambdas[2]``; the first m1 - 1 pairs carry
     (lam1, lam3) and the rest (lam3, lam3), m1 the multiplicity of lam1.
+    ``basis`` is built from n and ``hopf`` on first use (``jacobi_field``,
+    ``decompose``); the focal map reads only ``lambdas`` and ``hopf``.
     """
 
     n: int
-    basis: np.ndarray
     lambdas: np.ndarray
     hopf: HopfAttitude
 
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        e = np.eye(self.dim)
+        b1, b2 = self.hopf.b1, self.hopf.b2
+        return np.concatenate([[b1 * e[1] + b2 * e[3], b2 * e[1] - b1 * e[3], e[2]], e[4:]])
 
     @cached_property
     def jxi(self) -> np.ndarray:
@@ -164,14 +174,8 @@ def normal_frame(profile: PrincipalProfile):
         raise ValidationError(
             f"carrier multiplicity {m1} does not fit complex dimension {n}"
         )
-
-    e = np.eye(2 * n)
-    b1, b2 = hopf.b1, hopf.b2
-    u1 = b1 * e[1] + b2 * e[3]
-    u2 = b2 * e[1] - b1 * e[3]
-    basis = np.concatenate([[u1, u2, e[2]], e[4:]])
     lambdas = [lam1, lam2, lam3] + [lam1, lam3] * (m1 - 1) + [lam3, lam3] * (n - 1 - m1)
-    return GeodesicNormalFrame(n=n, basis=basis, lambdas=np.array(lambdas), hopf=hopf)
+    return GeodesicNormalFrame(n=n, lambdas=np.array(lambdas), hopf=hopf)
 
 
 def _row_modes(lambdas, t):
@@ -196,13 +200,17 @@ def jacobi_field(frame: GeodesicNormalFrame, v, t):
     v has shape (..., d) and t broadcasts against its leading axes (a
     scalar t serves every row).  Returns parallel-frame coefficient
     vectors (value, derivative), each of the broadcast shape (..., d).
+    Raises ValueError unless every t is a finite real number.
     """
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf" or not np.all(np.isfinite(times)):
+        raise ValueError(f"t must be finite real numbers, got {t!r}")
     coeffs = frame.decompose(v)[..., None, :]
     # the field of basis row i is f_i row_i + <row_i, Jc> g_i Jc; only the
     # carriers, rows 0 and 1, have <row_i, Jc> != 0
     w = (frame.basis[:2] @ frame.jxi)[:, None]
     fields = []
-    for f, g in _row_modes(frame.lambdas, t):
+    for f, g in _row_modes(frame.lambdas, times):
         rows = f[..., None] * frame.basis
         rows[..., :2, :] += w * g[..., None] * frame.jxi
         fields.append((coeffs @ rows)[..., 0, :])
@@ -298,14 +306,15 @@ class FocalMapData:
     rows 0 and 1, and ``f`` the transverse coefficients of rows 2
     onwards, the axis first; ``d_block_dt`` and ``f_dt`` are their
     derivatives.  ``singular_values`` are those of D and the |f|, in
-    descending order.  ``c_block`` is -d_block_dt @ inv(d_block) when
-    the block is invertible.  It equals D @ carrier_block @ inv(D) for the
-    ``carrier_block`` of ``image_shape_operator``, so it has the same
-    trace, determinant and spectrum, but it is not symmetric.
-    ``kernel_dim`` counts vanishing singular values of the full
-    differential, ``rank`` is the complement and ``image_codim`` the
-    ambient codimension of the image (kernel_dim plus the normal
-    direction itself).
+    descending order.  ``det_d`` is ad - bc of D = [[a, b], [c, d]], the
+    determinant that the BLOCK_DET_TOL rule reads.  ``c_block`` is
+    -d_block_dt @ adj(d_block) / det_d when the block is invertible.  It
+    equals D @ carrier_block @ inv(D) for the ``carrier_block`` of
+    ``image_shape_operator``, so it has the same trace, determinant and
+    spectrum, but it is not symmetric.  ``kernel_dim`` counts vanishing
+    singular values of the full differential, ``rank`` is the
+    complement and ``image_codim`` the ambient codimension of the image
+    (kernel_dim plus the normal direction itself).
     """
 
     r: float
@@ -335,7 +344,58 @@ class FocalMapData:
 
     @property
     def det_d(self) -> float:
-        return float(np.linalg.det(self.d_block))
+        return _det(self.d_block.tolist())
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 algebra on blocks given as rows of floats ((a, b), (c, d))
+# ---------------------------------------------------------------------------
+
+
+def _carrier_rows(f0, f1, g0, g1, b1, b2):
+    """The carrier block diag(f) + diag(g) b b^T, b = (b1, b2) the Hopf weights."""
+    return (f0 + b1 * b1 * g0, b1 * b2 * g0), (b2 * b1 * g1, f1 + b2 * b2 * g1)
+
+
+def _det(rows) -> float:
+    """ad - bc."""
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+def _singular_values(rows) -> tuple[float, float]:
+    """(sigma_max, sigma_min), sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2.
+
+    The block is a rotation-scaling plus a reflection-scaling, with
+    scales hypot(a + d, c - b) / 2 and hypot(a - d, b + c) / 2;
+    sigma_max is their sum and sigma_min = |det| / sigma_max.
+    """
+    (a, b), (c, d) = rows
+    sigma_max = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
+    return sigma_max, abs(_det(rows)) / sigma_max
+
+
+def _adjugate(rows):
+    """adj = [[d, -b], [-c, a]], so that the inverse is adj / det."""
+    (a, b), (c, d) = rows
+    return (d, -b), (-c, a)
+
+
+def _product(left, right, denominator) -> list[list[float]]:
+    """left @ right / denominator."""
+    (a, b), (c, d) = left
+    (p, q), (s, u) = right
+    return [
+        [(a * p + b * s) / denominator, (a * q + b * u) / denominator],
+        [(c * p + d * s) / denominator, (c * q + d * u) / denominator],
+    ]
+
+
+def _symmetric_eigenvalues(rows) -> tuple[float, float]:
+    """Ascending eigenvalues of the symmetric part [[x, y], [y, z]]: mid -+ hypot((x - z)/2, y)."""
+    (x, y), (y_t, z) = rows
+    mid, radius = 0.5 * (x + z), math.hypot(0.5 * (x - z), 0.5 * (y + y_t))
+    return mid - radius, mid + radius
 
 
 def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
@@ -346,8 +406,11 @@ def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
     return transversal_maps([(profile, r)])[0]
 
 
-def _check_distance(lam3: float, r: float) -> None:
-    """Reject a distance r that the transversal map cannot resolve at lam3."""
+def _check_distance(lam3: float, r) -> float:
+    """r as a float, or raise if the transversal map cannot resolve it at lam3."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Real):
+        raise ValueError(f"distance {r!r} at lam3={lam3} is not a real number")
+    r = float(r)
     if not abs(r) <= MAX_RADIUS:
         raise ValueError(
             f"distance {r} is out of range at lam3={lam3}: "
@@ -364,71 +427,79 @@ def _check_distance(lam3: float, r: float) -> None:
             f"distance {r} at lam3={lam3} puts the image {image_distance:.4f} from the "
             f"minimal orbit: at most {MAX_RADIUS:.4f} keeps its curvatures apart"
         )
+    return r
 
 
 def transversal_maps(jobs) -> list[FocalMapData]:
     """``transversal_map`` for every (profile, r) job, computed as one stack.
 
-    Every profile must have the same complex dimension n.  Per job, |r|
-    is at most MAX_RADIUS; further out the carrier blocks, built from
-    field values of size e^|r|, lose their digits.  So is the distance
-    |2 artanh(2 lam3) - r| of the image from the minimal orbit, where
-    lam3 is the axis curvature: further out the image curvatures come
-    closer than the merge gap.  A job that fails a check raises, naming
-    its lam3 and r.  Each job's data equals a call on that job alone.
+    Every profile must have the same complex dimension n.  Per job, r
+    is a real number, stored as a float, and |r| is at most MAX_RADIUS;
+    further out the carrier blocks, built from field values of size
+    e^|r|, lose their digits.  So is the distance |2 artanh(2 lam3) - r|
+    of the image from the minimal orbit, where lam3 is the axis
+    curvature: further out the image curvatures come closer than the
+    merge gap.  A job that fails a check raises, naming its lam3 and r.
+    The Jacobi modes of all jobs are one stacked evaluation; each job's
+    2x2 carrier algebra is then closed-form on floats: for
+    D = [[a, b], [c, d]], det = ad - bc, C = -D_dt adj(D) / det, and the
+    singular values sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2
+    and sigma_min = |det| / sigma_max.  Each job's data equals a call on
+    that job alone.
     """
-    jobs = list(jobs)
-    frames = []
+    frames, radii = [], []
     for profile, r in jobs:
-        frames.append(normal_frame(profile))
-        _check_distance(float(frames[-1].lambdas[2]), r)
+        frame = normal_frame(profile)
+        radii.append(_check_distance(float(frame.lambdas[2]), r))
+        frames.append(frame)
     if len({frame.n for frame in frames}) > 1:
         raise ValidationError(
             "stacked transversal maps need one complex dimension, got "
             f"n in {sorted({frame.n for frame in frames})}"
         )
-    if not jobs:
+    if not frames:
         return []
     lambdas = np.array([frame.lambdas for frame in frames])
-    (f, g), (f_dt, g_dt) = _row_modes(lambdas, [r for _, r in jobs])
-    # the 2x2 action on the projection carriers, rows 0 and 1 of the frame:
-    # diag(f) + (b b^T) g on the carrier curvatures (lam1, lam2)
-    b = np.array([(frame.hopf.b1, frame.hopf.b2) for frame in frames])
-    outer = b[:, :, None] * b[:, None, :]
-    eye = np.eye(2)
-    d_block = eye * f[:, None, :2] + outer * g[:, :, None]
-    d_block_dt = eye * f_dt[:, None, :2] + outer * g_dt[:, :, None]
+    (f, g), (f_dt, g_dt) = _row_modes(lambdas, radii)
+    # (f, g) of the projection carriers, rows 0 and 1 of the frame, and
+    # their derivatives: per job [[f0, f1, g0, g1], [f0_dt, f1_dt, g0_dt, g1_dt]]
+    carriers = np.concatenate([f[:, :2], g, f_dt[:, :2], g_dt], axis=-1).reshape(-1, 2, 4)
+    blocks, sigmas = [], []
+    for frame, (modes, modes_dt) in zip(frames, carriers.tolist()):
+        rows = _carrier_rows(*modes, frame.hopf.b1, frame.hopf.b2)
+        rows_dt = _carrier_rows(*modes_dt, frame.hopf.b1, frame.hopf.b2)
+        det = _det(rows)
+        regular = abs(det) > BLOCK_DET_TOL
+        c_block = np.array(_product(rows_dt, _adjugate(rows), -det)) if regular else None
+        blocks.append((np.array(rows), np.array(rows_dt), det, c_block))
+        sigmas.append(_singular_values(rows))
     # the other rows keep their direction and scale by f
     f, f_dt = f[:, 2:], f_dt[:, 2:]
-    svals = np.concatenate([np.linalg.svd(d_block, compute_uv=False), np.abs(f)], axis=-1)
-    svals = np.sort(svals)[:, ::-1]
-    kernel_dims = np.sum(svals <= KERNEL_TOL, axis=-1).tolist()
+    svals = np.sort(np.concatenate([sigmas, np.abs(f)], axis=-1))[:, ::-1]
+    kernel_dims = (svals <= KERNEL_TOL).sum(axis=-1).tolist()
     for i, kernel_dim in enumerate(kernel_dims):
         # a job with a kernel must keep its other singular values above the gap
         if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
             raise ValidationError(
                 "singular values fall between the kernel threshold and the gap "
-                f"guard at distance {jobs[i][1]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
+                f"guard at distance {radii[i]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
             )
-
-    det = np.linalg.det(d_block)
-    regular = np.abs(det) > BLOCK_DET_TOL
-    # C = -D_dt D^-1 of the regular blocks, in job order
-    c_blocks = iter(-d_block_dt[regular] @ np.linalg.inv(d_block[regular]))
     return [
         FocalMapData(
             r=r,
-            frame=frames[i],
+            frame=frame,
             f=f[i],
             f_dt=f_dt[i],
             singular_values=svals[i],
             kernel_dim=kernel_dim,
-            d_block=d_block[i],
-            d_block_dt=d_block_dt[i],
-            _c_block=next(c_blocks) if regular[i] else None,
-            c_reason=None if regular[i] else f"det of the carrier block is {det[i]:.3e}",
+            d_block=d_block,
+            d_block_dt=d_block_dt,
+            _c_block=c_block,
+            c_reason=None if c_block is not None else f"det of the carrier block is {det:.3e}",
         )
-        for i, ((_, r), kernel_dim) in enumerate(zip(jobs, kernel_dims))
+        for i, (r, frame, kernel_dim, (d_block, d_block_dt, det, c_block)) in enumerate(
+            zip(radii, frames, kernel_dims, blocks)
+        )
     ]
 
 
@@ -438,9 +509,10 @@ class ImageShapeData:
 
     ``entries`` is the merged spectrum w.r.t. the translated normal and
     ``axis_rate`` the eigenvalue on translated axis-class directions.
-    ``carrier_block`` = -inv(D) @ D_dt, with D the focal map's
-    ``d_block``, is the image shape operator on the translated
-    projection carriers in an orthonormal basis, so it is symmetric.
+    ``carrier_block`` = -adj(D) @ D_dt / det(D), with D the focal map's
+    ``d_block`` and det its ``det_d``, is the image shape operator on
+    the translated projection carriers in an orthonormal basis, so it
+    is symmetric up to rounding.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -452,16 +524,18 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     """Spectrum of the image shape operator w.r.t. the translated normal.
 
     The map is block diagonal, and so is the image shape operator: on
-    the translated carriers it is ``carrier_block`` = -inv(D) @ D_dt,
-    and a transverse row with f above KERNEL_TOL keeps its direction
-    with eigenvalue -f_dt/f; rows with f at or below KERNEL_TOL are
-    kernel and leave the image.
+    the translated carriers it is ``carrier_block`` = -adj(D) @ D_dt /
+    det(D), det(D) the focal map's ``det_d``, with the eigenvalues of
+    its symmetric part; a transverse row with f above KERNEL_TOL keeps
+    its direction with eigenvalue -f_dt/f; rows with f at or below
+    KERNEL_TOL are kernel and leave the image.
     """
     focal.c_block  # raises FocalPointError when the carrier block is singular
-    carrier_block = -np.linalg.inv(focal.d_block) @ focal.d_block_dt
+    rows = focal.d_block.tolist()
+    block = _product(_adjugate(rows), focal.d_block_dt.tolist(), -_det(rows))
     live = np.abs(focal.f) > KERNEL_TOL
     rates = -focal.f_dt[live] / focal.f[live]
-    carrier = np.linalg.eigvalsh(0.5 * (carrier_block + carrier_block.T))
-    entries = merge_spectrum(np.concatenate([carrier, rates]))
+    entries = merge_spectrum(np.concatenate([_symmetric_eigenvalues(block), rates]))
+    carrier_block = np.array(block)
     # frame row 2, the axis, is never kernel: its f stays positive for |lam3| < 1/2
     return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=float(rates[0]))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -243,6 +244,21 @@ def test_stacked_jacobi_field_rejects_one_non_tangent_row(frame, bad):
         jacobi.jacobi_field(frame, v, 1.0)
 
 
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, -math.inf, "1", np.array([0.5, math.nan])],
+    ids=["nan", "inf", "-inf", "string", "array-with-nan"],
+)
+def test_jacobi_field_rejects_a_time_that_is_not_finite_and_real(frame, t):
+    with pytest.raises(ValueError, match="t must be finite real numbers"):
+        jacobi.jacobi_field(frame, np.eye(6)[2], t)
+
+
+def test_jacobi_field_keeps_a_signed_zero_time(frame):
+    v = np.eye(6)[2] + np.eye(6)[3]
+    for got, want in zip(jacobi.jacobi_field(frame, v, -0.0), jacobi.jacobi_field(frame, v, 0.0)):
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_per_bit_rk4_sampling_matches_jacobi_numeric(frame):
     """Each column marched by binary powers equals its own integration."""
     rng = np.random.default_rng(10)
@@ -359,6 +375,21 @@ def test_repeated_carrier_collapse(iso_profile):
 def test_transversal_map_rejects_distance_out_of_range(iso_profile, r):
     with pytest.raises(ValueError, match="out of range"):
         jacobi.transversal_map(iso_profile, r)
+
+
+@pytest.mark.parametrize(
+    "r", [True, "1", None, np.array([1.0, 2.0])], ids=["bool", "string", "none", "array"]
+)
+def test_transversal_map_rejects_a_distance_that_is_not_a_real_number(iso_profile, r):
+    with pytest.raises(ValueError, match="is not a real number") as info:
+        jacobi.transversal_map(iso_profile, r)
+    assert f"distance {r!r} at lam3={iso_profile.axis_value()}" in str(info.value)
+
+
+def test_transversal_map_stores_the_distance_as_a_float(iso_profile):
+    focal = jacobi.transversal_map(iso_profile, np.float32(1.0))
+    assert type(focal.r) is float and focal.r == 1.0
+    assert json.dumps({"r": focal.r}) == '{"r": 1.0}'
 
 
 def test_transversal_map_rejects_axis_curvature_off_the_equidistants():
@@ -513,6 +544,24 @@ def _assert_same_spectrum(got, want, tol=1e-12):
     assert np.max(np.abs(np.subtract([v for v, _ in got], [v for v, _ in want]))) <= tol
 
 
+def _edge_maps():
+    """ROADMAP item 17's edge points at the default distance, and lam3 = 0.2 at r = -20.
+
+    D is near-singular at the first and of size 1e8 at the last.
+    """
+    jobs = [
+        (s * m, 2.0 * math.atanh(2.0 * s * m))
+        for m in (0.4999, 0.49999, 0.499999, 0.4999999, 0.49999999)
+        for s in (1.0, -1.0)
+    ] + [(0.2, -20.0)]
+    return [
+        jacobi.transversal_map(
+            classifier.branch_profile(classifier.solve_case_two(lam3).branch, 3), r
+        )
+        for lam3, r in jobs
+    ]
+
+
 def test_block_route_matches_the_dense_map():
     iso = classifier.solve_case_one()
     focals = []
@@ -525,13 +574,87 @@ def test_block_route_matches_the_dense_map():
     for (n, m1), r in itertools.product(((3, 2), (4, 2), (4, 3), (6, 5), (8, 4)), (R_STAR, 1.3)):
         focals.append(jacobi.transversal_map(classifier.branch_profile(iso, n, m1=m1), r))
     assert len(focals) == 1174
-    for focal in focals:
+    edge = _edge_maps()
+    for i, focal in enumerate(focals + edge):
         s, p, spectrum = _dense_reference(focal)
         got = focal.singular_values
         assert np.max(np.abs(got - s) / np.maximum(s, 1.0)) <= 1e-12
         assert focal.rank == p
-        if spectrum is not None:
+        # the carrier block is singular exactly when LAPACK's determinant says so
+        regular = abs(np.linalg.det(focal.d_block)) > jacobi.BLOCK_DET_TOL
+        assert (focal.c_reason is None) == regular
+        if spectrum is not None and i < len(focals):
             _assert_same_spectrum(jacobi.image_shape_operator(focal).entries, spectrum)
+    # at the edge points the spectra differ from the dense map's by up to 3e-8
+    # (ROADMAP item 17); only the decisions are held there
+    for focal in edge:
+        assert (focal.kernel_dim, focal.rank, focal.image_codim, focal.c_reason) == (0, 5, 1, None)
+
+
+def test_focal_map_runs_without_numpy_linalg(monkeypatch):
+    """The carrier algebra is closed-form: no numpy.linalg call on the focal path."""
+    grid = _grid_jobs()
+    one = grid[40]
+    iso = classifier.branch_profile(classifier.solve_case_one(), 3, m1=2)
+    reference = jacobi.image_shape_operator(jacobi.transversal_map(*one)).entries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the focal path")
+
+    for name in ("svd", "det", "inv", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    (focal,) = jacobi.transversal_maps([one])
+    assert jacobi.image_shape_operator(focal).entries == reference
+    assert focal.det_d > 0.0
+    focals = jacobi.transversal_maps(grid + [(iso, R_STAR)])
+    assert len(focals) == 98 and focals[-1].kernel_dim == 1
+    for focal in focals:
+        jacobi.image_shape_operator(focal)
+        assert focal.det_d > 0.0
+
+
+def _blocks_2x2(rng):
+    """Random 2x2 blocks over eleven decades, then near-singular ones.
+
+    The near-singular blocks are U diag(s_max, s_min) V with |det|
+    around BLOCK_DET_TOL or s_min around KERNEL_TOL, a decade either way.
+    """
+    yield from rng.standard_normal((2000, 2, 2)) * 10.0 ** rng.uniform(-3.0, 8.0, (2000, 1, 1))
+    for det_rule in (True, False):
+        for _ in range(1000):
+            u, v = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+            s_max = 10.0 ** rng.uniform(-2.0, 2.0)
+            s_min = 10.0 ** rng.uniform(-1.0, 1.0) * (
+                jacobi.BLOCK_DET_TOL / s_max if det_rule else jacobi.KERNEL_TOL
+            )
+            yield u @ np.diag([s_max, s_min]) @ v
+
+
+def test_closed_form_2x2_algebra_matches_numpy_linalg():
+    """Errors in units of eps * sigma_max (det: eps * sigma_max^2; inverse:
+    eps * sigma_max / sigma_min^2, its own conditioning).  Measured worst
+    cases over seeds 1-4: singular values 3.9, det 21.9 (LAPACK's LU; the
+    closed form is within 0.92 of the exact rational ad - bc), inverse 1.3,
+    symmetric eigenvalues 2.1.  The bounds are about twice those.
+    """
+    eps = np.finfo(float).eps
+    inverses = 0
+    for block in _blocks_2x2(np.random.default_rng(1)):
+        rows = block.tolist()
+        s = np.linalg.svd(block, compute_uv=False)
+        unit = eps * s[0]
+        assert np.max(np.abs(np.subtract(jacobi._singular_values(rows), s))) <= 8.0 * unit
+        det = jacobi._det(rows)
+        assert abs(det - np.linalg.det(block)) <= 48.0 * unit * s[0]
+        symmetric = np.linalg.eigvalsh(0.5 * (block + block.T))
+        eigenvalues = jacobi._symmetric_eigenvalues(rows)
+        assert np.max(np.abs(np.subtract(eigenvalues, symmetric))) <= 4.0 * unit
+        if abs(det) > jacobi.BLOCK_DET_TOL and np.linalg.det(block) != 0.0:
+            inverse = jacobi._product(jacobi._adjugate(rows), np.eye(2).tolist(), det)
+            error = np.max(np.abs(inverse - np.linalg.inv(block)))
+            assert error <= 4.0 * unit / s[1] ** 2
+            inverses += 1
+    assert inverses > 2500
 
 
 def _assert_image_is_orbit(focal, k):
