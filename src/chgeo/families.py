@@ -13,6 +13,10 @@ base's principal frame, so each tube reduces to scalar ratios and one
 small block on the directions that J(normal) meets (the deflation of a
 rank-one eigenvalue update).  Every field is a mode of one rate,
 evaluated by ``jacobi.jacobi_mode``, the function the focal map reads.
+A base hands the engine only its principal frame's groups (``TubeBase``):
+the named bases build them in O(n), a ruled orbit reads them in closed
+form from the rank-two shape operator of its flag, and the frame route
+(``frame_base``) decomposes a checked frame's shape operator.
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import CurvatureModel
+from .ambient import CurvatureModel, complex_structure
 from .classifier import residual_hopf_weights
 from .errors import (
     FocalRadiusError,
@@ -39,7 +43,7 @@ from .errors import (
     as_int,
 )
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator, jacobi_mode
-from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
+from .profiles import HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
 from .solvable import (
     OrbitModel,
     SolvableAlgebra,
@@ -56,6 +60,7 @@ __all__ = [
     "TubeBase",
     "catalog",
     "equidistant_profile",
+    "frame_base",
     "ruled_profile",
     "structural_residuals",
     "three_curvature_families",
@@ -77,86 +82,222 @@ CARRIER_TOL = 1e-14
 
 # a base shape operator or a tube's G x G shape block S = K M K^-1 asymmetric by
 # more than this raises.  Orbit shape operators are symmetric as built, so the
-# base check guards hand-made TubeBase data.  Over every base kind, n in
-# {3, 5, 8, 16} and 60 radii up to MAX_RADIUS (signed for the hypersurfaces), the
-# worst block |S - S^T| is 1.9e-12, around the ruled orbit (Wk, k = 1) in n = 3
-# at r = 18.2: 5,000x below this bound.
+# base check guards hand-made frames.  Over every base kind, n in {3, 5, 8, 16}
+# and 60 radii up to MAX_RADIUS (signed for the hypersurfaces), the worst block
+# |S - S^T| is 1.9e-12, around the ruled orbit (Wk, k = 1) in n = 3 at r = 18.2:
+# 5,000x below this bound.
 SYMMETRY_TOL = 1e-8
+
+# a hand-made frame [tangent; sphere; nu] whose Gram matrix differs from the
+# identity by more than this, or whose nu is not a unit vector within it, raises:
+# the bound ``OrbitModel`` holds its own rows to.
+FRAME_TOL = 1e-10
+
+# the ruled flag's shape operator may depart from its rank-two form
+# c (u_Z j^T + j u_Z^T) by at most this.  It departs by exactly 0 on the
+# catalog's flags for n = 2..100 and on every W^{2n-k} for n <= 20.
+RANK_TWO_TOL = 1e-12
+
+# the propagator's line of J(normal) may differ from +-J(normal), the normal's
+# image under ``ambient.complex_structure``, by at most this in any coordinate.
+# It differs by exactly 0 on the catalog's normals and by at most 1.1e-15 on 50
+# random unit normals each for n in {2, 3, 5, 8, 16, 40}.
+J_LINE_TOL = 1e-10
+
+# along a normal nu of the slice, <x, ad_nu y> = x_Z <J nu, y> on the orbit's
+# tangent rows, so the shape operator, its symmetric part, has this factor
+_RULED_SCALE = 0.5
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
 
 @dataclass(frozen=True, eq=False)
 class TubeBase:
-    """Initial data for the tube engine.
+    """Initial data for the tube engine: the groups of a base's principal frame.
 
-    ``tangent`` rows span the base tangent space, ``shape`` is the base
-    shape operator w.r.t. the unit normal ``nu`` in that frame, and
-    ``sphere`` rows span the unit-normal-sphere directions other than
-    nu itself.  All vectors are ambient coordinates.
+    The principal frame of a base at its unit normal ``nu`` (ambient
+    coordinates) is the eigenvectors of its shape operator, then the
+    unit-normal-sphere directions other than nu.  A tube's Jacobi field
+    starts each frame row u at alpha u with derivative beta u: (1, -sigma)
+    on a tangent row of base curvature sigma, (0, 1) on a sphere row.
+    Rows with equal initial data form a group, and group g holds
+    ``alpha[g]``, ``beta[g]``, its multiplicity ``mult[g]`` and
+    ``weight[g]``, the length of J(nu)'s projection onto its rows: the
+    tangent groups in ascending sigma, then the sphere group.  This is all
+    the engine reads; ``tube_base`` builds the named and ruled bases'
+    groups, ``frame_base`` those of a hand-made frame.
     """
 
     n: int
     nu: np.ndarray
-    tangent: np.ndarray
-    shape: np.ndarray
-    sphere: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    mult: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the base: the multiplicities of its tangent groups."""
+        return sum(m for a, m in zip(self.alpha.tolist(), self.mult.tolist()) if a == 1.0)
+
+
+def _check_row_count(n: int, tangent: int, sphere: int) -> None:
+    """Raise ValidationError unless a base's tangent and sphere rows number 2n - 1."""
+    if tangent + sphere != 2 * n - 1:
+        raise ValidationError(
+            f"a tube base in complex dimension {n} needs 2n - 1 = {2 * n - 1} "
+            f"tangent and sphere rows, got {tangent} + {sphere}"
+        )
+
+
+def _base(n: int, nu: np.ndarray, tangent, sphere: int, sphere_weight: float) -> TubeBase:
+    """TubeBase of the tangent groups, (sigma, multiplicity, weight) in ascending sigma,
+    and of ``sphere`` sphere rows with J(nu) weight ``sphere_weight``."""
+    groups = [(1.0, -sigma, mult, weight) for sigma, mult, weight in tangent]
+    if sphere:
+        groups.append((0.0, 1.0, sphere, sphere_weight))
+    alpha, beta, mult, weight = (np.array(column) for column in zip(*groups))
+    return TubeBase(n, nu, alpha, beta, mult, weight)
 
 
 def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
-    """Base data for one of the named base submanifolds."""
+    """Base data for one of the named base submanifolds.
+
+    A point or CH^k (spanned by the last 2k coordinates) has normal e_0
+    and zero shape operator, so its groups are one tangent group and the
+    sphere, which holds J(e_0) = e_1.  RH^n (spanned by e_0, e_2, ...)
+    has normal e_1, and its tangent group holds J(e_1) = -e_0.  Both are
+    built in O(n), with no frame.  W^{2n-k} is the corank-k ruled orbit, read by
+    ``_flag_bases``, and the horosphere runs the frame route.
+    """
     n = as_int("n", n)
     if k is not None:
         k = as_int("k", k)
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
     d = 2 * n
-    e = np.eye(d)
     if kind == "point":
         kind, k = "CHk", 0
     if kind == "CHk":
         if k is None or not 0 <= k <= n - 1:
             raise ValueError(f"complex base dimension must lie in 0..{n - 1}, got {k}")
-        # base tangent: the last 2k coordinates (a complex subspace); k = 0 is a point
-        return TubeBase(
-            n=n,
-            nu=e[0],
-            tangent=e[d - 2 * k:],
-            shape=np.zeros((2 * k, 2 * k)),
-            sphere=e[1 : d - 2 * k],
-        )
+        nu = np.zeros(d)
+        nu[0] = 1.0
+        return _base(n, nu, [(0.0, 2 * k, 0.0)] if k else [], d - 2 * k - 1, 1.0)
     if kind == "RHn":
-        # totally real base spanned by the odd coordinates; normal = J image
-        return TubeBase(
-            n=n,
-            nu=e[1],
-            tangent=e[0::2],
-            shape=np.zeros((n, n)),
-            sphere=e[3::2],
-        )
+        nu = np.zeros(d)
+        nu[1] = 1.0
+        return _base(n, nu, [(0.0, n, 1.0)], n - 1, 0.0)
     if kind == "Wk":
         if k is None or not 1 <= k <= n - 1:
             raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
         alg = build_algebra(n)
-        return _orbit_base(build_ruled(alg, default_ruled_spec(alg, k)))
+        return _flag_bases([build_ruled(alg, default_ruled_spec(alg, k))])[0]
     if kind != "horosphere":
         raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
     return _orbit_base(horosphere_model(build_algebra(n)))
 
 
-def _orbit_base(orbit: OrbitModel, shape: np.ndarray | None = None) -> TubeBase:
-    """Base data of an orbit: nu is its first normal row, the other rows span the sphere.
+def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
+    """The base of a hand-made principal frame: the frame route.
 
-    ``shape``, when given, is the orbit's shape operator along nu, already formed.
+    ``tangent`` rows span the base tangent space, ``shape`` is the base
+    shape operator w.r.t. the unit normal ``nu`` in that frame, and
+    ``sphere`` rows span the unit-normal-sphere directions other than
+    nu itself; all vectors are ambient coordinates.  The entries must be
+    finite, nu a unit vector and [tangent; sphere; nu] orthonormal within
+    FRAME_TOL, and the shape symmetric within SYMMETRY_TOL, or
+    ValidationError names the defect.  One ``eigh`` of the shape gives the
+    tangent rows' curvatures, one ``eigenspaces`` call groups them, and the
+    weights project J(nu), from ``ambient.complex_structure``.
     """
+    n = as_int("n", n)
+    nu, tangent, shape, sphere = (np.asarray(a, dtype=float) for a in (nu, tangent, shape, sphere))
+    d, k, s = 2 * n, len(tangent), len(sphere)
+    _check_row_count(n, k, s)
+    if (nu.shape, tangent.shape, shape.shape, sphere.shape) != ((d,), (k, d), (k, k), (s, d)):
+        raise ValidationError(
+            f"a frame base in complex dimension {n} needs nu of shape ({d},), tangent and "
+            f"sphere rows of length {d} and a {k} x {k} shape, got nu {nu.shape}, tangent "
+            f"{tangent.shape}, shape {shape.shape} and sphere {sphere.shape}"
+        )
+    # written so that a NaN fails each check
+    full = np.vstack([tangent, sphere, nu])
+    if not (np.isfinite(full).all() and np.isfinite(shape).all()):
+        raise ValidationError("a frame base needs finite nu, tangent, shape and sphere entries")
+    length = math.sqrt(nu @ nu)
+    if not abs(length - 1.0) <= FRAME_TOL:
+        raise ValidationError(
+            f"the normal nu has length {length!r}, not 1 within FRAME_TOL = {FRAME_TOL:g}"
+        )
+    gram = full @ full.T
+    gram.flat[:: d + 1] -= 1.0
+    defect = np.max(np.abs(gram))
+    if not defect <= FRAME_TOL:
+        raise ValidationError(
+            f"the rows [tangent; sphere; nu] are {defect:.3e} from orthonormal, above "
+            f"FRAME_TOL = {FRAME_TOL:g}"
+        )
+    asym = np.max(np.abs(shape - shape.T), initial=0.0)
+    if not asym <= SYMMETRY_TOL:
+        raise ValidationError(f"base shape operator asymmetric by {asym:.3e}")
+    jnu = complex_structure(n) @ nu
+    sigma, vecs = np.linalg.eigh(shape)
+    entries, masks = eigenspaces(sigma[None])
+    weight = np.sqrt(eigenspace_sums(np.square((tangent @ jnu) @ vecs)[None], masks)[0])
+    groups = [(value, mult, w) for (value, mult), w in zip(entries[0], weight.tolist())]
+    return _base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
+
+
+def _orbit_base(orbit: OrbitModel) -> TubeBase:
+    """Frame-route base of an orbit: nu is its first normal row, the other rows span the sphere."""
     nu = orbit.normal[0]
-    return TubeBase(
-        n=orbit.algebra.n,
-        nu=nu,
-        tangent=orbit.tangent,
-        shape=orbit.shape_operator(nu) if shape is None else shape,
-        sphere=orbit.normal[1:],
+    return frame_base(
+        orbit.algebra.n, nu, orbit.tangent, orbit.shape_operator(nu), orbit.normal[1:]
     )
+
+
+def _flag_bases(flag: list[OrbitModel]) -> list[TubeBase]:
+    """Bases of the ruled orbits of a flag, in its order, from its first orbit's shape operator.
+
+    Every orbit's tangent rows are a prefix of the first orbit's and its
+    normal rows a prefix of the last's, nu = normal[0] shared (a
+    one-orbit list is a flag).  Along nu the shape operator has rank two:
+    S = c (u_Z j^T + j u_Z^T), c = 1/2, with u_Z = tangent[:, 1] and
+    j = tangent @ J(nu), held once to RANK_TWO_TOL.  On an orbit of m
+    tangent rows, with the prefix sums a = sum u_Z^2, b = sum u_Z j and
+    e = sum j^2, the block of S is zero off span{u_Z, j} and has the
+    values c (b -+ sqrt(a e)) on it, with eigenvectors
+    sqrt(e) u_Z -+ sqrt(a) j that carry J(nu)'s squared weights
+    e (1 -+ b / sqrt(a e)) / 2.  The kernel, of multiplicity m - 2, has
+    weight exactly 0, as j lies in the span.  The sphere rows normal[1:]
+    carry the products of the last orbit's normal rows with J(nu).
+    """
+    first, n = flag[0], flag[0].algebra.n
+    nu = first.normal[0]
+    jnu = first.algebra.J @ nu
+    u, j = first.tangent[:, 1], first.tangent @ jnu
+    uj = np.outer(u, j)
+    defect = np.max(np.abs(first.shape_operator(nu) - _RULED_SCALE * (uj + uj.T)))
+    if not defect <= RANK_TWO_TOL:
+        raise ValidationError(
+            f"the ruled shape operator in complex dimension {n} departs from its rank-two "
+            f"form by {defect:.3e}, above RANK_TWO_TOL = {RANK_TWO_TOL:g}"
+        )
+    a, b, e = (np.cumsum(x).tolist() for x in (u * u, u * j, j * j))
+    sphere = [0.0, *np.cumsum(np.square(flag[-1].normal[1:] @ jnu)).tolist()]
+    bases = []
+    for orbit in flag:
+        m, k = orbit.dim, orbit.codim
+        am, bm, em = a[m - 1], b[m - 1], e[m - 1]
+        root = math.sqrt(am * em)
+        low, high = (
+            (_RULED_SCALE * (bm + sign * root), 1, math.sqrt(em * (1.0 + sign * bm / root) / 2.0))
+            for sign in (-1.0, 1.0)
+        )
+        groups = [low, (0.0, m - 2, 0.0), high]
+        bases.append(_base(n, nu, groups, k - 1, math.sqrt(sphere[k - 1])))
+    return bases
 
 
 def _carrier_runs(entries, masks, weights):
@@ -212,7 +353,7 @@ def _check_radius(base: TubeBase, r: float) -> None:
             f"tube radius {r} is out of range: |r| must be finite and at most "
             f"{MAX_RADIUS:.4f}"
         )
-    if 2 * base.n - base.tangent.shape[0] >= 2 and r <= 0:
+    if 2 * base.n - base.dim >= 2 and r <= 0:
         raise ValueError(f"tube radius must be positive, got {r}")
 
 
@@ -233,24 +374,25 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     ``jacobi_mode`` evaluates the fields of both rates.  In the
     base's principal frame (the eigenvectors of its shape operator, then
     the sphere rows) each row starts as a multiple of itself, so the
-    value and derivative maps V and D are diagonal plus rank one.  Rows
-    with equal initial data form a group.  Off the projection of
-    J(normal), a group is an eigenspace with the scalar value -X/Y, X
-    and Y its bounded derivative and value factors from ``jacobi_mode``.
-    The G projections span a G x G block, G = 1 for a Hopf tube and 2
-    for the paper's non-Hopf ones, solved in scaled form, stacked by G
+    value and derivative maps V and D are diagonal plus rank one.  The
+    engine reads only the frame's groups, rows with equal initial data,
+    which each ``TubeBase`` carries.  Off the projection of J(normal), a
+    group is an eigenspace with the scalar value -X/Y, X and Y its
+    bounded derivative and value factors from ``jacobi_mode``.  The G
+    projections span a G x G block, G = 1 for a Hopf tube and 2 for the
+    paper's non-Hopf ones, solved in scaled form, stacked by G
     (``_block_spectra``).  One grouping of all the spectra
     (``eigenspaces``) gives every profile's values, Hopf flag and
     carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
-    and non-Hopf with two.  No (2n - 1) x (2n - 1) matrix is formed; an
-    orbit base costs one ``eigh`` of its shape operator.
+    and non-Hopf with two.  No (2n - 1) x (2n - 1) matrix is formed, and
+    no base costs an ``eigh`` here.
 
     Every r must be finite with |r| <= MAX_RADIUS.  Proper tubes (bases
     of codimension >= 2) require r > 0; hypersurface bases accept signed
     r and describe the equidistant family.  A focal r, where a singular
-    value of V is at most KERNEL_TOL, raises FocalRadiusError; a base
-    shape operator or a block asymmetric by more than SYMMETRY_TOL raises
-    ValueError, a tube with other than one or two carriers
+    value of V is at most KERNEL_TOL, raises FocalRadiusError; a block
+    asymmetric by more than SYMMETRY_TOL raises ValueError, a line of
+    J(normal) off J_LINE_TOL ValidationError, a tube with other than one or two carriers
     UnsupportedModelError, and a tube with two distinct curvatures within
     MERGE_TOL UnresolvedSpectrumError, naming its radius, the two values
     and, as ``job``, its index in ``jobs``.
@@ -269,72 +411,46 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     return out
 
 
-def _frame_rows(base: TubeBase, jc: np.ndarray) -> np.ndarray:
-    """Initial data of a base's principal frame: (3, d - 1) rows of alpha, beta and weight.
-
-    Each frame row u starts at alpha u with derivative beta u.  A
-    tangent row is a unit eigenvector of the base shape operator, in
-    ascending eigenvalue sigma, with (alpha, beta) = (1, -sigma); the
-    sphere rows follow with (0, 1).  The weight is <u, jc>.  A zero
-    shape operator, the named bases', needs no ``eigh``.
-    """
-    shape = base.shape
-    jc_t = base.tangent @ jc
-    k = len(jc_t)
-    if k + len(base.sphere) != 2 * base.n - 1:
-        raise ValidationError(
-            f"a tube base in complex dimension {base.n} needs 2n - 1 = {2 * base.n - 1} "
-            f"tangent and sphere rows, got {k} + {len(base.sphere)}"
-        )
-    rows = np.zeros((3, k + len(base.sphere)))
-    rows[0, :k] = 1.0
-    rows[1, k:] = 1.0
-    if shape.any():
-        asym = np.max(np.abs(shape - shape.T))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"base shape operator asymmetric by {asym:.3e}")
-        sigma, vecs = np.linalg.eigh(shape)
-        jc_t = jc_t @ vecs
-        rows[1, :k] = -sigma
-    rows[2, :k] = jc_t
-    rows[2, k:] = base.sphere @ jc
-    return rows
-
-
 def _stack_profiles(stack) -> list[PrincipalProfile]:
     """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n.
 
     Per normal direction, one ``curvature_propagator`` call gives the
-    rates q, and ``jacobi_mode`` evaluates each job at its own radius.
-    Each distinct base's frame is read once (``_frame_rows``).  In each
-    job, the rows whose initial data differ by less than MERGE_TOL form
-    a group, and the G x G blocks run through ``_block_spectra``, one
-    stack per G.
+    rates q, and its line of J(normal) is held to J_LINE_TOL against the
+    normal's image under ``ambient.complex_structure``, which the bases'
+    weights project.  The jobs' groups are read as (B, G) arrays, a
+    job's groups past its last empty; ``jacobi_mode`` evaluates each job
+    at its own radius, and the G x G blocks run through
+    ``_block_spectra``, one stack per G.
     """
-    model = CurvatureModel(stack[0][0].n)
+    n = stack[0][0].n
+    model = CurvatureModel(n)
     radii = np.array([r for _, r in stack])
     normals: dict = {}
     for i, (base, _) in enumerate(stack):
         normals.setdefault(base.nu.tobytes(), (base.nu, []))[1].append(i)
-    jcs = {}
     q = np.empty((len(stack), 2))
-    for key, (nu, members) in normals.items():
-        jcs[key], q[members] = curvature_propagator(model, nu)
-    bases: dict = {}
-    index = [bases.setdefault(id(base), (len(bases), base))[0] for base, _ in stack]
-    frames = [_frame_rows(base, jcs[base.nu.tobytes()]) for _, base in bases.values()]
-    alpha, beta, weight = np.stack(frames, axis=1)[:, index]
-    m = beta.shape[-1]
-    # a group starts at each row whose initial data differs from the row before
-    cut = np.ones(beta.shape, dtype=bool)
-    cut[:, 1:] = np.abs(beta[:, 1:] - beta[:, :-1]) >= MERGE_TOL
-    cut[:, 1:] |= alpha[:, 1:] != alpha[:, :-1]
-    label = np.cumsum(cut, axis=-1) - 1
-    groups = label[:, None, :] == np.arange(label.max() + 1)[:, None]
-    # (B, G) per job and group; a job's groups past its last are empty
-    mult = groups.sum(axis=-1)
-    alpha, beta = (eigenspace_sums(a, groups) / np.maximum(mult, 1) for a in (alpha, beta))
-    weight = np.sqrt(eigenspace_sums(np.square(weight), groups))
+    for nu, members in normals.values():
+        jc, q[members] = curvature_propagator(model, nu)
+        jnu = model.J @ nu
+        defect = np.minimum(np.max(np.abs(jc - jnu)), np.max(np.abs(jc + jnu)))
+        if not defect <= J_LINE_TOL:
+            raise ValidationError(
+                f"the Jacobi operator's line of J(normal) lies {defect:.3e} from +-J(normal), "
+                f"above J_LINE_TOL = {J_LINE_TOL:g}"
+            )
+    width = max(len(base.mult) for base, _ in stack)
+    alpha, beta, weight = np.zeros((3, len(stack), width))
+    mult = np.zeros((len(stack), width), dtype=int)
+    for i, (base, _) in enumerate(stack):
+        g = len(base.mult)
+        alpha[i, :g], beta[i, :g], mult[i, :g], weight[i, :g] = (
+            base.alpha, base.beta, base.mult, base.weight
+        )
+    m = 2 * n - 1
+    short = np.flatnonzero(mult.sum(axis=-1) != m)
+    if short.size:
+        base = stack[short[0]][0]
+        _check_row_count(n, base.dim, int(base.mult.sum()) - base.dim)
     carrier = weight > CARRIER_TOL
     # off its carrier direction a group is an eigenspace of multiplicity rest
     rest = mult - carrier
@@ -637,11 +753,7 @@ def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
     """Rows of the representatives with three distinct curvatures, for n >= 3."""
     n = alg.n
     # the default slices are nested, so one frame holds the orbit of every corank
-    flag = ruled_flag(alg, default_ruled_spec(alg, n - 1))
-    # each orbit's nu is w[0] and its tangent rows are a prefix of the corank-1
-    # orbit's, so its base shape is a leading block of that orbit's
-    shape = flag[0].shape_operator(flag[0].normal[0])
-    ruled, *ruled_k = [_orbit_base(orbit, shape[: orbit.dim, : orbit.dim]) for orbit in flag]
+    ruled, *ruled_k = _flag_bases(ruled_flag(alg, default_ruled_spec(alg, n - 1)))
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)

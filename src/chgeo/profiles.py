@@ -103,6 +103,11 @@ class PrincipalProfile:
         return rest[0]
 
 
+def _run_ends(vals: np.ndarray) -> np.ndarray:
+    """The grouping rule: a run ends where the next value is at least MERGE_TOL above."""
+    return vals[..., 1:] - vals[..., :-1] >= MERGE_TOL
+
+
 def eigenspaces(vals):
     """Merged spectra and eigenspace masks of a (B, m) stack of ascending spectra, in one pass.
 
@@ -116,7 +121,7 @@ def eigenspaces(vals):
     """
     vals = np.asarray(vals, dtype=float)
     label = np.zeros(vals.shape, dtype=np.intp)
-    np.cumsum(np.diff(vals) >= MERGE_TOL, axis=-1, out=label[:, 1:])
+    np.cumsum(_run_ends(vals), axis=-1, out=label[:, 1:])
     masks = label[:, None, :] == np.arange(label.max(initial=-1) + 1)[:, None]
     entries = [
         tuple((total / count, count) for total, count in zip(row_sums, row_counts) if count)
@@ -138,5 +143,16 @@ def eigenspace_sums(x, masks):
 
 
 def merge_spectrum(eigenvalues) -> tuple[tuple[float, int], ...]:
-    """Distinct values of an eigenvalue array, ascending, with multiplicities."""
-    return eigenspaces(np.sort(np.asarray(eigenvalues, dtype=float))[None])[0][0]
+    """Distinct values of an eigenvalue array, ascending, with multiplicities.
+
+    The one-row reading of ``eigenspaces``, without its mask stack: each
+    run's mean is ``np.add.reduce`` of its slice over its count, the same
+    contiguous sum, so the entries are bit-identical.
+    """
+    vals = np.sort(np.asarray(eigenvalues, dtype=float))
+    if not vals.size:
+        return ()
+    bounds = [0, *(i + 1 for i, end in enumerate(_run_ends(vals).tolist()) if end), len(vals)]
+    return tuple(
+        (float(np.add.reduce(vals[a:b])) / (b - a), b - a) for a, b in zip(bounds, bounds[1:])
+    )

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,34 @@ REFERENCE = Path(__file__).parent / "data" / "catalog_reference.json"
 
 def coth(x):
     return 1.0 / math.tanh(x)
+
+
+# a base's principal-frame data: unit normal, tangent rows, shape operator along
+# the normal in the tangent frame, and the other unit-normal-sphere rows
+Frame = namedtuple("Frame", "n nu tangent shape sphere")
+
+
+def _orbit_frame(orbit):
+    nu = orbit.normal[0]
+    return Frame(orbit.algebra.n, nu, orbit.tangent, orbit.shape_operator(nu), orbit.normal[1:])
+
+
+def _frame(kind, n, k=None):
+    """The frame of a named base: the reference for its spectral ``TubeBase``."""
+    d = 2 * n
+    e = np.eye(d)
+    if kind == "point":
+        kind, k = "CHk", 0
+    if kind == "CHk":
+        # base tangent: the last 2k coordinates (a complex subspace); k = 0 is a point
+        return Frame(n, e[0], e[d - 2 * k :], np.zeros((2 * k, 2 * k)), e[1 : d - 2 * k])
+    if kind == "RHn":
+        # totally real base spanned by the odd coordinates; normal = J image
+        return Frame(n, e[1], e[0::2], np.zeros((n, n)), e[3::2])
+    alg = solvable.build_algebra(n)
+    if kind == "horosphere":
+        return _orbit_frame(solvable.horosphere_model(alg))
+    return _orbit_frame(solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +183,17 @@ def test_focal_radius_detected_for_strongly_curved_base():
     assert profile.total_dim == 5
 
 
-def _synthetic_focal_base():
-    """A base with shape eigenvalue 3/4 > 1/2, focal at 2 artanh(2/3)."""
+def _synthetic_focal_frame():
+    """A frame with shape eigenvalue 3/4 > 1/2, focal at 2 artanh(2/3)."""
     e = np.eye(6)
     shape = np.zeros((5, 5))
     shape[1, 1] = 0.75
-    base = families.TubeBase(
-        n=3, nu=e[0], tangent=e[1:], shape=shape, sphere=np.zeros((0, 6))
-    )
-    return base, 2.0 * math.atanh(2.0 / 3.0)
+    return Frame(3, e[0], e[1:], shape, np.zeros((0, 6))), 2.0 * math.atanh(2.0 / 3.0)
+
+
+def _synthetic_focal_base():
+    frame, r_focal = _synthetic_focal_frame()
+    return families.frame_base(*frame), r_focal
 
 
 def test_focal_radius_detected_inside_a_group():
@@ -179,20 +210,71 @@ def test_focal_radius_detected_inside_a_group():
 
 
 def test_asymmetric_tube_shape_rejected():
-    base, _ = _synthetic_focal_base()
-    shape = base.shape.copy()
+    frame, _ = _synthetic_focal_frame()
+    shape = frame.shape.copy()
     shape[1, 2] = 0.3
-    skew = families.TubeBase(3, base.nu, base.tangent, shape, base.sphere)
-    with pytest.raises(ValueError, match="asymmetric"):
-        families.tube_spectrum(skew, r=0.3)
+    with pytest.raises(ValidationError, match="base shape operator asymmetric by 3.000e-01"):
+        families.frame_base(*frame._replace(shape=shape))
 
 
 def test_tube_base_with_a_missing_frame_row_rejected():
-    base = families.tube_base("point", 3)
-    short = families.TubeBase(3, base.nu, base.tangent, base.shape, base.sphere[1:])
+    frame = _frame("point", 3)
     message = re.escape("2n - 1 = 5 tangent and sphere rows, got 0 + 4")
     with pytest.raises(ValidationError, match=message):
+        families.frame_base(*frame._replace(sphere=frame.sphere[1:]))
+    # the engine holds a base's groups to the same count
+    base = families.tube_base("point", 3)
+    short = families.TubeBase(3, base.nu, base.alpha, base.beta, base.mult - 1, base.weight)
+    with pytest.raises(ValidationError, match=message):
         families.tube_spectrum(short, r=1.0)
+
+
+def _with(a, index, value):
+    """A copy of a with a[index] = value."""
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+_NON_FINITE = "needs finite nu, tangent, shape and sphere entries"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: f._replace(shape=_with(f.shape, (0, 0), math.nan)), _NON_FINITE),
+        (lambda f: f._replace(shape=_with(f.shape, (1, 2), math.inf)), _NON_FINITE),
+        (lambda f: f._replace(shape=_with(f.shape, (2, 2), -math.inf)), _NON_FINITE),
+        (lambda f: f._replace(tangent=_with(f.tangent, (0, 0), math.nan)), _NON_FINITE),
+        (lambda f: f._replace(nu=2.0 * f.nu), "the normal nu has length 2.0, not 1 within"),
+        (
+            lambda f: f._replace(tangent=_with(f.tangent, 1, f.nu)),
+            r"the rows \[tangent; sphere; nu\] are 1\.000e\+00 from orthonormal, above "
+            r"FRAME_TOL = 1e-10",
+        ),
+    ],
+    ids=["nan-shape", "inf-shape", "minus-inf-shape", "nan-tangent", "long-nu", "nu-as-tangent"],
+)
+def test_frame_base_rejects_a_frame_it_cannot_read(edit, message):
+    # on the n = 3 ruled orbit's frame each used to raise numpy's LinAlgError, a
+    # misleading carrier count, or give a wrong profile
+    with pytest.raises(ValidationError, match=message):
+        families.frame_base(*edit(_frame("Wk", 3, 1)))
+
+
+def test_frame_base_rejects_rows_of_the_wrong_length():
+    frame = _frame("CHk", 3, 1)
+    with pytest.raises(ValidationError, match=r"tangent \(2, 5\)"):
+        families.frame_base(*frame._replace(tangent=frame.tangent[:, 1:]))
+
+
+def test_tube_engine_holds_the_propagator_line_to_j_of_the_normal():
+    # a base whose normal is not a unit vector: the Jacobi operator's line is
+    # the unit J(normal), half of the normal's image
+    base = families.tube_base("point", 3)
+    long = families.TubeBase(3, 2.0 * base.nu, base.alpha, base.beta, base.mult, base.weight)
+    with pytest.raises(ValidationError, match=r"lies 1\.000e\+00 from \+-J\(normal\)"):
+        families.tube_spectrum(long, r=1.0)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 30.0, 1e6])
@@ -230,7 +312,7 @@ def test_tube_spectra_matches_one_tube_at_a_time(n):
 
 
 def _dense_tube(base, r):
-    """The dense reference engine: (entries, carriers) of the tube of radius r around base.
+    """The dense reference engine: (entries, carriers) of the tube of radius r around a Frame.
 
     The solution operators cos, sin and cos_dt of the Jacobi operator are
     full d x d matrices, the value and derivative maps V and D are taken
@@ -254,23 +336,29 @@ def _dense_tube(base, r):
     return families._carriers(vals, vecs, rows @ (model.J @ base.nu))
 
 
+def _kinds(n):
+    """Every named base kind in dimension n, as (kind, k)."""
+    kinds = [("point", None), ("RHn", None), ("horosphere", None)]
+    return kinds + [("CHk", k) for k in range(1, n)] + [("Wk", k) for k in range(1, n)]
+
+
 def _reference_jobs(n):
-    """Every base kind: proper tubes at positive radii, hypersurfaces at signed ones."""
+    """Every base kind, as (TubeBase, its Frame, r): proper tubes at positive radii,
+    hypersurfaces at signed ones."""
     proper = (0.3, 1.0, R_STAR, 2.5, 5.0)
     signed = (-5.0, -2.2, -0.7, -0.0, 0.0, 0.7, 2.2, 5.0)
-    bases = [families.tube_base("point", n), families.tube_base("RHn", n)]
-    bases += [families.tube_base("CHk", n, k) for k in range(1, n)]
-    bases += [families.tube_base("Wk", n, k) for k in range(2, n)]
-    jobs = [(base, r) for base in bases for r in proper]
-    hypersurfaces = (families.tube_base("Wk", n, 1), families.tube_base("horosphere", n))
-    return jobs + [(base, r) for base in hypersurfaces for r in signed]
+    kinds = [("point", None), ("RHn", None)]
+    kinds += [("CHk", k) for k in range(1, n)] + [("Wk", k) for k in range(2, n)]
+    jobs = [(kind, k, r) for kind, k in kinds for r in proper]
+    jobs += [(kind, k, r) for kind, k in (("Wk", 1), ("horosphere", None)) for r in signed]
+    return [(families.tube_base(kind, n, k), _frame(kind, n, k), r) for kind, k, r in jobs]
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_scaled_engine_matches_the_dense_reference(n):
     jobs = _reference_jobs(n)
-    for (base, r), profile in zip(jobs, families.tube_spectra(jobs)):
-        entries, carriers = _dense_tube(base, r)
+    for (_, frame, r), profile in zip(jobs, families.tube_spectra([(b, r) for b, _, r in jobs])):
+        entries, carriers = _dense_tube(frame, r)
         assert [m for _, m in profile.entries] == [m for _, m in entries], r
         assert [lam for lam, _ in profile.entries] == pytest.approx(
             [lam for lam, _ in entries], abs=1e-12
@@ -285,7 +373,7 @@ def test_scaled_engine_matches_the_dense_reference(n):
 
 
 def _scaled_dense_stack(stack):
-    """The scaled dense engine: profiles of (TubeBase, r) jobs that share n and the normal.
+    """The scaled dense engine: profiles of (Frame, r) jobs that share n and the normal.
 
     Every tube's value and derivative maps V = K Y and D = K X are full
     (2n - 1) x (2n - 1) matrices in the Jacobi operator's eigenbasis of
@@ -335,10 +423,10 @@ def _scaled_dense_stack(stack):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_reduced_kernel_matches_the_scaled_dense_engine(n):
-    ruled = families.tube_base("Wk", n, 1)
-    jobs = _reference_jobs(n) + [(ruled, -r) for r in (10.0, 13.5, 20.0, 21.4)]
-    for (base, r), got in zip(jobs, families.tube_spectra(jobs)):
-        (want,) = _scaled_dense_stack([(base, r)])
+    ruled = (families.tube_base("Wk", n, 1), _frame("Wk", n, 1))
+    jobs = _reference_jobs(n) + [(*ruled, -r) for r in (10.0, 13.5, 20.0, 21.4)]
+    for (_, frame, r), got in zip(jobs, families.tube_spectra([(b, r) for b, _, r in jobs])):
+        (want,) = _scaled_dense_stack([(frame, r)])
         assert [m for _, m in got.entries] == [m for _, m in want.entries], r
         assert [lam for lam, _ in got.entries] == pytest.approx(
             [lam for lam, _ in want.entries], abs=1e-12
@@ -627,6 +715,26 @@ def test_eigenspaces_groups_a_stack_as_its_rows():
         assert np.array_equal(one_masks, row_masks[None, : len(want)])
 
 
+def test_merge_spectrum_is_the_one_row_reading_of_eigenspaces():
+    # runs up to 40 long cross numpy's pairwise-sum boundary of 8 values, so a
+    # mean summed in another order would move its last digits
+    rng = np.random.default_rng(31)
+    levels = np.array([-0.5, 0.0, 0.5, 0.5 + 5e-9, 1.0])
+    longest = 0
+    for _ in range(200):
+        counts = rng.integers(1, 41, size=rng.integers(1, 5))
+        spectrum = np.concatenate(
+            [rng.choice(levels) + 1e-12 * rng.standard_normal(c) for c in counts]
+        )
+        got = profiles.merge_spectrum(rng.permutation(spectrum))
+        (want,), _ = profiles.eigenspaces(np.sort(spectrum)[None])
+        assert repr(got) == repr(want)
+        assert all(type(value) is float and type(mult) is int for value, mult in got)
+        longest = max(longest, *(m for _, m in got))
+    assert longest >= 9
+    assert profiles.merge_spectrum([]) == ()
+
+
 def test_profile_multiplicity_tells_close_entries_apart():
     profile = PrincipalProfile(entries=((0.5, 2), (0.5 + 5e-9, 1), (1.0, 2)), total_dim=5)
     assert [profile.multiplicity(lam) for lam, _ in profile.entries] == [2, 1, 2]
@@ -648,10 +756,10 @@ def test_far_equidistant_is_non_hopf_with_the_closed_form_weight(n):
 
 def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     n = 3
-    ruled = families.tube_base("Wk", n, 1)
+    ruled, frame = families.tube_base("Wk", n, 1), _frame("Wk", n, 1)
     # a geodesic sphere whose normal is the ruled orbit's, so every job is one stack
-    sphere_rows = np.vstack([ruled.tangent, ruled.sphere])
-    sphere = families.TubeBase(n, ruled.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
+    sphere_rows = np.vstack([frame.tangent, frame.sphere])
+    sphere = families.frame_base(n, frame.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
     jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]
     calls = {"eigh": [], "eigvalsh": [], "inv": [], "jacobi_operator": []}
 
@@ -671,11 +779,9 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     assert [p.hopf is None for p in profiles] == [False, True, False, False]
     # one read of the Jacobi operator for the one (n, normal) stack
     assert len(calls["jacobi_operator"]) == 1
-    # one eigh of that operator (6 x 6), one per orbit base shape (the ruled
-    # orbit's 5 x 5 serves both of its radii, W^4's is 4 x 4; the sphere has
-    # none), and one per stack of G x G blocks: the sphere's G = 1 and the
-    # three G = 2 tubes
-    assert sorted(calls["eigh"]) == sorted([(6, 6), (5, 5), (4, 4), (1, 1, 1), (3, 2, 2)])
+    # one eigh of that operator (6 x 6) and one per stack of G x G blocks: the
+    # sphere's G = 1 and the three G = 2 tubes; the bases carry their spectra
+    assert sorted(calls["eigh"]) == sorted([(6, 6), (1, 1, 1), (3, 2, 2)])
     assert calls["eigvalsh"] == calls["inv"] == []
 
 
@@ -720,6 +826,14 @@ def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
     assert calls == {"shape_operator": 2, "__post_init__": 2}
 
 
+def _assert_same_groups(got, want, bound=1e-15):
+    """Two bases with the same normal, groups and multiplicities, values within bound."""
+    assert np.array_equal(got.nu, want.nu)
+    assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.mult, want.mult)
+    assert np.max(np.abs(got.beta - want.beta)) <= bound
+    assert np.max(np.abs(got.weight - want.weight)) <= bound
+
+
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_catalog_base_shapes_are_each_orbits_own(n):
     alg = solvable.build_algebra(n)
@@ -729,9 +843,71 @@ def test_catalog_base_shapes_are_each_orbits_own(n):
     bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
     assert sorted(bases) == list(range(1, n))
     for k, orbit in enumerate(flag, start=1):
-        assert np.array_equal(bases[k].tangent, orbit.tangent)
-        own = orbit.shape_operator(w[0])
-        assert np.max(np.abs(bases[k].shape - own)) <= 1e-15
+        # the eigh of the orbit's own shape operator, grouped, against the rank-two form
+        own = np.linalg.eigh(orbit.shape_operator(w[0]))
+        entries, masks = profiles.eigenspaces(own.eigenvalues[None])
+        jnu = orbit.tangent @ (alg.J @ w[0])
+        weights = np.sqrt(profiles.eigenspace_sums(np.square(jnu @ own.eigenvectors)[None], masks))
+        tangent = bases[k].alpha == 1.0
+        assert bases[k].mult[tangent].tolist() == [m for _, m in entries[0]]
+        assert np.max(np.abs(-bases[k].beta[tangent] - [v for v, _ in entries[0]])) <= 1e-15
+        assert np.max(np.abs(bases[k].weight[tangent] - weights[0])) <= 1e-15
+        assert bases[k].mult[~tangent].tolist() == ([k - 1] if k > 1 else [])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_spectral_bases_match_the_frame_route_on_their_frames(n):
+    for kind, k in _kinds(n):
+        frame = families.frame_base(*_frame(kind, n, k))
+        _assert_same_groups(families.tube_base(kind, n, k), frame)
+    if n >= 3:
+        alg = solvable.build_algebra(n)
+        flag = solvable.ruled_flag(alg, solvable.default_ruled_spec(alg, n - 1))
+        for orbit, base in zip(flag, families._flag_bases(flag)):
+            _assert_same_groups(base, families.frame_base(*_orbit_frame(orbit)))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_ruled_shape_off_its_rank_two_form_raises(monkeypatch, n):
+    shape_operator = solvable.OrbitModel.shape_operator
+
+    def perturbed(self, xi):
+        S = shape_operator(self, xi)
+        S[0, -1] += 1e-9
+        return S
+
+    monkeypatch.setattr(solvable.OrbitModel, "shape_operator", perturbed)
+    message = (
+        rf"^the ruled shape operator in complex dimension {n} departs from its rank-two "
+        r"form by 1\.000e-09, above RANK_TWO_TOL = 1e-12$"
+    )
+    with pytest.raises(ValidationError, match=message):
+        families.catalog(n, 1.3)
+    with pytest.raises(ValidationError, match=message):
+        families.tube_base("Wk", n, 2)
+
+
+def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
+    # an eigh per ruled orbit or an identity per named base grows with n
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigh")
+    counted(np, "eye")
+    seen = []
+    for n in (4, 16, 40):
+        counts.update(eigh=0, eye=0)
+        families.catalog(n, 1.3)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == seen[2], seen
 
 
 # at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
