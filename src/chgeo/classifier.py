@@ -19,6 +19,9 @@ solver reports the obstruction instead of a branch.
 Branches are computed from the closed forms and then validated against
 the raw residual system by damped Newton iterations from random seeds;
 a numerical root that matches no closed form is reported, never kept.
+Each start runs alone on Python floats.  The system's Jacobian is block
+lower-triangular, so each Newton step is two 2x2 solves in closed form
+and the search makes no ``numpy.linalg`` call.
 """
 
 from __future__ import annotations
@@ -46,11 +49,13 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# damped Newton stops below this residual norm or after this many steps.
-# A stalled start sits near the singular locus l1 + l2 = 2 lam3, moves
-# by 2^-17..2^-19 of a Newton step each time and never converges; the
-# cap sets how long it runs before it ends NaN.  30 steps cover nearly
-# every converging start: 99 % need at most 20 steps, 99.9 % at most 36.
+# each start's damped Newton loop stops below this residual norm or after
+# this many steps.  A stalled start sits near the singular locus
+# l1 + l2 = 2 lam3, moves by 2^-17..2^-19 of a Newton step each time and
+# never converges; the cap sets how long it runs before it ends NaN, and
+# since every start has its own loop a stalled one costs only itself.
+# 30 steps cover nearly every converging start: 99 % need at most 20
+# steps, 99.9 % at most 36.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 
@@ -318,45 +323,46 @@ def branch_profile(branch: SolutionBranch, n: int, m1: int | None = None) -> Pri
 # ---------------------------------------------------------------------------
 
 
-def _residuals(x, lam3):
-    """Residuals F on stacked points x[..., 4]; lam3 broadcasts against x[..., 0]."""
-    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
-    F = np.empty(x.shape)
-    F[..., 0] = _weight_balance(l1, l2, lam3, b1_sq, b2_sq)
-    F[..., 1] = b1_sq + b2_sq - 1.0
-    F[..., 2] = hyperbola_relation(l1, l2, lam3)
-    F[..., 3] = mean_relation(l1, l2, lam3)
-    return F
+def _residual(x, lam3):
+    """The raw system F at x = (l1, l2, b1^2, b2^2), as four floats."""
+    l1, l2, b1_sq, b2_sq = x
+    weight_rows = _weight_balance(l1, l2, lam3, b1_sq, b2_sq), b1_sq + b2_sq - 1.0
+    return weight_rows + (hyperbola_relation(l1, l2, lam3), mean_relation(l1, l2, lam3))
 
 
-def _jacobian(x, lam3):
-    """Exact Jacobian of ``_residuals``, shape x.shape + (4,).
+def _newton_step(x, f, lam3):
+    """The Newton step -J^-1 f at x, or None where the Jacobian J is singular.
 
-    Only the weight-balance row is non-trivial; the weight-sum row is
-    constant and the hyperbola and mean rows are linear in (l1, l2).
+    The conic rows of F depend on (l1, l2) alone and the weight rows are
+    linear in (b1^2, b2^2), so J is block lower-triangular: the conic
+    block C gives (dl1, dl2), and then the weight block, with determinant
+    3 (g2^2 - g1^2) for g_i = lam3 - l_i, gives (db1, db2).  det J is
+    the product of the two (tests/test_certificates.py proves it).
     """
-    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
+    l1, l2, b1_sq, b2_sq = x
     g1, g2 = lam3 - l1, lam3 - l2
-    p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
-    J = np.zeros(x.shape + (4,))
-    J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
-    J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
-    J[..., 0, 2] = 3.0 * g2**2
-    J[..., 0, 3] = 3.0 * g1**2
-    J[..., 1, 2:] = 1.0
     eight_lam3, mean_weight = 8.0 * lam3, 1.0 + 4.0 * lam3**2
-    J[..., 2, 0] = eight_lam3 - 4.0 * l2
-    J[..., 2, 1] = eight_lam3 - 4.0 * l1
-    J[..., 3, 0] = eight_lam3 * l1 - mean_weight
-    J[..., 3, 1] = eight_lam3 * l2 - mean_weight
-    return J
-
-
-# the raw residual system as (F, jacobian), both taking (x, lam3)
-_SYSTEM = (_residuals, _jacobian)
+    c11, c12 = eight_lam3 - 4.0 * l2, eight_lam3 - 4.0 * l1
+    c21, c22 = eight_lam3 * l1 - mean_weight, eight_lam3 * l2 - mean_weight
+    w1, w2 = 3.0 * g2**2, 3.0 * g1**2
+    det_c, det_w = c11 * c22 - c12 * c21, w1 - w2
+    if det_c == 0.0 or det_w == 0.0:
+        return None
+    dl1 = (c12 * f[3] - c22 * f[2]) / det_c
+    dl2 = (c21 * f[2] - c11 * f[3]) / det_c
+    # (a1, a2): the weight-balance row's derivatives in (l1, l2)
+    p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
+    a1 = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
+    a2 = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
+    db1 = (w2 * f[1] - f[0] - a1 * dl1 - a2 * dl2) / det_w
+    return dl1, dl2, db1, -f[1] - db1
 
 
 def _numeric_jacobian(F, x, h=1e-7):
+    """Central differences of F at x: the tests' check on ``_newton_step``.
+
+    Not called by the search; the benchmark counts its calls, so it stays.
+    """
     m = len(F(x))
     J = np.empty((m, len(x)))
     for j in range(len(x)):
@@ -367,92 +373,88 @@ def _numeric_jacobian(F, x, h=1e-7):
 
 
 # backtracking tries the step fractions 1, 1/2, ..., 2^-19 (every halving
-# above 1e-6) and takes the first that cuts the residual norm enough
-_STEP_FRACTIONS = 0.5 ** np.arange(20)
-# the residual-norm factor each fraction must reach, 1 - alpha/4
-_SUFFICIENT_DECREASE = 1.0 - 0.25 * _STEP_FRACTIONS
+# above 1e-6) and takes the first with ||F|| < (1 - alpha/4) ||F0||
+_STEP_FRACTIONS = tuple(0.5**i for i in range(20))
+_FAILED = (math.nan,) * 4
 
 
-def _norm(f):
-    """Euclidean norm over the last axis, the sum ``np.linalg.norm`` forms."""
-    return np.sqrt(np.add.reduce(f * f, axis=-1))
+def _newton_start(x, lam3):
+    """Damped Newton from the start x on floats: its root, or ``_FAILED``."""
+    f = _residual(x, lam3)
+    norm = math.hypot(*f)
+    for _ in range(NEWTON_MAX_ITER):
+        if norm < NEWTON_TOL:
+            return x
+        step = _newton_step(x, f, lam3)
+        if step is None:
+            return _FAILED
+        l1, l2, b1_sq, b2_sq = x
+        d1, d2, d3, d4 = step
+        for alpha in _STEP_FRACTIONS:
+            trial = (l1 + alpha * d1, l2 + alpha * d2, b1_sq + alpha * d3, b2_sq + alpha * d4)
+            f_trial = _residual(trial, lam3)
+            norm_trial = math.hypot(*f_trial)
+            if norm_trial < (1.0 - 0.25 * alpha) * norm:
+                break
+        else:
+            return _FAILED
+        x, f, norm = trial, f_trial, norm_trial
+    return x if norm < 1e-10 else _FAILED
 
 
-def _damped_newton(system, x0, lam3):
-    """Damped Newton from every row of x0 at once; failed rows come back NaN.
+def _damped_newton(x0, lam3):
+    """Damped Newton from each row of x0 on its own; failed rows come back NaN.
 
     ``lam3`` holds the axis curvature of each row, so one call can run
-    starts of several values; each row sees only its own value, and its
-    result does not depend on the other rows.  A row fails when its
-    Jacobian is singular, when no step fraction passes
-    ||F|| < (1 - alpha/4) ||F0||, or when it ends above 1e-10.  A row
-    still running after NEWTON_MAX_ITER steps ends NaN: nearly always a
-    stalled start, rarely a slow converging one whose root then drops
-    out of the root set.  The exact certificate in
-    tests/test_certificates.py, not this search, proves the root set
-    complete.
+    starts of several values.  Each row runs on Python floats, with the
+    closed-form step of ``_newton_step``.  A row fails when its Jacobian
+    is singular, when no step fraction passes ||F|| < (1 - alpha/4)
+    ||F0||, or when it ends above 1e-10.  A row still running after
+    NEWTON_MAX_ITER steps ends NaN: nearly always a stalled start,
+    rarely a slow converging one whose root then drops out of the root
+    set.  The exact certificate in tests/test_certificates.py, not this
+    search, proves the root set complete.
     """
-    F, jacobian = system
-    x = np.array(x0, dtype=float)
-    lam3 = np.asarray(lam3, dtype=float)
-    fx = F(x, lam3)
-    norm = _norm(fx)
-    live = np.flatnonzero(~(norm < NEWTON_TOL))
-    for _ in range(NEWTON_MAX_ITER):
-        if live.size == 0:
-            break
-        J = jacobian(x[live], lam3[live])
-        regular = np.linalg.det(J) != 0.0
-        x[live[~regular]] = np.nan
-        live = live[regular]
-        step = np.linalg.solve(J[regular], -fx[live][..., None])[..., 0]
-        trial = x[live, None] + _STEP_FRACTIONS[:, None] * step[:, None]
-        f_trial = F(trial, lam3[live, None])
-        accept = _norm(f_trial) < _SUFFICIENT_DECREASE * norm[live, None]
-        found = accept.any(axis=1)
-        x[live[~found]] = np.nan
-        rows = np.flatnonzero(found)
-        first = accept[rows].argmax(axis=1)
-        live = live[rows]
-        x[live] = trial[rows, first]
-        fx[live] = f_trial[rows, first]
-        norm[live] = _norm(fx[live])
-        live = live[~(norm[live] < NEWTON_TOL)]
-    x[live[~(norm[live] < 1e-10)]] = np.nan
-    return x
+    starts = zip(np.asarray(x0, dtype=float).tolist(), np.asarray(lam3, dtype=float).tolist())
+    roots = [_newton_start(x, value) for x, value in starts]
+    return np.array(roots, dtype=float).reshape(np.shape(x0))
 
 
 def _distinct_roots(x):
     """The finite rows of x, normalised to l1 <= l2 and de-duplicated."""
-    x = x[~np.isnan(x).any(axis=1)]
-    swap = x[:, 0] > x[:, 1]
-    x[swap] = x[swap][:, [1, 0, 3, 2]]
     roots = []
-    for root in x:
-        if not any(np.linalg.norm(root - r) < 1e-7 for r in roots):
+    for l1, l2, b1_sq, b2_sq in x.tolist():
+        root = (l1, l2, b1_sq, b2_sq) if l1 <= l2 else (l2, l1, b2_sq, b1_sq)
+        if all(map(math.isfinite, root)) and all(math.dist(root, r) >= 1e-7 for r in roots):
             roots.append(root)
-    return roots
+    return [np.array(root) for root in roots]
 
 
 def newton_roots(lam3, rng: np.random.Generator, attempts: int = 20):
     """Roots of the raw residual system found from random seeds.
 
-    ``lam3`` is one axis curvature or a sequence of them.  Every start of
-    every value runs in one damped-Newton batch, and the starts are drawn
-    in one call, in the order that one call per value would draw them.
-    A float returns its list of roots, a sequence one list per value.
-    Roots are normalised to l1 <= l2 and de-duplicated; weights are not
-    constrained to (0, 1) here so the exclusion mechanism stays visible.
-    A non-finite lam3 or fewer than one attempt raises ``ValueError``
-    before any start is drawn.
+    ``lam3`` is one axis curvature or a flat sequence of them.  Every
+    start of every value runs in one ``_damped_newton`` call, and the
+    starts are drawn in one call, in the order that one call per value
+    would draw them.  A float returns its list of roots, a sequence one
+    list per value.  Roots are normalised to l1 <= l2 and de-duplicated;
+    weights are not constrained to (0, 1) here so the exclusion
+    mechanism stays visible.  A non-finite or nested lam3, a non-integer
+    or non-positive ``attempts`` or an ``rng`` that is not a
+    ``numpy.random.Generator`` raises ``ValueError`` before any draw.
     """
     values = np.atleast_1d(np.asarray(lam3, dtype=float))
+    if values.ndim > 1:
+        raise ValueError(f"lam3 must be a number or a flat sequence, got {lam3!r}")
     if not np.isfinite(values).all():
         raise ValueError(f"lam3 must be finite, got {lam3}")
+    attempts = as_int("attempts", attempts)
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(values.size * attempts, 4))
-    x = _damped_newton(_SYSTEM, starts, np.repeat(values, attempts))
+    x = _damped_newton(starts, np.repeat(values, attempts))
     roots = [_distinct_roots(rows) for rows in x.reshape(values.size, attempts, 4)]
     return roots if np.ndim(lam3) else roots[0]
 

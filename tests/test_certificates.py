@@ -4,7 +4,9 @@ the isolated branch, and the half-angle value at the exceptional radius.
 Together the conic and weight-system certificates show, for every lam3,
 that the raw residual system has exactly the roots the closed forms
 explain; the random-start Newton search in the classifier only
-re-checks this numerically.
+re-checks this numerically.  The raw system's Jacobian is certified
+block lower-triangular, which is what the search's closed-form step and
+its singular rule rest on.
 
 The curvature relations are evaluated on sympy symbols and their float
 coefficients turned back into exact rationals, so the solutions below
@@ -139,6 +141,37 @@ def test_weight_system_at_zero_axis_holds_for_every_unit_weight_sum():
         assert _at(A, pair, 0).det() == 0
         residual = _at(A, pair, 0) @ sp.Matrix([B1, 1 - B1]) - _at(rhs, pair, 0)
         assert residual.applyfunc(sp.expand) == sp.zeros(2, 1)
+
+
+def _raw_system():
+    """The engine's residual rows as exact polynomials, and their Jacobian."""
+    rows = classifier._residual((L1, L2, B1, B2), L3)
+    F = sp.Matrix([sp.nsimplify(row, rational=True) for row in rows])
+    return F, F.jacobian([L1, L2, B1, B2])
+
+
+def test_raw_jacobian_is_block_triangular_with_the_loops_singular_rule():
+    # the conic rows do not involve the weights, so det J = det C * det W:
+    # J is singular exactly where the Newton loop calls a start singular
+    _, J = _raw_system()
+    assert J[2:, 2:] == sp.zeros(2, 2)
+    conic = 8 * L3 * (L1 + L2) - 20 * L3**2 - 1
+    assert sp.expand(J[2:, :2].det() - 4 * (L1 - L2) * conic) == 0
+    assert sp.expand(J[:2, 2:].det() + 3 * (L1 - L2) * (L1 + L2 - 2 * L3)) == 0
+    # Berkowitz, division-free, is far cheaper in sympy than the default Bareiss here
+    det = J.det(method="berkowitz")
+    assert sp.expand(det + 12 * (L1 - L2) ** 2 * (L1 + L2 - 2 * L3) * conic) == 0
+
+
+def test_newton_step_solves_the_raw_jacobian_exactly():
+    # the engine's closed-form step, on symbols, is -J^-1 f for every f
+    f = sp.Matrix(sp.symbols("f0:4"))
+    _, J = _raw_system()
+    step = sp.Matrix(classifier._newton_step((L1, L2, B1, B2), tuple(f), L3))
+    # the engine's float literals are small integers, exact as rationals
+    step = step.xreplace({c: sp.Rational(c) for c in step.atoms(sp.Float)})
+    for row in J @ step + f:
+        assert sp.expand(sp.numer(sp.together(row))) == 0
 
 
 def test_exceptional_radius_half_angle_is_one_over_sqrt3():

@@ -209,14 +209,106 @@ def test_newton_finds_the_branch():
     assert any(np.linalg.norm(r - target) < 1e-7 for r in roots)
 
 
+# The whole-array LAPACK loop that ``_damped_newton`` replaced, kept as the
+# reference for the per-start loop: the same residuals, exact Jacobian,
+# step fractions, decrease rule, cap and 1e-10 gate, solved by numpy.linalg.
+
+
+def _reference_residuals(x, lam3):
+    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
+    F = np.empty(x.shape)
+    F[..., 0] = classifier._weight_balance(l1, l2, lam3, b1_sq, b2_sq)
+    F[..., 1] = b1_sq + b2_sq - 1.0
+    F[..., 2] = classifier.hyperbola_relation(l1, l2, lam3)
+    F[..., 3] = classifier.mean_relation(l1, l2, lam3)
+    return F
+
+
+def _reference_jacobian(x, lam3):
+    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
+    g1, g2 = lam3 - l1, lam3 - l2
+    p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
+    J = np.zeros(x.shape + (4,))
+    J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
+    J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
+    J[..., 0, 2] = 3.0 * g2**2
+    J[..., 0, 3] = 3.0 * g1**2
+    J[..., 1, 2:] = 1.0
+    eight_lam3, mean_weight = 8.0 * lam3, 1.0 + 4.0 * lam3**2
+    J[..., 2, 0] = eight_lam3 - 4.0 * l2
+    J[..., 2, 1] = eight_lam3 - 4.0 * l1
+    J[..., 3, 0] = eight_lam3 * l1 - mean_weight
+    J[..., 3, 1] = eight_lam3 * l2 - mean_weight
+    return J
+
+
+_FRACTIONS = 0.5 ** np.arange(20)
+
+
+def _reference_norm(f):
+    return np.sqrt(np.add.reduce(f * f, axis=-1))
+
+
+def _reference_damped_newton(x0, lam3):
+    x = np.array(x0, dtype=float)
+    lam3 = np.asarray(lam3, dtype=float)
+    fx = _reference_residuals(x, lam3)
+    norm = _reference_norm(fx)
+    live = np.flatnonzero(~(norm < classifier.NEWTON_TOL))
+    for _ in range(classifier.NEWTON_MAX_ITER):
+        if live.size == 0:
+            break
+        J = _reference_jacobian(x[live], lam3[live])
+        regular = np.linalg.det(J) != 0.0
+        x[live[~regular]] = np.nan
+        live = live[regular]
+        step = np.linalg.solve(J[regular], -fx[live][..., None])[..., 0]
+        trial = x[live, None] + _FRACTIONS[:, None] * step[:, None]
+        f_trial = _reference_residuals(trial, lam3[live, None])
+        accept = _reference_norm(f_trial) < (1.0 - 0.25 * _FRACTIONS) * norm[live, None]
+        found = accept.any(axis=1)
+        x[live[~found]] = np.nan
+        rows = np.flatnonzero(found)
+        first = accept[rows].argmax(axis=1)
+        live = live[rows]
+        x[live] = trial[rows, first]
+        fx[live] = f_trial[rows, first]
+        norm[live] = _reference_norm(fx[live])
+        live = live[~(norm[live] < classifier.NEWTON_TOL)]
+    x[live[~(norm[live] < 1e-10)]] = np.nan
+    return x
+
+
+def test_per_start_newton_matches_the_lapack_reference():
+    # 100 seeds x 60 starts, three lam3 per seed across and beyond the window
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        lam3 = np.repeat(rng.uniform(-0.7, 0.7, size=3), 20)
+        starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(60, 4))
+        got = classifier._damped_newton(starts, lam3)
+        want = _reference_damped_newton(starts, lam3)
+        failed = np.isnan(want).any(axis=1)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=f"seed {seed}")
+        assert np.all(np.abs(got[~failed] - want[~failed]) <= 1e-9), seed
+        for rows in np.split(np.arange(60), 3):
+            count = len(classifier._distinct_roots(got[rows]))
+            assert count == len(classifier._distinct_roots(want[rows])), seed
+
+
 @pytest.mark.parametrize("lam3", [0.2, -0.3, 0.55])
 def test_exact_jacobian_matches_finite_differences(lam3):
-    F, jacobian = classifier._SYSTEM
-    points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 4))
-    exact = jacobian(points, lam3)  # all points stacked in one call
-    for x, J in zip(points, exact):
-        numeric = classifier._numeric_jacobian(lambda y: F(y, lam3), x)
-        assert np.max(np.abs(J - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+    # the closed-form step against a LAPACK solve on central differences;
+    # the differences are good to about 1e-8 relative, and the solve
+    # carries that error times the condition number
+    def F(y):
+        return np.array(classifier._residual(tuple(y), lam3))
+
+    for x in np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 4)):
+        J = classifier._numeric_jacobian(F, x)
+        want = np.linalg.solve(J, -F(x))
+        step = classifier._newton_step(tuple(x), tuple(F(x)), lam3)
+        bound = 1e-6 * np.linalg.cond(J) * np.max(np.abs(want))
+        assert np.max(np.abs(np.subtract(step, want))) <= bound
 
 
 def _newton_batch():
@@ -229,31 +321,49 @@ def _newton_batch():
 
 
 def test_damped_newton_batch_equals_rows_run_alone():
-    F, jacobian = system = classifier._SYSTEM
     starts, singular = _newton_batch()
     lam3 = np.full(len(starts), 0.2)
-    assert np.all(np.linalg.det(jacobian(starts[singular], lam3[singular])) == 0.0)
-    batch = classifier._damped_newton(system, starts, lam3)
+    assert np.all(np.linalg.det(_reference_jacobian(starts[singular], 0.2)) == 0.0)
+    for i in singular:
+        f = classifier._residual(tuple(starts[i]), 0.2)
+        assert classifier._newton_step(tuple(starts[i]), f, 0.2) is None
+    batch = classifier._damped_newton(starts, lam3)
     for i, x0 in enumerate(starts):
-        alone = classifier._damped_newton(system, x0[None], lam3[i : i + 1])[0]
+        alone = classifier._damped_newton(x0[None], lam3[i : i + 1])[0]
         np.testing.assert_array_equal(batch[i], alone)
     regular = np.setdiff1d(np.arange(len(starts)), singular)
     assert np.isnan(batch[singular]).all()
     assert np.isfinite(batch[regular]).all()
-    assert np.all(np.linalg.norm(F(batch[regular], 0.2), axis=-1) < 1e-10)
+    assert np.all(_reference_norm(_reference_residuals(batch[regular], 0.2)) < 1e-10)
 
 
-def test_damped_newton_takes_the_first_acceptable_step_fraction():
-    # on a linear system every fraction is acceptable; the full step
-    # lands on the root at once, where repeated 2^-19 steps would stall
-    target = np.array([0.3, -0.7, 0.25, 0.75])
-    system = (
-        lambda x, lam3: x - target,
-        lambda x, lam3: np.broadcast_to(np.eye(4), x.shape + (4,)),
-    )
-    np.testing.assert_array_equal(
-        classifier._damped_newton(system, np.zeros((2, 4)), np.zeros(2)), [target, target]
-    )
+def test_damped_newton_takes_the_first_acceptable_step_fraction(monkeypatch):
+    # a start whose full step and half step are rejected and whose later
+    # fractions pass from the first one on: the loop must take the first
+    starts = np.random.default_rng(5).uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(200, 4))
+    for x0 in starts:
+        f0 = _reference_residuals(x0, 0.2)
+        step = np.linalg.solve(_reference_jacobian(x0, 0.2), -f0)
+        trials = x0 + _FRACTIONS[:, None] * step
+        norms = _reference_norm(_reference_residuals(trials, 0.2))
+        accept = norms < (1.0 - 0.25 * _FRACTIONS) * _reference_norm(f0)
+        if not accept[:2].any() and accept[2:].all():
+            break
+    else:
+        pytest.fail("no start with a rejected full step")
+    first = accept.argmax()
+    visited = []
+    newton_step = classifier._newton_step
+
+    def record(x, f, lam3):
+        visited.append(x)
+        return newton_step(x, f, lam3)
+
+    monkeypatch.setattr(classifier, "_newton_step", record)
+    classifier._damped_newton(x0[None], [0.2])
+    # the second step starts where the first one ended
+    np.testing.assert_allclose(visited[1], trials[first], rtol=0.0, atol=1e-14)
+    assert np.all(np.abs(np.subtract(visited[1], trials[first + 1])) > 1e-6)
 
 
 SEARCHED = (0.2, -0.3, 0.55)
@@ -274,7 +384,7 @@ def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
     )
     seen = []
 
-    def record(system, x0, lam3):
+    def record(x0, lam3):
         seen.append((np.array(x0), np.array(lam3)))
         return np.full_like(x0, np.nan)
 
@@ -290,7 +400,7 @@ def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
 def test_one_newton_draw_equals_the_per_lambda3_draws(monkeypatch):
     seen = []
 
-    def record(system, x0, lam3):
+    def record(x0, lam3):
         seen.append(np.array(x0))
         return np.full_like(x0, np.nan)
 
@@ -309,10 +419,10 @@ def test_mixed_lambda3_newton_rows_equal_the_per_lambda3_calls(seed):
     starts = np.random.default_rng(seed).uniform(
         [-1.5, -1.5, -0.5, -0.5], 1.5, size=(20 * len(SEARCHED), 4)
     )
-    mixed = classifier._damped_newton(classifier._SYSTEM, starts, np.repeat(SEARCHED, 20))
+    mixed = classifier._damped_newton(starts, np.repeat(SEARCHED, 20))
     for k, lam3 in enumerate(SEARCHED):
         rows = slice(20 * k, 20 * (k + 1))
-        alone = classifier._damped_newton(classifier._SYSTEM, starts[rows], np.full(20, lam3))
+        alone = classifier._damped_newton(starts[rows], np.full(20, lam3))
         assert mixed[rows].tobytes() == alone.tobytes()
     rng = np.random.default_rng(seed)
     per_value = [classifier.newton_roots(lam3, rng) for lam3 in SEARCHED]
@@ -338,14 +448,50 @@ def test_validation_of_a_sequence_is_one_list_per_lambda3():
         ((0.2, -math.inf), 20, "lam3 must be finite"),
         (0.2, 0, "attempts must be at least 1, got 0"),
         (0.2, -3, "attempts must be at least 1, got -3"),
+        # these used to raise numpy's TypeError or a comparison error
+        (0.2, 2.5, "attempts must be an integer, got 2.5"),
+        (0.2, True, "attempts must be an integer, got True"),
+        (0.2, "3", "attempts must be an integer, got '3'"),
+        # this one used to be flattened into two values
+        ([[0.2, 0.3]], 20, "lam3 must be a number or a flat sequence"),
     ],
 )
 def test_newton_roots_rejects_an_empty_or_non_finite_search(lam3, attempts, message):
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         classifier.newton_roots(lam3, rng, attempts=attempts)
     # nothing was drawn
     assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
+@pytest.mark.parametrize("rng", [None, 7, np.random.RandomState(7)])
+def test_newton_search_rejects_what_is_not_a_generator(rng):
+    # None and 7 used to raise AttributeError on 'uniform'
+    for search in (classifier.newton_roots, classifier.validate_against_closed_form):
+        with pytest.raises(ValueError, match="rng must be a numpy.random.Generator, got "):
+            search(0.2, rng)
+
+
+def test_validation_rejects_a_nested_lambda3_before_drawing():
+    # it used to raise "only 0-dimensional arrays can be converted"
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="lam3 must be a number or a flat sequence"):
+        classifier.validate_against_closed_form([[0.2, 0.3]], rng)
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
+def test_newton_search_runs_without_numpy_linalg(monkeypatch):
+    """The Newton step is closed-form: no numpy.linalg call in the search."""
+    grid = verification.case_two_grid()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called in the Newton search")
+
+    for name in ("solve", "det", "inv", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(verification.DEFAULT_SEED)
+    assert classifier.validate_against_closed_form(SEARCHED, rng) == [[], [], []]
+    assert classifier.validate_against_closed_form(grid, rng) == [[]] * len(grid)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11, verification.DEFAULT_SEED])

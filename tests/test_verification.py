@@ -187,7 +187,7 @@ def test_stacked_suite_draws_equal_the_per_case_draws(monkeypatch):
 def test_classifier_suite_makes_one_newton_call(monkeypatch):
     calls = _spy(monkeypatch, verification.classifier, "_damped_newton")
     assert verification.run_suite("classifier-branches", seed=7).passed
-    ((_, starts, lam3),) = calls
+    ((starts, lam3),) = calls
     assert starts.shape == (60, 4)
     assert np.array_equal(lam3, np.repeat([0.2, -0.3, 0.55], 20))
 
