@@ -295,14 +295,25 @@ def solve_case_one() -> SolutionBranch:
 
 
 def branch_profile(branch: SolutionBranch, n: int, m1: int | None = None) -> PrincipalProfile:
-    """Materialise a branch as a hypersurface profile in complex dimension n."""
+    """Materialise a branch as a hypersurface profile in complex dimension n.
+
+    m1 is the multiplicity of lam1: 2..n - 1 for case i (default 2), so
+    n is at least 3; case ii has m1 = 1 and needs n at least 2.
+    """
     n = as_int("n", n)
     if m1 is not None:
         m1 = as_int("m1", m1)
+    smallest_n = 3 if branch.case == "i" else 2
+    if n < smallest_n:
+        raise ValueError(
+            f"n must be at least {smallest_n} for a case-{branch.case} branch, got {n}"
+        )
     if branch.case == "i":
         m1 = 2 if m1 is None else m1
         if not 2 <= m1 <= n - 1:
             raise ValueError(f"repeated-carrier multiplicity must lie in 2..{n - 1}")
+    elif m1 not in (None, 1):
+        raise ValueError(f"m1 of a case-ii branch is 1, got {m1}")
     else:
         m1 = 1
     m3 = 2 * n - 2 - m1

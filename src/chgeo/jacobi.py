@@ -30,14 +30,19 @@ fields at that distance, and the shape operator of the image is read
 off from minus the tangential part of the field derivatives.  In the
 frame of ``normal_frame`` only the two projection carriers meet the
 Jc-line, so the map is block diagonal: a 2x2 block D on the carriers
-and the transverse coefficient f on every other row.  Its singular
-values and the image spectrum come from D and f alone, and the 2x2
-algebra (determinant, adjugate, singular values, symmetric
-eigenvalues) is written in closed form: no ``numpy.linalg`` call.
+and the transverse coefficient f on every other row.  Every row
+carries one of the three principal curvatures, so the modes are
+evaluated per principal group, five per map whatever n is: lam1, lam2
+and lam3 at rate 1/2 and the carriers lam1, lam2 at rate 1; the frame's
+row-to-group index gathers them onto the rows.  The singular values
+and the image spectrum come from D and f alone, and the 2x2 algebra
+(determinant, adjugate, singular values, symmetric eigenvalues) is
+written in closed form on floats: no ``numpy.linalg`` call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,8 +79,11 @@ KERNEL_TOL = 1e-10  # a value map's singular values at or below this are its ker
 BLOCK_DET_TOL = 1e-12  # a carrier block with |det| at most this is singular
 KERNEL_GAP = 0.1  # a map with a kernel keeps its other singular values above this
 TANGENT_TOL = 1e-10  # a vector further than this from a frame's span is not tangent
-# the Jacobi equation's rates off the Jc-line and on it, as a column
-_RATES = np.array([[0.5], [1.0]])
+# the five modes of ``_group_modes``: the principal groups lam1, lam2,
+# lam3 at the rate off the Jc-line, then the carriers lam1, lam2 at the
+# rate on it
+_MODE_GROUPS = np.array([0, 1, 2, 0, 1])
+_RATES = np.array([0.5, 0.5, 0.5, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +124,18 @@ class GeodesicNormalFrame:
     The normal is e1 and J(normal) is e2.  The distinguished tangent
     direction sits at e3 (with J-image e4), the two projection carriers
     u1, u2 mix e2 and e4, and the remaining coordinates pair off under
-    J.  ``basis`` rows are ordered (u1, u2, axis, pairs...) and
-    ``lambdas`` assigns the principal curvature of each row, so the
-    axis curvature lam3 is ``lambdas[2]``; the first m1 - 1 pairs carry
-    (lam1, lam3) and the rest (lam3, lam3), m1 the multiplicity of lam1.
-    ``basis`` is built from n and ``hopf`` on first use (``jacobi_field``,
-    ``decompose``); the focal map reads only ``lambdas`` and ``hopf``.
+    J.  ``basis`` rows are ordered (u1, u2, axis, pairs...).  ``groups``
+    gives each row's principal group, 0 for lam1, 1 for lam2 and 2 for
+    lam3: (0, 1, 2), then the first m1 - 1 pairs (0, 2) and the rest
+    (2, 2), m1 the multiplicity of lam1.  ``lambdas`` is
+    (lam1, lam2, lam3) gathered by ``groups``, so its first three
+    entries are the three curvatures.  ``basis`` is built from n and
+    ``hopf`` on first use (``jacobi_field``, ``decompose``); the focal
+    map reads only ``groups``, ``lambdas`` and ``hopf``.
     """
 
     n: int
+    groups: np.ndarray
     lambdas: np.ndarray
     hopf: HopfAttitude
 
@@ -145,9 +156,18 @@ class GeodesicNormalFrame:
     def decompose(self, v) -> np.ndarray:
         """Basis-row coefficients, shape (..., m), of tangent vectors v of shape (..., d).
 
-        Raises if any row of v leaves the span of the basis by more than TANGENT_TOL.
+        Raises ValueError if the last axis of v is not d long, if an
+        entry is not finite, or if any row of v leaves the span of the
+        basis by more than TANGENT_TOL.
         """
-        v = np.asarray(v, dtype=float)[..., None, :]
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != self.dim:
+            raise ValueError(
+                f"v must have length {self.dim} in its last axis, got shape {v.shape}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("v must have finite entries")
+        v = v[..., None, :]
         coeffs = v @ self.basis.T
         if not np.all(np.linalg.norm(v - coeffs @ self.basis, axis=-1) <= TANGENT_TOL):
             raise ValueError("vector is not tangent to the hypersurface frame")
@@ -174,33 +194,38 @@ def normal_frame(profile: PrincipalProfile):
         raise ValidationError(
             f"carrier multiplicity {m1} does not fit complex dimension {n}"
         )
-    lambdas = [lam1, lam2, lam3] + [lam1, lam3] * (m1 - 1) + [lam3, lam3] * (n - 1 - m1)
-    return GeodesicNormalFrame(n=n, lambdas=np.array(lambdas), hopf=hopf)
+    groups = np.array([0, 1, 2] + [0, 2] * (m1 - 1) + [2, 2] * (n - 1 - m1))
+    lambdas = np.array([lam1, lam2, lam3])[groups]
+    return GeodesicNormalFrame(n=n, groups=groups, lambdas=lambdas, hopf=hopf)
 
 
-def _row_modes(lambdas, t):
-    """((f, g), (f_dt, g_dt)) of frame rows with curvatures ``lambdas`` (..., m) at distances t.
+def _group_modes(curvatures, t):
+    """Values K Y and derivatives K X, shape (..., 5), of the principal groups' five modes.
 
-    Row i starts at (1, -lambdas[i]) times itself.  f, shape (..., m),
-    is K Y of its rate-1/2 mode; g, shape (..., 2), is K Y of the rate-1
-    mode minus f on the carriers, rows 0 and 1, the only rows that meet
-    the Jc-line.  t broadcasts against the leading axes of lambdas.
+    ``curvatures`` (..., 3) holds (lam1, lam2, lam3), and t broadcasts
+    against its leading axes.  A row of curvature lam starts at
+    (1, -lam) times itself.  Modes 0-2 are the groups' rate-1/2 modes,
+    so a row's transverse coefficient f is mode ``groups[row]``.  Modes
+    3 and 4 are the rate-1 modes of the carriers lam1 and lam2, the only
+    rows that meet the Jc-line; a carrier's mixing coefficient g is its
+    rate-1 mode minus its f.  All five are one ``jacobi_mode`` call.
     """
     growth, y, x = jacobi_mode(
-        1.0, -lambdas[..., None, :], _RATES, np.asarray(t, dtype=float)[..., None, None]
+        1.0, -curvatures[..., _MODE_GROUPS], _RATES, np.asarray(t, dtype=float)[..., None]
     )
-    value, deriv = growth * y, growth * x
-    f, f_dt = value[..., 0, :], deriv[..., 0, :]
-    return (f, value[..., 1, :2] - f[..., :2]), (f_dt, deriv[..., 1, :2] - f_dt[..., :2])
+    return growth * y, growth * x
 
 
 def jacobi_field(frame: GeodesicNormalFrame, v, t):
     """Field and derivative for tangent vectors v at times t, from ``jacobi_mode``.
 
     v has shape (..., d) and t broadcasts against its leading axes (a
-    scalar t serves every row).  Returns parallel-frame coefficient
-    vectors (value, derivative), each of the broadcast shape (..., d).
-    Raises ValueError unless every t is a finite real number.
+    scalar t serves every row).  The modes are evaluated once per
+    principal group (``_group_modes``) and gathered onto the frame rows.
+    Returns parallel-frame coefficient vectors (value, derivative), each
+    of the broadcast shape (..., d).  Raises ValueError unless every t
+    is a finite real number and v is a finite tangent vector (see
+    ``GeodesicNormalFrame.decompose``).
     """
     times = np.asarray(t)
     if times.dtype.kind not in "iuf" or not np.all(np.isfinite(times)):
@@ -210,9 +235,9 @@ def jacobi_field(frame: GeodesicNormalFrame, v, t):
     # carriers, rows 0 and 1, have <row_i, Jc> != 0
     w = (frame.basis[:2] @ frame.jxi)[:, None]
     fields = []
-    for f, g in _row_modes(frame.lambdas, times):
-        rows = f[..., None] * frame.basis
-        rows[..., :2, :] += w * g[..., None] * frame.jxi
+    for modes in _group_modes(frame.lambdas[:3], times):
+        rows = modes[..., frame.groups, None] * frame.basis
+        rows[..., :2, :] += w * (modes[..., 3:] - modes[..., :2])[..., None] * frame.jxi
         fields.append((coeffs @ rows)[..., 0, :])
     return tuple(fields)
 
@@ -440,12 +465,15 @@ def transversal_maps(jobs) -> list[FocalMapData]:
     of the image from the minimal orbit, where lam3 is the axis
     curvature: further out the image curvatures come closer than the
     merge gap.  A job that fails a check raises, naming its lam3 and r.
-    The Jacobi modes of all jobs are one stacked evaluation; each job's
-    2x2 carrier algebra is then closed-form on floats: for
-    D = [[a, b], [c, d]], det = ad - bc, C = -D_dt adj(D) / det, and the
-    singular values sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2
-    and sigma_min = |det| / sigma_max.  Each job's data equals a call on
-    that job alone.
+    The Jacobi modes of all jobs are one ``_group_modes`` call on a
+    (B, 5) stack, five modes per job.  Each job's transverse rows gather
+    f and f_dt by the frame's row-to-group index, and its 2x2 carrier
+    algebra is closed-form on floats: for D = [[a, b], [c, d]],
+    det = ad - bc, C = -D_dt adj(D) / det, and the singular values
+    sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2 and
+    sigma_min = |det| / sigma_max; the kernel dimension counts the
+    sorted singular values at or below KERNEL_TOL.  Each job's data
+    equals a call on that job alone.
     """
     frames, radii = [], []
     for profile, r in jobs:
@@ -459,48 +487,51 @@ def transversal_maps(jobs) -> list[FocalMapData]:
         )
     if not frames:
         return []
-    lambdas = np.array([frame.lambdas for frame in frames])
-    (f, g), (f_dt, g_dt) = _row_modes(lambdas, radii)
-    # (f, g) of the projection carriers, rows 0 and 1 of the frame, and
-    # their derivatives: per job [[f0, f1, g0, g1], [f0_dt, f1_dt, g0_dt, g1_dt]]
-    carriers = np.concatenate([f[:, :2], g, f_dt[:, :2], g_dt], axis=-1).reshape(-1, 2, 4)
-    blocks, sigmas = [], []
-    for frame, (modes, modes_dt) in zip(frames, carriers.tolist()):
-        rows = _carrier_rows(*modes, frame.hopf.b1, frame.hopf.b2)
-        rows_dt = _carrier_rows(*modes_dt, frame.hopf.b1, frame.hopf.b2)
-        det = _det(rows)
-        regular = abs(det) > BLOCK_DET_TOL
-        c_block = np.array(_product(rows_dt, _adjugate(rows), -det)) if regular else None
-        blocks.append((np.array(rows), np.array(rows_dt), det, c_block))
-        sigmas.append(_singular_values(rows))
-    # the other rows keep their direction and scale by f
-    f, f_dt = f[:, 2:], f_dt[:, 2:]
-    svals = np.sort(np.concatenate([sigmas, np.abs(f)], axis=-1))[:, ::-1]
-    kernel_dims = (svals <= KERNEL_TOL).sum(axis=-1).tolist()
-    for i, kernel_dim in enumerate(kernel_dims):
-        # a job with a kernel must keep its other singular values above the gap
-        if 0 < kernel_dim < svals.shape[-1] and svals[i, -kernel_dim - 1] < KERNEL_GAP:
-            raise ValidationError(
-                "singular values fall between the kernel threshold and the gap "
-                f"guard at distance {radii[i]}, lam3={frames[i].lambdas[2]}: {svals[i]}"
-            )
+    values, derivs = _group_modes(np.array([frame.lambdas[:3] for frame in frames]), radii)
+    modes = np.concatenate([values, derivs], axis=-1).tolist()
     return [
-        FocalMapData(
-            r=r,
-            frame=frame,
-            f=f[i],
-            f_dt=f_dt[i],
-            singular_values=svals[i],
-            kernel_dim=kernel_dim,
-            d_block=d_block,
-            d_block_dt=d_block_dt,
-            _c_block=c_block,
-            c_reason=None if c_block is not None else f"det of the carrier block is {det:.3e}",
-        )
-        for i, (r, frame, kernel_dim, (d_block, d_block_dt, det, c_block)) in enumerate(
-            zip(radii, frames, kernel_dims, blocks)
-        )
+        _focal_map(r, frame, job, *rows)
+        for r, frame, job, rows in zip(radii, frames, modes, zip(values, derivs))
     ]
+
+
+def _focal_map(r, frame, modes, value, deriv) -> FocalMapData:
+    """One job of ``transversal_maps`` from its five ``_group_modes``.
+
+    ``value`` and ``deriv`` are the modes' values and derivatives, and
+    ``modes`` is the two as one list of floats.
+    """
+    f0, f1, _, h0, h1, f0_dt, f1_dt, _, h0_dt, h1_dt = modes
+    b1, b2 = frame.hopf.b1, frame.hopf.b2
+    # g of a carrier is its rate-1 mode h minus f
+    rows = _carrier_rows(f0, f1, h0 - f0, h1 - f1, b1, b2)
+    rows_dt = _carrier_rows(f0_dt, f1_dt, h0_dt - f0_dt, h1_dt - f1_dt, b1, b2)
+    det = _det(rows)
+    regular = abs(det) > BLOCK_DET_TOL
+    c_block = np.array(_product(rows_dt, _adjugate(rows), -det)) if regular else None
+    # the other rows keep their direction and scale by the f of their group
+    transverse = frame.groups[2:]
+    f, f_dt = value[transverse], deriv[transverse]
+    svals = sorted([*_singular_values(rows), *np.abs(f).tolist()])
+    kernel_dim = bisect.bisect_right(svals, KERNEL_TOL)
+    # a map with a kernel must keep its other singular values above the gap
+    if 0 < kernel_dim < len(svals) and svals[kernel_dim] < KERNEL_GAP:
+        raise ValidationError(
+            "singular values fall between the kernel threshold and the gap "
+            f"guard at distance {r}, lam3={frame.lambdas[2]}: {np.array(svals[::-1])}"
+        )
+    return FocalMapData(
+        r=r,
+        frame=frame,
+        f=f,
+        f_dt=f_dt,
+        singular_values=np.array(svals[::-1]),
+        kernel_dim=kernel_dim,
+        d_block=np.array(rows),
+        d_block_dt=np.array(rows_dt),
+        _c_block=c_block,
+        c_reason=None if c_block is not None else f"det of the carrier block is {det:.3e}",
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,15 +558,15 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     the translated carriers it is ``carrier_block`` = -adj(D) @ D_dt /
     det(D), det(D) the focal map's ``det_d``, with the eigenvalues of
     its symmetric part; a transverse row with f above KERNEL_TOL keeps
-    its direction with eigenvalue -f_dt/f; rows with f at or below
-    KERNEL_TOL are kernel and leave the image.
+    its direction with eigenvalue -f_dt/f, formed on floats; rows with f
+    at or below KERNEL_TOL are kernel and leave the image.
     """
     focal.c_block  # raises FocalPointError when the carrier block is singular
     rows = focal.d_block.tolist()
     block = _product(_adjugate(rows), focal.d_block_dt.tolist(), -_det(rows))
-    live = np.abs(focal.f) > KERNEL_TOL
-    rates = -focal.f_dt[live] / focal.f[live]
-    entries = merge_spectrum(np.concatenate([_symmetric_eigenvalues(block), rates]))
-    carrier_block = np.array(block)
+    rates = [
+        -f_dt / f for f, f_dt in zip(focal.f.tolist(), focal.f_dt.tolist()) if abs(f) > KERNEL_TOL
+    ]
+    entries = merge_spectrum([*_symmetric_eigenvalues(block), *rates])
     # frame row 2, the axis, is never kernel: its f stays positive for |lam3| < 1/2
-    return ImageShapeData(entries=entries, carrier_block=carrier_block, axis_rate=float(rates[0]))
+    return ImageShapeData(entries=entries, carrier_block=np.array(block), axis_rate=rates[0])

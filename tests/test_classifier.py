@@ -521,9 +521,11 @@ def test_branch_profile_structure():
 
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_branch_profile_rejects_non_positive_multiplicities(n):
-    # the axis multiplicity 2n - 3 of a case-ii branch is below 1 for n < 2
+    # the axis multiplicity 2n - 3 of a case-ii branch is below 1 for n < 2;
+    # n is refused by name before a profile is built
     branch = classifier.solve_case_two(0.2).branch
-    with pytest.raises(ValueError, match="multiplicity must be at least 1"):
+    message = f"n must be at least 2 for a case-ii branch, got {n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         classifier.branch_profile(branch, n)
     assert classifier.branch_profile(branch, 2).entries[1] == (branch.lambda3, 1)
 
@@ -540,6 +542,25 @@ def test_branch_profile_rejects_a_carrier_multiplicity_that_is_not_an_integer():
     # it used to return multiplicities 3.5 and 2.5
     with pytest.raises(ValueError, match=re.escape("m1 must be an integer, got 2.5")):
         classifier.branch_profile(classifier.solve_case_one(), 4, m1=2.5)
+
+
+@pytest.mark.parametrize("m1", [0, 2, 3, np.int64(3)])
+def test_case_two_profile_refuses_a_carrier_multiplicity(m1):
+    # it used to return the m1 = 1 profile whatever m1 was
+    branch = classifier.solve_case_two(0.2).branch
+    with pytest.raises(ValueError, match=f"m1 of a case-ii branch is 1, got {m1}"):
+        classifier.branch_profile(branch, 5, m1=m1)
+    for m1 in (None, 1, np.int64(1)):
+        assert classifier.branch_profile(branch, 5, m1=m1) == classifier.branch_profile(branch, 5)
+
+
+@pytest.mark.parametrize("n", [2, 1, 0, -4])
+def test_case_one_profile_names_a_dimension_below_three(n):
+    # n = 2 used to say "multiplicity must lie in 2..1"
+    message = f"n must be at least 3 for a case-i branch, got {n}"
+    for m1 in (None, 2):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classifier.branch_profile(classifier.solve_case_one(), n, m1=m1)
 
 
 def test_isolated_profile_multiplicity_range():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,14 +235,29 @@ def test_stacked_jacobi_field_equals_row_calls(frame, t_shape):
         assert np.array_equal(deriv[idx], row_deriv)
 
 
-@pytest.mark.parametrize("bad", [1.0, math.nan], ids=["normal-component", "nan-entry"])
-def test_stacked_jacobi_field_rejects_one_non_tangent_row(frame, bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [(1.0, "not tangent")] + [(x, "v must have finite entries") for x in (math.nan, math.inf)],
+    ids=["normal-component", "nan-entry", "inf-entry"],
+)
+def test_stacked_jacobi_field_rejects_one_non_tangent_row(frame, bad, message):
     v = np.random.default_rng(9).standard_normal((5, 6))
     v[:, 0] = 0.0
     jacobi.jacobi_field(frame, v, 1.0)
     v[3, 0] = bad
-    with pytest.raises(ValueError, match="not tangent"):
+    with pytest.raises(ValueError, match=message):
         jacobi.jacobi_field(frame, v, 1.0)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5,), (7,), (2, 4), (3, 0), ()], ids=["short", "long", "stack", "empty", "scalar"]
+)
+def test_decompose_names_a_vector_of_the_wrong_length(frame, shape):
+    v = np.zeros(shape)
+    message = re.escape(f"v must have length 6 in its last axis, got shape {shape}")
+    for call in (frame.decompose, lambda v: jacobi.jacobi_field(frame, v, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call(v)
 
 
 @pytest.mark.parametrize(
@@ -544,7 +560,7 @@ def _assert_same_spectrum(got, want, tol=1e-12):
     assert np.max(np.abs(np.subtract([v for v, _ in got], [v for v, _ in want]))) <= tol
 
 
-def _edge_maps():
+def _edge_jobs():
     """ROADMAP item 17's edge points at the default distance, and lam3 = 0.2 at r = -20.
 
     D is near-singular at the first and of size 1e8 at the last.
@@ -555,11 +571,13 @@ def _edge_maps():
         for s in (1.0, -1.0)
     ] + [(0.2, -20.0)]
     return [
-        jacobi.transversal_map(
-            classifier.branch_profile(classifier.solve_case_two(lam3).branch, 3), r
-        )
+        (classifier.branch_profile(classifier.solve_case_two(lam3).branch, 3), r)
         for lam3, r in jobs
     ]
+
+
+def _edge_maps():
+    return [jacobi.transversal_map(profile, r) for profile, r in _edge_jobs()]
 
 
 def test_block_route_matches_the_dense_map():
@@ -611,6 +629,131 @@ def test_focal_map_runs_without_numpy_linalg(monkeypatch):
     for focal in focals:
         jacobi.image_shape_operator(focal)
         assert focal.det_d > 0.0
+
+
+def _reference_row_modes(lambdas, t):
+    """((f, g), (f_dt, g_dt)) of frame rows with curvatures ``lambdas`` (..., m) at distances t.
+
+    The per-row evaluation that ``_group_modes`` replaced, kept as a
+    reference: both rates on every frame row in one stacked call, g kept
+    on the carriers, rows 0 and 1.
+    """
+    growth, y, x = jacobi.jacobi_mode(
+        1.0, -lambdas[..., None, :], np.array([[0.5], [1.0]]),
+        np.asarray(t, dtype=float)[..., None, None],
+    )
+    value, deriv = growth * y, growth * x
+    f, f_dt = value[..., 0, :], deriv[..., 0, :]
+    return (f, value[..., 1, :2] - f[..., :2]), (f_dt, deriv[..., 1, :2] - f_dt[..., :2])
+
+
+def _reference_maps(jobs):
+    """Per job the focal and image data of the stacked per-row route, as plain values."""
+    frames = [jacobi.normal_frame(profile) for profile, _ in jobs]
+    (f, g), (f_dt, g_dt) = _reference_row_modes(
+        np.array([frame.lambdas for frame in frames]), [r for _, r in jobs]
+    )
+    carriers = np.concatenate([f[:, :2], g, f_dt[:, :2], g_dt], axis=-1).reshape(-1, 2, 4)
+    f, f_dt = f[:, 2:], f_dt[:, 2:]
+    refs = []
+    for i, (frame, (modes, modes_dt)) in enumerate(zip(frames, carriers.tolist())):
+        rows = jacobi._carrier_rows(*modes, frame.hopf.b1, frame.hopf.b2)
+        rows_dt = jacobi._carrier_rows(*modes_dt, frame.hopf.b1, frame.hopf.b2)
+        det = jacobi._det(rows)
+        svals = np.sort(np.concatenate([jacobi._singular_values(rows), np.abs(f[i])]))[::-1]
+        ref = {
+            "f": f[i], "f_dt": f_dt[i], "d_block": np.array(rows), "d_block_dt": np.array(rows_dt),
+            "singular_values": svals, "kernel_dim": int((svals <= jacobi.KERNEL_TOL).sum()),
+            "det_d": det,
+            "c_reason": None if abs(det) > jacobi.BLOCK_DET_TOL
+            else f"det of the carrier block is {det:.3e}",
+        }
+        if ref["c_reason"] is None:
+            block = jacobi._product(jacobi._adjugate(rows), rows_dt, -det)
+            live = np.abs(f[i]) > jacobi.KERNEL_TOL
+            rates = -f_dt[i][live] / f[i][live]
+            ref["entries"] = merge_spectrum(
+                np.concatenate([jacobi._symmetric_eigenvalues(block), rates])
+            )
+            ref["carrier_block"], ref["axis_rate"] = np.array(block), float(rates[0])
+        refs.append(ref)
+    return refs
+
+
+def _reference_field(frame, v, t):
+    """``jacobi_field`` on the per-row modes."""
+    coeffs = frame.decompose(v)[..., None, :]
+    w = (frame.basis[:2] @ frame.jxi)[:, None]
+    fields = []
+    for f, g in _reference_row_modes(frame.lambdas, np.asarray(t)):
+        rows = f[..., None] * frame.basis
+        rows[..., :2, :] += w * g[..., None] * frame.jxi
+        fields.append((coeffs @ rows)[..., 0, :])
+    return tuple(fields)
+
+
+def _same_bits(got, want):
+    if isinstance(want, np.ndarray):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+    # repr round-trips a float exactly and keeps the sign of a zero
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_group_modes_match_the_per_row_reference():
+    """Five modes per map give the per-row route's data, bit for bit."""
+    iso = classifier.solve_case_one()
+    jobs_by_n = []
+    for n in (2, 3, 5, 8, 40):
+        jobs = []
+        for lam3 in verification.case_two_grid():
+            profile = classifier.branch_profile(classifier.solve_case_two(float(lam3)).branch, n)
+            jobs += [(profile, r) for r in (2.0 * math.atanh(2.0 * lam3), 1.1, -2.0, 5.0)]
+        jobs_by_n.append(jobs)
+    for n, m1s in ((3, (2,)), (4, (2, 3)), (6, (5,)), (8, (4,)), (40, (2, 20, 39))):
+        profiles = [classifier.branch_profile(iso, n, m1=m1) for m1 in m1s]
+        jobs_by_n.append([(p, r) for p in profiles for r in (R_STAR, 1.3, -0.0)])
+    jobs_by_n.append(_edge_jobs())
+    checked = 0
+    for jobs in jobs_by_n:
+        for focal, ref in zip(jacobi.transversal_maps(jobs), _reference_maps(jobs)):
+            for name in ("f", "f_dt", "d_block", "d_block_dt", "singular_values", "kernel_dim",
+                         "c_reason", "det_d"):
+                assert _same_bits(getattr(focal, name), ref[name]), name
+            if ref["c_reason"] is None:
+                image = jacobi.image_shape_operator(focal)
+                for name in ("entries", "carrier_block", "axis_rate"):
+                    assert _same_bits(getattr(image, name), ref[name]), name
+            checked += 1
+    assert checked == 97 * 4 * 5 + 3 * 8 + 11
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 40):
+        for lam3 in (0.2, -0.3):
+            frame = jacobi.normal_frame(
+                classifier.branch_profile(classifier.solve_case_two(lam3).branch, n)
+            )
+            v = rng.standard_normal((4, 2 * n))
+            v[:, 0] = 0.0
+            times = (0.0, -0.0, 1.3, -2.0, np.array([0.5, -0.0, 3.0, -1.0]), np.array([[2], [0]]))
+            for t in times:
+                got = jacobi.jacobi_field(frame, v, t)
+                for value, want in zip(got, _reference_field(frame, v, t)):
+                    assert _same_bits(value, want)
+
+
+@pytest.mark.parametrize("n", [3, 60])
+def test_focal_map_evaluates_five_modes_whatever_n(monkeypatch, n):
+    """lam1, lam2, lam3 at rate 1/2 and the carriers at rate 1: one call, five modes."""
+    betas, mode = [], jacobi.jacobi_mode
+
+    def spy(alpha, beta, q, t):
+        betas.append(np.size(beta))
+        return mode(alpha, beta, q, t)
+
+    monkeypatch.setattr(jacobi, "jacobi_mode", spy)
+    profile = classifier.branch_profile(classifier.solve_case_two(0.2).branch, n)
+    focal = jacobi.transversal_map(profile, 1.1)
+    assert betas == [5]
+    assert len(focal.f) == 2 * n - 3
 
 
 def _blocks_2x2(rng):
