@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its check of integer arguments."""
+"""Exception types shared across the package, and its checks of integer and real arguments."""
 
+import numbers
 import operator
 
 __all__ = [
@@ -11,6 +12,7 @@ __all__ = [
     "UnsupportedModelError",
     "ValidationError",
     "as_int",
+    "as_real",
 ]
 
 
@@ -25,6 +27,16 @@ def as_int(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-real value raises ValueError naming ``name``.
+
+    Numpy floats and integers are accepted and stored as plain floats, so they reach JSON.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class DegeneratePlaneError(ValueError):

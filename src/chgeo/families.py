@@ -5,18 +5,22 @@ from a base submanifold (a point, a totally geodesic complex or real
 subspace, or a ruled minimal orbit of the group model), propagate
 Jacobi fields the tube distance along a unit normal, and read the
 shape operator of the result as minus the derivative map against
-the value map.  Directions are classified spectrally through the
-ambient curvature operator (``jacobi.curvature_propagator``), so no
-family gets hard-coded curvature formulas.  Its two eigenvalues on the
-normal's complement make both maps diagonal plus rank one in the
-base's principal frame, so each tube reduces to scalar ratios and one
-small block on the directions that J(normal) meets (the deflation of a
-rank-one eigenvalue update).  Every field is a mode of one rate,
-evaluated by ``jacobi.jacobi_mode``, the function the focal map reads.
-A base hands the engine only its principal frame's groups (``TubeBase``):
-the named bases build them in O(n), a ruled orbit reads them in closed
-form from the rank-two shape operator of its flag, and the frame route
-(``frame_base``) decomposes a checked frame's shape operator.
+the value map.  No family gets hard-coded curvature formulas: the
+ambient Jacobi operator has two eigenvalues on the normal's complement,
+1 on the line of J(normal) and 1/4 on the rest, so every field is a
+mode of the closed-form rate 1 or 1/2 (``jacobi.RATES``), evaluated by
+``jacobi.jacobi_mode``, the function the focal map reads; the
+``jacobi-oracle`` verification suite holds that spectrum against an
+``eigh`` of the operator.  The two rates make both maps diagonal plus
+rank one in the base's principal frame, so each tube reduces to scalar
+ratios and one small block on the directions that J(normal) meets (the
+deflation of a rank-one eigenvalue update).  A base hands the engine
+only its principal frame's groups (``TubeBase``): the named bases build
+them in O(n), a ruled orbit reads them in closed form from the rank-two
+shape operator of its flag, and the frame route (``frame_base``)
+decomposes a checked frame's shape operator.  The engine groups each
+tube's few values with ``profiles.merge_spectrum`` as they come, never
+repeated out to one per frame row.
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import CurvatureModel, complex_structure
+from .ambient import complex_structure
 from .classifier import residual_hopf_weights
 from .errors import (
     FocalRadiusError,
@@ -41,9 +45,10 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
     as_int,
+    as_real,
 )
-from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, curvature_propagator, jacobi_mode
-from .profiles import HopfAttitude, PrincipalProfile, eigenspace_sums, eigenspaces
+from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, RATES, jacobi_mode
+from .profiles import HopfAttitude, PrincipalProfile, merge_spectrum
 from .solvable import (
     OrbitModel,
     SolvableAlgebra,
@@ -98,12 +103,6 @@ FRAME_TOL = 1e-10
 # catalog's flags for n = 2..100 and on every W^{2n-k} for n <= 20.
 RANK_TWO_TOL = 1e-12
 
-# the propagator's line of J(normal) may differ from +-J(normal), the normal's
-# image under ``ambient.complex_structure``, by at most this in any coordinate.
-# It differs by exactly 0 on the catalog's normals and by at most 1.1e-15 on 50
-# random unit normals each for n in {2, 3, 5, 8, 16, 40}.
-J_LINE_TOL = 1e-10
-
 # along a normal nu of the slice, <x, ad_nu y> = x_Z <J nu, y> on the orbit's
 # tangent rows, so the shape operator, its symmetric part, has this factor
 _RULED_SCALE = 0.5
@@ -124,8 +123,10 @@ class TubeBase:
     ``alpha[g]``, ``beta[g]``, its multiplicity ``mult[g]`` and
     ``weight[g]``, the length of J(nu)'s projection onto its rows: the
     tangent groups in ascending sigma, then the sphere group.  This is all
-    the engine reads; ``tube_base`` builds the named and ruled bases'
-    groups, ``frame_base`` those of a hand-made frame.
+    the engine reads, and it hands each group to ``merge_spectrum`` as one
+    item with its multiplicity, not as mult[g] rows.  ``tube_base`` builds
+    the named and ruled bases' groups, ``frame_base`` those of a hand-made
+    frame.
     """
 
     n: int
@@ -208,8 +209,8 @@ def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
     finite, nu a unit vector and [tangent; sphere; nu] orthonormal within
     FRAME_TOL, and the shape symmetric within SYMMETRY_TOL, or
     ValidationError names the defect.  One ``eigh`` of the shape gives the
-    tangent rows' curvatures, one ``eigenspaces`` call groups them, and the
-    weights project J(nu), from ``ambient.complex_structure``.
+    tangent rows' curvatures, ``merge_spectrum`` groups them with J(nu)'s
+    squared coordinates, and J(nu) comes from ``ambient.complex_structure``.
     """
     n = as_int("n", n)
     nu, tangent, shape, sphere = (np.asarray(a, dtype=float) for a in (nu, tangent, shape, sphere))
@@ -243,9 +244,9 @@ def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
         raise ValidationError(f"base shape operator asymmetric by {asym:.3e}")
     jnu = complex_structure(n) @ nu
     sigma, vecs = np.linalg.eigh(shape)
-    entries, masks = eigenspaces(sigma[None])
-    weight = np.sqrt(eigenspace_sums(np.square((tangent @ jnu) @ vecs)[None], masks)[0])
-    groups = [(value, mult, w) for (value, mult), w in zip(entries[0], weight.tolist())]
+    squares = np.square((tangent @ jnu) @ vecs).tolist()
+    entries, lengths = merge_spectrum(zip(sigma.tolist(), [1] * k, squares))
+    groups = [(value, mult, w) for (value, mult), w in zip(entries, lengths)]
     return _base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
 
 
@@ -300,54 +301,48 @@ def _flag_bases(flag: list[OrbitModel]) -> list[TubeBase]:
     return bases
 
 
-def _carrier_runs(entries, masks, weights):
-    """Carrier lengths and carrier runs of a stack of grouped spectra.
+def _carrier_runs(entries, lengths) -> list[int]:
+    """The carrier runs of one grouped spectrum, ``merge_spectrum``'s (entries, lengths).
 
-    (entries, masks) is ``eigenspaces`` of a (B, m) stack of spectra and
-    ``weights`` (B, m) holds J(normal)'s coordinates in each row's
-    eigenbasis.  A run is a carrier when J(normal) projects onto it
-    longer than CARRIER_TOL.  Returns the (B, G) projection lengths and,
-    for each row, its carrier runs: the repeated one first, if any,
-    otherwise ascending.  One carrier makes a Hopf model and two a
-    non-Hopf one; any other count raises.
+    A run is a carrier when J(normal) projects onto it longer than
+    CARRIER_TOL.  Returns the carrier runs' indices: the repeated one
+    first, if any, otherwise ascending.  One carrier makes a Hopf model
+    and two a non-Hopf one; any other count raises.
     """
-    lengths = np.sqrt(eigenspace_sums(weights * weights, masks))
-    carrier = lengths > CARRIER_TOL
-    counts = np.count_nonzero(carrier, axis=-1)
-    bad = (counts < 1) | (counts > 2)
-    if bad.any():
+    runs = [j for j, length in enumerate(lengths) if length > CARRIER_TOL]
+    if not 1 <= len(runs) <= 2:
         raise UnsupportedModelError(
-            f"J(normal) has {counts[bad][0]} carrier eigenspaces, neither the one of a "
+            f"J(normal) has {len(runs)} carrier eigenspaces, neither the one of a "
             "Hopf model nor the two of a non-Hopf model"
         )
-    runs = []
-    for row_entries, row in zip(entries, carrier.tolist()):
-        js = [j for j, c in enumerate(row) if c]
-        if len(js) == 2 and row_entries[js[1]][1] > row_entries[js[0]][1]:
-            js.reverse()
-        runs.append(js)
-    return lengths, runs
+    if len(runs) == 2 and entries[runs[1]][1] > entries[runs[0]][1]:
+        runs.reverse()
+    return runs
 
 
 def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
     """Merged spectrum of S and the eigenspaces that carry J(normal).
 
-    (vals, vecs) is ``np.linalg.eigh(S)``; this is the one-row reading of
-    ``_carrier_runs``.  Each carrier is (index into the spectrum, weight,
-    unit direction), the direction in the frame of S.
+    (vals, vecs) is ``np.linalg.eigh(S)``, grouped by ``merge_spectrum``
+    and picked by ``_carrier_runs``.  Each carrier is (index into the
+    spectrum, weight, unit direction), the direction in the frame of S.
     """
-    entries, masks = eigenspaces(vals[None])
     weights = jnu_coeffs @ vecs
-    lengths, (runs,) = _carrier_runs(entries, masks, weights[None])
+    entries, lengths = merge_spectrum(
+        [(value, 1, w * w) for value, w in zip(vals.tolist(), weights.tolist())]
+    )
+    # the entry of each eigenvector: the spectrum is ascending, so runs are contiguous
+    label = np.repeat(np.arange(len(entries)), [m for _, m in entries])
     carriers = [
-        (j, float(lengths[0, j]), vecs @ np.where(masks[0, j], weights, 0.0) / lengths[0, j])
-        for j in runs
+        (j, lengths[j], vecs @ np.where(label == j, weights, 0.0) / lengths[j])
+        for j in _carrier_runs(entries, lengths)
     ]
-    return entries[0], carriers
+    return entries, carriers
 
 
-def _check_radius(base: TubeBase, r: float) -> None:
-    """Reject a radius the engine cannot resolve, or r <= 0 around a proper tube."""
+def _check_radius(base: TubeBase, r) -> float:
+    """r as a float; raise if the engine cannot resolve it, or r <= 0 around a proper tube."""
+    r = as_real("tube radius", r)
     if not (math.isfinite(r) and abs(r) <= MAX_RADIUS):
         raise ValueError(
             f"tube radius {r} is out of range: |r| must be finite and at most "
@@ -355,146 +350,102 @@ def _check_radius(base: TubeBase, r: float) -> None:
         )
     if 2 * base.n - base.dim >= 2 and r <= 0:
         raise ValueError(f"tube radius must be positive, got {r}")
-
-
-def _groups(jobs) -> list[list[int]]:
-    """Job indices by complex dimension n."""
-    groups: dict = {}
-    for i, (base, _) in enumerate(jobs):
-        groups.setdefault(base.n, []).append(i)
-    return list(groups.values())
+    return r
 
 
 def tube_spectra(jobs) -> list[PrincipalProfile]:
     """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
-    The jobs sharing n run as one stack, with one ``curvature_propagator``
-    call per normal direction: on the normal's complement the Jacobi
-    operator is 1 on the line of J(normal) and 1/4 on the rest, and
-    ``jacobi_mode`` evaluates the fields of both rates.  In the
-    base's principal frame (the eigenvectors of its shape operator, then
-    the sphere rows) each row starts as a multiple of itself, so the
-    value and derivative maps V and D are diagonal plus rank one.  The
-    engine reads only the frame's groups, rows with equal initial data,
-    which each ``TubeBase`` carries.  Off the projection of J(normal), a
-    group is an eigenspace with the scalar value -X/Y, X and Y its
-    bounded derivative and value factors from ``jacobi_mode``.  The G
-    projections span a G x G block, G = 1 for a Hopf tube and 2 for the
-    paper's non-Hopf ones, solved in scaled form, stacked by G
-    (``_block_spectra``).  One grouping of all the spectra
-    (``eigenspaces``) gives every profile's values, Hopf flag and
-    carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
-    and non-Hopf with two.  No (2n - 1) x (2n - 1) matrix is formed, and
-    no base costs an ``eigh`` here.
+    Every base must have the same complex dimension n, or ValidationError
+    names the dimensions.  On the normal's complement the Jacobi
+    operator is 1 on the line of J(normal) and 1/4 on the rest, so a
+    mode runs at the closed-form rate 1 or 1/2 (``jacobi.RATES``) and
+    ``jacobi_mode`` evaluates it.  In the base's principal frame (the
+    eigenvectors of its shape operator, then the sphere rows) each row
+    starts as a multiple of itself, so the value and derivative maps V
+    and D are diagonal plus rank one.  The engine reads only the frame's
+    groups, rows with equal initial data, which each ``TubeBase``
+    carries.  Off the projection of J(normal), a group is an eigenspace
+    with the scalar value -X/Y, X and Y its bounded derivative and value
+    factors from ``jacobi_mode``.  The G projections span a G x G block,
+    G = 1 for a Hopf tube and 2 for the paper's non-Hopf ones, solved in
+    scaled form, stacked by G (``_block_spectra``).  Each job's scalar
+    groups and block eigenpairs go to ``merge_spectrum`` as they are, a
+    handful of items, which gives its profile's values and J(normal)
+    lengths; ``_carrier_runs`` picks its carriers: a tube is Hopf when
+    J(normal) has one carrier eigenspace, and non-Hopf with two.  No
+    (2n - 1) x (2n - 1) matrix is formed, no row of the profile is
+    repeated out, and no base costs an ``eigh`` here.
 
-    Every r must be finite with |r| <= MAX_RADIUS.  Proper tubes (bases
-    of codimension >= 2) require r > 0; hypersurface bases accept signed
-    r and describe the equidistant family.  A focal r, where a singular
-    value of V is at most KERNEL_TOL, raises FocalRadiusError; a block
-    asymmetric by more than SYMMETRY_TOL raises ValueError, a line of
-    J(normal) off J_LINE_TOL ValidationError, a tube with other than one or two carriers
+    Every r must be a real number, finite with |r| <= MAX_RADIUS.
+    Proper tubes (bases of codimension >= 2) require r > 0; hypersurface
+    bases accept signed r and describe the equidistant family.  A focal
+    r, where a singular value of V is at most KERNEL_TOL, raises
+    FocalRadiusError; a block asymmetric by more than SYMMETRY_TOL raises
+    ValueError, a tube with other than one or two carriers
     UnsupportedModelError, and a tube with two distinct curvatures within
     MERGE_TOL UnresolvedSpectrumError, naming its radius, the two values
     and, as ``job``, its index in ``jobs``.
     """
-    for base, r in jobs:
-        _check_radius(base, r)
-    out = [None] * len(jobs)
-    for members in _groups(jobs):
-        try:
-            profiles = _stack_profiles([jobs[i] for i in members])
-        except UnresolvedSpectrumError as exc:
-            exc.job = members[exc.job]
-            raise
-        for i, profile in zip(members, profiles):
-            out[i] = profile
-    return out
-
-
-def _stack_profiles(stack) -> list[PrincipalProfile]:
-    """One stack of ``tube_spectra``: the (TubeBase, r) jobs that share n.
-
-    Per normal direction, one ``curvature_propagator`` call gives the
-    rates q, and its line of J(normal) is held to J_LINE_TOL against the
-    normal's image under ``ambient.complex_structure``, which the bases'
-    weights project.  The jobs' groups are read as (B, G) arrays, a
-    job's groups past its last empty; ``jacobi_mode`` evaluates each job
-    at its own radius, and the G x G blocks run through
-    ``_block_spectra``, one stack per G.
-    """
-    n = stack[0][0].n
-    model = CurvatureModel(n)
-    radii = np.array([r for _, r in stack])
-    normals: dict = {}
-    for i, (base, _) in enumerate(stack):
-        normals.setdefault(base.nu.tobytes(), (base.nu, []))[1].append(i)
-    q = np.empty((len(stack), 2))
-    for nu, members in normals.values():
-        jc, q[members] = curvature_propagator(model, nu)
-        jnu = model.J @ nu
-        defect = np.minimum(np.max(np.abs(jc - jnu)), np.max(np.abs(jc + jnu)))
-        if not defect <= J_LINE_TOL:
-            raise ValidationError(
-                f"the Jacobi operator's line of J(normal) lies {defect:.3e} from +-J(normal), "
-                f"above J_LINE_TOL = {J_LINE_TOL:g}"
-            )
-    width = max(len(base.mult) for base, _ in stack)
-    alpha, beta, weight = np.zeros((3, len(stack), width))
-    mult = np.zeros((len(stack), width), dtype=int)
-    for i, (base, _) in enumerate(stack):
+    radii = np.array([_check_radius(base, r) for base, r in jobs])
+    dims = sorted({base.n for base, _ in jobs})
+    if len(dims) > 1:
+        raise ValidationError(f"stacked tube spectra need one complex dimension, got n in {dims}")
+    if not jobs:
+        return []
+    n = dims[0]
+    m = 2 * n - 1
+    width = max(len(base.mult) for base, _ in jobs)
+    alpha, beta, weight = np.zeros((3, len(jobs), width))
+    mult = np.zeros((len(jobs), width), dtype=int)
+    for i, (base, _) in enumerate(jobs):
         g = len(base.mult)
         alpha[i, :g], beta[i, :g], mult[i, :g], weight[i, :g] = (
             base.alpha, base.beta, base.mult, base.weight
         )
-    m = 2 * n - 1
     short = np.flatnonzero(mult.sum(axis=-1) != m)
     if short.size:
-        base = stack[short[0]][0]
+        base = jobs[short[0]][0]
         _check_row_count(n, base.dim, int(base.mult.sum()) - base.dim)
     carrier = weight > CARRIER_TOL
     # off its carrier direction a group is an eigenspace of multiplicity rest
     rest = mult - carrier
-    growth, y, x = jacobi_mode(alpha, beta, q[:, :1], radii[:, None])
+    growth, y, x = jacobi_mode(alpha, beta, RATES[0], radii[:, None])
     focal = np.flatnonzero(np.any((rest > 0) & (growth * np.abs(y) <= KERNEL_TOL), axis=-1))
     if focal.size:
         raise FocalRadiusError(f"tube differential degenerates at distance {radii[focal[0]]}")
-    # each job's scalar values first, then its G block values, G its carrier count
+    # each job's items: its scalar groups, then its G block eigenpairs, G its carrier count
+    items = [
+        [(value, size) for value, size in zip(row, sizes) if size]
+        for row, sizes in zip((-x / np.where(rest > 0, y, 1.0)).tolist(), rest.tolist())
+    ]
     count = carrier.sum(axis=-1)
-    vals = np.empty((len(stack), m))
-    weights = np.zeros(vals.shape)
-    scalar = -x / np.where(rest > 0, y, 1.0)
-    vals[np.arange(m) < m - count[:, None]] = np.repeat(scalar.ravel(), rest.ravel())
     for g in sorted(set(count.tolist()) - {0}):
         rows = np.flatnonzero(count == g)
         pick = carrier[rows]
-        block_vals, vecs = _block_spectra(
-            radii[rows],
-            *(a[rows][pick].reshape(-1, g) for a in (alpha, beta, weight)),
-            q[rows],
+        vals, vecs = _block_spectra(
+            radii[rows], *(a[rows][pick].reshape(-1, g) for a in (alpha, beta, weight))
         )
-        vals[rows, m - g :] = block_vals
         # J(normal) is the first coordinate of the block basis, up to sign
-        weights[rows, m - g :] = vecs[:, 0]
-    order = np.argsort(vals, axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)
-    entries, masks = eigenspaces(vals)
-    lengths, carriers = _carrier_runs(entries, masks, np.take_along_axis(weights, order, axis=-1))
+        for i, row_vals, row_weights in zip(rows.tolist(), vals.tolist(), vecs[:, 0].tolist()):
+            items[i] += [(value, 1, w * w) for value, w in zip(row_vals, row_weights)]
+    grouped = [merge_spectrum(job) for job in items]
+    # every job's carrier count is checked before any job's merge gap
+    carriers = [_carrier_runs(*spectrum) for spectrum in grouped]
     profiles = []
-    for i, (row_entries, row_lengths, row_carriers) in enumerate(
-        zip(entries, lengths.tolist(), carriers)
-    ):
+    for i, ((entries, lengths), runs) in enumerate(zip(grouped, carriers)):
         hopf = None
-        if len(row_carriers) == 2:
-            j1, j2 = row_carriers
-            norm = math.hypot(row_lengths[j1], row_lengths[j2])
+        if len(runs) == 2:
+            j1, j2 = runs
+            norm = math.hypot(lengths[j1], lengths[j2])
             hopf = HopfAttitude(
-                b1=row_lengths[j1] / norm,
-                b2=row_lengths[j2] / norm,
-                lam1=row_entries[j1][0],
-                lam2=row_entries[j2][0],
+                b1=lengths[j1] / norm,
+                b2=lengths[j2] / norm,
+                lam1=entries[j1][0],
+                lam2=entries[j2][0],
             )
         try:
-            profiles.append(PrincipalProfile(row_entries, total_dim=m, hopf=hopf))
+            profiles.append(PrincipalProfile(entries, total_dim=m, hopf=hopf))
         except UnresolvedSpectrumError as exc:
             raise UnresolvedSpectrumError(
                 f"the tube at distance {float(radii[i])!r}: {exc}", i
@@ -502,15 +453,15 @@ def _stack_profiles(stack) -> list[PrincipalProfile]:
     return profiles
 
 
-def _block_spectra(radii, alpha, beta, weight, q):
+def _block_spectra(radii, alpha, beta, weight):
     """``eigh`` of the G x G shape blocks of a (B, G) stack of carrier groups.
 
     A reflection Q takes e_0 to -w/|w|, w the carriers' weights, so in
     the basis of Q's columns J(normal) is the first coordinate, the
-    Jacobi operator is diagonal (q[1]^2 on row 0, q[0]^2 on the rest)
-    and the growth K is cosh(q r) per row.  Carrier g starts at alpha_g
-    and beta_g times its direction, column g of Q, and ``jacobi_mode``
-    gives K and the bounded factors Y and X.  The value map is V = K Y;
+    Jacobi operator is diagonal (1 on row 0, 1/4 on the rest) and the
+    growth K is cosh(q r) per row, q the row's rate in ``RATES``.
+    Carrier g starts at alpha_g and beta_g times its direction, column g
+    of Q, and ``jacobi_mode`` gives K and the bounded factors Y and X.  The value map is V = K Y;
     a singular value of V at or below KERNEL_TOL raises
     FocalRadiusError.  The shape block S = K M K^-1, M = -X Y^-1, takes
     each entry S_ij = (K_i / K_j) M_ij from the side where K_i <= K_j,
@@ -521,12 +472,10 @@ def _block_spectra(radii, alpha, beta, weight, q):
     v = weight / np.linalg.norm(weight, axis=-1, keepdims=True)
     v[:, 0] += 1.0
     Q = np.eye(g) - v[:, :, None] * v[:, None, :] / v[:, :1, None]
-    mode = (np.arange(g) == 0).astype(int)  # row 0 runs on q[1], the rest on q[0]
+    rates = RATES[(np.arange(g) == 0).astype(int)]  # row 0 is the J(normal) line
     # Y and X transposed, rows are directions: Q is symmetric, so entry (h, i)
     # of Q is coordinate i of direction h
-    K, y_t, x_t = jacobi_mode(
-        alpha[:, :, None], beta[:, :, None], q[:, None, mode], radii[:, None, None]
-    )
+    K, y_t, x_t = jacobi_mode(alpha[:, :, None], beta[:, :, None], rates, radii[:, None, None])
     y_t *= Q
     x_t *= Q
     singular = np.flatnonzero(np.linalg.svd(y_t * K, compute_uv=False).min(axis=-1) <= KERNEL_TOL)
@@ -578,7 +527,7 @@ def equidistant_profile(n: int, r: float) -> PrincipalProfile:
     distance r from the hypersurface lands on the minimal orbit; the
     axis curvature is then tanh(r/2)/2.
     """
-    return tube_spectra([(tube_base("Wk", n, 1), -r)])[0]
+    return tube_spectra([(tube_base("Wk", n, 1), -as_real("r", r))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +733,7 @@ _OPEN_CASE = "the three-curvature classification is open in complex dimension 2"
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
     alg = build_algebra(n)
-    return _engine_entries(alg.n, [(2, _two_curvature_rows(alg, r))])
+    return _engine_entries(alg.n, [(2, _two_curvature_rows(alg, as_real("r", r)))])
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -796,7 +745,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     alg = build_algebra(n)
     if alg.n == 2:
         raise OpenCaseError(_OPEN_CASE)
-    return _engine_entries(alg.n, [(3, _three_curvature_rows(alg, r))])
+    return _engine_entries(alg.n, [(3, _three_curvature_rows(alg, as_real("r", r)))])
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -805,8 +754,10 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
     classification is open.  One algebra serves every orbit, and every
-    family runs through one ``tube_spectra`` pass.
+    family runs through one ``tube_spectra`` pass.  r must be a real
+    number, and the entries store it as a float.
     """
+    r = as_real("r", r)
     alg = build_algebra(n)
     n = alg.n
     groups = [(2, _two_curvature_rows(alg, r))]

@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .ambient import CurvatureModel, jacobi_operator
-from .errors import FocalPointError, UnsupportedModelError, ValidationError
+from .errors import FocalPointError, UnsupportedModelError, ValidationError, as_real
 from .profiles import MERGE_TOL, HopfAttitude, PrincipalProfile, merge_spectrum
 
 __all__ = [
@@ -79,11 +78,13 @@ KERNEL_TOL = 1e-10  # a value map's singular values at or below this are its ker
 BLOCK_DET_TOL = 1e-12  # a carrier block with |det| at most this is singular
 KERNEL_GAP = 0.1  # a map with a kernel keeps its other singular values above this
 TANGENT_TOL = 1e-10  # a vector further than this from a frame's span is not tangent
+# the rates of the modes of 4 w'' = w + 3 <w, Jc> Jc: 1/2 off the Jc-line, 1 on it
+RATES = np.array([0.5, 1.0])
 # the five modes of ``_group_modes``: the principal groups lam1, lam2,
 # lam3 at the rate off the Jc-line, then the carriers lam1, lam2 at the
 # rate on it
 _MODE_GROUPS = np.array([0, 1, 2, 0, 1])
-_RATES = np.array([0.5, 0.5, 0.5, 1.0, 1.0])
+_RATES = RATES[[0, 0, 0, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +293,15 @@ def jacobi_numeric(v0, v0_prime, jc, t: float, step: float):
 
 
 def curvature_propagator(model: CurvatureModel, direction):
-    """The two rates of the Jacobi equation on c-perp, for ``jacobi_mode``.
+    """The two rates of the Jacobi equation on c-perp, read spectrally.
 
-    Directions are classified spectrally: the operator -R(., c)c is
-    diagonalised once, and on c-perp it must have two eigenvalues, kappa
-    on a line and kappa_perp on the rest, or UnsupportedModelError is
-    raised.  Returns (jc, q): jc is the unit eigenvector of the simple
-    eigenvalue (the line of J c, up to sign) and q = sqrt(kappa_perp,
-    kappa), the rate of a mode off that line and on it.
+    The operator -R(., c)c is diagonalised once, and on c-perp it must
+    have two eigenvalues, kappa on a line and kappa_perp on the rest, or
+    UnsupportedModelError is raised.  Returns (jc, q): jc is the unit
+    eigenvector of the simple eigenvalue (the line of J c, up to sign)
+    and q = sqrt(kappa_perp, kappa), the rate of a mode off that line and
+    on it.  The engines take the rates in closed form (``RATES``); the
+    ``jacobi-oracle`` verification suite holds this route to them.
     """
     K = jacobi_operator(model, direction)
     w, V = np.linalg.eigh(0.5 * (K + K.T))
@@ -433,9 +435,7 @@ def transversal_map(profile: PrincipalProfile, r: float) -> FocalMapData:
 
 def _check_distance(lam3: float, r) -> float:
     """r as a float, or raise if the transversal map cannot resolve it at lam3."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Real):
-        raise ValueError(f"distance {r!r} at lam3={lam3} is not a real number")
-    r = float(r)
+    r = as_real(f"distance at lam3={lam3}", r)
     if not abs(r) <= MAX_RADIUS:
         raise ValueError(
             f"distance {r} is out of range at lam3={lam3}: "
@@ -557,16 +557,20 @@ def image_shape_operator(focal: FocalMapData) -> ImageShapeData:
     The map is block diagonal, and so is the image shape operator: on
     the translated carriers it is ``carrier_block`` = -adj(D) @ D_dt /
     det(D), det(D) the focal map's ``det_d``, with the eigenvalues of
-    its symmetric part; a transverse row with f above KERNEL_TOL keeps
-    its direction with eigenvalue -f_dt/f, formed on floats; rows with f
-    at or below KERNEL_TOL are kernel and leave the image.
+    its symmetric part.  A transverse row keeps its direction with the
+    rate -f_dt/f of its principal group, formed on floats once per group
+    with the group's row count from ``frame.groups``; a group with f at
+    or below KERNEL_TOL is kernel and leaves the image.  So at most four
+    items reach ``merge_spectrum``, whatever n is.
     """
     focal.c_block  # raises FocalPointError when the carrier block is singular
     rows = focal.d_block.tolist()
     block = _product(_adjugate(rows), focal.d_block_dt.tolist(), -_det(rows))
-    rates = [
-        -f_dt / f for f, f_dt in zip(focal.f.tolist(), focal.f_dt.tolist()) if abs(f) > KERNEL_TOL
-    ]
-    entries = merge_spectrum([*_symmetric_eigenvalues(block), *rates])
-    # frame row 2, the axis, is never kernel: its f stays positive for |lam3| < 1/2
-    return ImageShapeData(entries=entries, carrier_block=np.array(block), axis_rate=rates[0])
+    count = np.bincount(focal.frame.groups[2:], minlength=3).tolist()
+    # transverse row 0 is the axis (group 2) and row 1, when m1 > 1, the first of group 0
+    groups = [(0, count[2]), (1, count[0])] if count[0] else [(0, count[2])]
+    f, f_dt = focal.f[:2].tolist(), focal.f_dt[:2].tolist()
+    rates = [(-f_dt[i] / f[i], size) for i, size in groups if abs(f[i]) > KERNEL_TOL]
+    entries, _ = merge_spectrum([*((value, 1) for value in _symmetric_eigenvalues(block)), *rates])
+    # the axis is never kernel: its f stays positive for |lam3| < 1/2
+    return ImageShapeData(entries=entries, carrier_block=np.array(block), axis_rate=rates[0][0])

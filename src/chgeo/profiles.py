@@ -1,10 +1,16 @@
-"""Principal-curvature profiles shared by the engine modules."""
+"""Principal-curvature profiles shared by the engine modules, and their one grouping rule.
+
+``merge_spectrum`` groups a spectrum given as (value, multiplicity[,
+squared weight]) items into eigenspaces.  The tube engine and the focal
+image hand it their groups with their multiplicities, never repeated out
+to one item per row; the frame route and the structural residuals hand
+it one item per eigenvalue of an ``eigh``.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import UnresolvedSpectrumError, as_int
 
@@ -12,8 +18,6 @@ __all__ = [
     "HopfAttitude",
     "PrincipalProfile",
     "MERGE_TOL",
-    "eigenspace_sums",
-    "eigenspaces",
     "merge_spectrum",
 ]
 
@@ -103,56 +107,28 @@ class PrincipalProfile:
         return rest[0]
 
 
-def _run_ends(vals: np.ndarray) -> np.ndarray:
-    """The grouping rule: a run ends where the next value is at least MERGE_TOL above."""
-    return vals[..., 1:] - vals[..., :-1] >= MERGE_TOL
+def merge_spectrum(items):
+    """Eigenspaces of a spectrum given as (value, multiplicity[, squared weight]) items.
 
-
-def eigenspaces(vals):
-    """Merged spectra and eigenspace masks of a (B, m) stack of ascending spectra, in one pass.
-
-    In each row a run ends where the next value is at least MERGE_TOL
-    above the previous one.  Returns (entries, masks): ``masks[b, j]``
-    marks the indices of row b's j-th run, a (B, G, m) boolean array
-    with G the most runs of any row (a row's masks past its last run
-    are empty), and ``entries[b]`` is row b's merged spectrum, each
-    run's (mean value, multiplicity) in ascending order.  One spectrum
-    is read as a one-row stack.
+    The one grouping rule of the package, on Python floats: sorted by
+    value, a run ends where the next value is at least MERGE_TOL above.
+    Each run is an eigenspace with value sum(m v) / sum(m), multiplicity
+    sum(m) and length sqrt(sum(w)), the length of a vector's projection
+    onto it when w is the squared length on each item (0 when omitted).
+    Returns (entries, lengths): ``entries`` the runs' (value,
+    multiplicity) in ascending order, ``lengths`` a list of their lengths.
     """
-    vals = np.asarray(vals, dtype=float)
-    label = np.zeros(vals.shape, dtype=np.intp)
-    np.cumsum(_run_ends(vals), axis=-1, out=label[:, 1:])
-    masks = label[:, None, :] == np.arange(label.max(initial=-1) + 1)[:, None]
-    entries = [
-        tuple((total / count, count) for total, count in zip(row_sums, row_counts) if count)
-        for row_sums, row_counts in zip(
-            eigenspace_sums(vals, masks).tolist(), masks.sum(axis=-1).tolist()
-        )
-    ]
-    return entries, masks
-
-
-def eigenspace_sums(x, masks):
-    """Sums (B, G) of a (B, m) stack x over every run of ``eigenspaces``.
-
-    Each run is summed as one contiguous reduction, so a run's sum over
-    its count is bit-identical to ``np.mean`` of its values.
-    """
-    x = np.asarray(x, dtype=float)[..., None, :]
-    return np.add.reduce(x.repeat(masks.shape[-2], axis=-2), axis=-1, where=masks)
-
-
-def merge_spectrum(eigenvalues) -> tuple[tuple[float, int], ...]:
-    """Distinct values of an eigenvalue array, ascending, with multiplicities.
-
-    The one-row reading of ``eigenspaces``, without its mask stack: each
-    run's mean is ``np.add.reduce`` of its slice over its count, the same
-    contiguous sum, so the entries are bit-identical.
-    """
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    if not vals.size:
-        return ()
-    bounds = [0, *(i + 1 for i, end in enumerate(_run_ends(vals).tolist()) if end), len(vals)]
-    return tuple(
-        (float(np.add.reduce(vals[a:b])) / (b - a), b - a) for a, b in zip(bounds, bounds[1:])
+    runs: list[list] = []
+    last = 0.0
+    for value, mult, *square in sorted(items, key=lambda item: item[0]):
+        if not runs or value - last >= MERGE_TOL:
+            runs.append([0.0, 0, 0.0])
+        run = runs[-1]
+        run[0] += mult * value
+        run[1] += mult
+        run[2] += sum(square)
+        last = value
+    return (
+        tuple((total / count, count) for total, count, _ in runs),
+        [math.sqrt(square) for *_, square in runs],
     )

@@ -162,7 +162,11 @@ def suite_ruled_second_fundamental():
 
 
 def suite_jacobi_oracle(seed: int = DEFAULT_SEED):
-    """``jacobi_field`` (``jacobi_mode``) against fourth-order integration, 200 random cases."""
+    """``jacobi_field`` (``jacobi_mode``) against fourth-order integration, 200 random cases.
+
+    Also holds ``jacobi.RATES``, the rates both engines use, and the line of
+    J(normal) against ``curvature_propagator``'s ``eigh`` of the Jacobi operator.
+    """
     rng = np.random.default_rng(seed)
     n = 3
     count = 200
@@ -176,10 +180,23 @@ def suite_jacobi_oracle(seed: int = DEFAULT_SEED):
     v0, v0p = jacobi.jacobi_field(frame, v, 0.0)
     z, zp = _rk4_at_steps(v0.T, v0p.T, frame.jxi, h, steps)
     value, deriv = jacobi.jacobi_field(frame, v, steps * h)
-    return [
+    records = [
         (np.linalg.norm(z.T - value, axis=-1), "Jacobi field vs RK4 at lam3=0.2, n=3"),
         (np.linalg.norm(zp.T - deriv, axis=-1), "Jacobi derivative vs RK4 at lam3=0.2, n=3"),
     ]
+    # the closed-form rates the engines use, against an eigh of the Jacobi
+    # operator along the frame's normal e_0 and three fixed unit normals
+    model = ambient.CurvatureModel(n)
+    fixed = [[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0], [1, -1, 1, -1, 1, -1]]
+    for i, nu in enumerate(_unit_rows(np.array(fixed, dtype=float))):
+        jc, q = jacobi.curvature_propagator(model, nu)
+        jnu = model.J @ nu
+        line = min(np.max(np.abs(jc - jnu)), np.max(np.abs(jc + jnu)))
+        records += [
+            (np.abs(q - jacobi.RATES), f"propagator rates vs (1/2, 1), normal {i}, n={n}"),
+            (line, f"propagator line vs +-J(normal), normal {i}, n={n}"),
+        ]
+    return records
 
 
 def suite_jacobi_field_equation(seed: int = DEFAULT_SEED):

@@ -74,5 +74,5 @@ def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
     # shape operator serves the whole flag, and one the horosphere
     assert calls["solvable.build_ruled"] == 1
     assert calls["solvable.shape_operator"] == 2
-    # one propagator per normal direction of the one tube pass: A, its J-image, the slice
-    assert calls["jacobi.curvature_propagator"] == 3
+    # the tube pass takes its rates in closed form: no propagator eigh per normal
+    assert calls["jacobi.curvature_propagator"] == 0

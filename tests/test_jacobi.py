@@ -10,10 +10,22 @@ from hypothesis import strategies as st
 
 from chgeo import classifier, jacobi, solvable, verification
 from chgeo.errors import FocalPointError, UnsupportedModelError, ValidationError
-from chgeo.profiles import HopfAttitude, PrincipalProfile, merge_spectrum
+from chgeo.profiles import MERGE_TOL, HopfAttitude, PrincipalProfile
 
 R_STAR = jacobi.EXCEPTIONAL_RADIUS
 SQ2, SQ3, SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+
+
+def _merged(values):
+    """The row reference of ``merge_spectrum``: (mean, count) of each run of a spectrum.
+
+    Sorted, a run ends where the next value is MERGE_TOL or more above, and
+    each run's mean is its correctly rounded sum over its count.
+    """
+    values = np.sort(values).tolist()
+    ends = [i + 1 for i, (a, b) in enumerate(zip(values, values[1:])) if b - a >= MERGE_TOL]
+    cuts = [0, *ends, len(values)]
+    return tuple((math.fsum(values[a:b]) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -397,9 +409,10 @@ def test_transversal_map_rejects_distance_out_of_range(iso_profile, r):
     "r", [True, "1", None, np.array([1.0, 2.0])], ids=["bool", "string", "none", "array"]
 )
 def test_transversal_map_rejects_a_distance_that_is_not_a_real_number(iso_profile, r):
-    with pytest.raises(ValueError, match="is not a real number") as info:
+    with pytest.raises(ValueError, match="must be a real number") as info:
         jacobi.transversal_map(iso_profile, r)
-    assert f"distance {r!r} at lam3={iso_profile.axis_value()}" in str(info.value)
+    want = f"distance at lam3={iso_profile.axis_value()} must be a real number, got {r!r}"
+    assert str(info.value) == want
 
 
 def test_transversal_map_stores_the_distance_as_a_float(iso_profile):
@@ -552,7 +565,7 @@ def _dense_reference(focal):
     if focal.c_reason is not None:
         return s, p, None
     S = -(U[:, :p].T @ phi_dt) @ Vt[:p].T / s[:p]
-    return s, p, merge_spectrum(np.linalg.eigvalsh(0.5 * (S + S.T)))
+    return s, p, _merged(np.linalg.eigvalsh(0.5 * (S + S.T)))
 
 
 def _assert_same_spectrum(got, want, tol=1e-12):
@@ -631,6 +644,31 @@ def test_focal_map_runs_without_numpy_linalg(monkeypatch):
         assert focal.det_d > 0.0
 
 
+@pytest.mark.parametrize("n", [3, 60])
+def test_image_spectrum_groups_at_most_four_items(monkeypatch, n):
+    # the two carrier eigenvalues and one rate per transverse principal group,
+    # with its row count, whatever n is
+    merge, sizes = jacobi.merge_spectrum, []
+
+    def spy(items):
+        sizes.append(len(items))
+        return merge(items)
+
+    monkeypatch.setattr(jacobi, "merge_spectrum", spy)
+    jobs = [
+        (classifier.branch_profile(classifier.solve_case_two(lam3).branch, n), r)
+        for lam3 in (-0.3, 0.2)
+        for r in (2.0 * math.atanh(2.0 * lam3), 1.1)
+    ]
+    iso = classifier.solve_case_one()
+    for m1 in (2, n - 1):
+        jobs += [(classifier.branch_profile(iso, n, m1=m1), r) for r in (R_STAR, 1.3)]
+    for focal in jacobi.transversal_maps(jobs):
+        entries = jacobi.image_shape_operator(focal).entries
+        assert sum(m for _, m in entries) == focal.rank
+    assert len(sizes) == 8 and max(sizes) <= 4
+
+
 def _reference_row_modes(lambdas, t):
     """((f, g), (f_dt, g_dt)) of frame rows with curvatures ``lambdas`` (..., m) at distances t.
 
@@ -672,7 +710,7 @@ def _reference_maps(jobs):
             block = jacobi._product(jacobi._adjugate(rows), rows_dt, -det)
             live = np.abs(f[i]) > jacobi.KERNEL_TOL
             rates = -f_dt[i][live] / f[i][live]
-            ref["entries"] = merge_spectrum(
+            ref["entries"] = _merged(
                 np.concatenate([jacobi._symmetric_eigenvalues(block), rates])
             )
             ref["carrier_block"], ref["axis_rate"] = np.array(block), float(rates[0])
@@ -700,7 +738,8 @@ def _same_bits(got, want):
 
 
 def test_group_modes_match_the_per_row_reference():
-    """Five modes per map give the per-row route's data, bit for bit."""
+    """Five modes per map give the per-row route's data, bit for bit; the image
+    spectrum, grouped per principal group, within 4.4e-16."""
     iso = classifier.solve_case_one()
     jobs_by_n = []
     for n in (2, 3, 5, 8, 40):
@@ -721,8 +760,11 @@ def test_group_modes_match_the_per_row_reference():
                 assert _same_bits(getattr(focal, name), ref[name]), name
             if ref["c_reason"] is None:
                 image = jacobi.image_shape_operator(focal)
-                for name in ("entries", "carrier_block", "axis_rate"):
+                for name in ("carrier_block", "axis_rate"):
                     assert _same_bits(getattr(image, name), ref[name]), name
+                # one rate per group with its row count, not one per row: the
+                # means are summed in another order
+                _assert_same_spectrum(image.entries, ref["entries"], tol=4.4e-16)
             checked += 1
     assert checked == 97 * 4 * 5 + 3 * 8 + 11
     rng = np.random.default_rng(12)
@@ -808,7 +850,7 @@ def _assert_image_is_orbit(focal, k):
     entries = jacobi.image_shape_operator(focal).entries
     total = orbit.normal.sum(axis=0)
     for xi in [*orbit.normal, total / np.linalg.norm(total)]:
-        orbit_entries = merge_spectrum(np.linalg.eigvalsh(orbit.shape_operator(xi)))
+        orbit_entries = _merged(np.linalg.eigvalsh(orbit.shape_operator(xi)))
         _assert_same_spectrum(entries, orbit_entries)
 
 
