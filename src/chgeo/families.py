@@ -14,11 +14,14 @@ mode of the closed-form rate 1 or 1/2 (``jacobi.RATES``), evaluated by
 ``eigh`` of the operator.  The two rates make both maps diagonal plus
 rank one in the base's principal frame, so each tube reduces to scalar
 ratios and one small block on the directions that J(normal) meets (the
-deflation of a rank-one eigenvalue update).  A base hands the engine
-only its principal frame's groups (``TubeBase``): the named bases build
-them in O(n), a ruled orbit reads them in closed form from the rank-two
-shape operator of its flag, and the frame route (``frame_base``)
-decomposes a checked frame's shape operator.  The engine groups each
+deflation of a rank-one eigenvalue update).  On a Hopf tube that block
+is the line of J(normal) itself, a scalar at rate 1, so only the
+paper's non-Hopf tubes reach a 2 x 2 block and an ``eigh``.  A base
+hands the engine only its principal frame's groups (``TubeBase``): the
+named bases, the horosphere among them, build them in closed form in
+O(n), a ruled orbit reads them in closed form from the rank-two shape
+operator of its flag, and the frame route (``frame_base``) decomposes a
+hand-made frame's checked shape operator.  The engine groups each
 tube's few values with ``profiles.merge_spectrum`` as they come, never
 repeated out to one per frame row.
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +59,6 @@ from .solvable import (
     build_algebra,
     build_ruled,
     default_ruled_spec,
-    horosphere_model,
     ruled_flag,
 )
 
@@ -136,7 +139,7 @@ class TubeBase:
     mult: np.ndarray
     weight: np.ndarray
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Dimension of the base: the multiplicities of its tangent groups."""
         return sum(m for a, m in zip(self.alpha.tolist(), self.mult.tolist()) if a == 1.0)
@@ -167,12 +170,19 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     A point or CH^k (spanned by the last 2k coordinates) has normal e_0
     and zero shape operator, so its groups are one tangent group and the
     sphere, which holds J(e_0) = e_1.  RH^n (spanned by e_0, e_2, ...)
-    has normal e_1, and its tangent group holds J(e_1) = -e_0.  Both are
-    built in O(n), with no frame.  W^{2n-k} is the corank-k ruled orbit, read by
-    ``_flag_bases``, and the horosphere runs the frame route.
+    has normal e_1, and its tangent group holds J(e_1) = -e_0.  The
+    horosphere, the orbit of the nilpotent part of the group model, has
+    normal e_0 = A and no sphere rows; along A its shape operator is 1/2
+    on v and 1 on Z = J(A), so its groups are (sigma 1/2, multiplicity
+    2n - 2, weight 0) and (sigma 1, multiplicity 1, weight 1).  These are
+    built in O(n), with no frame.  W^{2n-k} is the corank-k ruled orbit,
+    read by ``_flag_bases``.  Only CHk and Wk take a k; a k given with
+    any other kind raises ValueError naming the kind and k.
     """
     n = as_int("n", n)
     if k is not None:
+        if kind in ("point", "RHn", "horosphere"):
+            raise ValueError(f"base kind {kind!r} takes no k, got k = {k!r}")
         k = as_int("k", k)
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
@@ -189,14 +199,16 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
         nu = np.zeros(d)
         nu[1] = 1.0
         return _base(n, nu, [(0.0, n, 1.0)], n - 1, 0.0)
-    if kind == "Wk":
-        if k is None or not 1 <= k <= n - 1:
-            raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-        alg = build_algebra(n)
-        return _flag_bases([build_ruled(alg, default_ruled_spec(alg, k))])[0]
-    if kind != "horosphere":
+    if kind == "horosphere":
+        nu = np.zeros(d)
+        nu[0] = 1.0
+        return _base(n, nu, [(0.5, d - 2, 0.0), (1.0, 1, 1.0)], 0, 0.0)
+    if kind != "Wk":
         raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
-    return _orbit_base(horosphere_model(build_algebra(n)))
+    if k is None or not 1 <= k <= n - 1:
+        raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
+    alg = build_algebra(n)
+    return _flag_bases([build_ruled(alg, default_ruled_spec(alg, k))])[0]
 
 
 def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
@@ -248,14 +260,6 @@ def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
     entries, lengths = merge_spectrum(zip(sigma.tolist(), [1] * k, squares))
     groups = [(value, mult, w) for (value, mult), w in zip(entries, lengths)]
     return _base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
-
-
-def _orbit_base(orbit: OrbitModel) -> TubeBase:
-    """Frame-route base of an orbit: nu is its first normal row, the other rows span the sphere."""
-    nu = orbit.normal[0]
-    return frame_base(
-        orbit.algebra.n, nu, orbit.tangent, orbit.shape_operator(nu), orbit.normal[1:]
-    )
 
 
 def _flag_bases(flag: list[OrbitModel]) -> list[TubeBase]:
@@ -353,41 +357,95 @@ def _check_radius(base: TubeBase, r) -> float:
     return r
 
 
+def _group_stacks(jobs, n: int):
+    """The jobs' (B, width) stacks of alpha, beta, mult and weight, zero-padded.
+
+    A base the engine cannot read raises ValidationError naming the
+    first job at fault: alpha, beta, mult and weight not 1-d of one
+    length, nu not of length 2n or not a unit vector within FRAME_TOL, a
+    non-finite alpha, beta or weight, or a multiplicity that is not a
+    positive integer.  The checks run once, on the stacks.
+    """
+    # one field at a time: the five columns held at once grew the catalog
+    # benchmark's resident memory by about 0.4 KB per op
+    try:
+        sizes = [len(b.mult) for b, _ in jobs]
+        flat, readable = [], True
+        for name in ("alpha", "beta", "mult", "weight"):
+            column = [getattr(b, name) for b, _ in jobs]
+            readable = readable and [len(a) for a in column] == sizes
+            flat.append(np.concatenate(column))
+        nu = np.array([b.nu for b, _ in jobs], dtype=float)
+    except (TypeError, ValueError):
+        readable = False
+    if not (readable and all(a.ndim == 1 for a in flat) and nu.shape == (len(jobs), 2 * n)):
+        for i, (base, _) in enumerate(jobs):
+            shapes = [np.shape(a) for a in (base.alpha, base.beta, base.mult, base.weight, base.nu)]
+            if shapes[:4].count(shapes[0]) != 4 or len(shapes[0]) != 1 or shapes[4] != (2 * n,):
+                raise ValidationError(
+                    f"job {i}: a tube base in complex dimension {n} needs alpha, beta, mult and "
+                    f"weight of one length and nu of length {2 * n}, got shapes {shapes}"
+                )
+        raise ValidationError("the tube bases cannot be stacked as real numbers")
+    present = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    alpha, beta, mult, weight = np.zeros((4, *present.shape))
+    for stack, values in zip((alpha, beta, mult, weight), flat):
+        stack[present] = values
+    length = np.sqrt(np.square(nu).sum(axis=-1))
+    # one flag per job, written so that a NaN fails each check
+    unit = np.abs(length - 1.0) <= FRAME_TOL
+    finite = (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(weight)).all(axis=-1)
+    whole = ((mult >= 1.0) & (mult == np.floor(mult)) | ~present).all(axis=-1)
+    for ok, defect in (
+        (unit, "the normal nu has length {0!r}, not 1 within FRAME_TOL"),
+        (finite, "a tube base needs finite alpha, beta and weight"),
+        (whole, "multiplicities must be positive integers, got {1}"),
+    ):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            values = float(length[i]), mult[i][present[i]].tolist()
+            raise ValidationError(f"job {i}: " + defect.format(*values))
+    return alpha, beta, mult.astype(int), weight
+
+
 def tube_spectra(jobs) -> list[PrincipalProfile]:
     """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
     Every base must have the same complex dimension n, or ValidationError
-    names the dimensions.  On the normal's complement the Jacobi
-    operator is 1 on the line of J(normal) and 1/4 on the rest, so a
-    mode runs at the closed-form rate 1 or 1/2 (``jacobi.RATES``) and
-    ``jacobi_mode`` evaluates it.  In the base's principal frame (the
-    eigenvectors of its shape operator, then the sphere rows) each row
-    starts as a multiple of itself, so the value and derivative maps V
-    and D are diagonal plus rank one.  The engine reads only the frame's
-    groups, rows with equal initial data, which each ``TubeBase``
-    carries.  Off the projection of J(normal), a group is an eigenspace
-    with the scalar value -X/Y, X and Y its bounded derivative and value
-    factors from ``jacobi_mode``.  The G projections span a G x G block,
-    G = 1 for a Hopf tube and 2 for the paper's non-Hopf ones, solved in
-    scaled form, stacked by G (``_block_spectra``).  Each job's scalar
-    groups and block eigenpairs go to ``merge_spectrum`` as they are, a
-    handful of items, which gives its profile's values and J(normal)
-    lengths; ``_carrier_runs`` picks its carriers: a tube is Hopf when
-    J(normal) has one carrier eigenspace, and non-Hopf with two.  No
-    (2n - 1) x (2n - 1) matrix is formed, no row of the profile is
-    repeated out, and no base costs an ``eigh`` here.
+    names the dimensions; a base the engine cannot read raises
+    ValidationError naming its job (``_group_stacks``).  On the normal's
+    complement the Jacobi operator is 1 on the line of J(normal) and 1/4
+    on the rest, so a mode runs at the closed-form rate 1 or 1/2
+    (``jacobi.RATES``) and ``jacobi_mode`` evaluates it.  In the base's
+    principal frame (the eigenvectors of its shape operator, then the
+    sphere rows) each row starts as a multiple of itself, so the value
+    and derivative maps V and D are diagonal plus rank one.  The engine
+    reads only the frame's groups, rows with equal initial data, which
+    each ``TubeBase`` carries.  Off the projection of J(normal), a group
+    is an eigenspace with the scalar value -X/Y at rate 1/2, X and Y its
+    bounded derivative and value factors.  The G projections span a
+    G x G block.  A Hopf tube has G = 1: its carrier holds the J(normal)
+    line, the scalar -X/Y at rate 1 with J(normal) length 1, and one
+    ``jacobi_mode`` call over both rates gives every scalar.  The
+    paper's non-Hopf tubes have G = 2, and ``_block_spectra`` solves
+    their blocks.  Each job's scalars and block eigenpairs go to
+    ``merge_spectrum`` as they are, a handful of items, which gives its
+    profile's values and J(normal) lengths; ``_carrier_runs`` picks its
+    carriers: a tube is Hopf when J(normal) has one carrier eigenspace,
+    and non-Hopf with two.  No (2n - 1) x (2n - 1) matrix is formed, no
+    row of the profile is repeated out, and Hopf tubes make no
+    ``numpy.linalg`` call.
 
     Every r must be a real number, finite with |r| <= MAX_RADIUS.
     Proper tubes (bases of codimension >= 2) require r > 0; hypersurface
     bases accept signed r and describe the equidistant family.  A focal
-    r, where a singular value of V is at most KERNEL_TOL, raises
-    FocalRadiusError; a block asymmetric by more than SYMMETRY_TOL raises
-    ValueError, a tube with other than one or two carriers
-    UnsupportedModelError, and a tube with two distinct curvatures within
-    MERGE_TOL UnresolvedSpectrumError, naming its radius, the two values
-    and, as ``job``, its index in ``jobs``.
+    r, where a scalar's K Y or a singular value of a block's V is at
+    most KERNEL_TOL, raises FocalRadiusError; a block asymmetric by more
+    than SYMMETRY_TOL raises ValueError, a tube with other than one or
+    two carriers UnsupportedModelError, and a tube with two distinct
+    curvatures within MERGE_TOL UnresolvedSpectrumError, naming its
+    radius, the two values and, as ``job``, its index in ``jobs``.
     """
-    radii = np.array([_check_radius(base, r) for base, r in jobs])
     dims = sorted({base.n for base, _ in jobs})
     if len(dims) > 1:
         raise ValidationError(f"stacked tube spectra need one complex dimension, got n in {dims}")
@@ -395,32 +453,33 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
         return []
     n = dims[0]
     m = 2 * n - 1
-    width = max(len(base.mult) for base, _ in jobs)
-    alpha, beta, weight = np.zeros((3, len(jobs), width))
-    mult = np.zeros((len(jobs), width), dtype=int)
-    for i, (base, _) in enumerate(jobs):
-        g = len(base.mult)
-        alpha[i, :g], beta[i, :g], mult[i, :g], weight[i, :g] = (
-            base.alpha, base.beta, base.mult, base.weight
-        )
+    alpha, beta, mult, weight = _group_stacks(jobs, n)
+    radii = np.array([_check_radius(base, r) for base, r in jobs])
     short = np.flatnonzero(mult.sum(axis=-1) != m)
     if short.size:
         base = jobs[short[0]][0]
         _check_row_count(n, base.dim, int(base.mult.sum()) - base.dim)
     carrier = weight > CARRIER_TOL
-    # off its carrier direction a group is an eigenspace of multiplicity rest
+    count = carrier.sum(axis=-1)
+    # off its carrier direction a group is an eigenspace of multiplicity rest, at
+    # rate 1/2; a Hopf tube's one carrier direction is the J(normal) line, at rate 1
     rest = mult - carrier
-    growth, y, x = jacobi_mode(alpha, beta, RATES[0], radii[:, None])
-    focal = np.flatnonzero(np.any((rest > 0) & (growth * np.abs(y) <= KERNEL_TOL), axis=-1))
+    line = carrier & (count == 1)[:, None]
+    live = np.stack([rest > 0, line], axis=-1)
+    growth, y, x = jacobi_mode(alpha[..., None], beta[..., None], RATES, radii[:, None, None])
+    focal = np.flatnonzero(np.any(live & (growth * np.abs(y) <= KERNEL_TOL), axis=(-2, -1)))
     if focal.size:
         raise FocalRadiusError(f"tube differential degenerates at distance {radii[focal[0]]}")
-    # each job's items: its scalar groups, then its G block eigenpairs, G its carrier count
+    value = -x / np.where(live, y, 1.0)
+    # each job's items: its scalar groups, its J(normal) line or its G block eigenpairs
     items = [
-        [(value, size) for value, size in zip(row, sizes) if size]
-        for row, sizes in zip((-x / np.where(rest > 0, y, 1.0)).tolist(), rest.tolist())
+        [(v, size) for v, size in zip(row, sizes) if size]
+        for row, sizes in zip(value[..., 0].tolist(), rest.tolist())
     ]
-    count = carrier.sum(axis=-1)
-    for g in sorted(set(count.tolist()) - {0}):
+    jobs_at, groups_at = np.nonzero(line)
+    for i, v in zip(jobs_at.tolist(), value[jobs_at, groups_at, 1].tolist()):
+        items[i].append((v, 1, 1.0))
+    for g in sorted(set(count.tolist()) - {0, 1}):
         rows = np.flatnonzero(count == g)
         pick = carrier[rows]
         vals, vecs = _block_spectra(
@@ -428,7 +487,7 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
         )
         # J(normal) is the first coordinate of the block basis, up to sign
         for i, row_vals, row_weights in zip(rows.tolist(), vals.tolist(), vecs[:, 0].tolist()):
-            items[i] += [(value, 1, w * w) for value, w in zip(row_vals, row_weights)]
+            items[i] += [(v, 1, w * w) for v, w in zip(row_vals, row_weights)]
     grouped = [merge_spectrum(job) for job in items]
     # every job's carrier count is checked before any job's merge gap
     carriers = [_carrier_runs(*spectrum) for spectrum in grouped]
@@ -454,8 +513,10 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
 
 
 def _block_spectra(radii, alpha, beta, weight):
-    """``eigh`` of the G x G shape blocks of a (B, G) stack of carrier groups.
+    """``eigh`` of the G x G shape blocks of a (B, G) stack of carrier groups, G >= 2.
 
+    Only a non-Hopf tube has a block: a Hopf tube's one carrier is the
+    J(normal) line, a scalar that ``tube_spectra`` reads itself.
     A reflection Q takes e_0 to -w/|w|, w the carriers' weights, so in
     the basis of Q's columns J(normal) is the first coordinate, the
     Jacobi operator is diagonal (1 on row 0, 1/4 on the rest) and the
@@ -682,9 +743,8 @@ def _engine_entries(n: int, groups) -> list[CatalogEntry]:
 def _two_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
     """Rows of the four families with two distinct curvatures."""
     n = alg.n
-    horosphere = _orbit_base(horosphere_model(alg))
     return [
-        ("horosphere", None, None, (horosphere, 1.0), None, None),
+        ("horosphere", None, None, (tube_base("horosphere", n), 1.0), None, None),
         ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
         ("tube-CHk", n - 1, r, (tube_base("CHk", n, n - 1), r), None, "k = n-1"),
         (

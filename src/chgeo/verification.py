@@ -322,7 +322,9 @@ def suite_structural_residuals():
 
     The connection identities and the pairing lemma hold on the ruled
     hypersurface orbit; Gauss and Codazzi are checked over the whole
-    frame of that orbit and of the horosphere.
+    frame of that orbit and of the horosphere.  The horosphere's Koszul
+    shape operator along A is held to the spectrum its named tube base
+    takes in closed form: 1/2 with multiplicity 2n - 2, then 1.
     """
     records = []
     for n in (3, 4):
@@ -330,7 +332,13 @@ def suite_structural_residuals():
         ruled = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
         res = families.structural_residuals(ruled)
         records += [(value, f"{name} on the ruled orbit, n={n}") for name, value in res.items()]
-        orbits = (("ruled", ruled), ("horosphere", solvable.horosphere_model(alg)))
+        horosphere = solvable.horosphere_model(alg)
+        spectrum = np.linalg.eigvalsh(horosphere.shape_operator(horosphere.normal[0]))
+        closed = [0.5] * (2 * n - 2) + [1.0]
+        records.append(
+            (np.max(np.abs(spectrum - closed)), f"shape spectrum of the horosphere along A, n={n}")
+        )
+        orbits = (("ruled", ruled), ("horosphere", horosphere))
         for orbit_name, orbit in orbits:
             gauss, codazzi = orbit.compatibility_defects()
             records.append((np.abs(gauss), f"gauss on the {orbit_name} orbit, n={n}"))

@@ -29,7 +29,8 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     try:
         assert families.tube_spectrum is not tube_spectrum
         recorder.begin_op(0)
-        families.tube_spectrum("horosphere", 2)
+        # the ruled base shapes its orbit, so the method wrapper is exercised
+        families.tube_spectrum("Wk", 3, k=2)
         recorder.end_op()
     finally:
         tracer.uninstall()
@@ -71,8 +72,8 @@ def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
         tracer.uninstall()
     calls = recorder.ops[0].calls
     # the orbits of coranks k = 1, 2 are one flag from one build_ruled call; one
-    # shape operator serves the whole flag, and one the horosphere
+    # shape operator serves the whole flag; the horosphere is a named base
     assert calls["solvable.build_ruled"] == 1
-    assert calls["solvable.shape_operator"] == 2
+    assert calls["solvable.shape_operator"] == 1
     # the tube pass takes its rates in closed form: no propagator eigh per normal
     assert calls["jacobi.curvature_propagator"] == 0

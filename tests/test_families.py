@@ -209,6 +209,18 @@ def test_focal_radius_detected_inside_a_group():
         families.tube_spectra(jobs)
 
 
+def test_focal_radius_detected_on_the_normal_line():
+    # J(normal) = e_1 is a principal direction of curvature 2: its rate-1 mode
+    # cosh r - 2 sinh r vanishes at artanh(1/2), where the Hopf line is focal
+    e = np.eye(4)
+    base = families.frame_base(2, e[0], e[1:], np.diag([2.0, 0.0, 0.0]), np.zeros((0, 4)))
+    r_focal = math.atanh(0.5)
+    jobs = [(families.tube_base("point", 2), 0.7), (base, r_focal)]
+    with pytest.raises(FocalRadiusError, match=re.escape(f"distance {r_focal}")):
+        families.tube_spectra(jobs)
+    assert families.tube_spectrum(base, r=0.5).hopf is None
+
+
 def test_asymmetric_tube_shape_rejected():
     frame, _ = _synthetic_focal_frame()
     shape = frame.shape.copy()
@@ -511,7 +523,8 @@ def _tube_parameters(draw):
 def test_hopf_tubes_match_the_closed_form_table(params):
     n, k, r = params
     table = _closed_form_table(n, k, r)
-    profiles = families.tube_spectra([(families.tube_base(kind, n, k), r) for kind in table])
+    jobs = [(families.tube_base(kind, n, k if kind == "CHk" else None), r) for kind in table]
+    profiles = families.tube_spectra(jobs)
     for (kind, want), profile in zip(table.items(), profiles):
         want = sorted(want)
         assert [m for _, m in profile.entries] == [m for _, m in want], kind
@@ -519,6 +532,83 @@ def test_hopf_tubes_match_the_closed_form_table(params):
             [lam for lam, _ in want], abs=1e-12
         ), kind
         assert profile.hopf is None, kind
+
+
+_CATALOG_RADII = (0.3, 0.7, 1.0, 1.3, 2.2, 5.0, 13.5)
+
+
+def _hopf_jobs(n, radii):
+    """Every Hopf base kind in dimension n (all but Wk) at each radius, as (kind, (base, r))."""
+    kinds = [(kind, k) for kind, k in _kinds(n) if kind != "Wk"]
+    return [(kind, (families.tube_base(kind, n, k), r)) for kind, k in kinds for r in radii]
+
+
+def test_hopf_tubes_make_no_linear_algebra_call(monkeypatch):
+    # a Hopf tube's one carrier is the J(normal) line, a scalar: no 1 x 1 block
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refused)
+    for n in (2, 3, 8):
+        jobs = _hopf_jobs(n, _CATALOG_RADII)
+        profiles = families.tube_spectra([job for _, job in jobs])
+        assert all(profile.hopf is None for profile in profiles)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_hopf_normal_curvature_is_within_an_ulp_of_its_closed_form(n):
+    # the J(normal) line of a tube around a point or CH^k is -coth r, around RH^n
+    # -tanh r; at 50 digits, each engine value lies within 1 ulp (it used to
+    # lie up to 1.68 ulp off, from scaling the 1 x 1 block by K and back)
+    mpmath = pytest.importorskip("mpmath")
+    jobs = [(kind, job) for kind, job in _hopf_jobs(n, _CATALOG_RADII) if kind != "horosphere"]
+    for (kind, (_, r)), profile in zip(jobs, families.tube_spectra([job for _, job in jobs])):
+        # the line is the one eigenspace of multiplicity 1
+        [got] = [value for value, mult in profile.entries if mult == 1]
+        with mpmath.workdps(50):
+            exact = -(mpmath.tanh if kind == "RHn" else mpmath.coth)(mpmath.mpf(r))
+            assert abs(mpmath.mpf(got) - exact) <= math.ulp(float(exact)), (kind, r)
+
+
+@pytest.mark.parametrize("kind,k", [("point", 2), ("point", 0), ("RHn", 5), ("horosphere", 3)])
+def test_tube_base_refuses_a_k_for_a_kind_that_takes_none(kind, k):
+    # each used to return the kind's base, ignoring k
+    with pytest.raises(ValueError, match=rf"^base kind '{kind}' takes no k, got k = {k}$"):
+        families.tube_base(kind, 3, k)
+
+
+def _edited(base, **fields):
+    """A TubeBase like ``base`` with some fields replaced."""
+    kept = {name: getattr(base, name) for name in ("n", "nu", "alpha", "beta", "mult", "weight")}
+    return families.TubeBase(**{**kept, **fields})
+
+
+_RHN = families.tube_base("RHn", 3)
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        (
+            _edited(_RHN, alpha=_RHN.alpha[:1]),
+            r"weight of one length and nu of length 6, got shapes \[\(1,\), \(2,\), ",
+        ),
+        (_edited(_RHN, beta=_with(_RHN.beta, 1, math.nan)), "needs finite alpha, beta and weight"),
+        (_edited(_RHN, weight=_with(_RHN.weight, 0, math.inf)), "needs finite alpha, beta"),
+        (_edited(_RHN, mult=np.array([3.5, 1.5])), r"positive integers, got \[3\.5, 1\.5\]"),
+        (_edited(_RHN, mult=np.array([5, 0])), r"positive integers, got \[5\.0, 0\.0\]"),
+        (_edited(_RHN, nu=2.0 * _RHN.nu), "the normal nu has length 2.0, not 1 within FRAME_TOL"),
+        (_edited(_RHN, nu=_RHN.nu[:-1]), r"nu of length 6, got shapes \[.*\(5,\)\]"),
+    ],
+    ids=["short-alpha", "nan-beta", "inf-weight", "half-mult", "zero-mult", "long-nu", "short-nu"],
+)
+def test_tube_spectra_refuses_a_base_it_cannot_read(base, message):
+    # each used to give a profile: broadcast, NaN-valued, truncated or unchecked
+    jobs = [(_RHN, 1.0), (base, 1.0)]
+    with pytest.raises(ValidationError, match=f"^job 1: .*{message}"):
+        families.tube_spectra(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +804,8 @@ def _kahler_angle_base(phi):
     e = np.eye(alg.dim)
     w_perp = np.array([e[2], math.cos(phi) * e[3] + math.sin(phi) * e[4]])
     tangent = np.vstack([e[:2], e[5], -math.sin(phi) * e[3] + math.cos(phi) * e[4]])
-    return families._orbit_base(solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp))
+    orbit = solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp)
+    return families.frame_base(*_orbit_frame(orbit))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0])
@@ -810,9 +901,9 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     assert [p.hopf is None for p in profiles] == [False, True, False, False]
     # the rates are closed-form: no read of the Jacobi operator
     assert calls["jacobi_operator"] == []
-    # one eigh per stack of G x G blocks: the sphere's G = 1 and the three G = 2
-    # tubes; the bases carry their spectra
-    assert sorted(calls["eigh"]) == sorted([(1, 1, 1), (3, 2, 2)])
+    # one eigh for the stack of the three G = 2 blocks; the sphere's J(normal) line
+    # is a scalar, and the bases carry their spectra
+    assert calls["eigh"] == [(3, 2, 2)]
     assert calls["eigvalsh"] == calls["inv"] == []
 
 
@@ -839,7 +930,8 @@ def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
-    # one shape operator and one construction check each for the flag and the horosphere
+    # one shape operator and one construction check for the flag; the horosphere
+    # is a named base and builds no orbit
     calls = {"shape_operator": 0, "__post_init__": 0}
 
     def counted(name):
@@ -854,7 +946,7 @@ def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
     for name in calls:
         counted(name)
     families.catalog(n, 1.3)
-    assert calls == {"shape_operator": 2, "__post_init__": 2}
+    assert calls == {"shape_operator": 1, "__post_init__": 1}
 
 
 def _assert_same_groups(got, want, bound=1e-15):
@@ -891,7 +983,9 @@ def test_catalog_base_shapes_are_each_orbits_own(n):
 def test_spectral_bases_match_the_frame_route_on_their_frames(n):
     for kind, k in _kinds(n):
         frame = families.frame_base(*_frame(kind, n, k))
-        _assert_same_groups(families.tube_base(kind, n, k), frame)
+        # the horosphere's closed form is the frame route of its orbit, digit for digit
+        bound = 0.0 if kind == "horosphere" else 1e-15
+        _assert_same_groups(families.tube_base(kind, n, k), frame, bound)
     if n >= 3:
         alg = solvable.build_algebra(n)
         flag = solvable.ruled_flag(alg, solvable.default_ruled_spec(alg, n - 1))
@@ -938,15 +1032,22 @@ def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
     for module in (ambient, jacobi):
         counted(module, "jacobi_operator")
     counted(jacobi, "curvature_propagator")
+    # the horosphere is a named base: no orbit model and no frame route
+    counted(solvable, "horosphere_model")
+    counted(families, "frame_base")
     seen = []
     for n in (4, 16, 40):
-        counts.update(eigh=0, eye=0, jacobi_operator=0, curvature_propagator=0)
+        counts.update(
+            eigh=0, eye=0, jacobi_operator=0, curvature_propagator=0, horosphere_model=0,
+            frame_base=0,
+        )
         families.catalog(n, 1.3)
         seen.append(dict(counts))
-    # the horosphere's frame route and one block stack each for G = 1 and G = 2
+    # one eigh, for the stack of the non-Hopf tubes' 2 x 2 blocks
     assert seen[0] == seen[1] == seen[2], seen
-    assert seen[0]["eigh"] == 3 and seen[0]["jacobi_operator"] == 0, seen
+    assert seen[0]["eigh"] == 1 and seen[0]["jacobi_operator"] == 0, seen
     assert seen[0]["curvature_propagator"] == 0, seen
+    assert seen[0]["horosphere_model"] == seen[0]["frame_base"] == 0, seen
 
 
 # at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
@@ -1005,10 +1106,10 @@ def test_tube_pass_builds_no_dense_stack():
 
 
 def test_asymmetric_tube_block_rejected(monkeypatch):
-    # a named base has no shape operator to check, so the G x G block is what raises
+    # a ruled base has no frame to check, so the G x G block is what raises
     monkeypatch.setattr(families, "SYMMETRY_TOL", -1.0)
     with pytest.raises(ValueError, match="tube shape operator at distance 0.7 asymmetric"):
-        families.tube_spectrum("point", 3, r=0.7)
+        families.tube_spectrum("Wk", 3, k=2, r=0.7)
 
 
 def test_carrier_multiplicity_one_on_non_hopf_families():
