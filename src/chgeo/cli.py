@@ -31,9 +31,9 @@ _MAX_SWEEP_POINTS = 10_000
 # fraction of a step by which the sweep's last point may pass --hi, so that
 # a (hi - lo)/step that rounds to just below an integer keeps its endpoint
 _SWEEP_SLACK = 1e-9
-# catalog --n 100 takes 0.22-0.29 s and 39 MB (3 runs, 2-CPU Intel Xeon under
-# outside load), n = 64 0.28 s and 35 MB; no ruled orbit costs an eigh, and the
-# cap, checked before anything is built, is kept until a larger n is measured
+# catalog --n 100 takes 0.15-0.23 s and 33 MB (8 runs, 2-CPU Intel Xeon under
+# outside load), n = 64 0.22 s and 33 MB; no base builds an orbit, and the cap,
+# checked before anything is built, is kept until a larger n is measured
 _MAX_DIMENSION = 100
 
 _SQ2 = math.sqrt(2.0)

@@ -17,13 +17,13 @@ ratios and one small block on the directions that J(normal) meets (the
 deflation of a rank-one eigenvalue update).  On a Hopf tube that block
 is the line of J(normal) itself, a scalar at rate 1, so only the
 paper's non-Hopf tubes reach a 2 x 2 block and an ``eigh``.  A base
-hands the engine only its principal frame's groups (``TubeBase``): the
-named bases, the horosphere among them, build them in closed form in
-O(n), a ruled orbit reads them in closed form from the rank-two shape
-operator of its flag, and the frame route (``frame_base``) decomposes a
-hand-made frame's checked shape operator.  The engine groups each
-tube's few values with ``profiles.merge_spectrum`` as they come, never
-repeated out to one per frame row.
+hands the engine only its principal frame's groups (``TubeBase``), and
+every named base, the horosphere and the ruled orbits among them, builds
+them in closed form in O(n), with no frame and no orbit model; the
+``verification`` suites hold the closed forms against the solvable-group
+orbits.  The engine groups each tube's few values with
+``profiles.merge_spectrum`` as they come, never repeated out to one per
+frame row.
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
@@ -40,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import complex_structure
 from .classifier import residual_hopf_weights
 from .errors import (
     FocalRadiusError,
@@ -53,14 +52,7 @@ from .errors import (
 )
 from .jacobi import EXCEPTIONAL_RADIUS, KERNEL_TOL, MAX_RADIUS, RATES, jacobi_mode
 from .profiles import HopfAttitude, PrincipalProfile, merge_spectrum
-from .solvable import (
-    OrbitModel,
-    SolvableAlgebra,
-    build_algebra,
-    build_ruled,
-    default_ruled_spec,
-    ruled_flag,
-)
+from .solvable import OrbitModel
 
 __all__ = [
     "CARRIER_TOL",
@@ -68,7 +60,6 @@ __all__ = [
     "TubeBase",
     "catalog",
     "equidistant_profile",
-    "frame_base",
     "ruled_profile",
     "structural_residuals",
     "three_curvature_families",
@@ -88,27 +79,15 @@ __all__ = [
 # falls like e^(-3r/2), 9x above this.
 CARRIER_TOL = 1e-14
 
-# a base shape operator or a tube's G x G shape block S = K M K^-1 asymmetric by
-# more than this raises.  Orbit shape operators are symmetric as built, so the
-# base check guards hand-made frames.  Over every base kind, n in {3, 5, 8, 16}
-# and 60 radii up to MAX_RADIUS (signed for the hypersurfaces), the worst block
-# |S - S^T| is 1.9e-12, around the ruled orbit (Wk, k = 1) in n = 3 at r = 18.2:
-# 5,000x below this bound.
+# a tube's G x G shape block S = K M K^-1 asymmetric by more than this raises.
+# Over every base kind, n in {3, 5, 8, 16} and 60 radii up to MAX_RADIUS
+# (signed for the hypersurfaces), the worst block |S - S^T| is 1.9e-12, around
+# the ruled orbit (Wk, k = 1) in n = 3 at r = 18.2: 5,000x below this bound.
 SYMMETRY_TOL = 1e-8
 
-# a hand-made frame [tangent; sphere; nu] whose Gram matrix differs from the
-# identity by more than this, or whose nu is not a unit vector within it, raises:
-# the bound ``OrbitModel`` holds its own rows to.
+# a tube base whose normal nu is not a unit vector within this raises: the bound
+# ``OrbitModel`` holds its own rows to.
 FRAME_TOL = 1e-10
-
-# the ruled flag's shape operator may depart from its rank-two form
-# c (u_Z j^T + j u_Z^T) by at most this.  It departs by exactly 0 on the
-# catalog's flags for n = 2..100 and on every W^{2n-k} for n <= 20.
-RANK_TWO_TOL = 1e-12
-
-# along a normal nu of the slice, <x, ad_nu y> = x_Z <J nu, y> on the orbit's
-# tangent rows, so the shape operator, its symmetric part, has this factor
-_RULED_SCALE = 0.5
 
 BASE_KINDS = ("point", "CHk", "RHn", "Wk", "horosphere")
 
@@ -128,8 +107,7 @@ class TubeBase:
     tangent groups in ascending sigma, then the sphere group.  This is all
     the engine reads, and it hands each group to ``merge_spectrum`` as one
     item with its multiplicity, not as mult[g] rows.  ``tube_base`` builds
-    the named and ruled bases' groups, ``frame_base`` those of a hand-made
-    frame.
+    the named bases' groups in closed form.
     """
 
     n: int
@@ -164,6 +142,14 @@ def _base(n: int, nu: np.ndarray, tangent, sphere: int, sphere_weight: float) ->
     return TubeBase(n, nu, alpha, beta, mult, weight)
 
 
+def _dimension(n) -> int:
+    """The complex dimension n as an int; raise ValueError unless it is an integer >= 2."""
+    n = as_int("n", n)
+    if n < 2:
+        raise ValueError(f"complex dimension must be >= 2, got {n}")
+    return n
+
+
 def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     """Base data for one of the named base submanifolds.
 
@@ -174,18 +160,21 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
     horosphere, the orbit of the nilpotent part of the group model, has
     normal e_0 = A and no sphere rows; along A its shape operator is 1/2
     on v and 1 on Z = J(A), so its groups are (sigma 1/2, multiplicity
-    2n - 2, weight 0) and (sigma 1, multiplicity 1, weight 1).  These are
-    built in O(n), with no frame.  W^{2n-k} is the corank-k ruled orbit,
-    read by ``_flag_bases``.  Only CHk and Wk take a k; a k given with
-    any other kind raises ValueError naming the kind and k.
+    2n - 2, weight 0) and (sigma 1, multiplicity 1, weight 1).  W^{2n-k},
+    the corank-k ruled orbit, has normal e_2 = V_1, the first row of its
+    slice; along any unit normal of the slice its shape operator pairs Z
+    with J(nu) and vanishes elsewhere, so its groups are (sigma -1/2,
+    multiplicity 1, weight sqrt(1/2)), the kernel (0, 2n - k - 2, 0) and
+    (sigma 1/2, 1, sqrt(1/2)), and J(nu) misses its k - 1 sphere rows, as
+    the slice is totally real.  All are built in O(n), with no frame.
+    Only CHk and Wk take a k; a k given with any other kind raises
+    ValueError naming the kind and k.
     """
-    n = as_int("n", n)
+    n = _dimension(n)
     if k is not None:
         if kind in ("point", "RHn", "horosphere"):
             raise ValueError(f"base kind {kind!r} takes no k, got k = {k!r}")
         k = as_int("k", k)
-    if n < 2:
-        raise ValueError(f"complex dimension must be >= 2, got {n}")
     d = 2 * n
     if kind == "point":
         kind, k = "CHk", 0
@@ -207,102 +196,10 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
         raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
     if k is None or not 1 <= k <= n - 1:
         raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-    alg = build_algebra(n)
-    return _flag_bases([build_ruled(alg, default_ruled_spec(alg, k))])[0]
-
-
-def frame_base(n: int, nu, tangent, shape, sphere) -> TubeBase:
-    """The base of a hand-made principal frame: the frame route.
-
-    ``tangent`` rows span the base tangent space, ``shape`` is the base
-    shape operator w.r.t. the unit normal ``nu`` in that frame, and
-    ``sphere`` rows span the unit-normal-sphere directions other than
-    nu itself; all vectors are ambient coordinates.  The entries must be
-    finite, nu a unit vector and [tangent; sphere; nu] orthonormal within
-    FRAME_TOL, and the shape symmetric within SYMMETRY_TOL, or
-    ValidationError names the defect.  One ``eigh`` of the shape gives the
-    tangent rows' curvatures, ``merge_spectrum`` groups them with J(nu)'s
-    squared coordinates, and J(nu) comes from ``ambient.complex_structure``.
-    """
-    n = as_int("n", n)
-    nu, tangent, shape, sphere = (np.asarray(a, dtype=float) for a in (nu, tangent, shape, sphere))
-    d, k, s = 2 * n, len(tangent), len(sphere)
-    _check_row_count(n, k, s)
-    if (nu.shape, tangent.shape, shape.shape, sphere.shape) != ((d,), (k, d), (k, k), (s, d)):
-        raise ValidationError(
-            f"a frame base in complex dimension {n} needs nu of shape ({d},), tangent and "
-            f"sphere rows of length {d} and a {k} x {k} shape, got nu {nu.shape}, tangent "
-            f"{tangent.shape}, shape {shape.shape} and sphere {sphere.shape}"
-        )
-    # written so that a NaN fails each check
-    full = np.vstack([tangent, sphere, nu])
-    if not (np.isfinite(full).all() and np.isfinite(shape).all()):
-        raise ValidationError("a frame base needs finite nu, tangent, shape and sphere entries")
-    length = math.sqrt(nu @ nu)
-    if not abs(length - 1.0) <= FRAME_TOL:
-        raise ValidationError(
-            f"the normal nu has length {length!r}, not 1 within FRAME_TOL = {FRAME_TOL:g}"
-        )
-    gram = full @ full.T
-    gram.flat[:: d + 1] -= 1.0
-    defect = np.max(np.abs(gram))
-    if not defect <= FRAME_TOL:
-        raise ValidationError(
-            f"the rows [tangent; sphere; nu] are {defect:.3e} from orthonormal, above "
-            f"FRAME_TOL = {FRAME_TOL:g}"
-        )
-    asym = np.max(np.abs(shape - shape.T), initial=0.0)
-    if not asym <= SYMMETRY_TOL:
-        raise ValidationError(f"base shape operator asymmetric by {asym:.3e}")
-    jnu = complex_structure(n) @ nu
-    sigma, vecs = np.linalg.eigh(shape)
-    squares = np.square((tangent @ jnu) @ vecs).tolist()
-    entries, lengths = merge_spectrum(zip(sigma.tolist(), [1] * k, squares))
-    groups = [(value, mult, w) for (value, mult), w in zip(entries, lengths)]
-    return _base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
-
-
-def _flag_bases(flag: list[OrbitModel]) -> list[TubeBase]:
-    """Bases of the ruled orbits of a flag, in its order, from its first orbit's shape operator.
-
-    Every orbit's tangent rows are a prefix of the first orbit's and its
-    normal rows a prefix of the last's, nu = normal[0] shared (a
-    one-orbit list is a flag).  Along nu the shape operator has rank two:
-    S = c (u_Z j^T + j u_Z^T), c = 1/2, with u_Z = tangent[:, 1] and
-    j = tangent @ J(nu), held once to RANK_TWO_TOL.  On an orbit of m
-    tangent rows, with the prefix sums a = sum u_Z^2, b = sum u_Z j and
-    e = sum j^2, the block of S is zero off span{u_Z, j} and has the
-    values c (b -+ sqrt(a e)) on it, with eigenvectors
-    sqrt(e) u_Z -+ sqrt(a) j that carry J(nu)'s squared weights
-    e (1 -+ b / sqrt(a e)) / 2.  The kernel, of multiplicity m - 2, has
-    weight exactly 0, as j lies in the span.  The sphere rows normal[1:]
-    carry the products of the last orbit's normal rows with J(nu).
-    """
-    first, n = flag[0], flag[0].algebra.n
-    nu = first.normal[0]
-    jnu = first.algebra.J @ nu
-    u, j = first.tangent[:, 1], first.tangent @ jnu
-    uj = np.outer(u, j)
-    defect = np.max(np.abs(first.shape_operator(nu) - _RULED_SCALE * (uj + uj.T)))
-    if not defect <= RANK_TWO_TOL:
-        raise ValidationError(
-            f"the ruled shape operator in complex dimension {n} departs from its rank-two "
-            f"form by {defect:.3e}, above RANK_TWO_TOL = {RANK_TWO_TOL:g}"
-        )
-    a, b, e = (np.cumsum(x).tolist() for x in (u * u, u * j, j * j))
-    sphere = [0.0, *np.cumsum(np.square(flag[-1].normal[1:] @ jnu)).tolist()]
-    bases = []
-    for orbit in flag:
-        m, k = orbit.dim, orbit.codim
-        am, bm, em = a[m - 1], b[m - 1], e[m - 1]
-        root = math.sqrt(am * em)
-        low, high = (
-            (_RULED_SCALE * (bm + sign * root), 1, math.sqrt(em * (1.0 + sign * bm / root) / 2.0))
-            for sign in (-1.0, 1.0)
-        )
-        groups = [low, (0.0, m - 2, 0.0), high]
-        bases.append(_base(n, nu, groups, k - 1, math.sqrt(sphere[k - 1])))
-    return bases
+    nu = np.zeros(d)
+    nu[2] = 1.0
+    half = math.sqrt(0.5)
+    return _base(n, nu, [(-0.5, 1, half), (0.0, d - k - 2, 0.0), (0.5, 1, half)], k - 1, 0.0)
 
 
 def _carrier_runs(entries, lengths) -> list[int]:
@@ -411,9 +308,10 @@ def _group_stacks(jobs, n: int):
 def tube_spectra(jobs) -> list[PrincipalProfile]:
     """Principal-curvature profiles of a list of (TubeBase, r) tubes, in its order.
 
-    Every base must have the same complex dimension n, or ValidationError
-    names the dimensions; a base the engine cannot read raises
-    ValidationError naming its job (``_group_stacks``).  On the normal's
+    Every base must be a TubeBase, or ValidationError names the job, and
+    have the same complex dimension n, or ValidationError names the
+    dimensions; a base the engine cannot read raises ValidationError
+    naming its job (``_group_stacks``).  On the normal's
     complement the Jacobi operator is 1 on the line of J(normal) and 1/4
     on the rest, so a mode runs at the closed-form rate 1 or 1/2
     (``jacobi.RATES``) and ``jacobi_mode`` evaluates it.  In the base's
@@ -446,6 +344,9 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     curvatures within MERGE_TOL UnresolvedSpectrumError, naming its
     radius, the two values and, as ``job``, its index in ``jobs``.
     """
+    for i, (base, _) in enumerate(jobs):
+        if not isinstance(base, TubeBase):
+            raise ValidationError(f"job {i}: expected a TubeBase, got {base!r}")
     dims = sorted({base.n for base, _ in jobs})
     if len(dims) > 1:
         raise ValidationError(f"stacked tube spectra need one complex dimension, got n in {dims}")
@@ -559,9 +460,13 @@ def _block_spectra(radii, alpha, beta, weight):
 
 
 def _named_base(base, n: int | None, k: int | None) -> TubeBase:
-    """``base`` itself, or the base of that kind name in dimension n."""
-    if not isinstance(base, str):
+    """``base`` itself, which takes no n or k, or the base of that kind name in dimension n."""
+    if isinstance(base, TubeBase):
+        if n is not None or k is not None:
+            raise ValueError(f"a TubeBase carries its own data; got n = {n!r}, k = {k!r} with it")
         return base
+    if not isinstance(base, str):
+        raise ValueError(f"job 0: expected a TubeBase or one of {BASE_KINDS}, got {base!r}")
     if n is None:
         raise ValueError("complex dimension n is required with a named base")
     return tube_base(base, n, k)
@@ -570,8 +475,9 @@ def _named_base(base, n: int | None, k: int | None) -> TubeBase:
 def tube_spectrum(base, n: int | None = None, k: int | None = None, r: float = 1.0):
     """Principal-curvature profile of the tube of radius r around a base.
 
-    ``base`` is a TubeBase or one of the kind names; this is the one-job
-    case of ``tube_spectra``, with its radius rules.
+    ``base`` is a TubeBase, given without n or k, or one of the kind
+    names; anything else raises ValueError.  This is the one-job case of
+    ``tube_spectra``, with its radius rules.
     """
     return tube_spectra([(_named_base(base, n, k), r)])[0]
 
@@ -740,9 +646,8 @@ def _engine_entries(n: int, groups) -> list[CatalogEntry]:
     return entries
 
 
-def _two_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
+def _two_curvature_rows(n: int, r: float) -> list:
     """Rows of the four families with two distinct curvatures."""
-    n = alg.n
     return [
         ("horosphere", None, None, (tube_base("horosphere", n), 1.0), None, None),
         ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
@@ -758,11 +663,9 @@ def _two_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
     ]
 
 
-def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
+def _three_curvature_rows(n: int, r: float) -> list:
     """Rows of the representatives with three distinct curvatures, for n >= 3."""
-    n = alg.n
-    # the default slices are nested, so one frame holds the orbit of every corank
-    ruled, *ruled_k = _flag_bases(ruled_flag(alg, default_ruled_spec(alg, n - 1)))
+    ruled = tube_base("Wk", n, 1)
     rows = [
         ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
         for k in range(1, n - 1)
@@ -778,11 +681,11 @@ def _three_curvature_rows(alg: SolvableAlgebra, r: float) -> list:
             "tube-Wk",
             k,
             EXCEPTIONAL_RADIUS,
-            (base, EXCEPTIONAL_RADIUS),
+            (tube_base("Wk", n, k), EXCEPTIONAL_RADIUS),
             "d",
             "r = ln(2+sqrt(3)), 2 <= k <= n-1",
         )
-        for k, base in enumerate(ruled_k, start=2)
+        for k in range(2, n)
     ]
     return rows
 
@@ -792,8 +695,8 @@ _OPEN_CASE = "the three-curvature classification is open in complex dimension 2"
 
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
-    alg = build_algebra(n)
-    return _engine_entries(alg.n, [(2, _two_curvature_rows(alg, as_real("r", r)))])
+    n = _dimension(n)
+    return _engine_entries(n, [(2, _two_curvature_rows(n, as_real("r", r)))])
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -802,10 +705,10 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     Defined for n >= 3; for n = 2 the classification is open and this
     raises OpenCaseError.
     """
-    alg = build_algebra(n)
-    if alg.n == 2:
+    n = _dimension(n)
+    if n == 2:
         raise OpenCaseError(_OPEN_CASE)
-    return _engine_entries(alg.n, [(3, _three_curvature_rows(alg, as_real("r", r)))])
+    return _engine_entries(n, [(3, _three_curvature_rows(n, as_real("r", r)))])
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -813,19 +716,18 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
 
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
-    classification is open.  One algebra serves every orbit, and every
+    classification is open.  Every base is a named closed form, and every
     family runs through one ``tube_spectra`` pass.  r must be a real
     number, and the entries store it as a float.
     """
     r = as_real("r", r)
-    alg = build_algebra(n)
-    n = alg.n
-    groups = [(2, _two_curvature_rows(alg, r))]
+    n = _dimension(n)
+    groups = [(2, _two_curvature_rows(n, r))]
     notes: list[str] = []
     if n == 2:
         notes.append(_OPEN_CASE)
     else:
-        groups.append((3, _three_curvature_rows(alg, r)))
+        groups.append((3, _three_curvature_rows(n, r)))
     return _engine_entries(n, groups), notes
 
 

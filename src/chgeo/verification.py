@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ambient, classifier, families, jacobi, solvable
+from . import ambient, classifier, families, jacobi, profiles, solvable
 from .errors import FocalPointError, UnsupportedModelError, ValidationError
 
 __all__ = [
@@ -129,8 +129,48 @@ def suite_cross_model_curvature(seed: int = DEFAULT_SEED):
     return records
 
 
+def _ruled_base_records(orbit, k: int, xi, vals, vecs, at: str):
+    """The closed-form base ``tube_base("Wk", n, k)`` against the orbit along its unit normal xi.
+
+    (vals, vecs) is the ``eigh`` of the orbit's shape operator along xi,
+    grouped with J(xi)'s squared coordinates by ``merge_spectrum``; the
+    sphere length is that of J(xi)'s projection onto the normal rows
+    orthogonal to xi, and the base's normal must lie in the slice.  A
+    multiplicity or row count the closed form does not match scores 1.
+    """
+    base = families.tube_base("Wk", orbit.algebra.n, k)
+    tangent = base.alpha == 1.0
+    jxi = orbit.algebra.J @ xi
+    squares = np.square((orbit.tangent @ jxi) @ vecs)
+    items = zip(vals.tolist(), [1] * len(vals), squares.tolist())
+    entries, lengths = profiles.merge_spectrum(items)
+    got = [m for _, m in entries], orbit.codim - 1
+    want = base.mult[tangent].tolist(), int(base.mult[~tangent].sum())
+    records = [(float(got != want), f"Wk base multiplicities vs the orbit, {at}")]
+    if got == want:
+        sigma = np.array([v for v, _ in entries])
+        records += [
+            (np.abs(sigma + base.beta[tangent]), f"Wk base curvatures vs the orbit, {at}"),
+            (np.abs(lengths - base.weight[tangent]), f"Wk base J(nu) lengths vs the orbit, {at}"),
+        ]
+    off = base.nu - (orbit.normal @ base.nu) @ orbit.normal
+    records.append((math.sqrt(off @ off), f"Wk base normal off the slice, {at}"))
+    # J(xi) on the normal rows, less its part along xi itself
+    normal_jxi, normal_xi = orbit.normal @ jxi, orbit.normal @ xi
+    sphere = normal_jxi - (normal_xi @ normal_jxi) * normal_xi
+    defect = math.sqrt(sphere @ sphere) - math.sqrt(np.square(base.weight[~tangent]).sum())
+    records.append((abs(defect), f"Wk base sphere length vs the orbit, {at}"))
+    return records
+
+
 def suite_ruled_second_fundamental():
-    """Second fundamental form and shape spectra of the ruled orbits of the catalog's flag."""
+    """Second fundamental form, shape spectra and tube bases of the ruled orbits of one flag.
+
+    Each orbit also holds the closed-form base ``tube_base("Wk", n, k)``,
+    which the catalog reads, to its own shape operator: along the first
+    slice row, the base's normal, and for k >= 2 along the normalised sum
+    of the slice rows, as the base is the same over the unit normal sphere.
+    """
     records = []
     for n in (3, 4, 5):
         alg = solvable.build_algebra(n)
@@ -149,8 +189,10 @@ def suite_ruled_second_fundamental():
                 t_z, t_ixi = orbit.tangent @ z_vec, orbit.tangent @ ixi
                 pairing = 0.5 * (np.outer(t_z, t_ixi) + np.outer(t_ixi, t_z))
                 records.append((np.abs(S - pairing), f"S_xi vs the (Z, i xi) pairing, {at}"))
-                vals, _ = np.linalg.eigh(S)
+                vals, vecs = np.linalg.eigh(S)
                 records.append((np.abs(np.sort(vals) - expected), f"spectrum of S_xi, {at}"))
+                if i == 0:
+                    records += _ruled_base_records(orbit, k, xi, vals, vecs, at)
                 # eigenvectors of the extreme curvatures
                 for sign in (+1.0, -1.0):
                     target = (z_vec + sign * ixi) / math.sqrt(2.0)
@@ -158,6 +200,10 @@ def suite_ruled_second_fundamental():
                     defect = np.linalg.norm(S @ coeffs - sign * 0.5 * coeffs)
                     records.append((defect, f"eigenvector Z {sign:+.0f} i xi of S_xi, {at}"))
                 records.append((abs(float(np.trace(S))), f"tr S_xi, {at}"))
+            if k >= 2:
+                xi = _unit_rows(orbit.normal.sum(axis=0))
+                vals, vecs = np.linalg.eigh(orbit.shape_operator(xi))
+                records += _ruled_base_records(orbit, k, xi, vals, vecs, f"n={n}, k={k}, xi_sum")
     return records
 
 
@@ -407,7 +453,8 @@ _SUITES = {
     "ruled-second-fundamental": (
         suite_ruled_second_fundamental,
         1e-12,
-        "2 II(Z, i xi) = xi and spectra {0,+1/2,-1/2}, n in {3,4,5}",
+        "2 II(Z, i xi) = xi, spectra {0,+1/2,-1/2} and the closed-form Wk bases, "
+        "n in {3,4,5}",
     ),
     "jacobi-oracle": (suite_jacobi_oracle, 1e-8, "closed form vs integrator, 200 cases on [0,3]"),
     "jacobi-field-equation": (

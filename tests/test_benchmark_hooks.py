@@ -21,23 +21,25 @@ def _spans(monkeypatch):
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     spans = _spans(monkeypatch)
-    tube_spectrum = families.tube_spectrum
+    structural_residuals = families.structural_residuals
     shape_operator = solvable.OrbitModel.shape_operator
+    alg = solvable.build_algebra(3)
+    ruled = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, 1))
     recorder = spans.Recorder()
     tracer = spans.Tracer(recorder)
     tracer.install()
     try:
-        assert families.tube_spectrum is not tube_spectrum
+        assert families.structural_residuals is not structural_residuals
         recorder.begin_op(0)
-        # the ruled base shapes its orbit, so the method wrapper is exercised
-        families.tube_spectrum("Wk", 3, k=2)
+        # the residuals shape the orbit, so the method wrapper is exercised
+        families.structural_residuals(ruled)
         recorder.end_op()
     finally:
         tracer.uninstall()
-    assert families.tube_spectrum is tube_spectrum
+    assert families.structural_residuals is structural_residuals
     assert solvable.OrbitModel.shape_operator is shape_operator
     calls = recorder.ops[0].calls
-    assert calls["families.tube_spectrum"] == 1
+    assert calls["families.structural_residuals"] == 1
     assert calls["solvable.shape_operator"] == 1
 
 
@@ -59,7 +61,7 @@ def test_newton_validation_is_one_span_per_lambda3(monkeypatch):
 
 
 def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
-    # the benchmark's solvable.build_ruled.self_s layer reads these spans
+    # every catalog base is a closed form: the traced catalog opens no solvable.* span
     spans = _spans(monkeypatch)
     recorder = spans.Recorder()
     tracer = spans.Tracer(recorder)
@@ -71,9 +73,7 @@ def test_catalog_orbits_stay_visible_to_the_tracer(monkeypatch):
     finally:
         tracer.uninstall()
     calls = recorder.ops[0].calls
-    # the orbits of coranks k = 1, 2 are one flag from one build_ruled call; one
-    # shape operator serves the whole flag; the horosphere is a named base
-    assert calls["solvable.build_ruled"] == 1
-    assert calls["solvable.shape_operator"] == 1
+    assert calls["families.catalog"] == 1
+    assert [name for name in calls if name.startswith("solvable.")] == []
     # the tube pass takes its rates in closed form: no propagator eigh per normal
     assert calls["jacobi.curvature_propagator"] == 0

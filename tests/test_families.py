@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgeo import ambient, classifier, families, jacobi, profiles, solvable
+from chgeo import ambient, classifier, families, jacobi, profiles, solvable, verification
 from chgeo.ambient import CurvatureModel, jacobi_operator
 from chgeo.errors import (
     FocalRadiusError,
@@ -56,6 +56,58 @@ def _frame(kind, n, k=None):
     if kind == "horosphere":
         return _orbit_frame(solvable.horosphere_model(alg))
     return _orbit_frame(solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k)))
+
+
+def frame_base(n, nu, tangent, shape, sphere):
+    """The base of a principal frame by the frame route: the reference for ``tube_base``.
+
+    ``tangent`` rows span the base tangent space, ``shape`` is the base
+    shape operator w.r.t. the unit normal ``nu`` in that frame, and
+    ``sphere`` rows span the unit-normal-sphere directions other than
+    nu itself; all vectors are ambient coordinates.  The entries must be
+    finite, nu a unit vector and [tangent; sphere; nu] orthonormal within
+    FRAME_TOL, and the shape symmetric within SYMMETRY_TOL, or
+    ValidationError names the defect, so a mistyped frame fails as itself
+    rather than as a wrong reference.  One ``eigh`` of the shape gives
+    the tangent rows' curvatures, ``merge_spectrum`` groups them with
+    J(nu)'s squared coordinates, and J(nu) comes from
+    ``ambient.complex_structure``.
+    """
+    nu, tangent, shape, sphere = (np.asarray(a, dtype=float) for a in (nu, tangent, shape, sphere))
+    d, k, s = 2 * n, len(tangent), len(sphere)
+    families._check_row_count(n, k, s)
+    if (nu.shape, tangent.shape, shape.shape, sphere.shape) != ((d,), (k, d), (k, k), (s, d)):
+        raise ValidationError(
+            f"a frame base in complex dimension {n} needs nu of shape ({d},), tangent and "
+            f"sphere rows of length {d} and a {k} x {k} shape, got nu {nu.shape}, tangent "
+            f"{tangent.shape}, shape {shape.shape} and sphere {sphere.shape}"
+        )
+    # written so that a NaN fails each check
+    full = np.vstack([tangent, sphere, nu])
+    if not (np.isfinite(full).all() and np.isfinite(shape).all()):
+        raise ValidationError("a frame base needs finite nu, tangent, shape and sphere entries")
+    length = math.sqrt(nu @ nu)
+    if not abs(length - 1.0) <= families.FRAME_TOL:
+        raise ValidationError(
+            f"the normal nu has length {length!r}, not 1 within FRAME_TOL = {families.FRAME_TOL:g}"
+        )
+    gram = full @ full.T
+    gram.flat[:: d + 1] -= 1.0
+    defect = np.max(np.abs(gram))
+    if not defect <= families.FRAME_TOL:
+        raise ValidationError(
+            f"the rows [tangent; sphere; nu] are {defect:.3e} from orthonormal, above "
+            f"FRAME_TOL = {families.FRAME_TOL:g}"
+        )
+    asym = np.max(np.abs(shape - shape.T), initial=0.0)
+    if not asym <= families.SYMMETRY_TOL:
+        raise ValidationError(f"base shape operator asymmetric by {asym:.3e}")
+    jnu = ambient.complex_structure(n) @ nu
+    sigma, vecs = np.linalg.eigh(shape)
+    squares = np.square((tangent @ jnu) @ vecs).tolist()
+    entries, lengths = profiles.merge_spectrum(zip(sigma.tolist(), [1] * k, squares))
+    groups = [(value, mult, w) for (value, mult), w in zip(entries, lengths)]
+    return families._base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +225,30 @@ def test_unknown_base_rejected():
         families.tube_spectrum("torus", 3, r=1.0)
 
 
+@pytest.mark.parametrize("n, k", [(5, 2), (5, None), (None, 2), (3, None)])
+def test_tube_spectrum_refuses_an_n_or_k_given_with_a_tube_base(n, k):
+    # (5, 2) used to return the n = 3 geodesic sphere's profile
+    base = families.tube_base("point", 3)
+    message = re.escape(f"a TubeBase carries its own data; got n = {n!r}, k = {k!r} with it")
+    with pytest.raises(ValueError, match=message):
+        families.tube_spectrum(base, n=n, k=k)
+    assert families.tube_spectrum(base).g == 2
+
+
+def test_tube_spectrum_refuses_a_base_that_is_neither_a_tube_base_nor_a_kind():
+    # it used to end in an AttributeError on int.n
+    message = re.escape("job 0: expected a TubeBase or one of ('point', 'CHk', 'RHn', 'Wk', ")
+    with pytest.raises(ValueError, match=message + r".*got 42$"):
+        families.tube_spectrum(42)
+
+
+def test_tube_spectra_refuses_a_job_whose_base_is_not_a_tube_base():
+    # it used to end in an AttributeError on None.n
+    jobs = [(families.tube_base("point", 3), 1.0), (None, 1.0)]
+    with pytest.raises(ValidationError, match=r"^job 1: expected a TubeBase, got None$"):
+        families.tube_spectra(jobs)
+
+
 def test_focal_radius_detected_for_strongly_curved_base():
     """A synthetic base with shape eigenvalue above 1/2 focalises."""
     # the transverse class collapses at coth(t/2) = 3/2
@@ -193,7 +269,7 @@ def _synthetic_focal_frame():
 
 def _synthetic_focal_base():
     frame, r_focal = _synthetic_focal_frame()
-    return families.frame_base(*frame), r_focal
+    return frame_base(*frame), r_focal
 
 
 def test_focal_radius_detected_inside_a_group():
@@ -213,7 +289,7 @@ def test_focal_radius_detected_on_the_normal_line():
     # J(normal) = e_1 is a principal direction of curvature 2: its rate-1 mode
     # cosh r - 2 sinh r vanishes at artanh(1/2), where the Hopf line is focal
     e = np.eye(4)
-    base = families.frame_base(2, e[0], e[1:], np.diag([2.0, 0.0, 0.0]), np.zeros((0, 4)))
+    base = frame_base(2, e[0], e[1:], np.diag([2.0, 0.0, 0.0]), np.zeros((0, 4)))
     r_focal = math.atanh(0.5)
     jobs = [(families.tube_base("point", 2), 0.7), (base, r_focal)]
     with pytest.raises(FocalRadiusError, match=re.escape(f"distance {r_focal}")):
@@ -226,14 +302,14 @@ def test_asymmetric_tube_shape_rejected():
     shape = frame.shape.copy()
     shape[1, 2] = 0.3
     with pytest.raises(ValidationError, match="base shape operator asymmetric by 3.000e-01"):
-        families.frame_base(*frame._replace(shape=shape))
+        frame_base(*frame._replace(shape=shape))
 
 
 def test_tube_base_with_a_missing_frame_row_rejected():
     frame = _frame("point", 3)
     message = re.escape("2n - 1 = 5 tangent and sphere rows, got 0 + 4")
     with pytest.raises(ValidationError, match=message):
-        families.frame_base(*frame._replace(sphere=frame.sphere[1:]))
+        frame_base(*frame._replace(sphere=frame.sphere[1:]))
     # the engine holds a base's groups to the same count
     base = families.tube_base("point", 3)
     short = families.TubeBase(3, base.nu, base.alpha, base.beta, base.mult - 1, base.weight)
@@ -271,13 +347,13 @@ def test_frame_base_rejects_a_frame_it_cannot_read(edit, message):
     # on the n = 3 ruled orbit's frame each used to raise numpy's LinAlgError, a
     # misleading carrier count, or give a wrong profile
     with pytest.raises(ValidationError, match=message):
-        families.frame_base(*edit(_frame("Wk", 3, 1)))
+        frame_base(*edit(_frame("Wk", 3, 1)))
 
 
 def test_frame_base_rejects_rows_of_the_wrong_length():
     frame = _frame("CHk", 3, 1)
     with pytest.raises(ValidationError, match=r"tangent \(2, 5\)"):
-        families.frame_base(*frame._replace(tangent=frame.tangent[:, 1:]))
+        frame_base(*frame._replace(tangent=frame.tangent[:, 1:]))
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 30.0, 1e6])
@@ -805,7 +881,7 @@ def _kahler_angle_base(phi):
     w_perp = np.array([e[2], math.cos(phi) * e[3] + math.sin(phi) * e[4]])
     tangent = np.vstack([e[:2], e[5], -math.sin(phi) * e[3] + math.cos(phi) * e[4]])
     orbit = solvable.OrbitModel(algebra=alg, tangent=tangent, normal=w_perp)
-    return families.frame_base(*_orbit_frame(orbit))
+    return frame_base(*_orbit_frame(orbit))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0])
@@ -881,7 +957,7 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     ruled, frame = families.tube_base("Wk", n, 1), _frame("Wk", n, 1)
     # a geodesic sphere whose normal is the ruled orbit's
     sphere_rows = np.vstack([frame.tangent, frame.sphere])
-    sphere = families.frame_base(n, frame.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
+    sphere = frame_base(n, frame.nu, np.zeros((0, 2 * n)), np.zeros((0, 0)), sphere_rows)
     jobs = [(ruled, -1.0), (sphere, 0.7), (families.tube_base("Wk", n, 2), R_STAR), (ruled, 0.0)]
     calls = {"eigh": [], "eigvalsh": [], "inv": [], "jacobi_operator": []}
 
@@ -907,48 +983,6 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     assert calls["eigvalsh"] == calls["inv"] == []
 
 
-@pytest.mark.parametrize("n", [3, 4, 8])
-def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
-    # the n - 1 ruled orbits are one flag: one slice validation and one QR
-    calls = {"qr": [], "validate_ruled_spec": []}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name].append(args[-1].shape)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(np.linalg, "qr")
-    counted(solvable, "validate_ruled_spec")
-    families.catalog(n, 1.3)
-    # the corank n - 1 slice of v, and the QR of its (2n - 2) x 2n projection, transposed
-    assert calls == {"qr": [(2 * n, 2 * n - 2)], "validate_ruled_spec": [(n - 1, 2 * n)]}
-
-
-@pytest.mark.parametrize("n", [3, 4, 8])
-def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
-    # one shape operator and one construction check for the flag; the horosphere
-    # is a named base and builds no orbit
-    calls = {"shape_operator": 0, "__post_init__": 0}
-
-    def counted(name):
-        fn = getattr(solvable.OrbitModel, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(solvable.OrbitModel, name, wrapper)
-
-    for name in calls:
-        counted(name)
-    families.catalog(n, 1.3)
-    assert calls == {"shape_operator": 1, "__post_init__": 1}
-
-
 def _assert_same_groups(got, want, bound=1e-15):
     """Two bases with the same normal, groups and multiplicities, values within bound."""
     assert np.array_equal(got.nu, want.nu)
@@ -959,10 +993,11 @@ def _assert_same_groups(got, want, bound=1e-15):
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_catalog_base_shapes_are_each_orbits_own(n):
+    # the catalog's closed-form ruled bases against the Koszul orbits of one flag
     alg = solvable.build_algebra(n)
     w = solvable.default_ruled_spec(alg, n - 1)
     flag = solvable.ruled_flag(alg, w)
-    rows = families._three_curvature_rows(alg, 1.3)
+    rows = families._three_curvature_rows(n, 1.3)
     bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
     assert sorted(bases) == list(range(1, n))
     for k, orbit in enumerate(flag, start=1):
@@ -982,19 +1017,16 @@ def test_catalog_base_shapes_are_each_orbits_own(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_spectral_bases_match_the_frame_route_on_their_frames(n):
     for kind, k in _kinds(n):
-        frame = families.frame_base(*_frame(kind, n, k))
+        frame = frame_base(*_frame(kind, n, k))
         # the horosphere's closed form is the frame route of its orbit, digit for digit
         bound = 0.0 if kind == "horosphere" else 1e-15
         _assert_same_groups(families.tube_base(kind, n, k), frame, bound)
-    if n >= 3:
-        alg = solvable.build_algebra(n)
-        flag = solvable.ruled_flag(alg, solvable.default_ruled_spec(alg, n - 1))
-        for orbit, base in zip(flag, families._flag_bases(flag)):
-            _assert_same_groups(base, families.frame_base(*_orbit_frame(orbit)))
 
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_a_ruled_shape_off_its_rank_two_form_raises(monkeypatch, n):
+    # verify holds the orbits to their rank-two form; the catalog reads no orbit
+    want = json.dumps([families.entry_to_dict(e) for e in families.catalog(n, 1.3)[0]])
     shape_operator = solvable.OrbitModel.shape_operator
 
     def perturbed(self, xi):
@@ -1003,22 +1035,22 @@ def test_a_ruled_shape_off_its_rank_two_form_raises(monkeypatch, n):
         return S
 
     monkeypatch.setattr(solvable.OrbitModel, "shape_operator", perturbed)
-    message = (
-        rf"^the ruled shape operator in complex dimension {n} departs from its rank-two "
-        r"form by 1\.000e-09, above RANK_TWO_TOL = 1e-12$"
-    )
-    with pytest.raises(ValidationError, match=message):
-        families.catalog(n, 1.3)
-    with pytest.raises(ValidationError, match=message):
-        families.tube_base("Wk", n, 2)
+    result = verification.run_suite("ruled-second-fundamental")
+    assert not result.passed
+    assert result.max_residual == pytest.approx(1e-9, rel=1e-6)
+    assert result.detail.startswith("worst: S_xi vs the (Z, i xi) pairing, n=3, k=1, xi_0")
+    got = json.dumps([families.entry_to_dict(e) for e in families.catalog(n, 1.3)[0]])
+    assert got == want
 
 
 def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
-    # an eigh per ruled orbit or an identity per named base grows with n
+    # an eigh per ruled orbit or an identity per named base grows with n; every
+    # base is a closed form, so the catalog builds no algebra, slice or orbit
     counts = {}
 
     def counted(module, name):
         fn = getattr(module, name)
+        counts[name] = 0
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -1027,27 +1059,24 @@ def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(np.linalg, "eigh")
+    counted(np.linalg, "qr")
     counted(np, "eye")
     # the rates are closed-form: the Jacobi operator is never built or split
     for module in (ambient, jacobi):
         counted(module, "jacobi_operator")
     counted(jacobi, "curvature_propagator")
-    # the horosphere is a named base: no orbit model and no frame route
-    counted(solvable, "horosphere_model")
-    counted(families, "frame_base")
+    for name in ("build_algebra", "validate_ruled_spec", "horosphere_model"):
+        counted(solvable, name)
+    for name in ("__post_init__", "shape_operator"):
+        counted(solvable.OrbitModel, name)
     seen = []
     for n in (4, 16, 40):
-        counts.update(
-            eigh=0, eye=0, jacobi_operator=0, curvature_propagator=0, horosphere_model=0,
-            frame_base=0,
-        )
+        counts.update(dict.fromkeys(counts, 0))
         families.catalog(n, 1.3)
         seen.append(dict(counts))
-    # one eigh, for the stack of the non-Hopf tubes' 2 x 2 blocks
+    # one eigh, for the stack of the non-Hopf tubes' 2 x 2 blocks, and nothing else
     assert seen[0] == seen[1] == seen[2], seen
-    assert seen[0]["eigh"] == 1 and seen[0]["jacobi_operator"] == 0, seen
-    assert seen[0]["curvature_propagator"] == 0, seen
-    assert seen[0]["horosphere_model"] == seen[0]["frame_base"] == 0, seen
+    assert seen[0] == dict.fromkeys(counts, 0) | {"eigh": 1, "eye": 1}, seen
 
 
 # at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
@@ -1088,8 +1117,7 @@ def test_catalog_at_the_radius_cap_names_the_family(r):
 
 def test_tube_pass_builds_no_dense_stack():
     n, r = 48, 1.3
-    alg = solvable.build_algebra(n)
-    rows = families._two_curvature_rows(alg, r) + families._three_curvature_rows(alg, r)
+    rows = families._two_curvature_rows(n, r) + families._three_curvature_rows(n, r)
     jobs = [row[3] for row in rows]
     # a value and a derivative stack of (B, 2n - 1, 2n - 1) doubles: 14.3 MB;
     # the dense engine peaked at 21.6 MB here, the reduced kernel at 1.4 MB
@@ -1106,7 +1134,7 @@ def test_tube_pass_builds_no_dense_stack():
 
 
 def test_asymmetric_tube_block_rejected(monkeypatch):
-    # a ruled base has no frame to check, so the G x G block is what raises
+    # the engine reads no base shape operator, so the G x G block is what raises
     monkeypatch.setattr(families, "SYMMETRY_TOL", -1.0)
     with pytest.raises(ValueError, match="tube shape operator at distance 0.7 asymmetric"):
         families.tube_spectrum("Wk", 3, k=2, r=0.7)
@@ -1212,25 +1240,6 @@ def test_entry_serialisation():
     assert rdoc["b"] == pytest.approx(
         [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-12
     )
-
-
-def test_catalog_builds_each_algebra_and_propagator_once(monkeypatch):
-    counts = {"build_algebra": 0, "curvature_propagator": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(families, "build_algebra")
-    counted(jacobi, "curvature_propagator")
-    families.catalog(8, 1.0)
-    # one algebra; the tube pass takes its rates in closed form, so no propagator
-    assert counts == {"build_algebra": 1, "curvature_propagator": 0}
 
 
 def test_catalog_matches_reference():
