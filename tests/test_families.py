@@ -983,6 +983,53 @@ def test_tube_spectra_decomposes_each_shape_stack_once(monkeypatch):
     assert calls["eigvalsh"] == calls["inv"] == []
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
+    # the n - 1 ruled bases are closed forms on one frame: each has the slice's
+    # first row V_1 = e_2 as normal, with no slice validation and no QR
+    calls = {"qr": 0, "validate_ruled_spec": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "qr")
+    counted(solvable, "validate_ruled_spec")
+    rows = families._three_curvature_rows(n, 1.3)
+    families.catalog(n, 1.3)
+    assert calls == {"qr": 0, "validate_ruled_spec": 0}
+    bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
+    assert sorted(bases) == list(range(1, n))
+    for base in bases.values():
+        assert np.array_equal(base.nu, np.eye(2 * n)[2])
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
+    # the ruled bases and the horosphere are closed forms: the catalog builds no
+    # orbit, so no orbit is checked or shaped even once
+    calls = {"shape_operator": 0, "__post_init__": 0}
+
+    def counted(name):
+        fn = getattr(solvable.OrbitModel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvable.OrbitModel, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    families.catalog(n, 1.3)
+    assert calls == {"shape_operator": 0, "__post_init__": 0}
+
+
 def _assert_same_groups(got, want, bound=1e-15):
     """Two bases with the same normal, groups and multiplicities, values within bound."""
     assert np.array_equal(got.nu, want.nu)
@@ -1240,6 +1287,26 @@ def test_entry_serialisation():
     assert rdoc["b"] == pytest.approx(
         [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-12
     )
+
+
+def test_catalog_builds_each_algebra_and_propagator_once(monkeypatch):
+    counts = {"build_algebra": 0, "curvature_propagator": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(solvable, "build_algebra")
+    counted(jacobi, "curvature_propagator")
+    families.catalog(8, 1.0)
+    # every base is a closed form, so no algebra; the tube pass takes its rates in
+    # closed form, so no propagator
+    assert counts == {"build_algebra": 0, "curvature_propagator": 0}
 
 
 def test_catalog_matches_reference():
