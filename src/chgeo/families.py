@@ -16,20 +16,21 @@ rank one in the base's principal frame, so each tube reduces to scalar
 ratios and one small block on the directions that J(normal) meets (the
 deflation of a rank-one eigenvalue update).  On a Hopf tube that block
 is the line of J(normal) itself, a scalar at rate 1, so only the
-paper's non-Hopf tubes reach a 2 x 2 block and an ``eigh``.  A base
-hands the engine only its principal frame's groups (``TubeBase``), and
-every named base, the horosphere and the ruled orbits among them, builds
-them in closed form in O(n), with no frame and no orbit model; the
-``verification`` suites hold the closed forms against the solvable-group
+paper's non-Hopf tubes reach a 2 x 2 block and an ``eigh``.  The engine
+reads only a (B, G) stack of the groups of each base's principal frame
+and one radius per tube.  The named bases, the horosphere and the ruled
+orbits among them, have their groups written once in closed form, in
+O(n) with no frame and no orbit model (``tube_base`` is one row of
+them); the ``verification`` suites hold them against the solvable-group
 orbits.  The engine groups each tube's few values with
 ``profiles.merge_spectrum`` as they come, never repeated out to one per
 frame row.
 
 The catalog enumerates, for a given complex dimension, the families
 with two and (for n >= 3) three distinct constant principal
-curvatures, recomputing every profile through the engine and flagging
-which families keep the normal J-image inside a single principal
-distribution.
+curvatures, reading their named closed forms as one stack for one
+engine pass, and flagging which families keep the normal J-image
+inside a single principal distribution.
 """
 
 from __future__ import annotations
@@ -132,16 +133,6 @@ def _check_row_count(n: int, tangent: int, sphere: int) -> None:
         )
 
 
-def _base(n: int, nu: np.ndarray, tangent, sphere: int, sphere_weight: float) -> TubeBase:
-    """TubeBase of the tangent groups, (sigma, multiplicity, weight) in ascending sigma,
-    and of ``sphere`` sphere rows with J(nu) weight ``sphere_weight``."""
-    groups = [(1.0, -sigma, mult, weight) for sigma, mult, weight in tangent]
-    if sphere:
-        groups.append((0.0, 1.0, sphere, sphere_weight))
-    alpha, beta, mult, weight = (np.array(column) for column in zip(*groups))
-    return TubeBase(n, nu, alpha, beta, mult, weight)
-
-
 def _dimension(n) -> int:
     """The complex dimension n as an int; raise ValueError unless it is an integer >= 2."""
     n = as_int("n", n)
@@ -150,8 +141,23 @@ def _dimension(n) -> int:
     return n
 
 
+def _named_groups(kind: str, n: int, k: int | None):
+    """A named base's (index of its normal e_i, groups in ``TubeBase`` order); k checked."""
+    d = 2 * n
+    if kind == "RHn":
+        return 1, [(1.0, -0.0, n, 1.0), (0.0, 1.0, n - 1, 0.0)]
+    if kind == "horosphere":
+        return 0, [(1.0, -0.5, d - 2, 0.0), (1.0, -1.0, 1, 1.0)]
+    if kind == "Wk":
+        half = math.sqrt(0.5)
+        tangent = [(1.0, 0.5, 1, half), (1.0, -0.0, d - k - 2, 0.0), (1.0, -0.5, 1, half)]
+        return 2, tangent + [(0.0, 1.0, k - 1, 0.0)] * (k > 1)
+    k = k or 0
+    return 0, [(1.0, -0.0, 2 * k, 0.0)] * (k > 0) + [(0.0, 1.0, d - 2 * k - 1, 1.0)]
+
+
 def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
-    """Base data for one of the named base submanifolds.
+    """Base data for one of the named base submanifolds: one row of their closed form.
 
     A point or CH^k (spanned by the last 2k coordinates) has normal e_0
     and zero shape operator, so its groups are one tangent group and the
@@ -175,31 +181,16 @@ def tube_base(kind: str, n: int, k: int | None = None) -> TubeBase:
         if kind in ("point", "RHn", "horosphere"):
             raise ValueError(f"base kind {kind!r} takes no k, got k = {k!r}")
         k = as_int("k", k)
-    d = 2 * n
-    if kind == "point":
-        kind, k = "CHk", 0
-    if kind == "CHk":
-        if k is None or not 0 <= k <= n - 1:
-            raise ValueError(f"complex base dimension must lie in 0..{n - 1}, got {k}")
-        nu = np.zeros(d)
-        nu[0] = 1.0
-        return _base(n, nu, [(0.0, 2 * k, 0.0)] if k else [], d - 2 * k - 1, 1.0)
-    if kind == "RHn":
-        nu = np.zeros(d)
-        nu[1] = 1.0
-        return _base(n, nu, [(0.0, n, 1.0)], n - 1, 0.0)
-    if kind == "horosphere":
-        nu = np.zeros(d)
-        nu[0] = 1.0
-        return _base(n, nu, [(0.5, d - 2, 0.0), (1.0, 1, 1.0)], 0, 0.0)
-    if kind != "Wk":
+    if kind not in BASE_KINDS:
         raise ValueError(f"unknown base kind {kind!r}; expected one of {BASE_KINDS}")
-    if k is None or not 1 <= k <= n - 1:
+    if kind == "CHk" and (k is None or not 0 <= k <= n - 1):
+        raise ValueError(f"complex base dimension must lie in 0..{n - 1}, got {k}")
+    if kind == "Wk" and (k is None or not 1 <= k <= n - 1):
         raise ValueError(f"ruled corank must lie in 1..{n - 1}, got {k}")
-    nu = np.zeros(d)
-    nu[2] = 1.0
-    half = math.sqrt(0.5)
-    return _base(n, nu, [(-0.5, 1, half), (0.0, d - k - 2, 0.0), (0.5, 1, half)], k - 1, 0.0)
+    normal, groups = _named_groups(kind, n, k)
+    nu = np.zeros(2 * n)
+    nu[normal] = 1.0
+    return TubeBase(n, nu, *(np.array(column) for column in zip(*groups)))
 
 
 def _carrier_runs(entries, lengths) -> list[int]:
@@ -241,27 +232,13 @@ def _carriers(vals: np.ndarray, vecs: np.ndarray, jnu_coeffs: np.ndarray):
     return entries, carriers
 
 
-def _check_radius(base: TubeBase, r) -> float:
-    """r as a float; raise if the engine cannot resolve it, or r <= 0 around a proper tube."""
-    r = as_real("tube radius", r)
-    if not (math.isfinite(r) and abs(r) <= MAX_RADIUS):
-        raise ValueError(
-            f"tube radius {r} is out of range: |r| must be finite and at most "
-            f"{MAX_RADIUS:.4f}"
-        )
-    if 2 * base.n - base.dim >= 2 and r <= 0:
-        raise ValueError(f"tube radius must be positive, got {r}")
-    return r
-
-
 def _group_stacks(jobs, n: int):
-    """The jobs' (B, width) stacks of alpha, beta, mult and weight, zero-padded.
+    """The jobs' (B, width) stacks of alpha, beta, mult and weight, zero-padded, and their mask.
 
-    A base the engine cannot read raises ValidationError naming the
+    A TubeBase the engine cannot read raises ValidationError naming the
     first job at fault: alpha, beta, mult and weight not 1-d of one
-    length, nu not of length 2n or not a unit vector within FRAME_TOL, a
-    non-finite alpha, beta or weight, or a multiplicity that is not a
-    positive integer.  The checks run once, on the stacks.
+    length, or nu not of length 2n or not a unit vector within FRAME_TOL.
+    ``_tube_profiles`` checks the stacks themselves.
     """
     # one field at a time: the five columns held at once grew the catalog
     # benchmark's resident memory by about 0.4 KB per op
@@ -285,24 +262,18 @@ def _group_stacks(jobs, n: int):
                 )
         raise ValidationError("the tube bases cannot be stacked as real numbers")
     present = np.arange(max(sizes)) < np.array(sizes)[:, None]
-    alpha, beta, mult, weight = np.zeros((4, *present.shape))
-    for stack, values in zip((alpha, beta, mult, weight), flat):
+    stacks = np.zeros((4, *present.shape))
+    for stack, values in zip(stacks, flat):
         stack[present] = values
     length = np.sqrt(np.square(nu).sum(axis=-1))
-    # one flag per job, written so that a NaN fails each check
+    # written so that a NaN fails
     unit = np.abs(length - 1.0) <= FRAME_TOL
-    finite = (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(weight)).all(axis=-1)
-    whole = ((mult >= 1.0) & (mult == np.floor(mult)) | ~present).all(axis=-1)
-    for ok, defect in (
-        (unit, "the normal nu has length {0!r}, not 1 within FRAME_TOL"),
-        (finite, "a tube base needs finite alpha, beta and weight"),
-        (whole, "multiplicities must be positive integers, got {1}"),
-    ):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            values = float(length[i]), mult[i][present[i]].tolist()
-            raise ValidationError(f"job {i}: " + defect.format(*values))
-    return alpha, beta, mult.astype(int), weight
+    if not unit.all():
+        i = int(np.argmin(unit))
+        raise ValidationError(
+            f"job {i}: the normal nu has length {float(length[i])!r}, not 1 within FRAME_TOL"
+        )
+    return (*stacks, present)
 
 
 def tube_spectra(jobs) -> list[PrincipalProfile]:
@@ -311,15 +282,16 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     Every base must be a TubeBase, or ValidationError names the job, and
     have the same complex dimension n, or ValidationError names the
     dimensions; a base the engine cannot read raises ValidationError
-    naming its job (``_group_stacks``).  On the normal's
+    naming its job.  The catalog hands the engine core the named bases'
+    closed forms in the same (B, G) stack form.  On the normal's
     complement the Jacobi operator is 1 on the line of J(normal) and 1/4
     on the rest, so a mode runs at the closed-form rate 1 or 1/2
     (``jacobi.RATES``) and ``jacobi_mode`` evaluates it.  In the base's
     principal frame (the eigenvectors of its shape operator, then the
     sphere rows) each row starts as a multiple of itself, so the value
     and derivative maps V and D are diagonal plus rank one.  The engine
-    reads only the frame's groups, rows with equal initial data, which
-    each ``TubeBase`` carries.  Off the projection of J(normal), a group
+    reads only the frame's groups, rows with equal initial data.  Off the
+    projection of J(normal), a group
     is an eigenspace with the scalar value -X/Y at rate 1/2, X and Y its
     bounded derivative and value factors.  The G projections span a
     G x G block.  A Hopf tube has G = 1: its carrier holds the J(normal)
@@ -353,13 +325,43 @@ def tube_spectra(jobs) -> list[PrincipalProfile]:
     if not jobs:
         return []
     n = dims[0]
+    stacks = _group_stacks(jobs, n)
+    return _tube_profiles(n, *stacks, np.array([as_real("tube radius", r) for _, r in jobs]))
+
+
+def _tube_profiles(n: int, alpha, beta, mult, weight, present, radii) -> list[PrincipalProfile]:
+    """``tube_spectra``'s core on (B, G) group stacks, padded where not ``present``.
+
+    Each check runs once, on the stacks, and raises for the first job at fault.
+    """
     m = 2 * n - 1
-    alpha, beta, mult, weight = _group_stacks(jobs, n)
-    radii = np.array([_check_radius(base, r) for base, r in jobs])
+    # one flag per job, written so that a NaN fails each check
+    finite = (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(weight)).all(axis=-1)
+    whole = ((mult >= 1.0) & (mult == np.floor(mult)) | ~present).all(axis=-1)
+    for ok, defect in (
+        (finite, "a tube base needs finite alpha, beta and weight"),
+        (whole, "multiplicities must be positive integers, got {}"),
+    ):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValidationError(f"job {i}: " + defect.format(mult[i][present[i]].tolist()))
+    mult = mult.astype(int)
+    dim = np.where(alpha == 1.0, mult, 0).sum(axis=-1)
+    in_range = np.abs(radii) <= MAX_RADIUS
+    fits = in_range & ((radii > 0) | (2 * n - dim < 2))
+    if not fits.all():
+        i = int(np.argmin(fits))
+        r = float(radii[i])
+        if not in_range[i]:
+            raise ValueError(
+                f"tube radius {r} is out of range: |r| must be finite and at most "
+                f"{MAX_RADIUS:.4f}"
+            )
+        raise ValueError(f"tube radius must be positive, got {r}")
     short = np.flatnonzero(mult.sum(axis=-1) != m)
     if short.size:
-        base = jobs[short[0]][0]
-        _check_row_count(n, base.dim, int(base.mult.sum()) - base.dim)
+        i = short[0]
+        _check_row_count(n, int(dim[i]), int(mult[i].sum() - dim[i]))
     carrier = weight > CARRIER_TOL
     count = carrier.sum(axis=-1)
     # off its carrier direction a group is an eigenspace of multiplicity rest, at
@@ -620,23 +622,50 @@ class CatalogEntry:
         return self.profile.hopf is None
 
 
-def _engine_entries(n: int, groups) -> list[CatalogEntry]:
-    """Catalog entries from one ``tube_spectra`` pass over every row of every group.
+def _catalog_rows(n: int, r: float) -> list:
+    """Rows (g, family, kind, k, r, distance, letter, constraint), g = 2 first.
 
-    ``groups`` is a list of (g, rows), and each entry is checked to have
-    its group's g distinct curvatures.  Each row is (family, k, r,
-    (base, distance), classification family, constraint); the distance
-    is the engine's signed radius.
+    The base is ``tube_base(kind, n, k)`` and distance the engine's signed radius.
     """
-    rows = [(g, *row) for g, group in groups for row in group]
+    star = EXCEPTIONAL_RADIUS
+    rows = [
+        (2, "horosphere", "horosphere", None, None, 1.0, None, None),
+        (2, "geodesic-sphere", "point", None, r, r, None, None),
+        (2, "tube-CHk", "CHk", n - 1, r, r, None, "k = n-1"),
+        (2, "tube-RHn", "RHn", None, star, star, None, "r = ln(2+sqrt(3))"),
+    ]
+    if n == 2:
+        return rows
+    rows += [(3, "tube-CHk", "CHk", k, r, r, "a", "k <= n-2, any r > 0") for k in range(1, n - 1)]
+    rows += [
+        (3, "tube-RHn", "RHn", None, r, r, "b", "r != ln(2+sqrt(3))"),
+        # the ruled orbit is its own equidistant at distance zero
+        (3, "ruled-W", "Wk", 1, 0.0, -0.0, "c", None),
+        (3, "equidistant-W", "Wk", 1, r, -r, "c", "any r != 0"),
+    ]
+    constraint = "r = ln(2+sqrt(3)), 2 <= k <= n-1"
+    rows += [(3, "tube-Wk", "Wk", k, star, star, "d", constraint) for k in range(2, n)]
+    return rows
+
+
+def _engine_entries(n: int, rows) -> list[CatalogEntry]:
+    """Catalog entries of ``_catalog_rows`` from one stack of their closed forms.
+
+    Each entry is checked to have its row's g distinct curvatures.
+    """
+    groups = [_named_groups(kind, n, k)[1] for _, _, kind, k, *_ in rows]
+    width = max(map(len, groups))
+    stack = np.array([g + [(0.0, 0.0, 0, 0.0)] * (width - len(g)) for g in groups])
+    present = np.arange(width) < np.array([len(g) for g in groups])[:, None]
+    radii = np.array([row[5] for row in rows])
     try:
-        profiles = tube_spectra([row[4] for row in rows])
+        profiles = _tube_profiles(n, *np.moveaxis(stack, -1, 0), present, radii)
     except UnresolvedSpectrumError as exc:
-        _, family, k, *_ = rows[exc.job]
+        _, family, _, k, *_ = rows[exc.job]
         family += "" if k is None else f" (k = {k})"
         raise UnresolvedSpectrumError(f"catalog family {family}, {exc}", exc.job) from None
     entries = []
-    for (g, family, k, r, _, letter, constraint), profile in zip(rows, profiles):
+    for (g, family, _, k, r, _, letter, constraint), profile in zip(rows, profiles):
         if profile.g != g:
             raise ValueError(
                 f"{family} at r = {r} has g = {profile.g}, not {g}: its "
@@ -646,57 +675,13 @@ def _engine_entries(n: int, groups) -> list[CatalogEntry]:
     return entries
 
 
-def _two_curvature_rows(n: int, r: float) -> list:
-    """Rows of the four families with two distinct curvatures."""
-    return [
-        ("horosphere", None, None, (tube_base("horosphere", n), 1.0), None, None),
-        ("geodesic-sphere", None, r, (tube_base("point", n), r), None, None),
-        ("tube-CHk", n - 1, r, (tube_base("CHk", n, n - 1), r), None, "k = n-1"),
-        (
-            "tube-RHn",
-            None,
-            EXCEPTIONAL_RADIUS,
-            (tube_base("RHn", n), EXCEPTIONAL_RADIUS),
-            None,
-            "r = ln(2+sqrt(3))",
-        ),
-    ]
-
-
-def _three_curvature_rows(n: int, r: float) -> list:
-    """Rows of the representatives with three distinct curvatures, for n >= 3."""
-    ruled = tube_base("Wk", n, 1)
-    rows = [
-        ("tube-CHk", k, r, (tube_base("CHk", n, k), r), "a", "k <= n-2, any r > 0")
-        for k in range(1, n - 1)
-    ]
-    rows += [
-        ("tube-RHn", None, r, (tube_base("RHn", n), r), "b", "r != ln(2+sqrt(3))"),
-        # the ruled orbit is its own equidistant at distance zero
-        ("ruled-W", 1, 0.0, (ruled, -0.0), "c", None),
-        ("equidistant-W", 1, r, (ruled, -r), "c", "any r != 0"),
-    ]
-    rows += [
-        (
-            "tube-Wk",
-            k,
-            EXCEPTIONAL_RADIUS,
-            (tube_base("Wk", n, k), EXCEPTIONAL_RADIUS),
-            "d",
-            "r = ln(2+sqrt(3)), 2 <= k <= n-1",
-        )
-        for k in range(2, n)
-    ]
-    return rows
-
-
 _OPEN_CASE = "the three-curvature classification is open in complex dimension 2"
 
 
 def two_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     """The four families with two distinct constant principal curvatures."""
     n = _dimension(n)
-    return _engine_entries(n, [(2, _two_curvature_rows(n, as_real("r", r)))])
+    return _engine_entries(n, _catalog_rows(n, as_real("r", r))[:4])
 
 
 def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
@@ -708,7 +693,7 @@ def three_curvature_families(n: int, r: float = 1.0) -> list[CatalogEntry]:
     n = _dimension(n)
     if n == 2:
         raise OpenCaseError(_OPEN_CASE)
-    return _engine_entries(n, [(3, _three_curvature_rows(n, as_real("r", r)))])
+    return _engine_entries(n, _catalog_rows(n, as_real("r", r))[4:])
 
 
 def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
@@ -716,19 +701,14 @@ def catalog(n: int, r: float = 1.0) -> tuple[list[CatalogEntry], list[str]]:
 
     Returns the two-curvature families always and the three-curvature
     families when n >= 3; for n = 2 a note records that the latter
-    classification is open.  Every base is a named closed form, and every
-    family runs through one ``tube_spectra`` pass.  r must be a real
-    number, and the entries store it as a float.
+    classification is open.  It reads the named closed forms as one
+    stack, of which ``tube_base`` is one row, for one engine pass.  r
+    must be a real number, and the entries store it as a float.
     """
     r = as_real("r", r)
     n = _dimension(n)
-    groups = [(2, _two_curvature_rows(n, r))]
-    notes: list[str] = []
-    if n == 2:
-        notes.append(_OPEN_CASE)
-    else:
-        groups.append((3, _three_curvature_rows(n, r)))
-    return _engine_entries(n, groups), notes
+    notes = [_OPEN_CASE] if n == 2 else []
+    return _engine_entries(n, _catalog_rows(n, r)), notes
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:

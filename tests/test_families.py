@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import regen_catalog_sha256
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,8 @@ def coth(x):
 # a base's principal-frame data: unit normal, tangent rows, shape operator along
 # the normal in the tangent frame, and the other unit-normal-sphere rows
 Frame = namedtuple("Frame", "n nu tangent shape sphere")
+# a base's groups, the columns of a ``TubeBase``
+Groups = namedtuple("Groups", "alpha beta mult weight")
 
 
 def _orbit_frame(orbit):
@@ -106,8 +109,11 @@ def frame_base(n, nu, tangent, shape, sphere):
     sigma, vecs = np.linalg.eigh(shape)
     squares = np.square((tangent @ jnu) @ vecs).tolist()
     entries, lengths = profiles.merge_spectrum(zip(sigma.tolist(), [1] * k, squares))
-    groups = [(value, mult, w) for (value, mult), w in zip(entries, lengths)]
-    return families._base(n, nu, groups, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu))))
+    # a tangent group of curvature sigma starts at (1, -sigma), the sphere group at (0, 1)
+    groups = [(1.0, -value, mult, w) for (value, mult), w in zip(entries, lengths)]
+    if s:
+        groups.append((0.0, 1.0, s, math.sqrt(np.add.reduce(np.square(sphere @ jnu)))))
+    return families.TubeBase(n, nu, *(np.array(column) for column in zip(*groups)))
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +1006,14 @@ def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
 
     counted(np.linalg, "qr")
     counted(solvable, "validate_ruled_spec")
-    rows = families._three_curvature_rows(n, 1.3)
     families.catalog(n, 1.3)
     assert calls == {"qr": 0, "validate_ruled_spec": 0}
-    bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
-    assert sorted(bases) == list(range(1, n))
-    for base in bases.values():
-        assert np.array_equal(base.nu, np.eye(2 * n)[2])
+    # every ruled row of the catalog reads the closed form whose normal is e_2 = V_1
+    rows = families._catalog_rows(n, 1.3)
+    ruled = [k for _, _, kind, k, *_ in rows if kind == "Wk"]
+    normals = {k: families._named_groups("Wk", n, k)[0] for k in ruled}
+    assert sorted(normals) == list(range(1, n))
+    assert set(normals.values()) == {2}
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -1044,8 +1051,13 @@ def test_catalog_base_shapes_are_each_orbits_own(n):
     alg = solvable.build_algebra(n)
     w = solvable.default_ruled_spec(alg, n - 1)
     flag = solvable.ruled_flag(alg, w)
-    rows = families._three_curvature_rows(n, 1.3)
-    bases = {row[1]: row[3][0] for row in rows if row[0] in ("ruled-W", "tube-Wk")}
+    rows = families._catalog_rows(n, 1.3)
+    # the closed-form groups each ruled row of the catalog reads, as columns
+    bases = {
+        k: Groups(*map(np.array, zip(*families._named_groups(kind, n, k)[1])))
+        for _, _, kind, k, *_ in rows
+        if kind == "Wk"
+    }
     assert sorted(bases) == list(range(1, n))
     for k, orbit in enumerate(flag, start=1):
         # the eigh of the orbit's own shape operator, grouped, against the rank-two form
@@ -1116,6 +1128,9 @@ def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
         counted(solvable, name)
     for name in ("__post_init__", "shape_operator"):
         counted(solvable.OrbitModel, name)
+    # no TubeBase is built or taken apart, and one engine core checks every radius
+    for name in ("tube_base", "_group_stacks", "_tube_profiles"):
+        counted(families, name)
     seen = []
     for n in (4, 16, 40):
         counts.update(dict.fromkeys(counts, 0))
@@ -1123,7 +1138,7 @@ def test_catalog_costs_a_fixed_number_of_eigh_and_eye_calls(monkeypatch):
         seen.append(dict(counts))
     # one eigh, for the stack of the non-Hopf tubes' 2 x 2 blocks, and nothing else
     assert seen[0] == seen[1] == seen[2], seen
-    assert seen[0] == dict.fromkeys(counts, 0) | {"eigh": 1, "eye": 1}, seen
+    assert seen[0] == dict.fromkeys(counts, 0) | {"eigh": 1, "eye": 1, "_tube_profiles": 1}, seen
 
 
 # at MAX_RADIUS, -coth(r/2)/2 and -tanh(r/2)/2 lie 1/sinh(r) = MERGE_TOL apart: the
@@ -1164,20 +1179,22 @@ def test_catalog_at_the_radius_cap_names_the_family(r):
 
 def test_tube_pass_builds_no_dense_stack():
     n, r = 48, 1.3
-    rows = families._two_curvature_rows(n, r) + families._three_curvature_rows(n, r)
-    jobs = [row[3] for row in rows]
+    rows = families._catalog_rows(n, r)
+    jobs = [(families.tube_base(kind, n, k), distance) for _, _, kind, k, _, distance, *_ in rows]
     # a value and a derivative stack of (B, 2n - 1, 2n - 1) doubles: 14.3 MB;
     # the dense engine peaked at 21.6 MB here, the reduced kernel at 1.4 MB
     dense = 2 * len(jobs) * (2 * n - 1) ** 2 * 8
     # one small tube first, so numpy's one-time allocations stay out of the count
     families.tube_spectrum("point", 3, r=r)
-    tracemalloc.start()
-    try:
-        families.tube_spectra(jobs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= dense / 5, peak
+    # the TubeBase route and the catalog's one stack of closed forms
+    for tube_pass in (lambda: families.tube_spectra(jobs), lambda: families.catalog(n, r)):
+        tracemalloc.start()
+        try:
+            tube_pass()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dense / 5, peak
 
 
 def test_asymmetric_tube_block_rejected(monkeypatch):
@@ -1307,6 +1324,70 @@ def test_catalog_builds_each_algebra_and_propagator_once(monkeypatch):
     # every base is a closed form, so no algebra; the tube pass takes its rates in
     # closed form, so no propagator
     assert counts == {"build_algebra": 0, "curvature_propagator": 0}
+
+
+def test_catalog_json_matches_its_sha256_goldens():
+    # every digit of 126 catalogs; regen_catalog_sha256.py names the (n, r) that moved
+    golden = json.loads(regen_catalog_sha256.GOLDENS.read_text())
+    assert len(golden) == 126
+    assert regen_catalog_sha256.moved(golden, regen_catalog_sha256.hashes()) == []
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_catalog_rows_read_the_closed_form_of_tube_base_bit_for_bit(monkeypatch, n):
+    # the catalog's one stack holds, row by row, the groups tube_base wraps
+    stacks = []
+    core = families._tube_profiles
+
+    def spy(n, *stack):
+        stacks.append(stack)
+        return core(n, *stack)
+
+    monkeypatch.setattr(families, "_tube_profiles", spy)
+    entries, _ = families.catalog(n, 1.3)
+    [(alpha, beta, mult, weight, present, radii)] = stacks
+    rows = families._catalog_rows(n, 1.3)
+    assert [(row[1], row[3], row[4]) for row in rows] == [(e.family, e.k, e.r) for e in entries]
+    for i, (_, _, kind, k, _, distance, *_) in enumerate(rows):
+        base = families.tube_base(kind, n, k)
+        want = (base.alpha, base.beta, base.mult, base.weight)
+        for got, column in zip((alpha, beta, mult, weight), want):
+            assert got[i][present[i]].tobytes() == np.asarray(column, dtype=float).tobytes()
+        assert radii[i : i + 1].tobytes() == np.array([distance]).tobytes()
+
+
+_OUT_OF_RANGE = "tube radius {} is out of range: |r| must be finite and at most 21.4164"
+_NOT_POSITIVE = "tube radius must be positive, got {}"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda r: families.catalog(4, r),
+        lambda r: families.two_curvature_families(4, r),
+        lambda r: families.three_curvature_families(4, r),
+        # a signed radius around a hypersurface first, then the job at fault
+        lambda r: families.tube_spectra(
+            [(families.tube_base("horosphere", 4), -1.5), (families.tube_base("point", 4), r)]
+        ),
+    ],
+    ids=["catalog", "two_curvature_families", "three_curvature_families", "tube_spectra"],
+)
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (math.nan, _OUT_OF_RANGE.format("nan")),
+        (math.inf, _OUT_OF_RANGE.format("inf")),
+        (22.0, _OUT_OF_RANGE.format("22.0")),
+        (-1.0, _NOT_POSITIVE.format("-1.0")),
+        (0.0, _NOT_POSITIVE.format("0.0")),
+        (-0.0, _NOT_POSITIVE.format("-0.0")),
+    ],
+    ids=["nan", "inf", "22", "minus-1", "zero", "minus-zero"],
+)
+def test_a_radius_no_tube_takes_is_refused_by_every_entry_point(entry, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(r)
 
 
 def test_catalog_matches_reference():
