@@ -51,7 +51,6 @@ from .solvable import (
     default_ruled_spec,
     horosphere_model,
     levi_civita,
-    ruled_flag,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "levi_civita",
     "normal_frame",
     "residual_hopf_weights",
-    "ruled_flag",
     "ruled_profile",
     "sectional_curvature",
     "solve_case_one",

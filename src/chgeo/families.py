@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,11 +116,6 @@ class TubeBase:
     beta: np.ndarray
     mult: np.ndarray
     weight: np.ndarray
-
-    @cached_property
-    def dim(self) -> int:
-        """Dimension of the base: the multiplicities of its tangent groups."""
-        return sum(m for a, m in zip(self.alpha.tolist(), self.mult.tolist()) if a == 1.0)
 
 
 def _check_row_count(n: int, tangent: int, sphere: int) -> None:
@@ -240,8 +234,6 @@ def _group_stacks(jobs, n: int):
     length, or nu not of length 2n or not a unit vector within FRAME_TOL.
     ``_tube_profiles`` checks the stacks themselves.
     """
-    # one field at a time: the five columns held at once grew the catalog
-    # benchmark's resident memory by about 0.4 KB per op
     try:
         sizes = [len(b.mult) for b, _ in jobs]
         flat, readable = [], True

@@ -18,18 +18,13 @@ Orbit models of subgroups provide the ruled minimal submanifolds: for
 a totally real k-dimensional slice wperp of v, the subalgebra
 a + z + (v - wperp) exponentiates to a (2n-k)-dimensional minimal
 submanifold whose second fundamental form is concentrated on the
-single pairing of Z against i(wperp).  The orbits of the nested
-slices wperp[:1], ..., wperp[:k] form a flag, and ``ruled_flag`` reads
-all of them from one orthonormal frame.
+single pairing of Z against i(wperp).  ``build_ruled`` constructs each
+such orbit, and ``OrbitModel`` checks every orbit on construction.
 
 The structure constants are held only in factored form, the
 eigenvalues w of ad_A and the pairing omega on v; the bracket, the
 Koszul connection, the closure check and the shape operator are closed
-forms in these two factors, so no (d, d, d) array is ever built.  The
-closure check of an orbit with m tangent and k normal rows reads one
-(k, m) block after a Householder reflection of its tangent rows, so
-no (k, m, m) leak is built either; a flag checks the closure of all its
-lower orbits from one (K, d) product.
+forms in these two factors, so no (d, d, d) array is ever built.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "default_ruled_spec",
     "horosphere_model",
     "levi_civita",
-    "ruled_flag",
 ]
 
 
@@ -187,48 +181,11 @@ def _closure_leak(alg: SolvableAlgebra, t: np.ndarray, nr: np.ndarray) -> float:
     """Frobenius norm of leak[c, i, j] = <[t_i, t_j], nr_c> for rows t (m, d) and nr (k, d).
 
     On the factors the leak is t_iA <w o t_j, nr_c> - t_jA <w o t_i, nr_c>
-    + nr_cZ omega(t_i, t_j).  Its norm does not depend on the orthonormal
-    basis of the tangent span, so one Householder reflection of the rows
-    first takes their A-column to alpha e_0.  Then, with B = (nr o w) t^T
-    and Omega = t omega t^T, leak[c, 0, j] = alpha B_cj + nr_cZ Omega_0j and
-    leak[c, i, j] = nr_cZ Omega_ij for i, j >= 1: the leak is one (k, m)
-    row block, plus Omega when a normal row has a Z-part.
+    + nr_cZ omega(t_i, t_j), one (k, m, m) array.
     """
-    a = t[:, 0]
-    alpha = -np.copysign(np.linalg.norm(a), a[0])
-    v = a.copy()
-    v[0] -= alpha
-    if v.any():
-        t = t - np.outer(v, v @ t) * (2.0 / (v @ v))
-    row = alpha * ((nr * alg.weights) @ t.T)
-    nz = nr[:, 1]
-    if nz.any():
-        omega = t @ alg.omega @ t.T
-        row += nz[:, None] * omega[0]
-        inner = np.dot(nz, nz) * np.sum(np.square(omega[1:, 1:]))
-    else:
-        inner = 0.0
-    # leak[c, 0, 0] = 0, and each (0, j) entry appears again as -(j, 0)
-    return float(np.sqrt(2.0 * np.sum(np.square(row[:, 1:])) + inner))
-
-
-def _flag_leaks(alg: SolvableAlgebra, frame: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Closure leaks of the orbits with tangent rows frame[:d - k] and normal rows w[:k].
-
-    One entry per corank k = 1, ..., len(w), each the ``_closure_leak`` of
-    its orbit; the rows of w must have no Z-part.  Then leak[c, i, j] =
-    a_i P_cj - a_j P_ci with a = frame[:, 0] and P = (w o weights) frame^T,
-    whose squared norm over the first m rows is, by Lagrange's identity,
-    2 sum_c (|a|^2 |P_c|^2 - (a . P_c)^2), each sum a prefix sum over one
-    (K, d) array.
-    """
-    a = frame[:, 0]
-    P = (w * alg.weights) @ frame.T
-    terms = np.cumsum(a * a) * np.cumsum(P * P, axis=1) - np.square(np.cumsum(a * P, axis=1))
-    # the corank-k orbit reads column m - 1 = d - k - 1 of its k normal rows' terms
-    ks = np.arange(1, len(w) + 1)
-    squares = 2.0 * np.triu(terms[:, len(a) - 1 - ks]).sum(axis=0)
-    return np.sqrt(np.maximum(squares, 0.0))
+    leak = t[:, 0, None] * ((nr * alg.weights) @ t.T)[:, None, :]
+    leak = leak - leak.transpose(0, 2, 1) + nr[:, 1, None, None] * (t @ alg.omega @ t.T)
+    return float(np.linalg.norm(leak))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,11 +199,9 @@ class OrbitModel:
     Codazzi equations over the whole frame.  The closure check, the
     shape operator and ``intrinsic_gamma`` each contract over all frame
     pairs at once.  With d = 2n and m tangent and k normal rows, the
-    closure check forms one (k, m) product of O(k m d) flops and no
-    (k, m, m) leak (plus one m x m pairing when a normal row has a
-    Z-part), and a shape operator costs O(d^3).  Construction checks that
-    the rows are orthonormal and close under the bracket; only the lower
-    orbits of a ``ruled_flag`` skip it, as the flag is checked as a whole.
+    closure check forms one (k, m, m) leak and the shape operator one
+    d x d matrix, each in O(d^3) flops.  Construction checks that the
+    rows are orthonormal and close under the bracket.
     """
 
     algebra: SolvableAlgebra
@@ -339,34 +294,6 @@ def build_ruled(alg: SolvableAlgebra, w_perp) -> OrbitModel:
     if tangent.shape[0] != d - len(w):
         raise ValidationError("slice does not have the declared dimension")
     return OrbitModel(algebra=alg, tangent=tangent, normal=w)
-
-
-def ruled_flag(alg: SolvableAlgebra, w_perp) -> list[OrbitModel]:
-    """Orbits of the nested slices w_perp[:1], ..., w_perp[:K], from one frame.
-
-    A prefix of a totally real slice is one, so ``build_ruled`` validates
-    and orthonormalises the whole slice once.  Its frame, the tangent rows
-    and then the slice rows in reverse, holds every orbit of the flag: the
-    corank-k orbit has the first d - k frame rows as its tangent rows and
-    w_perp[:k] as its normal rows, as ``build_ruled(alg, w_perp[:k])``.
-    The flag is checked once: constructing the top orbit checks that the
-    frame is orthonormal and closes, and ``_flag_leaks`` holds every lower
-    orbit's closure leak to the same bound from one product.
-    """
-    top = build_ruled(alg, w_perp)
-    w, d = top.normal, alg.dim
-    frame = np.vstack([top.tangent, w[::-1]])
-    if not np.max(_flag_leaks(alg, frame, w[:-1]), initial=0.0) <= 1e-12:
-        raise ValidationError("tangent space is not closed under the bracket")
-    lower = [_flag_orbit(alg, frame[: d - k], w[:k]) for k in range(1, len(w))]
-    return lower + [top]
-
-
-def _flag_orbit(alg: SolvableAlgebra, tangent: np.ndarray, normal: np.ndarray) -> OrbitModel:
-    """A lower orbit of a flag that ``ruled_flag`` has checked, built without re-checking."""
-    orbit = object.__new__(OrbitModel)
-    vars(orbit).update(algebra=alg, tangent=tangent, normal=normal)
-    return orbit
 
 
 def horosphere_model(alg: SolvableAlgebra) -> OrbitModel:

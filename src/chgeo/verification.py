@@ -164,9 +164,10 @@ def _ruled_base_records(orbit, k: int, xi, vals, vecs, at: str):
 
 
 def suite_ruled_second_fundamental():
-    """Second fundamental form, shape spectra and tube bases of the ruled orbits of one flag.
+    """Second fundamental form, shape spectra and tube bases of the ruled orbits.
 
-    Each orbit also holds the closed-form base ``tube_base("Wk", n, k)``,
+    One ``build_ruled`` orbit per corank k = 1, ..., n - 1, over the
+    canonical slice ``default_ruled_spec(alg, k)``.  Each orbit also holds the closed-form base ``tube_base("Wk", n, k)``,
     which the catalog reads, to its own shape operator: along the first
     slice row, the base's normal, and for k >= 2 along the normalised sum
     of the slice rows, as the base is the same over the unit normal sphere.
@@ -175,8 +176,8 @@ def suite_ruled_second_fundamental():
     for n in (3, 4, 5):
         alg = solvable.build_algebra(n)
         z_vec = np.eye(2 * n)[1]
-        flag = solvable.ruled_flag(alg, solvable.default_ruled_spec(alg, n - 1))
-        for k, orbit in enumerate(flag, start=1):
+        for k in range(1, n):
+            orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
             expected = np.concatenate([[-0.5], np.zeros(orbit.dim - 2), [0.5]])
             for i, xi in enumerate(orbit.normal):
                 at = f"n={n}, k={k}, xi_{i}"

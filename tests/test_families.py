@@ -1047,10 +1047,8 @@ def _assert_same_groups(got, want, bound=1e-15):
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_catalog_base_shapes_are_each_orbits_own(n):
-    # the catalog's closed-form ruled bases against the Koszul orbits of one flag
+    # the catalog's closed-form ruled bases against one Koszul orbit per corank
     alg = solvable.build_algebra(n)
-    w = solvable.default_ruled_spec(alg, n - 1)
-    flag = solvable.ruled_flag(alg, w)
     rows = families._catalog_rows(n, 1.3)
     # the closed-form groups each ruled row of the catalog reads, as columns
     bases = {
@@ -1059,10 +1057,12 @@ def test_catalog_base_shapes_are_each_orbits_own(n):
         if kind == "Wk"
     }
     assert sorted(bases) == list(range(1, n))
-    for k, orbit in enumerate(flag, start=1):
+    for k in range(1, n):
+        orbit = solvable.build_ruled(alg, solvable.default_ruled_spec(alg, k))
+        xi = orbit.normal[0]
         # the eigh of the orbit's own shape operator, grouped, against the rank-two form
-        own = np.linalg.eigh(orbit.shape_operator(w[0]))
-        squares = np.square((orbit.tangent @ (alg.J @ w[0])) @ own.eigenvectors)
+        own = np.linalg.eigh(orbit.shape_operator(xi))
+        squares = np.square((orbit.tangent @ (alg.J @ xi)) @ own.eigenvectors)
         entries, weights = profiles.merge_spectrum(
             [(v, 1, s) for v, s in zip(own.eigenvalues.tolist(), squares.tolist())]
         )

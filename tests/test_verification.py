@@ -1,12 +1,14 @@
 import importlib
+import json
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import regen_verify_golden
 
-from chgeo import families, verification
+from chgeo import families, solvable, verification
 from chgeo.errors import FocalPointError, UnsupportedModelError, ValidationError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -199,6 +201,25 @@ def test_equidistant_suite_stacks_its_transversal_maps(monkeypatch):
     assert one_job == []
     ((jobs,),) = stacked
     assert len(jobs) == len(verification.case_two_grid())
+
+
+def test_every_orbit_of_the_ruled_suite_passes_its_checks(monkeypatch):
+    # one build_ruled per corank k = 1, ..., n - 1: each of the 2 + 3 + 4 orbits
+    # is checked on construction, and none is built around the checks
+    checks = _spy(monkeypatch, solvable.OrbitModel, "__post_init__")
+    leaks = _spy(monkeypatch, solvable, "_closure_leak")
+    assert verification.run_suite("ruled-second-fundamental").passed
+    assert len(leaks) == len(checks) == 9
+    assert [(o.algebra.n, o.codim) for (o,) in checks] == [
+        (n, k) for n in (3, 4, 5) for k in range(1, n)
+    ]
+
+
+def test_verify_json_matches_its_goldens():
+    # every bit of every field at three seeds; regen_verify_golden.py names what moved
+    golden = json.loads(regen_verify_golden.GOLDENS.read_text())
+    assert [doc["seed"] for doc in golden] == regen_verify_golden.SEEDS
+    assert regen_verify_golden.moved(golden, regen_verify_golden.reports()) == []
 
 
 @pytest.mark.parametrize(
