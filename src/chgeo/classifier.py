@@ -19,9 +19,10 @@ solver reports the obstruction instead of a branch.
 Branches are computed from the closed forms and then validated against
 the raw residual system by damped Newton iterations from random seeds;
 a numerical root that matches no closed form is reported, never kept.
-Each start runs alone on Python floats.  The system's Jacobian is block
-lower-triangular, so each Newton step is two 2x2 solves in closed form
-and the search makes no ``numpy.linalg`` call.
+Each start runs alone on Python floats: a damped Newton on the two conic
+rows, which fix (lam1, lam2) alone, then an exact solve of the weight
+rows, which are linear in the weights.  The search makes no
+``numpy.linalg`` call.
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# each start's damped Newton loop stops below this residual norm or after
-# this many steps.  A stalled start sits near the singular locus
-# l1 + l2 = 2 lam3, moves by 2^-17..2^-19 of a Newton step each time and
-# never converges; the cap sets how long it runs before it ends NaN, and
-# since every start has its own loop a stalled one costs only itself.
-# 30 steps cover nearly every converging start: 99 % need at most 20
-# steps, 99.9 % at most 36.
+# each start's damped Newton loop on the conic rows stops below this
+# residual norm or after this many steps.  The weights are not damped, so
+# their singular line l1 + l2 = 2 lam3 cannot stall a start; inside
+# |lam3| < 0.56 a start needs at most 20 steps, 99 % at most 13.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 
@@ -334,101 +332,101 @@ def branch_profile(branch: SolutionBranch, n: int, m1: int | None = None) -> Pri
 # ---------------------------------------------------------------------------
 
 
+def _conic_residual(x, lam3):
+    """The conic rows of F at x = (l1, l2)."""
+    l1, l2 = x
+    return hyperbola_relation(l1, l2, lam3), mean_relation(l1, l2, lam3)
+
+
 def _residual(x, lam3):
     """The raw system F at x = (l1, l2, b1^2, b2^2), as four floats."""
     l1, l2, b1_sq, b2_sq = x
     weight_rows = _weight_balance(l1, l2, lam3, b1_sq, b2_sq), b1_sq + b2_sq - 1.0
-    return weight_rows + (hyperbola_relation(l1, l2, lam3), mean_relation(l1, l2, lam3))
+    return weight_rows + _conic_residual((l1, l2), lam3)
 
 
 def _newton_step(x, f, lam3):
-    """The Newton step -J^-1 f at x, or None where the Jacobian J is singular.
+    """The step -C^-1 f at x = (l1, l2) by Cramer, C the conic rows' Jacobian.
 
-    The conic rows of F depend on (l1, l2) alone and the weight rows are
-    linear in (b1^2, b2^2), so J is block lower-triangular: the conic
-    block C gives (dl1, dl2), and then the weight block, with determinant
-    3 (g2^2 - g1^2) for g_i = lam3 - l_i, gives (db1, db2).  det J is
-    the product of the two (tests/test_certificates.py proves it).
+    None where det C = 4 (l1 - l2)(8 lam3 (l1 + l2) - 20 lam3^2 - 1) is 0.
     """
-    l1, l2, b1_sq, b2_sq = x
-    g1, g2 = lam3 - l1, lam3 - l2
+    l1, l2 = x
     eight_lam3, mean_weight = 8.0 * lam3, 1.0 + 4.0 * lam3**2
     c11, c12 = eight_lam3 - 4.0 * l2, eight_lam3 - 4.0 * l1
     c21, c22 = eight_lam3 * l1 - mean_weight, eight_lam3 * l2 - mean_weight
-    w1, w2 = 3.0 * g2**2, 3.0 * g1**2
-    det_c, det_w = c11 * c22 - c12 * c21, w1 - w2
-    if det_c == 0.0 or det_w == 0.0:
+    det_c = c11 * c22 - c12 * c21
+    if det_c == 0.0:
         return None
-    dl1 = (c12 * f[3] - c22 * f[2]) / det_c
-    dl2 = (c21 * f[2] - c11 * f[3]) / det_c
-    # (a1, a2): the weight-balance row's derivatives in (l1, l2)
+    return (c12 * f[1] - c22 * f[0]) / det_c, (c21 * f[0] - c11 * f[1]) / det_c
+
+
+def _weights(x, lam3):
+    """The weights that solve F's two weight rows at x = (l1, l2), both linear in them.
+
+    NaN where their determinant 3 (g2^2 - g1^2), g_i = lam3 - l_i, is 0.
+    """
+    l1, l2 = x
+    g1, g2 = lam3 - l1, lam3 - l2
+    det_w = 3.0 * (g2**2 - g1**2)
+    if det_w == 0.0:
+        return math.nan, math.nan
     p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
-    a1 = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
-    a2 = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
-    db1 = (w2 * f[1] - f[0] - a1 * dl1 - a2 * dl2) / det_w
-    return dl1, dl2, db1, -f[1] - db1
+    b1_sq = -g1 * (3.0 * g1 + g2 * p) / det_w
+    return b1_sq, 1.0 - b1_sq
 
 
 def _numeric_jacobian(F, x, h=1e-7):
-    """Central differences of F at x: the tests' check on ``_newton_step``.
+    """Central differences of F at x: the tests' check on the conic step.
 
     Not called by the search; the benchmark counts its calls, so it stays.
     """
-    m = len(F(x))
-    J = np.empty((m, len(x)))
-    for j in range(len(x)):
-        dx = np.zeros_like(x)
-        dx[j] = h
-        J[:, j] = (F(x + dx) - F(x - dx)) / (2.0 * h)
-    return J
+    columns = [(F(x + dx) - F(x - dx)) / (2.0 * h) for dx in h * np.eye(len(x))]
+    return np.stack(columns, axis=1)
 
 
 # backtracking tries the step fractions 1, 1/2, ..., 2^-19 (every halving
-# above 1e-6) and takes the first with ||F|| < (1 - alpha/4) ||F0||
+# above 1e-6) and takes the first with ||f|| < (1 - alpha/4) ||f0||
 _STEP_FRACTIONS = tuple(0.5**i for i in range(20))
 _FAILED = (math.nan,) * 4
 
 
 def _newton_start(x, lam3):
-    """Damped Newton from the start x on floats: its root, or ``_FAILED``."""
-    f = _residual(x, lam3)
+    """Damped Newton on the conic rows from x, then the weights: a root or ``_FAILED``."""
+    f = _conic_residual(x, lam3)
     norm = math.hypot(*f)
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
-            return x
+            break
         step = _newton_step(x, f, lam3)
         if step is None:
             return _FAILED
-        l1, l2, b1_sq, b2_sq = x
-        d1, d2, d3, d4 = step
+        (l1, l2), (d1, d2) = x, step
         for alpha in _STEP_FRACTIONS:
-            trial = (l1 + alpha * d1, l2 + alpha * d2, b1_sq + alpha * d3, b2_sq + alpha * d4)
-            f_trial = _residual(trial, lam3)
+            trial = (l1 + alpha * d1, l2 + alpha * d2)
+            f_trial = _conic_residual(trial, lam3)
             norm_trial = math.hypot(*f_trial)
             if norm_trial < (1.0 - 0.25 * alpha) * norm:
                 break
         else:
             return _FAILED
         x, f, norm = trial, f_trial, norm_trial
-    return x if norm < 1e-10 else _FAILED
+    root = (*x, *_weights(x, lam3))
+    return root if math.hypot(*_residual(root, lam3)) < 1e-10 else _FAILED
 
 
 def _damped_newton(x0, lam3):
-    """Damped Newton from each row of x0 on its own; failed rows come back NaN.
+    """The root (l1, l2, b1^2, b2^2) from each start (l1, l2) of x0, or NaN.
 
     ``lam3`` holds the axis curvature of each row, so one call can run
-    starts of several values.  Each row runs on Python floats, with the
-    closed-form step of ``_newton_step``.  A row fails when its Jacobian
-    is singular, when no step fraction passes ||F|| < (1 - alpha/4)
-    ||F0||, or when it ends above 1e-10.  A row still running after
-    NEWTON_MAX_ITER steps ends NaN: nearly always a stalled start,
-    rarely a slow converging one whose root then drops out of the root
-    set.  The exact certificate in tests/test_certificates.py, not this
-    search, proves the root set complete.
+    starts of several values.  A row fails when det C or the weight
+    determinant is 0, when no step fraction passes ||f|| < (1 - alpha/4)
+    ||f0||, or when the full residual ends above 1e-10.  The exact
+    certificate in tests/test_certificates.py, not this search, proves
+    the root set complete.
     """
     starts = zip(np.asarray(x0, dtype=float).tolist(), np.asarray(lam3, dtype=float).tolist())
     roots = [_newton_start(x, value) for x, value in starts]
-    return np.array(roots, dtype=float).reshape(np.shape(x0))
+    return np.array(roots, dtype=float).reshape(-1, 4)
 
 
 def _distinct_roots(x):
@@ -464,7 +462,7 @@ def newton_roots(lam3, rng: np.random.Generator, attempts: int = 20):
         raise ValueError(f"attempts must be at least 1, got {attempts}")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(values.size * attempts, 4))
+    starts = rng.uniform(-1.5, 1.5, size=(values.size * attempts, 2))
     x = _damped_newton(starts, np.repeat(values, attempts))
     roots = [_distinct_roots(rows) for rows in x.reshape(values.size, attempts, 4)]
     return roots if np.ndim(lam3) else roots[0]

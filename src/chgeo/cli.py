@@ -151,7 +151,7 @@ def cmd_sweep(args):
     count = math.floor(span + _SWEEP_SLACK) if math.isfinite(span) else math.inf
     if count >= _MAX_SWEEP_POINTS:
         raise ValueError(
-            f"sweep grid would have {count + 1} points; at most "
+            f"sweep grid would have {count + 1:.6g} points; at most "
             f"{_MAX_SWEEP_POINTS} are allowed"
         )
     grid = [args.lo + i * args.step for i in range(count + 1)]

@@ -5,8 +5,8 @@ Together the conic and weight-system certificates show, for every lam3,
 that the raw residual system has exactly the roots the closed forms
 explain; the random-start Newton search in the classifier only
 re-checks this numerically.  The raw system's Jacobian is certified
-block lower-triangular, which is what the search's closed-form step and
-its singular rule rest on.
+block lower-triangular, which is what the search's two stages rest on:
+its closed-form conic step and its exact weight solve are certified too.
 
 The curvature relations are evaluated on sympy symbols and their float
 coefficients turned back into exact rationals, so the solutions below
@@ -151,8 +151,9 @@ def _raw_system():
 
 
 def test_raw_jacobian_is_block_triangular_with_the_loops_singular_rule():
-    # the conic rows do not involve the weights, so det J = det C * det W:
-    # J is singular exactly where the Newton loop calls a start singular
+    # the conic rows do not involve the weights, so det J = det C * det W,
+    # and J is singular exactly where a start fails by one of the loop's
+    # two rules: det C = 0 in the conic stage or det W = 0 in the weight solve
     _, J = _raw_system()
     assert J[2:, 2:] == sp.zeros(2, 2)
     conic = 8 * L3 * (L1 + L2) - 20 * L3**2 - 1
@@ -163,14 +164,28 @@ def test_raw_jacobian_is_block_triangular_with_the_loops_singular_rule():
     assert sp.expand(det + 12 * (L1 - L2) ** 2 * (L1 + L2 - 2 * L3) * conic) == 0
 
 
-def test_newton_step_solves_the_raw_jacobian_exactly():
-    # the engine's closed-form step, on symbols, is -J^-1 f for every f
-    f = sp.Matrix(sp.symbols("f0:4"))
+def _rational(values):
+    """The engine's float literals, small integers, made exact."""
+    values = sp.Matrix(values)
+    return values.xreplace({c: sp.Rational(c) for c in values.atoms(sp.Float)})
+
+
+def test_conic_step_solves_the_conic_jacobian_exactly():
+    # the engine's closed-form step, on symbols, is -C^-1 f for every f,
+    # with C the conic rows' block of the raw Jacobian
+    f = sp.Matrix(sp.symbols("f0:2"))
     _, J = _raw_system()
-    step = sp.Matrix(classifier._newton_step((L1, L2, B1, B2), tuple(f), L3))
-    # the engine's float literals are small integers, exact as rationals
-    step = step.xreplace({c: sp.Rational(c) for c in step.atoms(sp.Float)})
-    for row in J @ step + f:
+    step = _rational(classifier._newton_step((L1, L2), tuple(f), L3))
+    for row in J[2:, :2] @ step + f:
+        assert sp.expand(sp.numer(sp.together(row))) == 0
+
+
+def test_weight_solve_satisfies_the_weight_rows_exactly():
+    # the engine's weights, on symbols, zero both weight rows of F for
+    # every (l1, l2, lam3) off the singular line
+    F, _ = _raw_system()
+    b1, b2 = _rational(classifier._weights((L1, L2), L3))
+    for row in F[:2, :].subs({B1: b1, B2: b2}):
         assert sp.expand(sp.numer(sp.together(row))) == 0
 
 

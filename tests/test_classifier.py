@@ -209,9 +209,9 @@ def test_newton_finds_the_branch():
     assert any(np.linalg.norm(r - target) < 1e-7 for r in roots)
 
 
-# The whole-array LAPACK loop that ``_damped_newton`` replaced, kept as the
-# reference for the per-start loop: the same residuals, exact Jacobian,
-# step fractions, decrease rule, cap and 1e-10 gate, solved by numpy.linalg.
+# A whole-array LAPACK reference for the per-start loop: the same
+# residuals, conic Jacobian, step fractions, decrease rule, cap and 1e-10
+# gate, with each conic step and the final weight solve by numpy.linalg.
 
 
 def _reference_residuals(x, lam3):
@@ -219,27 +219,41 @@ def _reference_residuals(x, lam3):
     F = np.empty(x.shape)
     F[..., 0] = classifier._weight_balance(l1, l2, lam3, b1_sq, b2_sq)
     F[..., 1] = b1_sq + b2_sq - 1.0
-    F[..., 2] = classifier.hyperbola_relation(l1, l2, lam3)
-    F[..., 3] = classifier.mean_relation(l1, l2, lam3)
+    F[..., 2:] = _reference_conic(x, lam3)
     return F
 
 
-def _reference_jacobian(x, lam3):
-    l1, l2, b1_sq, b2_sq = (x[..., i] for i in range(4))
-    g1, g2 = lam3 - l1, lam3 - l2
-    p = 1.0 + 4.0 * l2 * g1 + 4.0 * l1 * g2
-    J = np.zeros(x.shape + (4,))
-    J[..., 0, 0] = -6.0 * g1 * b2_sq - g2 * p + 4.0 * g1 * g2 * (g2 - l2)
-    J[..., 0, 1] = -6.0 * g2 * b1_sq - g1 * p + 4.0 * g1 * g2 * (g1 - l1)
-    J[..., 0, 2] = 3.0 * g2**2
-    J[..., 0, 3] = 3.0 * g1**2
-    J[..., 1, 2:] = 1.0
+def _reference_conic(x, lam3):
+    l1, l2 = x[..., 0], x[..., 1]
+    return np.stack(
+        [classifier.hyperbola_relation(l1, l2, lam3), classifier.mean_relation(l1, l2, lam3)],
+        axis=-1,
+    )
+
+
+def _reference_conic_jacobian(x, lam3):
+    l1, l2 = x[..., 0], x[..., 1]
     eight_lam3, mean_weight = 8.0 * lam3, 1.0 + 4.0 * lam3**2
-    J[..., 2, 0] = eight_lam3 - 4.0 * l2
-    J[..., 2, 1] = eight_lam3 - 4.0 * l1
-    J[..., 3, 0] = eight_lam3 * l1 - mean_weight
-    J[..., 3, 1] = eight_lam3 * l2 - mean_weight
-    return J
+    C = np.empty(x.shape[:-1] + (2, 2))
+    C[..., 0, 0] = eight_lam3 - 4.0 * l2
+    C[..., 0, 1] = eight_lam3 - 4.0 * l1
+    C[..., 1, 0] = eight_lam3 * l1 - mean_weight
+    C[..., 1, 1] = eight_lam3 * l2 - mean_weight
+    return C
+
+
+def _reference_weights(x, lam3):
+    """The weight rows W (b1^2, b2^2) = rhs solved by LAPACK; NaN where det W is 0."""
+    g1, g2 = lam3 - x[:, 0], lam3 - x[:, 1]
+    p = 1.0 + 4.0 * x[:, 1] * g1 + 4.0 * x[:, 0] * g2
+    W = np.ones((len(x), 2, 2))
+    W[:, 0, 0], W[:, 0, 1] = 3.0 * g2**2, 3.0 * g1**2
+    rhs = np.stack([-g1 * g2 * p, np.ones(len(x))], axis=-1)
+    weights = np.full((len(x), 2), np.nan)
+    regular = np.isfinite(x).all(axis=1)
+    regular[regular] = np.linalg.det(W[regular]) != 0.0
+    weights[regular] = np.linalg.solve(W[regular], rhs[regular][..., None])[..., 0]
+    return weights
 
 
 _FRACTIONS = 0.5 ** np.arange(20)
@@ -252,19 +266,19 @@ def _reference_norm(f):
 def _reference_damped_newton(x0, lam3):
     x = np.array(x0, dtype=float)
     lam3 = np.asarray(lam3, dtype=float)
-    fx = _reference_residuals(x, lam3)
+    fx = _reference_conic(x, lam3)
     norm = _reference_norm(fx)
     live = np.flatnonzero(~(norm < classifier.NEWTON_TOL))
     for _ in range(classifier.NEWTON_MAX_ITER):
         if live.size == 0:
             break
-        J = _reference_jacobian(x[live], lam3[live])
-        regular = np.linalg.det(J) != 0.0
+        C = _reference_conic_jacobian(x[live], lam3[live])
+        regular = np.linalg.det(C) != 0.0
         x[live[~regular]] = np.nan
         live = live[regular]
-        step = np.linalg.solve(J[regular], -fx[live][..., None])[..., 0]
+        step = np.linalg.solve(C[regular], -fx[live][..., None])[..., 0]
         trial = x[live, None] + _FRACTIONS[:, None] * step[:, None]
-        f_trial = _reference_residuals(trial, lam3[live, None])
+        f_trial = _reference_conic(trial, lam3[live, None])
         accept = _reference_norm(f_trial) < (1.0 - 0.25 * _FRACTIONS) * norm[live, None]
         found = accept.any(axis=1)
         x[live[~found]] = np.nan
@@ -275,8 +289,9 @@ def _reference_damped_newton(x0, lam3):
         fx[live] = f_trial[rows, first]
         norm[live] = _reference_norm(fx[live])
         live = live[~(norm[live] < classifier.NEWTON_TOL)]
-    x[live[~(norm[live] < 1e-10)]] = np.nan
-    return x
+    roots = np.concatenate([x, _reference_weights(x, lam3)], axis=1)
+    roots[~(_reference_norm(_reference_residuals(roots, lam3)) < 1e-10)] = np.nan
+    return roots
 
 
 def test_per_start_newton_matches_the_lapack_reference():
@@ -284,7 +299,7 @@ def test_per_start_newton_matches_the_lapack_reference():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         lam3 = np.repeat(rng.uniform(-0.7, 0.7, size=3), 20)
-        starts = rng.uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(60, 4))
+        starts = rng.uniform(-1.5, 1.5, size=(60, 2))
         got = classifier._damped_newton(starts, lam3)
         want = _reference_damped_newton(starts, lam3)
         failed = np.isnan(want).any(axis=1)
@@ -297,25 +312,24 @@ def test_per_start_newton_matches_the_lapack_reference():
 
 @pytest.mark.parametrize("lam3", [0.2, -0.3, 0.55])
 def test_exact_jacobian_matches_finite_differences(lam3):
-    # the closed-form step against a LAPACK solve on central differences;
-    # the differences are good to about 1e-8 relative, and the solve
-    # carries that error times the condition number
+    # the closed-form conic step against a LAPACK solve on central
+    # differences of the conic rows; the differences are good to about
+    # 1e-8 relative, and the solve carries that error times the condition
+    # number
     def F(y):
-        return np.array(classifier._residual(tuple(y), lam3))
+        return np.array(classifier._conic_residual(tuple(y), lam3))
 
-    for x in np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 4)):
-        J = classifier._numeric_jacobian(F, x)
-        want = np.linalg.solve(J, -F(x))
+    for x in np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 2)):
+        C = classifier._numeric_jacobian(F, x)
+        want = np.linalg.solve(C, -F(x))
         step = classifier._newton_step(tuple(x), tuple(F(x)), lam3)
-        bound = 1e-6 * np.linalg.cond(J) * np.max(np.abs(want))
+        bound = 1e-6 * np.linalg.cond(C) * np.max(np.abs(want))
         assert np.max(np.abs(np.subtract(step, want))) <= bound
 
 
 def _newton_batch():
-    """Random starts with three l1 == l2 starts, where the Jacobian is singular."""
-    starts = np.random.default_rng(5).uniform(
-        [-1.5, -1.5, -0.5, -0.5], 1.5, size=(12, 4)
-    )
+    """Random starts with three l1 == l2 starts, where the conic Jacobian is singular."""
+    starts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(12, 2))
     starts[[2, 7, 11], 1] = starts[[2, 7, 11], 0]
     return starts, np.array([2, 7, 11])
 
@@ -323,10 +337,14 @@ def _newton_batch():
 def test_damped_newton_batch_equals_rows_run_alone():
     starts, singular = _newton_batch()
     lam3 = np.full(len(starts), 0.2)
-    assert np.all(np.linalg.det(_reference_jacobian(starts[singular], 0.2)) == 0.0)
+    # at l1 == l2 the conic Jacobian's two columns are equal: singular exactly
+    C = _reference_conic_jacobian(starts[singular], 0.2)
+    np.testing.assert_array_equal(C[..., 0], C[..., 1])
     for i in singular:
-        f = classifier._residual(tuple(starts[i]), 0.2)
+        f = classifier._conic_residual(tuple(starts[i]), 0.2)
         assert classifier._newton_step(tuple(starts[i]), f, 0.2) is None
+    # the weight rows are singular on l1 + l2 = 2 lam3, where the start fails
+    assert np.isnan(classifier._weights((0.25, 0.75), 0.5)).all()
     batch = classifier._damped_newton(starts, lam3)
     for i, x0 in enumerate(starts):
         alone = classifier._damped_newton(x0[None], lam3[i : i + 1])[0]
@@ -338,14 +356,15 @@ def test_damped_newton_batch_equals_rows_run_alone():
 
 
 def test_damped_newton_takes_the_first_acceptable_step_fraction(monkeypatch):
-    # a start whose full step and half step are rejected and whose later
-    # fractions pass from the first one on: the loop must take the first
-    starts = np.random.default_rng(5).uniform([-1.5, -1.5, -0.5, -0.5], 1.5, size=(200, 4))
+    # a start whose full step and half step are rejected on the conic rows
+    # and whose later fractions pass from the first one on: the loop must
+    # take the first
+    starts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(200, 2))
     for x0 in starts:
-        f0 = _reference_residuals(x0, 0.2)
-        step = np.linalg.solve(_reference_jacobian(x0, 0.2), -f0)
+        f0 = _reference_conic(x0, 0.2)
+        step = np.linalg.solve(_reference_conic_jacobian(x0, 0.2), -f0)
         trials = x0 + _FRACTIONS[:, None] * step
-        norms = _reference_norm(_reference_residuals(trials, 0.2))
+        norms = _reference_norm(_reference_conic(trials, 0.2))
         accept = norms < (1.0 - 0.25 * _FRACTIONS) * _reference_norm(f0)
         if not accept[:2].any() and accept[2:].all():
             break
@@ -371,22 +390,15 @@ SEARCHED = (0.2, -0.3, 0.55)
 
 def test_newton_starts_are_the_per_attempt_draws(monkeypatch):
     expected = np.random.default_rng(9)
+    # one (l1, l2) pair per attempt: the weights are solved, not searched
     per_attempt = np.array(
-        [
-            [
-                expected.uniform(-1.5, 1.5),
-                expected.uniform(-1.5, 1.5),
-                expected.uniform(-0.5, 1.5),
-                expected.uniform(-0.5, 1.5),
-            ]
-            for _ in range(20 * len(SEARCHED))
-        ]
+        [[expected.uniform(-1.5, 1.5), expected.uniform(-1.5, 1.5)] for _ in range(60)]
     )
     seen = []
 
     def record(x0, lam3):
         seen.append((np.array(x0), np.array(lam3)))
-        return np.full_like(x0, np.nan)
+        return np.full((len(x0), 4), np.nan)
 
     monkeypatch.setattr(classifier, "_damped_newton", record)
     rng = np.random.default_rng(9)
@@ -402,7 +414,7 @@ def test_one_newton_draw_equals_the_per_lambda3_draws(monkeypatch):
 
     def record(x0, lam3):
         seen.append(np.array(x0))
-        return np.full_like(x0, np.nan)
+        return np.full((len(x0), 4), np.nan)
 
     monkeypatch.setattr(classifier, "_damped_newton", record)
     per_value = np.random.default_rng(4)
@@ -416,9 +428,7 @@ def test_one_newton_draw_equals_the_per_lambda3_draws(monkeypatch):
 
 @pytest.mark.parametrize("seed", [3, 7, 11, verification.DEFAULT_SEED])
 def test_mixed_lambda3_newton_rows_equal_the_per_lambda3_calls(seed):
-    starts = np.random.default_rng(seed).uniform(
-        [-1.5, -1.5, -0.5, -0.5], 1.5, size=(20 * len(SEARCHED), 4)
-    )
+    starts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(20 * len(SEARCHED), 2))
     mixed = classifier._damped_newton(starts, np.repeat(SEARCHED, 20))
     for k, lam3 in enumerate(SEARCHED):
         rows = slice(20 * k, 20 * (k + 1))
@@ -504,6 +514,26 @@ def test_capped_newton_finds_the_branch_on_the_whole_grid(seed):
         assert any(np.linalg.norm(r - target) < 1e-7 for r in roots), lam3
     anomalies = classifier.validate_against_closed_form(grid, np.random.default_rng(seed))
     assert anomalies == [[]] * len(grid)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11, verification.DEFAULT_SEED])
+def test_no_newton_start_stalls(monkeypatch, seed):
+    # damping the full 4-vector used to stall 147-167 of the grid's starts
+    # per seed near l1 + l2 = 2 lam3 and leave them NaN; damping only the
+    # conic pair converges every start
+    damped_newton = classifier._damped_newton
+    roots = []
+
+    def record(x0, lam3):
+        roots.append(damped_newton(x0, lam3))
+        return roots[-1]
+
+    monkeypatch.setattr(classifier, "_damped_newton", record)
+    grid = verification.case_two_grid()
+    for searched in (grid, SEARCHED):
+        classifier.newton_roots(searched, np.random.default_rng(seed))
+    assert [r.shape for r in roots] == [(20 * len(grid), 4), (60, 4)]
+    assert not any(np.isnan(r).any() for r in roots)
 
 
 # ---------------------------------------------------------------------------

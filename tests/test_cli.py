@@ -293,6 +293,20 @@ def test_sweep_rejects_empty_or_oversized_grid(bounds):
 
 
 @pytest.mark.parametrize(
+    "lo, step, count",
+    # the huge count used to print as a 300-digit integer; one point over
+    # the cap must still read as one over
+    [("-0.4", "1e-300", "8e+299"), ("-0.6", "1e-4", "10001")],
+)
+def test_sweep_names_its_point_count_briefly(lo, step, count):
+    proc = run_cli("sweep", "--lo", lo, "--hi", "0.4", "--step", step)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = f"error: sweep grid would have {count} points; at most 10000 are allowed"
+    assert proc.stderr.strip() == message
+
+
+@pytest.mark.parametrize(
     "hi, grid",
     [("0.16", [0.0, 0.1]), ("0.3", [0.0, 0.1, 0.2, 0.30000000000000004])],
 )

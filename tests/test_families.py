@@ -1017,7 +1017,7 @@ def test_catalog_builds_its_ruled_orbits_from_one_frame(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
-def test_catalog_checks_and_shapes_its_flag_once(monkeypatch, n):
+def test_catalog_builds_and_checks_no_orbit(monkeypatch, n):
     # the ruled bases and the horosphere are closed forms: the catalog builds no
     # orbit, so no orbit is checked or shaped even once
     calls = {"shape_operator": 0, "__post_init__": 0}

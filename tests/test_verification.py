@@ -190,7 +190,7 @@ def test_classifier_suite_makes_one_newton_call(monkeypatch):
     calls = _spy(monkeypatch, verification.classifier, "_damped_newton")
     assert verification.run_suite("classifier-branches", seed=7).passed
     ((starts, lam3),) = calls
-    assert starts.shape == (60, 4)
+    assert starts.shape == (60, 2)
     assert np.array_equal(lam3, np.repeat([0.2, -0.3, 0.55], 20))
 
 
