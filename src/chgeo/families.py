@@ -393,13 +393,10 @@ def _tube_profiles(n: int, alpha, beta, mult, weight, present, radii) -> list[Pr
             j1, j2 = runs
             norm = math.hypot(lengths[j1], lengths[j2])
             hopf = HopfAttitude(
-                b1=lengths[j1] / norm,
-                b2=lengths[j2] / norm,
-                lam1=entries[j1][0],
-                lam2=entries[j2][0],
+                lengths[j1] / norm, lengths[j2] / norm, entries[j1][0], entries[j2][0]
             )
         try:
-            profiles.append(PrincipalProfile(entries, total_dim=m, hopf=hopf))
+            profiles.append(PrincipalProfile(entries, m, hopf))
         except UnresolvedSpectrumError as exc:
             raise UnresolvedSpectrumError(
                 f"the tube at distance {float(radii[i])!r}: {exc}", i
@@ -647,7 +644,7 @@ def _engine_entries(n: int, rows) -> list[CatalogEntry]:
     """
     groups = [_named_groups(kind, n, k)[1] for _, _, kind, k, *_ in rows]
     width = max(map(len, groups))
-    stack = np.array([g + [(0.0, 0.0, 0, 0.0)] * (width - len(g)) for g in groups])
+    stack = np.array([g + [(0.0, 0.0, 0, 0.0)] * (width - len(g)) for g in groups], dtype=float)
     present = np.arange(width) < np.array([len(g) for g in groups])[:, None]
     radii = np.array([row[5] for row in rows])
     try:

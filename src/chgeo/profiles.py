@@ -4,13 +4,15 @@
 squared weight]) items into eigenspaces.  The tube engine and the focal
 image hand it their groups with their multiplicities, never repeated out
 to one item per row; the frame route and the structural residuals hand
-it one item per eigenvalue of an ``eigh``.
+it one item per eigenvalue of an ``eigh``.  Per tube row, it and
+``PrincipalProfile``'s checks are one pass each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import UnresolvedSpectrumError, as_int
 
@@ -41,22 +43,26 @@ class HopfAttitude:
     lam2: float
 
     def __post_init__(self):
-        if self.b1 < 0 or self.b2 < 0:
+        # a NaN fails each check
+        if not (self.b1 >= 0 and self.b2 >= 0):
             raise ValueError("projection lengths must be non-negative")
-        if abs(self.b1**2 + self.b2**2 - 1.0) > 1e-12:
+        if not abs(self.b1**2 + self.b2**2 - 1.0) <= 1e-12:
             raise ValueError("projection lengths must satisfy b1^2 + b2^2 = 1")
+        for name, lam in (("lam1", self.lam1), ("lam2", self.lam2)):
+            if not math.isfinite(lam):
+                raise ValueError(f"{name} must be finite, got {lam!r}")
 
 
 @dataclass(frozen=True)
 class PrincipalProfile:
     """Distinct principal curvatures with multiplicities.
 
-    ``entries`` is sorted ascending by curvature; multiplicities are at
-    least 1 and sum to ``total_dim``.  ``hopf is None`` means the model is
-    Hopf: J(normal) is a principal direction.  Otherwise ``hopf`` holds the
-    two distributions the tangential part of J(normal) splits over; the tube
-    engine raises UnsupportedModelError for a non-Hopf tube with any other
-    number of such carriers.
+    ``entries`` is ascending by finite curvature, MERGE_TOL apart;
+    multiplicities are at least 1 and sum to ``total_dim``.  ``hopf is
+    None`` means the model is Hopf: J(normal) is a principal direction.
+    Otherwise ``hopf`` holds the two distributions the tangential part of
+    J(normal) splits over; the tube engine raises UnsupportedModelError
+    for a non-Hopf tube with any other number of such carriers.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -69,17 +75,27 @@ class PrincipalProfile:
             entries = tuple((lam, as_int("multiplicity", m)) for lam, m in self.entries)
             object.__setattr__(self, "entries", entries)
             object.__setattr__(self, "total_dim", as_int("total_dim", self.total_dim))
-        if any(m < 1 for _, m in self.entries):
-            raise ValueError(f"every multiplicity must be at least 1, got {self.entries}")
-        if sum(m for _, m in self.entries) != self.total_dim:
+        total, fault, a = 0, None, -math.inf
+        for b, m in self.entries:
+            if m < 1:
+                raise ValueError(f"every multiplicity must be at least 1, got {self.entries}")
+            total += m
+            # passes a finite b at least MERGE_TOL above a
+            if fault is None and not (b - a >= MERGE_TOL and b < math.inf):
+                if not math.isfinite(b):
+                    fault = ValueError(f"principal curvature {b!r} is not finite")
+                elif b < a:
+                    fault = ValueError(f"entries must be sorted ascending, got {a!r} before {b!r}")
+                else:
+                    fault = UnresolvedSpectrumError(
+                        f"principal curvatures {a!r} and {b!r} lie within MERGE_TOL = "
+                        f"{MERGE_TOL:g} of each other and cannot be told apart"
+                    )
+            a = b
+        if total != self.total_dim:
             raise ValueError("multiplicities do not sum to the total dimension")
-        vals = [lam for lam, _ in self.entries]
-        for a, b in zip(vals, vals[1:]):
-            if b - a < MERGE_TOL:
-                raise UnresolvedSpectrumError(
-                    f"principal curvatures {a!r} and {b!r} lie within MERGE_TOL = "
-                    f"{MERGE_TOL:g} of each other and cannot be told apart"
-                )
+        if fault:
+            raise fault
 
     @property
     def g(self) -> int:
@@ -117,18 +133,26 @@ def merge_spectrum(items):
     onto it when w is the squared length on each item (0 when omitted).
     Returns (entries, lengths): ``entries`` the runs' (value,
     multiplicity) in ascending order, ``lengths`` a list of their lengths.
+    One pass keeps the open run's sums, left to right from 0.0 on
+    purpose: another order would move digits.
     """
-    runs: list[list] = []
-    last = 0.0
-    for value, mult, *square in sorted(items, key=lambda item: item[0]):
-        if not runs or value - last >= MERGE_TOL:
-            runs.append([0.0, 0, 0.0])
-        run = runs[-1]
-        run[0] += mult * value
-        run[1] += mult
-        run[2] += sum(square)
+    ordered = sorted(items, key=itemgetter(0))
+    if not ordered:
+        return (), []
+    entries, lengths = [], []
+    total, count, square = 0.0, 0, 0.0
+    last = ordered[0][0]
+    for item in ordered:
+        value = item[0]
+        if value - last >= MERGE_TOL:
+            entries.append((total / count, count))
+            lengths.append(math.sqrt(square))
+            total, count, square = 0.0, 0, 0.0
+        total += item[1] * value
+        count += item[1]
+        if len(item) > 2:
+            square += item[2]
         last = value
-    return (
-        tuple((total / count, count) for total, count, _ in runs),
-        [math.sqrt(square) for *_, square in runs],
-    )
+    entries.append((total / count, count))
+    lengths.append(math.sqrt(square))
+    return tuple(entries), lengths

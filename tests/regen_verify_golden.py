@@ -6,12 +6,14 @@ seed of ``SEEDS``.  Run from the root of a checkout:
 
     PYTHONPATH=src python tests/regen_verify_golden.py
 
-It prints each (seed, suite, field) that moved against the file, then
-rewrites the file.
+It prints each (seed, suite, field) that moved against the file, with
+each moved float's old value, new value and move in ulp, then rewrites
+the file.
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -48,20 +50,50 @@ def _fields(doc: dict) -> dict:
 
 
 def moved(old: list[dict], new: list[dict]) -> list[tuple]:
-    """The (seed, suite, field) of each value that differs or that only one side holds."""
+    """(seed, suite, field, old JSON, new JSON) of each value that differs; None where absent."""
     was, now = ({d["seed"]: _fields(d) for d in docs} for docs in (old, new))
     out = []
     for seed in sorted(was.keys() | now.keys()):
         a, b = was.get(seed, {}), now.get(seed, {})
-        out += [(seed, *key) for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+        keys = sorted(a.keys() | b.keys())
+        out += [(seed, *key, a.get(key), b.get(key)) for key in keys if a.get(key) != b.get(key)]
     return out
+
+
+def ulp_moves(old, new, at: str = "") -> list[str]:
+    """Each float that differs between two JSON values, as "[at: ]old -> new (k ulp)".
+
+    Lists of one length and dicts are walked in step, so ``at`` is the
+    float's path; values of other types or shapes give no line.  The move
+    is (new - old) / math.ulp(old).
+    """
+    if isinstance(old, float) and isinstance(new, float):
+        if json.dumps(old) == json.dumps(new):
+            return []
+        move = f"{old!r} -> {new!r} ({(new - old) / math.ulp(old):+.4g} ulp)"
+        return [f"{at}: {move}" if at else move]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    elif isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(f".{key}", old[key], new[key]) for key in sorted(old.keys() & new.keys())]
+    else:
+        return []
+    return [line for key, a, b in pairs for line in ulp_moves(a, b, at + key)]
+
+
+def print_moves(moves, names) -> None:
+    """Print each move of a ``moved`` list, its key named by ``names``, then its float moves."""
+    for *key, old, new in moves:
+        print("moved: " + ", ".join(f"{name} = {value}" for name, value in zip(names, key)))
+        if old is not None and new is not None:
+            for line in ulp_moves(json.loads(old), json.loads(new)):
+                print(f"    {line}")
 
 
 def main() -> None:
     old = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else []
     new = reports()
-    for seed, suite, field in moved(old, new):
-        print(f"moved: seed = {seed}, suite = {suite}, field = {field}")
+    print_moves(moved(old, new), ("seed", "suite", "field"))
     GOLDENS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(new)} reports to {GOLDENS}")
 

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import regen_cli_golden
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -363,6 +364,24 @@ def test_focal_rejects_zero_instead_of_defaulting(args, message):
 def test_usage_error_exit_code():
     proc = run_cli("focal", "--case", "x")
     assert proc.returncode == 2
+
+
+_CLI_GOLDENS = json.loads(regen_cli_golden.GOLDENS.read_text())
+
+
+def test_cli_goldens_cover_their_commands():
+    assert [case["args"] for case in _CLI_GOLDENS] == regen_cli_golden.COMMANDS
+
+
+@pytest.mark.parametrize(
+    "case", _CLI_GOLDENS, ids=[" ".join(case["args"]) for case in _CLI_GOLDENS]
+)
+def test_cli_json_matches_its_golden(case):
+    # every field's JSON text, so every float bit for bit; regen_cli_golden.py names what moved
+    proc = run_cli("--format", "json", *case["args"])
+    assert proc.returncode == 0
+    new = {"args": case["args"], "doc": json.loads(proc.stdout)}
+    assert regen_cli_golden.moved([case], [new]) == []
 
 
 # ---------------------------------------------------------------------------

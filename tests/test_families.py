@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import regen_catalog_sha256
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chgeo import ambient, classifier, families, jacobi, profiles, solvable, verification
@@ -937,6 +937,93 @@ def test_merge_spectrum_cuts_runs_at_merge_tol():
     entries, lengths = profiles.merge_spectrum([(0.0, 1), (tol, 2), (tol, 1), (1.5 * tol, 1)])
     assert entries == ((0.0, 1), ((2 * tol + tol + 1.5 * tol) / 4, 4)) and lengths == [0.0, 0.0]
     assert profiles.merge_spectrum([]) == ((), [])
+
+
+def _merge_spectrum_reference(items):
+    """``merge_spectrum`` as it was written with one list per run: the bit-for-bit reference."""
+    runs: list[list] = []
+    last = 0.0
+    for value, mult, *square in sorted(items, key=lambda item: item[0]):
+        if not runs or value - last >= profiles.MERGE_TOL:
+            runs.append([0.0, 0, 0.0])
+        run = runs[-1]
+        run[0] += mult * value
+        run[1] += mult
+        run[2] += sum(square)
+        last = value
+    return (
+        tuple((total / count, count) for total, count, _ in runs),
+        [math.sqrt(square) for *_, square in runs],
+    )
+
+
+_TOL = profiles.MERGE_TOL
+# ties, signed zeros, gaps of exactly MERGE_TOL, clusters closer than it and any float
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, _TOL, -_TOL, 2 * _TOL, 0.5, 0.5 + _TOL, 0.5 - _TOL]),
+    st.integers(-4, 4).map(lambda k: 0.25 + k * 3e-10),
+    st.floats(-2.0, 2.0),
+)
+_MULTS = st.integers(1, 200)
+_ITEMS = st.lists(
+    st.tuples(_VALUES, _MULTS) | st.tuples(_VALUES, _MULTS, st.floats(0.0, 4.0)), max_size=12
+)
+
+
+@settings(max_examples=300)
+@given(_ITEMS)
+@example([(0.0, 1), (_TOL, 2), (-0.0, 3, 0.0), (_TOL, 1, 0.5), (2 * _TOL, 200)])
+@example([(-0.0, 7), (-0.0, 1, 1.0)])
+def test_merge_spectrum_is_bit_identical_to_its_reference(items):
+    # every value, count and length to the bit, types included
+    assert repr(profiles.merge_spectrum(items)) == repr(_merge_spectrum_reference(items))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (((float("nan"), 1), (0.2, 2)), "principal curvature nan is not finite"),
+        (((-math.inf, 1), (0.2, 2)), "principal curvature -inf is not finite"),
+        (((0.2, 1), (math.inf, 2)), "principal curvature inf is not finite"),
+        (((0.5, 1), (0.2, 2)), "entries must be sorted ascending, got 0.5 before 0.2"),
+    ],
+)
+def test_profile_names_a_non_finite_or_out_of_order_curvature(entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        PrincipalProfile(entries, 3)
+    assert not isinstance(info.value, UnresolvedSpectrumError)
+
+
+@pytest.mark.parametrize(
+    "entries, total_dim, error, message",
+    [
+        # each input also breaks at least one check below the one that raises
+        (((0.5, 2.5), (0.2, 0), (math.nan, 1)), 9, ValueError, "multiplicity must be an integer"),
+        (((math.nan, 1), (0.2, 0), (0.1, 1)), 9, ValueError, "every multiplicity must be at least"),
+        (((0.5, 1), (0.5, 1), (math.nan, 1)), 9, ValueError, "multiplicities do not sum"),
+        (((0.1, 1), (math.inf, 1), (0.2, 1)), 3, ValueError, "principal curvature inf is not"),
+        (((0.5, 1), (0.2, 1), (math.nan, 1)), 3, ValueError, "entries must be sorted ascending"),
+        (((0.5, 1), (0.5, 1), (0.2, 1)), 3, UnresolvedSpectrumError, "principal curvatures 0.5 and"),
+    ],
+    ids=["integer", "at-least-one", "sum", "finite", "ascending", "merge-gap"],
+)
+def test_profile_checks_raise_in_their_order(entries, total_dim, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        PrincipalProfile(entries, total_dim)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 1.0, 0.1, 0.2), "projection lengths must be non-negative"),
+        ((0.6, math.nan, 0.1, 0.2), "projection lengths must be non-negative"),
+        ((0.6, 0.8, math.nan, 0.2), "lam1 must be finite, got nan"),
+        ((0.6, 0.8, 0.1, -math.inf), "lam2 must be finite, got -inf"),
+    ],
+)
+def test_hopf_attitude_rejects_nan_and_non_finite_curvatures(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        profiles.HopfAttitude(*args)
 
 
 def test_profile_multiplicity_tells_close_entries_apart():
